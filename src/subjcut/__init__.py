@@ -63,13 +63,10 @@ from .extraction import (
     ProximityParams,
     assoc_scores,
     build_extract,
-    detect_basic,
-    detect_graph,
     detect_paragraph_unit,
     extract_first_n,
     extract_last_n,
     extract_least_n,
-    extract_objective,
     extract_top_n,
     individual_scores,
     preservation_rate,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -139,6 +140,11 @@ class LinearMarginModel:
     training_seed: int
     vocab_digest: str = ""
 
+    @cached_property
+    def weight_norm(self) -> float:
+        """Euclidean norm of the weights, computed once per model."""
+        return float(np.linalg.norm(self.weights))
+
 
 def svm_train(
     vectors: Sequence[PresenceVector],
@@ -226,7 +232,7 @@ def svm_train(
 
 def svm_decision(model: LinearMarginModel, vector: PresenceVector) -> float:
     """Signed geometric distance from the hyperplane; positive means class 1."""
-    norm = float(np.linalg.norm(model.weights))
+    norm = model.weight_norm
     if norm == 0.0:
         raise DegenerateModelError("zero weight vector has no decision boundary")
     idx = list(vector.active_indices)

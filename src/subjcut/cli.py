@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import corpus, evaluation, extraction, mincut
-from .classifiers import IndividualScores, load_model, save_model
+from .classifiers import IndividualScores, VocabularyMismatchError, load_model, save_model
 from .extraction import Detector, DetectorConfig, ProximityParams
 from .features import Vocabulary
 
@@ -156,18 +156,6 @@ def cmd_train_detector(
         click.echo(f"trained {b} detector on {len(sentences)} sentences -> detector_{b}.json")
 
 
-def _proximity_from_flags(threshold, decay, strength, weight) -> ProximityParams:
-    return ProximityParams(
-        threshold=threshold, decay=decay, strength=strength, cross_paragraph_weight=weight
-    )
-
-
-def _load_detector(model_dir: Path, base: str, config: DetectorConfig) -> Detector:
-    vocab = Vocabulary.load(model_dir / "detector_vocab.tsv")
-    model = load_model(model_dir / f"detector_{base}.json", vocab)
-    return Detector(model=model, vocab=vocab, config=config)
-
-
 @main.command("extract")
 @data_root_option
 @output_dir_option
@@ -196,19 +184,16 @@ def cmd_extract(
         documents = corpus.load_polarity_dataset(pol_root)
         proximity = None
         if mode == "graph":
-            proximity = _proximity_from_flags(threshold, decay, strength, cross_paragraph_weight)
-        detector = _load_detector(
-            Path(model_dir), base, DetectorConfig(base=base, mode=mode, proximity=proximity)
+            proximity = ProximityParams(threshold, decay, strength, cross_paragraph_weight)
+        config = evaluation.ExperimentConfig(
+            extractor=mode, detector_base=base, proximity=proximity, flipped=flipped
         )
-    except (corpus.IngestionError, FileNotFoundError) as exc:
+        vocab = Vocabulary.load(Path(model_dir) / "detector_vocab.tsv")
+        model = load_model(Path(model_dir) / f"detector_{base}.json", vocab)
+    except (corpus.IngestionError, FileNotFoundError, ValueError, VocabularyMismatchError) as exc:
         raise click.UsageError(str(exc))
-    extracts = []
-    for doc in documents:
-        selected = detector.select(doc)
-        if flipped:
-            extracts.append(extraction.extract_objective(doc, selected))
-        else:
-            extracts.append(extraction.build_extract(doc, selected))
+    detector = Detector(model=model, vocab=vocab, config=DetectorConfig(base=base))
+    extracts = evaluation.make_extracts(config, documents, detector)
     (out / "extracts.jsonl").write_text(
         extraction.extracts_to_jsonl(extracts), encoding="utf-8"
     )
@@ -248,14 +233,9 @@ def cmd_run(spec_path, data_root, output_dir, seed) -> None:
     except corpus.IngestionError as exc:
         raise click.UsageError(str(exc))
     detector = None
-    if config.extractor in ("basic", "graph", "paragraph", "top_n", "least_n"):
-        unit = "paragraph" if config.extractor == "paragraph" else "sentence"
-        mode = "graph" if config.extractor == "graph" else "basic"
+    if config.extractor in evaluation.DETECTOR_EXTRACTORS:
         detector = evaluation.make_detector(
-            sentences,
-            DetectorConfig(base=config.detector_base, mode=mode,
-                           proximity=config.proximity, unit=unit),
-            seed=config.seed,
+            sentences, DetectorConfig(base=config.detector_base), seed=config.seed
         )
     report = evaluation.run_experiment(config, documents, detector)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -291,11 +271,7 @@ def cmd_grid(
         strengths=tuple(float(x) for x in strengths.split(",")) if strengths else (),
         cross_paragraph_weights=tuple(float(x) for x in weights.split(",")),
     )
-    detector = evaluation.make_detector(
-        sentences,
-        DetectorConfig(base=base, mode="graph", proximity=ProximityParams(strength=0.0)),
-        seed=seed,
-    )
+    detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     base_config = evaluation.ExperimentConfig(
         extractor="graph", detector_base=base, classifier=classifier, seed=seed,
         proximity=ProximityParams(strength=0.0),
@@ -333,9 +309,7 @@ def cmd_sweep(data_root, output_dir, methods, n_values, classifier, base, seed) 
             raise click.UsageError(
                 f"unknown method {m!r}; valid: {', '.join(evaluation.N_EXTRACTORS)}"
             )
-    detector = evaluation.make_detector(
-        sentences, DetectorConfig(base=base, mode="basic"), seed=seed
-    )
+    detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     classifiers = ("nb", "svm") if classifier == "both" else (classifier,)
     results = evaluation.n_sentence_sweep(
         documents,
@@ -378,14 +352,15 @@ def cmd_oracle(n_max, trials, seed) -> None:
         click.echo("warning: 0 trials requested; vacuous pass", err=True)
         click.echo("oracle: pass (0 trials)")
         return
-    # the worked 3-item example is always included
-    fixture = mincut.min_cut(mincut.build_network(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_ASSOC))
+    # the worked 3-item example is always included, and solved with the trials
+    rng = np.random.default_rng(seed)
+    instances = [_random_instance(rng, n_max) for _ in range(trials)]
+    fixture, *cuts = mincut.min_cut(
+        mincut.build_network([(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_ASSOC)] + instances)
+    )
     if fixture.source_side != (0, 1) or abs(fixture.cost - 1.1) > 1e-9:
         fail(f"worked example failed: side={fixture.source_side} cost={fixture.cost}")
-    rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        ind, assoc = _random_instance(rng, n_max)
-        got = mincut.min_cut(mincut.build_network(ind, assoc))
+    for trial, ((ind, assoc), got) in enumerate(zip(instances, cuts)):
         # compare at the scaled-integer level, where equality is exact
         want = mincut.brute_force_min(*mincut.scale_instance(ind, assoc))
         if got.max_flow_value != int(want.cost):

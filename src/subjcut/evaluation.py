@@ -66,6 +66,7 @@ EXTRACTORS = (
     "least_n",
 )
 N_EXTRACTORS = ("top_n", "first_n", "last_n", "least_n")
+DETECTOR_EXTRACTORS = ("basic", "graph", "paragraph", "top_n", "least_n")
 
 SWEEP_CSV_FIELDS = ("method", "N", "classifier", "fold", "accuracy", "preservation")
 
@@ -324,30 +325,21 @@ def _select_for_config(
     detector: Detector | None,
     scores: IndividualScores | None,
 ) -> tuple[int, ...]:
+    """One document's selection for every extractor but ``graph``."""
     n_sent = len(doc.sentences)
     if config.extractor == "full_review":
-        selected: tuple[int, ...] = tuple(range(n_sent))
-    elif config.extractor == "basic":
-        selected = select_basic(scores)
-    elif config.extractor == "graph":
-        selected = select_graph(scores, config.proximity, doc.paragraph_starts)
-    elif config.extractor == "paragraph":
-        selected = detect_paragraph_unit(detector.model, detector.vocab, doc)
-    elif config.extractor == "top_n":
-        selected = select_top_n(scores, config.n_sentences)
-    elif config.extractor == "least_n":
-        selected = select_least_n(scores, config.n_sentences)
-    elif config.extractor == "first_n":
-        selected = tuple(range(min(config.n_sentences, n_sent)))
-    else:  # last_n
-        selected = tuple(range(max(0, n_sent - config.n_sentences), n_sent))
-    if config.flipped:
-        selected = complement_indices(doc, selected)
-    return selected
-
-
-def _needs_detector(config: ExperimentConfig) -> bool:
-    return config.extractor in ("basic", "graph", "paragraph", "top_n", "least_n")
+        return tuple(range(n_sent))
+    if config.extractor == "basic":
+        return select_basic(scores)
+    if config.extractor == "paragraph":
+        return detect_paragraph_unit(detector.model, detector.vocab, doc)
+    if config.extractor == "top_n":
+        return select_top_n(scores, config.n_sentences)
+    if config.extractor == "least_n":
+        return select_least_n(scores, config.n_sentences)
+    if config.extractor == "first_n":
+        return tuple(range(min(config.n_sentences, n_sent)))
+    return tuple(range(max(0, n_sent - config.n_sentences), n_sent))  # last_n
 
 
 def make_extracts(
@@ -357,16 +349,22 @@ def make_extracts(
     scores: Sequence[IndividualScores] | None = None,
 ) -> list[Extract]:
     """Produce the per-document extracts an experiment will classify."""
-    if _needs_detector(config):
+    if config.extractor in DETECTOR_EXTRACTORS:
         if detector is None:
             raise ValueError(f"extractor {config.extractor!r} requires a trained detector")
         if scores is None and config.extractor != "paragraph":
             scores = score_documents(detector.model, detector.vocab, documents)
-    out = []
-    for i, doc in enumerate(documents):
-        doc_scores = scores[i] if scores is not None else None
-        out.append(build_extract(doc, _select_for_config(config, doc, detector, doc_scores)))
-    return out
+    if config.extractor == "graph":
+        starts = [doc.paragraph_starts for doc in documents]
+        selections = select_graph(scores, config.proximity, starts)
+    else:
+        selections = [
+            _select_for_config(config, doc, detector, scores[i] if scores is not None else None)
+            for i, doc in enumerate(documents)
+        ]
+    if config.flipped:
+        selections = [complement_indices(doc, sel) for doc, sel in zip(documents, selections)]
+    return [build_extract(doc, sel) for doc, sel in zip(documents, selections)]
 
 
 def _vocabulary_for_training(token_lists: Sequence[list[str]], min_doc_freq: int) -> Vocabulary:
@@ -671,17 +669,12 @@ def paragraph_comparison(
     base = base_config or ExperimentConfig()
     base = replace(base, detector_base=detector.config.base)
     graph_best, paragraph_unit, tests = {}, {}, {}
-    paragraph_detector = Detector(
-        model=detector.model,
-        vocab=detector.vocab,
-        config=DetectorConfig(base=detector.config.base, mode="basic", unit="paragraph"),
-    )
     for clf in classifiers:
         clf_base = replace(base, classifier=clf)
         result = grid_search(clf_base, documents, detector, grid, max_workers=max_workers)
         graph_best[clf] = result.best
         unit_config = replace(clf_base, extractor="paragraph")
-        paragraph_unit[clf] = run_experiment(unit_config, documents, paragraph_detector)
+        paragraph_unit[clf] = run_experiment(unit_config, documents, detector)
         tests[clf] = paired_t_test(
             graph_best[clf].fold_accuracies(), paragraph_unit[clf].fold_accuracies()
         )

@@ -27,7 +27,7 @@ from .classifiers import (
 )
 from .corpus import ReviewDocument, tokenize
 from .features import Vocabulary, featurize
-from .mincut import DEFAULT_SCALE, AssociationScores, build_network, min_cut
+from .mincut import AssociationScores, build_network, min_cut
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
 
@@ -61,6 +61,8 @@ class ProximityParams:
     def __post_init__(self) -> None:
         if self.threshold < 1 or self.threshold != int(self.threshold):
             raise ValueError(f"threshold must be a positive integer, got {self.threshold}")
+        # an integral float, as a JSON spec may give, is stored as the int
+        object.__setattr__(self, "threshold", int(self.threshold))
         if self.decay not in DECAY_NAMES:
             raise ValueError(f"decay must be one of {DECAY_NAMES}, got {self.decay!r}")
         if not (self.strength >= 0):
@@ -143,76 +145,62 @@ def individual_scores(
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Which detector to run: classifier base, decision mode, and unit."""
+    """Which detector to run: the classifier base."""
 
     base: str = "nb"  # nb | svm
-    mode: str = "basic"  # basic | graph
-    proximity: ProximityParams | None = None
-    unit: str = "sentence"  # sentence | paragraph
 
     def __post_init__(self) -> None:
         if self.base not in ("nb", "svm"):
             raise ValueError(f"base must be nb or svm, got {self.base!r}")
-        if self.mode not in ("basic", "graph"):
-            raise ValueError(f"mode must be basic or graph, got {self.mode!r}")
-        if self.unit not in ("sentence", "paragraph"):
-            raise ValueError(f"unit must be sentence or paragraph, got {self.unit!r}")
-        if self.mode == "graph" and self.proximity is None:
-            raise ValueError("graph mode requires proximity parameters")
-        if self.unit == "paragraph" and self.mode != "basic":
-            raise ValueError("paragraph unit is only valid in basic mode")
 
 
 @dataclass(frozen=True)
 class Detector:
-    """A trained sentence classifier plus the configuration for applying it."""
+    """A trained sentence classifier plus the configuration it was trained with."""
 
     model: NaiveBayesModel | LinearMarginModel
     vocab: Vocabulary
     config: DetectorConfig
 
-    def scores(self, doc: ReviewDocument) -> IndividualScores:
-        return individual_scores(self.model, self.vocab, doc.sentences)
-
-    def select(self, doc: ReviewDocument, scores: IndividualScores | None = None) -> tuple[int, ...]:
-        """Indices of the sentences the detector keeps, in document order."""
-        if self.config.unit == "paragraph":
-            return detect_paragraph_unit(self.model, self.vocab, doc)
-        if scores is None:
-            scores = self.scores(doc)
-        if self.config.mode == "graph":
-            return select_graph(scores, self.config.proximity, doc.paragraph_starts)
-        return select_basic(scores)
-
 
 def select_basic(scores: IndividualScores) -> tuple[int, ...]:
     """Independent per-sentence decisions: keep iff class-1 score strictly wins.
 
-    A tie drops the sentence, matching the canonical min-cut rule, so basic
-    selection and zero-association graph selection agree exactly.
+    A tie drops the sentence, as the canonical min cut does. Zero-association
+    graph selection compares the scores rounded to 10^-6, so a sentence that
+    wins by less than that rounding is kept here and dropped there.
     """
     return tuple(i for i in range(len(scores)) if scores.class1[i] > scores.class2[i])
 
 
+# Documents are cut together in batches of about this many sentences: one
+# max-flow solve per batch, with the transient arrays of one batch at a time.
+CUT_BATCH_SENTENCES = 8192
+
+
 def select_graph(
-    scores: IndividualScores,
+    scores: Sequence[IndividualScores],
     params: ProximityParams,
-    paragraph_starts: Sequence[int] | None = None,
-    scale_factor: int = DEFAULT_SCALE,
-) -> tuple[int, ...]:
-    """Joint labeling of all sentences as the minimum cut of the score graph."""
-    assoc = assoc_scores(len(scores), params, paragraph_starts)
-    return min_cut(build_network(scores, assoc, scale_factor)).source_side
-
-
-def detect_basic(detector: Detector, doc: ReviewDocument) -> tuple[int, ...]:
-    return select_basic(detector.scores(doc))
-
-
-def detect_graph(detector: Detector, doc: ReviewDocument) -> tuple[int, ...]:
-    if detector.config.proximity is None:
-        raise ValueError("detector has no proximity parameters")
-    return select_graph(detector.scores(doc), detector.config.proximity, doc.paragraph_starts)
+    paragraph_starts: Sequence[Sequence[int] | None] | None = None,
+) -> list[tuple[int, ...]]:
+    """Joint labeling of each document's sentences as the minimum cut of its
+    score graph; ``paragraph_starts`` is aligned with ``scores``."""
+    if paragraph_starts is None:
+        paragraph_starts = [None] * len(scores)
+    if len(paragraph_starts) != len(scores):
+        raise ValueError("scores and paragraph_starts differ in length")
+    selections: list[tuple[int, ...]] = []
+    batch_start, batch_size = 0, 0
+    for end, doc_scores in enumerate(scores, start=1):
+        batch_size += len(doc_scores)
+        if batch_size >= CUT_BATCH_SENTENCES or end == len(scores):
+            instances = (
+                (scores[i], assoc_scores(len(scores[i]), params, paragraph_starts[i]))
+                for i in range(batch_start, end)
+            )
+            selections += [cut.source_side for cut in min_cut(build_network(instances))]
+            batch_start, batch_size = end, 0
+    return selections
 
 
 def detect_paragraph_unit(
@@ -276,11 +264,6 @@ def build_extract(doc: ReviewDocument, selected: Iterable[int]) -> Extract:
 def complement_indices(doc: ReviewDocument, selected: Iterable[int]) -> tuple[int, ...]:
     chosen = set(selected)
     return tuple(i for i in range(len(doc.sentences)) if i not in chosen)
-
-
-def extract_objective(doc: ReviewDocument, selected: Iterable[int]) -> Extract:
-    """The flip side of a subjective extract: everything the detector discarded."""
-    return build_extract(doc, complement_indices(doc, selected))
 
 
 def select_top_n(scores: IndividualScores, n: int) -> tuple[int, ...]:

@@ -3,23 +3,28 @@
 Items are partitioned into a source class (class 1) and a sink class by
 minimizing: class-2 scores over items placed in class 1, plus class-1 scores
 over items placed in class 2, plus association scores over split pairs. The
-graph realizes these as capacities, and the cut is computed exactly with a
-max-flow algorithm over rounded integer capacities, so there is no
-floating-point termination risk. A brute-force enumerator over all subsets
-serves as the testing oracle.
+graph realizes these as capacities, rounded to integers so the max-flow
+computation is exact. Many instances are solved at once: their graphs share
+only the source and the sink, so each instance's cut is unaffected by the
+others. A brute-force enumerator over all subsets serves as the testing oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .classifiers import IndividualScores
 
 DEFAULT_SCALE = 10**6
+# scipy's max-flow keeps capacities as int32, and a residual capacity can
+# reach an arc's capacity plus its reverse arc's; that sum must fit
+CAPACITY_BOUND = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,6 @@ class AssociationScores:
         return len(self.pairs)
 
 
-EMPTY_ASSOCIATIONS = AssociationScores(pairs={})
-
-
 def partition_cost(
     ind: IndividualScores, assoc: AssociationScores, source_side: Iterable[int]
 ) -> float:
@@ -61,101 +63,95 @@ def partition_cost(
     return cost
 
 
+@dataclass(frozen=True)
 class FlowNetwork:
-    """Source/sink capacity graph over n items, with integer-scaled capacities.
+    """The cut graphs of several instances, sharing one source and one sink.
 
-    Nodes 0..n-1 are items, node n is the source, node n+1 the sink. Arcs are
-    stored in residual pairs: arc a and arc a^1 are each other's partner.
-    Undirected association edges carry full capacity in both directions.
+    Items of all instances are numbered in one sequence, instance j owning
+    items ``offsets[j]:offsets[j + 1]``; ``pairs`` holds every association
+    pair in these numbers and ``owners`` its instance. The raw scores are kept
+    for the cost, the integer-scaled ones for the flow; a pair whose weight
+    rounds to 0 has no arc.
     """
 
-    def __init__(self, n: int, scale_factor: int = DEFAULT_SCALE):
-        if n < 0:
-            raise ValueError("item count must be >= 0")
-        if scale_factor < 1:
-            raise ValueError("scale_factor must be >= 1")
-        self.n = n
-        self.scale_factor = scale_factor
-        self.source = n
-        self.sink = n + 1
-        self._to: list[int] = []
-        self._cap: list[int] = []
-        self._adj: list[list[int]] = [[] for _ in range(n + 2)]
-        self._forward: list[int] = []  # arc ids of forward arcs, insertion order
-        self._ind: IndividualScores | None = None
-        self._assoc: AssociationScores | None = None
-        # set by build_network: arc ids of (source, i) and (i, sink) per item
-        self._terminal_arcs: list[tuple[int, int]] | None = None
+    scale_factor: int
+    offsets: np.ndarray
+    class1: np.ndarray
+    class2: np.ndarray
+    pairs: np.ndarray  # shape (pairs, 2)
+    owners: np.ndarray
+    pair_values: np.ndarray
+    toward_source: np.ndarray
+    toward_sink: np.ndarray
+    pair_capacities: np.ndarray
 
-    def _add_arc_pair(self, u: int, v: int, cap_uv: int, cap_vu: int) -> None:
-        self._forward.append(len(self._to))
-        self._adj[u].append(len(self._to))
-        self._to.append(v)
-        self._cap.append(cap_uv)
-        self._adj[v].append(len(self._to))
-        self._to.append(u)
-        self._cap.append(cap_vu)
+    @property
+    def n(self) -> int:
+        return len(self.class1)
 
     @property
     def arc_count(self) -> int:
-        return len(self._forward)
-
-    def arcs(self) -> list[tuple[int, int, int]]:
-        """Forward arcs as (u, v, capacity) triples, in insertion order."""
-        return [(self._to[a ^ 1], self._to[a], self._cap[a]) for a in self._forward]
-
-    def dump(self, stream: IO[str]) -> None:
-        """Write the arc list as ``u v capacity`` lines, with s/t named nodes."""
-
-        def name(node: int) -> str:
-            if node == self.source:
-                return "s"
-            if node == self.sink:
-                return "t"
-            return str(node)
-
-        for u, v, cap in self.arcs():
-            stream.write(f"{name(u)} {name(v)} {cap}\n")
+        """2n terminal arcs plus one per nonzero association edge."""
+        return 2 * self.n + int(np.count_nonzero(self.pair_capacities))
 
 
-def _scaled(value: float, scale: int) -> int:
-    # round-half-even keeps the scaled weights unbiased
-    return round(value * scale)
+def _capacities(values: np.ndarray, scale_factor: int, limit: int, what: str) -> np.ndarray:
+    scaled = np.rint(values * scale_factor)  # half to even keeps the weights unbiased
+    if len(scaled) and scaled.max() > limit:
+        raise ValueError(
+            f"{what} {values[scaled.argmax()]} at scale {scale_factor} exceeds the solver's"
+            " bound: an arc's capacities in both directions must sum to at most 2**31 - 1"
+        )
+    return scaled.astype(np.int64)
 
 
 def build_network(
-    ind: IndividualScores,
-    assoc: AssociationScores,
+    instances: Iterable[tuple[IndividualScores, AssociationScores]],
     scale_factor: int = DEFAULT_SCALE,
 ) -> FlowNetwork:
-    """Build the cut graph: n source arcs, n sink arcs, one edge per nonzero pair.
+    """Build the cut graphs of many instances: per instance, n source arcs,
+    n sink arcs and one edge per nonzero pair.
 
     Real-valued scores are rounded to integers at ``scale_factor`` so the flow
-    computation terminates exactly. Zero-weight association pairs are omitted.
+    computation terminates exactly; a capacity beyond the solver's int32
+    bound is refused. Instances are read one at a time, so a generator may
+    produce them lazily.
     """
-    n = len(ind)
-    net = FlowNetwork(n, scale_factor)
-    net._ind = ind
-    net._assoc = assoc
-    # np.rint rounds half to even, matching _scaled
-    toward_source = np.rint(ind.class1 * scale_factor).astype(np.int64).tolist()
-    toward_sink = np.rint(ind.class2 * scale_factor).astype(np.int64).tolist()
-    terminal_arcs = []
-    for i in range(n):
-        source_arc = len(net._to)
-        net._add_arc_pair(net.source, i, toward_source[i], 0)
-        sink_arc = len(net._to)
-        net._add_arc_pair(i, net.sink, toward_sink[i], 0)
-        terminal_arcs.append((source_arc, sink_arc))
-    net._terminal_arcs = terminal_arcs
-    for (i, k) in sorted(assoc.pairs):
-        if k >= n:
-            raise ValueError(f"association pair ({i}, {k}) out of range for n={n}")
-        cap = _scaled(float(assoc.pairs[(i, k)]), scale_factor)
-        if cap == 0:
-            continue
-        net._add_arc_pair(i, k, cap, cap)
-    return net
+    if scale_factor < 1:
+        raise ValueError("scale_factor must be >= 1")
+    sizes, class1, class2 = [0], [np.zeros(0)], [np.zeros(0)]
+    owners, pairs, values = [], [], []
+    for j, (ind, assoc) in enumerate(instances):
+        sizes.append(len(ind))
+        class1.append(ind.class1)
+        class2.append(ind.class2)
+        owners += [j] * len(assoc)
+        pairs.extend(assoc.pairs)
+        values.extend(assoc.pairs.values())
+    offsets = np.cumsum(sizes)
+    owner = np.array(owners, dtype=np.int64)
+    local = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    beyond = np.flatnonzero(local[:, 1] >= np.diff(offsets)[owner])
+    if len(beyond):
+        i, k = local[beyond[0]].tolist()
+        n = sizes[owner[beyond[0]] + 1]
+        raise ValueError(f"association pair ({i}, {k}) out of range for n={n}")
+    c1, c2, pair_values = np.concatenate(class1), np.concatenate(class2), np.array(values, float)
+    return FlowNetwork(
+        scale_factor=scale_factor,
+        offsets=offsets,
+        class1=c1,
+        class2=c2,
+        pairs=local + offsets[owner, None],
+        owners=owner,
+        pair_values=pair_values,
+        toward_source=_capacities(c1, scale_factor, CAPACITY_BOUND, "class-1 score"),
+        toward_sink=_capacities(c2, scale_factor, CAPACITY_BOUND, "class-2 score"),
+        # both directions of an association arc carry its capacity
+        pair_capacities=_capacities(
+            pair_values, scale_factor, CAPACITY_BOUND // 2, "association weight"
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -168,112 +164,63 @@ class CutResult:
     max_flow_value: int | None = None
 
 
-def _dinic_max_flow(net: FlowNetwork, cap: list[int]) -> int:
-    """Dinic's algorithm: repeated BFS level graphs, each drained by an
-    iterative blocking-flow DFS. Capacities are mutated in ``cap``."""
-    to, adj = net._to, net._adj
-    source, sink = net.source, net.sink
-    n_nodes = net.n + 2
-    total = 0
-    if net._terminal_arcs is not None:
-        # saturate the direct source -> item -> sink lanes up front; this is
-        # exactly the first level-graph phase, done in one cheap pass
-        for source_arc, sink_arc in net._terminal_arcs:
-            pushed = min(cap[source_arc], cap[sink_arc])
-            if pushed > 0:
-                cap[source_arc] -= pushed
-                cap[source_arc + 1] += pushed
-                cap[sink_arc] -= pushed
-                cap[sink_arc + 1] += pushed
-                total += pushed
-    while True:
-        level = [-1] * n_nodes
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            lv = level[u] + 1
-            for a in adj[u]:
-                if cap[a] > 0:
-                    v = to[a]
-                    if level[v] < 0:
-                        level[v] = lv
-                        queue.append(v)
-        if level[sink] < 0:
-            return total
-        it = [0] * n_nodes
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                pushed = min(cap[a] for a in path)
-                total += pushed
-                retreat = -1
-                for depth, a in enumerate(path):
-                    cap[a] -= pushed
-                    cap[a ^ 1] += pushed
-                    if retreat < 0 and cap[a] == 0:
-                        retreat = depth
-                del path[retreat:]
-                u = to[path[-1]] if path else source
-                continue
-            adj_u = adj[u]
-            len_u = len(adj_u)
-            iu = it[u]
-            lv = level[u] + 1
-            advanced = False
-            while iu < len_u:
-                a = adj_u[iu]
-                if cap[a] > 0 and level[to[a]] == lv:
-                    it[u] = iu
-                    path.append(a)
-                    u = to[a]
-                    advanced = True
-                    break
-                iu += 1
-            if advanced:
-                continue
-            it[u] = iu
-            if not path:
-                break  # blocking flow complete, rebuild levels
-            level[u] = -1  # dead end, prune from this phase
-            a = path.pop()
-            u = to[a ^ 1]
-            it[u] += 1
+def min_cut(net: FlowNetwork) -> list[CutResult]:
+    """Compute a minimum-cost source/sink cut of every instance in the network.
 
-
-def _residual_reachable(net: FlowNetwork, cap: list[int]) -> list[bool]:
-    seen = [False] * (net.n + 2)
-    seen[net.source] = True
-    stack = [net.source]
-    to, adj = net._to, net._adj
-    while stack:
-        u = stack.pop()
-        for a in adj[u]:
-            v = to[a]
-            if cap[a] > 0 and not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
-
-
-def min_cut(net: FlowNetwork) -> CutResult:
-    """Compute a minimum-cost source/sink cut of the network.
-
-    The returned partition is canonical: the source side is the set of items
-    reachable from the source in the final residual graph, i.e. the unique
-    minimum cut with smallest source side, which makes results deterministic
-    when several minimum cuts exist. The cost is recomputed from the raw
-    (unscaled) scores of the partition. The network is not mutated.
+    One max-flow computation solves all instances. Each returned partition is
+    canonical: the source side is the set of items reachable from the source
+    in the final residual graph, i.e. the unique minimum cut with smallest
+    source side, which makes results deterministic when several minimum cuts
+    exist. The cost is recomputed from the raw (unscaled) scores of the
+    partition. The network is not mutated.
     """
-    if net._ind is None:
-        raise ValueError("network was not produced by build_network")
-    cap = list(net._cap)
-    flow = _dinic_max_flow(net, cap)
-    reachable = _residual_reachable(net, cap)
-    source_side = tuple(i for i in range(net.n) if reachable[i])
-    assoc = net._assoc if net._assoc is not None else EMPTY_ASSOCIATIONS
-    cost = partition_cost(net._ind, assoc, source_side)
-    return CutResult(source_side=source_side, cost=cost, max_flow_value=flow)
+    n, k = net.n, len(net.offsets) - 1
+    source, sink = n, n + 1
+    items = np.arange(n)
+    u, v = net.pairs.T
+    rows = np.concatenate([np.full(n, source), items, u, v])
+    cols = np.concatenate([items, np.full(n, sink), v, u])
+    caps = np.concatenate(
+        [net.toward_source, net.toward_sink, net.pair_capacities, net.pair_capacities]
+    )
+    arcs = caps > 0
+    graph = csr_matrix(
+        (caps[arcs].astype(np.int32), (rows[arcs], cols[arcs])), shape=(n + 2, n + 2)
+    )
+    flow = maximum_flow(graph, source, sink).flow
+
+    residual = graph.astype(np.int64) - flow.astype(np.int64)
+    residual.data[residual.data < 0] = 0
+    residual.eliminate_zeros()
+    side = np.zeros(n + 2, dtype=bool)
+    side[breadth_first_order(residual, source, return_predecessors=False)] = True
+    side = side[:n]
+
+    # each instance's flow value is the flow on its own source arcs
+    lo, hi = flow.indptr[source], flow.indptr[source + 1]
+    from_source = np.zeros(n + 1, dtype=np.int64)
+    from_source[flow.indices[lo:hi] + 1] = flow.data[lo:hi]
+    flow_values = np.diff(np.cumsum(from_source)[net.offsets])
+    # one sequential sum per instance, over its items and then its pairs in
+    # their given order, as partition_cost adds them
+    split = side[u] != side[v]
+    costs = np.bincount(
+        np.concatenate([np.repeat(np.arange(k), np.diff(net.offsets)), net.owners]),
+        weights=np.concatenate([
+            np.where(side, net.class2, net.class1), np.where(split, net.pair_values, 0.0)
+        ]),
+        minlength=k,
+    )
+    chosen = np.flatnonzero(side)
+    bounds = np.searchsorted(chosen, net.offsets)
+    return [
+        CutResult(
+            source_side=tuple((chosen[bounds[j]:bounds[j + 1]] - net.offsets[j]).tolist()),
+            cost=float(costs[j]),
+            max_flow_value=int(flow_values[j]),
+        )
+        for j in range(k)
+    ]
 
 
 def scale_instance(
@@ -287,15 +234,10 @@ def scale_instance(
     network's max-flow value, with no float tolerance involved.
     """
     s_ind = IndividualScores(
-        class1=np.array([float(_scaled(float(x), scale_factor)) for x in ind.class1]),
-        class2=np.array([float(_scaled(float(x), scale_factor)) for x in ind.class2]),
+        class1=np.rint(ind.class1 * scale_factor), class2=np.rint(ind.class2 * scale_factor)
     )
-    s_pairs = {}
-    for key, value in assoc.pairs.items():
-        cap = _scaled(float(value), scale_factor)
-        if cap != 0:
-            s_pairs[key] = float(cap)
-    return s_ind, AssociationScores(pairs=s_pairs)
+    s_pairs = {key: np.rint(value * scale_factor) for key, value in assoc.pairs.items()}
+    return s_ind, AssociationScores(pairs={k: float(v) for k, v in s_pairs.items() if v})
 
 
 BRUTE_FORCE_LIMIT = 20

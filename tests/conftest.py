@@ -131,12 +131,12 @@ def paragraph_documents(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def nb_detector(synthetic_sentences) -> Detector:
-    return make_detector(synthetic_sentences, DetectorConfig(base="nb", mode="basic"))
+    return make_detector(synthetic_sentences, DetectorConfig(base="nb"))
 
 
 @pytest.fixture(scope="session")
 def svm_detector(synthetic_sentences) -> Detector:
-    return make_detector(synthetic_sentences, DetectorConfig(base="svm", mode="basic"))
+    return make_detector(synthetic_sentences, DetectorConfig(base="svm"))
 
 
 @pytest.fixture(scope="session")

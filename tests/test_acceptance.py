@@ -75,7 +75,7 @@ WORKED_TABLE = {
 
 def test_criterion_01_worked_example_oracle():
     start = time.perf_counter()
-    result = min_cut(build_network(WORKED_IND, WORKED_ASSOC))
+    [result] = min_cut(build_network([(WORKED_IND, WORKED_ASSOC)]))
     assert result.source_side == (0, 1)
     assert result.cost == pytest.approx(1.1, abs=1e-12)
     for side, expected in WORKED_TABLE.items():
@@ -97,7 +97,7 @@ def test_criterion_02_mincut_exactness_200_random_instances():
                 if rng.random() < 0.4:
                     pairs[(i, k)] = float(rng.uniform(0, 1))
         assoc = AssociationScores(pairs=pairs)
-        got = min_cut(build_network(ind, assoc))
+        [got] = min_cut(build_network([(ind, assoc)]))
         want = brute_force_min(*scale_instance(ind, assoc))
         assert got.max_flow_value == int(want.cost), (ind, assoc)
     assert time.perf_counter() - start < 30.0
@@ -113,13 +113,15 @@ def test_criterion_03_zero_association_reduction(synthetic_documents, detector_m
         # pad with random score vectors to cover odd distributions too
         for doc in docs:
             scores = score_documents(model, vocab, [doc])[0]
-            assert select_graph(scores, params, doc.paragraph_starts) == select_basic(scores)
+            assert select_graph([scores], params, [doc.paragraph_starts]) == [
+                select_basic(scores)
+            ]
             checked += 1
     while checked < 120:
         n = int(rng.integers(1, 40))
         p = rng.uniform(0, 1, n)
         scores = IndividualScores(class1=p, class2=1.0 - p)
-        assert select_graph(scores, params) == select_basic(scores)
+        assert select_graph([scores], params) == [select_basic(scores)]
         checked += 1
     assert checked >= 100
 
@@ -158,9 +160,9 @@ def test_criterion_10a_single_document_cut_under_10ms():
     p = rng.uniform(0, 1, n)
     scores = IndividualScores(class1=p, class2=1.0 - p)
     params = ProximityParams(threshold=3, decay="exponential", strength=0.5)
-    select_graph(scores, params)  # warm up
+    select_graph([scores], params)  # warm up
     best = min(
-        _timed(lambda: select_graph(scores, params)) for _ in range(5)
+        _timed(lambda: select_graph([scores], params)) for _ in range(5)
     )
     assert best < 0.010, f"cut of a 200-sentence document took {best * 1e3:.2f} ms"
 
@@ -189,7 +191,7 @@ def real_data():
 @pytest.fixture(scope="session")
 def real_nb_detector(real_data):
     _, sentences = real_data
-    return make_detector(sentences, DetectorConfig(base="nb", mode="basic"))
+    return make_detector(sentences, DetectorConfig(base="nb"))
 
 
 @pytest.fixture(scope="session")

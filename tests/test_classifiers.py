@@ -164,6 +164,13 @@ class TestLinearMargin:
         )
         assert svm_decision(doubled, vec) == pytest.approx(svm_decision(model, vec))
 
+    def test_weight_norm_is_the_euclidean_norm(self, separable_svm):
+        model, vocab, _, _ = separable_svm
+        assert model.weight_norm == float(np.linalg.norm(model.weights))
+        vec = featurize(["a", "b"], vocab, normalize=True)
+        raw = model.bias + vec.value_per_active * model.weights[list(vec.active_indices)].sum()
+        assert svm_decision(model, vec) == float(raw / np.linalg.norm(model.weights))
+
     def test_point_on_hyperplane_scores_zero(self):
         model = LinearMarginModel(
             weights=np.array([1.0, -1.0]), bias=0.0, regularization=1.0, training_seed=0

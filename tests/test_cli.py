@@ -100,6 +100,41 @@ class TestTrainAndExtract:
         )
         assert result.exit_code == 0, result.output
 
+    def test_mismatched_vocabulary_is_usage_error(self, runner, small_data_root, tmp_path):
+        out = tmp_path / "out"
+        runner.invoke(
+            main,
+            ["train-detector", "--data-root", str(small_data_root),
+             "--output-dir", str(out), "--base", "nb"],
+        )
+        vocab_file = out / "detector_vocab.tsv"
+        size = len(vocab_file.read_text(encoding="utf-8").splitlines())
+        with vocab_file.open("a", encoding="utf-8") as f:
+            f.write(f"zzzunseen\t{size}\n")
+        result = runner.invoke(
+            main,
+            ["extract", "--data-root", str(small_data_root), "--model-dir", str(out),
+             "--output-dir", str(out), "--base", "nb"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "different vocabulary" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_invalid_proximity_flag_is_usage_error(self, runner, small_data_root, tmp_path):
+        out = tmp_path / "out"
+        runner.invoke(
+            main,
+            ["train-detector", "--data-root", str(small_data_root),
+             "--output-dir", str(out), "--base", "nb"],
+        )
+        result = runner.invoke(
+            main,
+            ["extract", "--data-root", str(small_data_root), "--model-dir", str(out),
+             "--output-dir", str(out), "--mode", "graph", "--threshold", "0"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "threshold must be a positive integer" in result.output
+
 
 class TestRun:
     def test_run_writes_identical_reports(self, runner, small_data_root, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -74,6 +75,19 @@ class TestExperimentConfig:
             seed=4,
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_integral_float_threshold_from_json_spec(self, synthetic_documents, nb_detector):
+        # JSON numbers written as 2.0 load as floats
+        spec = json.loads('{"extractor": "graph", "proximity": {"threshold": 2.0}}')
+        spec["proximity"]["strength"] = 0.3
+        config = ExperimentConfig.from_dict(spec)
+        assert config.proximity.threshold == 2 and type(config.proximity.threshold) is int
+        assert config == ExperimentConfig.from_dict(
+            {"extractor": "graph", "proximity": {"threshold": 2, "strength": 0.3}}
+        )
+        assert len(make_extracts(config, synthetic_documents[:3], nb_detector)) == 3
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({"extractor": "graph", "proximity": {"threshold": 2.5}})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,20 +6,17 @@ import pytest
 
 from subjcut.classifiers import IndividualScores
 from subjcut.corpus import ReviewDocument
+from subjcut import extraction
 from subjcut.extraction import (
-    Detector,
     DetectorConfig,
     ProximityParams,
     assoc_scores,
     build_extract,
     complement_indices,
-    detect_basic,
-    detect_graph,
     detect_paragraph_unit,
     extract_first_n,
     extract_last_n,
     extract_least_n,
-    extract_objective,
     extract_top_n,
     extracts_to_jsonl,
     individual_scores,
@@ -57,11 +54,17 @@ class TestProximityParams:
             {"strength": -0.1},
             {"cross_paragraph_weight": 1.5},
             {"cross_paragraph_weight": -0.1},
+            {"threshold": 2.5},
         ],
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             ProximityParams(**kw)
+
+    def test_integral_float_threshold_stored_as_int(self):
+        params = ProximityParams(threshold=2.0, strength=0.5)
+        assert params.threshold == 2 and type(params.threshold) is int
+        assert len(assoc_scores(4, params)) == 5
 
 
 class TestAssocScores:
@@ -142,15 +145,14 @@ class TestSelection:
         from subjcut.mincut import AssociationScores
 
         assoc = AssociationScores(pairs={(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.2})
-        result = min_cut(build_network(scores, assoc))
+        [result] = min_cut(build_network([(scores, assoc)]))
         assert result.source_side == (0, 1)
 
     def test_zero_strength_equals_basic(self):
         rng = np.random.default_rng(5)
         params = ProximityParams(threshold=3, decay="exponential", strength=0.0)
-        for _ in range(100):
-            scores = scores_from(rng.uniform(0, 1, int(rng.integers(1, 30))))
-            assert select_graph(scores, params) == select_basic(scores)
+        documents = [scores_from(rng.uniform(0, 1, int(rng.integers(1, 30)))) for _ in range(100)]
+        assert select_graph(documents, params) == [select_basic(s) for s in documents]
 
     def test_huge_strength_forces_uniform_label(self):
         rng = np.random.default_rng(6)
@@ -159,7 +161,7 @@ class TestSelection:
             scores = scores_from(rng.uniform(0, 1, n))
             params = ProximityParams(threshold=n, decay="constant",
                                      strength=float(n * 2 + 1))
-            selected = select_graph(scores, params)
+            [selected] = select_graph([scores], params)
             assert selected in ((), tuple(range(n)))
             # the cheaper uniform labeling wins
             all_cost = scores.class2.sum()
@@ -178,10 +180,10 @@ class TestSelection:
             split_counts = []
             for c in (0.0, 0.2, 0.5, 1.0):
                 params = ProximityParams(threshold=threshold, decay="constant", strength=c)
-                selected = set(select_graph(scores, params))
+                selected = set(select_graph([scores], params)[0])
                 # verify optimality against the oracle while we are here
                 a = assoc_scores(n, params)
-                got = min_cut(build_network(scores, a))
+                [got] = min_cut(build_network([(scores, a)]))
                 want = brute_force_min(*scale_instance(scores, a))
                 assert got.max_flow_value == int(want.cost)
                 split = sum(
@@ -192,6 +194,16 @@ class TestSelection:
                 )
                 split_counts.append(split)
             assert split_counts == sorted(split_counts, reverse=True)
+
+    def test_batches_match_single_documents(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        documents = [scores_from(rng.uniform(0, 1, int(rng.integers(0, 12)))) for _ in range(40)]
+        starts = [(0, len(s) // 2) if len(s) > 3 else None for s in documents]
+        params = ProximityParams(threshold=2, decay="exponential", strength=0.4,
+                                 cross_paragraph_weight=0.5)
+        alone = [select_graph([s], params, [p])[0] for s, p in zip(documents, starts)]
+        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 25)
+        assert select_graph(documents, params, starts) == alone
 
 
 class TestDetectorDispatch:
@@ -204,24 +216,12 @@ class TestDetectorDispatch:
                 "simply wonderful and moving performance",
             ]
         )
-        basic = Detector(model, vocab, DetectorConfig(base="nb", mode="basic"))
-        zero_graph = Detector(
-            model,
-            vocab,
-            DetectorConfig(
-                base="nb",
-                mode="graph",
-                proximity=ProximityParams(threshold=3, strength=0.0),
-            ),
-        )
-        assert detect_basic(basic, doc) == detect_graph(zero_graph, doc)
+        scores = individual_scores(model, vocab, doc.sentences)
+        zero = ProximityParams(threshold=3, strength=0.0)
+        assert select_graph([scores], zero, [doc.paragraph_starts]) == [select_basic(scores)]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(mode="graph")  # no proximity
-        with pytest.raises(ValueError):
-            DetectorConfig(mode="graph", unit="paragraph",
-                           proximity=ProximityParams(strength=0.1))
+        assert DetectorConfig(base="svm").base == "svm"
         with pytest.raises(ValueError):
             DetectorConfig(base="tree")
 
@@ -306,11 +306,11 @@ class TestExtracts:
 
     def test_objective_is_complement(self):
         doc = doc_of(["a", "b", "c", "d"])
-        assert extract_objective(doc, [0, 2]).selected == (1, 3)
+        assert build_extract(doc, complement_indices(doc, [0, 2])).selected == (1, 3)
 
     def test_empty_selection_flips_to_whole_document(self):
         doc = doc_of(["a", "b"])
-        assert extract_objective(doc, []).selected == (0, 1)
+        assert build_extract(doc, complement_indices(doc, [])).selected == (0, 1)
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)

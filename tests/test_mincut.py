@@ -1,11 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subjcut.classifiers import IndividualScores
 from subjcut.mincut import (
+    CAPACITY_BOUND,
     AssociationScores,
     CutResult,
     brute_force_min,
@@ -43,6 +42,11 @@ def random_instance(rng, n_max=12, assoc_density=0.4):
     return ind, AssociationScores(pairs=pairs)
 
 
+def solve(ind, assoc, scale_factor=10**6):
+    """Cut one instance on its own."""
+    return min_cut(build_network([(ind, assoc)], scale_factor))[0]
+
+
 class TestPartitionCost:
     @pytest.mark.parametrize("side,expected", sorted(EXAMPLE_TABLE.items()))
     def test_worked_example_table(self, side, expected):
@@ -72,19 +76,19 @@ class TestAssociationScores:
 
 class TestBuildNetwork:
     def test_worked_example_structure(self):
-        net = build_network(EXAMPLE_IND, EXAMPLE_ASSOC)
+        net = build_network([(EXAMPLE_IND, EXAMPLE_ASSOC)])
         # 3 source arcs + 3 sink arcs + 3 association edges
         assert net.n == 3
         assert net.arc_count == 9
 
     def test_minimal_graph(self):
         ind = IndividualScores(class1=np.array([0.7]), class2=np.array([0.3]))
-        net = build_network(ind, AssociationScores(pairs={}))
+        net = build_network([(ind, AssociationScores(pairs={}))])
         assert net.arc_count == 2
 
     def test_zero_associations_omitted(self):
         ind = IndividualScores(class1=np.array([0.7, 0.2]), class2=np.array([0.3, 0.8]))
-        net = build_network(ind, AssociationScores(pairs={(0, 1): 0.0}))
+        net = build_network([(ind, AssociationScores(pairs={(0, 1): 0.0}))])
         assert net.arc_count == 4
 
     def test_negative_scores_rejected(self):
@@ -94,24 +98,55 @@ class TestBuildNetwork:
     def test_out_of_range_pair_rejected(self):
         ind = IndividualScores(class1=np.array([0.7]), class2=np.array([0.3]))
         with pytest.raises(ValueError):
-            build_network(ind, AssociationScores(pairs={(0, 5): 0.2}))
+            build_network([(ind, AssociationScores(pairs={(0, 5): 0.2}))])
 
     def test_capacities_are_scaled_integers(self):
-        net = build_network(EXAMPLE_IND, EXAMPLE_ASSOC, scale_factor=10)
-        caps = sorted(cap for _, _, cap in net.arcs())
-        assert caps == [1, 1, 2, 2, 5, 5, 8, 9, 10]
+        net = build_network([(EXAMPLE_IND, EXAMPLE_ASSOC)], scale_factor=10)
+        caps = np.concatenate([net.toward_source, net.toward_sink, net.pair_capacities])
+        assert sorted(caps.tolist()) == [1, 1, 2, 2, 5, 5, 8, 9, 10]
 
-    def test_dump_format(self):
-        ind = IndividualScores(class1=np.array([0.75]), class2=np.array([0.25]))
-        net = build_network(ind, AssociationScores(pairs={}), scale_factor=100)
-        buf = io.StringIO()
-        net.dump(buf)
-        assert buf.getvalue() == "s 0 75\n0 t 25\n"
+
+class TestCapacityBound:
+    def test_huge_score_refused(self):
+        # at 10^6 this overflowed a 64-bit cast and cut the wrong side
+        ind = IndividualScores(class1=np.array([1e20]), class2=np.array([0.9]))
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            build_network([(ind, AssociationScores(pairs={}))])
+
+    def test_terminal_capacity_at_the_bound_accepted(self):
+        ind = IndividualScores(
+            class1=np.array([float(CAPACITY_BOUND)]), class2=np.array([CAPACITY_BOUND - 1.0])
+        )
+        result = solve(ind, AssociationScores(pairs={}), scale_factor=1)
+        assert result.source_side == (0,)
+        assert result.max_flow_value == CAPACITY_BOUND - 1
+
+    def test_terminal_capacity_above_the_bound_refused(self):
+        ind = IndividualScores(class1=np.array([CAPACITY_BOUND + 1.0]), class2=np.array([0.0]))
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            build_network([(ind, AssociationScores(pairs={}))], scale_factor=1)
+
+    def test_association_at_half_the_bound_accepted(self):
+        # both directions of an association arc together reach the bound
+        weight = CAPACITY_BOUND // 2
+        big = float(CAPACITY_BOUND)
+        ind = IndividualScores(class1=np.array([big, 0.0]), class2=np.array([0.0, big]))
+        assoc = AssociationScores(pairs={(0, 1): float(weight)})
+        result = solve(ind, assoc, scale_factor=1)
+        assert result.source_side == (0,)
+        assert result.max_flow_value == weight
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            build_network([(ind, AssociationScores(pairs={(0, 1): weight + 1.0}))], 1)
+
+    def test_large_association_weight_refused(self):
+        ind = IndividualScores(class1=np.array([0.5, 0.5]), class2=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            build_network([(ind, AssociationScores(pairs={(0, 1): 2148.0}))])
 
 
 class TestMinCut:
     def test_worked_example(self):
-        result = min_cut(build_network(EXAMPLE_IND, EXAMPLE_ASSOC))
+        result = solve(EXAMPLE_IND, EXAMPLE_ASSOC)
         assert result.source_side == (0, 1)
         assert result.cost == pytest.approx(1.1, abs=1e-12)
         assert result.max_flow_value == 1_100_000
@@ -120,20 +155,20 @@ class TestMinCut:
         ind = IndividualScores(
             class1=np.array([0.9, 0.2, 0.6, 0.5]), class2=np.array([0.1, 0.8, 0.4, 0.5])
         )
-        result = min_cut(build_network(ind, AssociationScores(pairs={})))
+        result = solve(ind, AssociationScores(pairs={}))
         # item 3 is tied and resolves to the sink side
         assert result.source_side == (0, 2)
 
     def test_all_items_source_when_class1_dominates(self):
         ind = IndividualScores(class1=np.array([0.9, 0.8]), class2=np.array([0.1, 0.2]))
-        result = min_cut(build_network(ind, AssociationScores(pairs={})))
+        result = solve(ind, AssociationScores(pairs={}))
         assert result.source_side == (0, 1)
 
     def test_agrees_with_brute_force_on_random_instances(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
             ind, assoc = random_instance(rng)
-            got = min_cut(build_network(ind, assoc))
+            got = solve(ind, assoc)
             want = brute_force_min(*scale_instance(ind, assoc))
             assert got.max_flow_value == int(want.cost)
 
@@ -141,22 +176,22 @@ class TestMinCut:
         rng = np.random.default_rng(8)
         for _ in range(40):
             ind, assoc = random_instance(rng)
-            net = build_network(ind, assoc)
-            result = min_cut(net)
+            net = build_network([(ind, assoc)])
+            [result] = min_cut(net)
             assert abs(result.cost * net.scale_factor - result.max_flow_value) <= len(ind)
 
     def test_cost_matches_recomputed_partition_cost(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             ind, assoc = random_instance(rng)
-            result = min_cut(build_network(ind, assoc))
+            result = solve(ind, assoc)
             recomputed = partition_cost(ind, assoc, result.source_side)
             assert result.cost == pytest.approx(recomputed, abs=1e-6)
 
     def test_no_partition_beats_the_cut(self):
         rng = np.random.default_rng(10)
         ind, assoc = random_instance(rng, n_max=10)
-        best = min_cut(build_network(ind, assoc)).cost
+        best = solve(ind, assoc).cost
         for _ in range(200):
             n = len(ind)
             side = [i for i in range(n) if rng.random() < 0.5]
@@ -166,7 +201,7 @@ class TestMinCut:
         rng = np.random.default_rng(11)
         for _ in range(30):
             ind, assoc = random_instance(rng, n_max=8)
-            result = min_cut(build_network(ind, assoc))
+            result = solve(ind, assoc)
             side = set(result.source_side)
             same = [
                 (i, k)
@@ -178,7 +213,7 @@ class TestMinCut:
                 continue
             pair = same[0]
             bigger = AssociationScores(pairs={**dict(assoc.pairs), pair: 0.7})
-            again = min_cut(build_network(ind, bigger))
+            again = solve(ind, bigger)
             assert again.cost == pytest.approx(result.cost, abs=1e-9)
 
     def test_positive_scaling_preserves_argmin(self):
@@ -186,19 +221,19 @@ class TestMinCut:
         for factor in (0.5, 2.0, 3.7):
             for _ in range(15):
                 ind, assoc = random_instance(rng, n_max=8)
-                base = min_cut(build_network(ind, assoc))
+                base = solve(ind, assoc)
                 scaled_ind = IndividualScores(
                     class1=ind.class1 * factor, class2=ind.class2 * factor
                 )
                 scaled_assoc = AssociationScores(
                     pairs={k: v * factor for k, v in assoc.pairs.items()}
                 )
-                scaled = min_cut(build_network(scaled_ind, scaled_assoc))
+                scaled = solve(scaled_ind, scaled_assoc)
                 assert scaled.source_side == base.source_side
                 assert scaled.cost == pytest.approx(base.cost * factor, rel=1e-9)
 
     def test_repeated_solves_are_stable(self):
-        net = build_network(EXAMPLE_IND, EXAMPLE_ASSOC)
+        net = build_network([(EXAMPLE_IND, EXAMPLE_ASSOC)])
         assert min_cut(net) == min_cut(net)
 
     @settings(max_examples=60, deadline=None)
@@ -221,9 +256,37 @@ class TestMinCut:
         c1, c2, pairs = instance
         ind = IndividualScores(class1=np.array(c1), class2=np.array(c2))
         assoc = AssociationScores(pairs=pairs)
-        got = min_cut(build_network(ind, assoc))
+        got = solve(ind, assoc)
         want = brute_force_min(*scale_instance(ind, assoc))
         assert got.max_flow_value == int(want.cost)
+
+
+class TestBatch:
+    def test_batch_equals_solving_each_alone(self):
+        rng = np.random.default_rng(13)
+        empty = (IndividualScores(class1=np.array([]), class2=np.array([])),
+                 AssociationScores(pairs={}))
+        single = (IndividualScores(class1=np.array([0.4]), class2=np.array([0.6])),
+                  AssociationScores(pairs={}))
+        instances = [random_instance(rng, n_max=14) for _ in range(40)]
+        instances[5:5] = [empty]
+        instances[20:20] = [single, empty]
+        results = min_cut(build_network(instances))
+        assert len(results) == len(instances)
+        for (ind, assoc), got in zip(instances, results):
+            alone = solve(ind, assoc)
+            assert got.source_side == alone.source_side
+            assert got.max_flow_value == alone.max_flow_value
+            assert got.cost == alone.cost == partition_cost(ind, assoc, got.source_side)
+            want = brute_force_min(*scale_instance(ind, assoc))
+            assert got.max_flow_value == int(want.cost)
+
+    def test_empty_batch(self):
+        assert min_cut(build_network([])) == []
+
+    def test_accepts_a_generator(self):
+        instances = (random_instance(np.random.default_rng(s), n_max=5) for s in range(3))
+        assert len(min_cut(build_network(instances))) == 3
 
 
 class TestBruteForce:
