@@ -64,10 +64,6 @@ from .extraction import (
     assoc_scores,
     build_extract,
     detect_paragraph_unit,
-    extract_first_n,
-    extract_last_n,
-    extract_least_n,
-    extract_top_n,
     individual_scores,
     preservation_rate,
     select_basic,
@@ -75,10 +71,15 @@ from .extraction import (
 )
 from .features import (
     EmptyVocabularyError,
+    FeatureRows,
+    PresenceMatrix,
     PresenceVector,
     Vocabulary,
     build_vocabulary,
     featurize,
+    featurize_rows,
+    presence_matrix,
+    vocabulary_columns,
 )
 from .mincut import (
     AssociationScores,

@@ -1,15 +1,17 @@
 """The two sentence/document classifiers: Naive Bayes and a linear soft-margin SVM.
 
-Both operate on unigram-presence vectors and serve two roles: sentence-level
-subjectivity detection and document-level polarity classification. Class 1 is
-the class of interest (subjective, or positive). The SVM's signed geometric
-distance to the hyperplane is clamped into [0, 1] to produce per-item score
-pairs for the graph construction.
+Both train on unigram-presence rows (``FeatureRows``), score single
+presence vectors, and serve two roles: sentence-level subjectivity detection
+and document-level polarity classification. Class 1 is the class of interest
+(subjective, or positive). The SVM's signed geometric distance to the
+hyperplane is clamped into [0, 1] to produce per-item score pairs for the
+graph construction.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -17,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import PresenceVector, Vocabulary
+from .features import FeatureRows, PresenceVector, Vocabulary
+
+log = logging.getLogger(__name__)
 
 FORMAT_TAG = "subjcut-model/1"
 
@@ -79,29 +83,23 @@ class NaiveBayesModel:
         return self.log_likelihood.shape[1]
 
 
-def nb_train(
-    vectors: Sequence[PresenceVector],
-    labels: Sequence[int],
-    vocab: Vocabulary,
-    alpha: float = 1.0,
-) -> NaiveBayesModel:
-    """Train NB from presence vectors and 0/1 labels.
+def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> NaiveBayesModel:
+    """Train NB from presence rows and 0/1 labels.
 
     The event model is multinomial over the presence features: each active
-    index of a training vector counts as one draw for its class.
+    index of a training row counts as one draw for its class, so the counts
+    are the per-class column sums of the rows.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     y = np.asarray(labels, dtype=int)
-    if len(vectors) != len(y):
-        raise ValueError("vectors and labels differ in length")
+    if len(rows) != len(y):
+        raise ValueError("rows and labels differ in length")
     if set(np.unique(y)) != {0, 1}:
         raise TrainingError("training data must contain both classes")
-    v_size = vocab.size
-    counts = np.zeros((2, v_size), dtype=float)
-    for vec, label in zip(vectors, y):
-        if vec.active_indices:
-            counts[label, list(vec.active_indices)] += 1.0
+    v_size = rows.n_features
+    draws = np.repeat(y, rows.lengths) * v_size + rows.indices
+    counts = np.bincount(draws, minlength=2 * v_size).reshape(2, v_size).astype(float)
     class_counts = np.bincount(y, minlength=2).astype(float)
     log_prior = np.log(class_counts / class_counts.sum())
     if v_size == 0:
@@ -109,12 +107,7 @@ def nb_train(
     else:
         totals = counts.sum(axis=1, keepdims=True)
         log_likelihood = np.log(counts + alpha) - np.log(totals + alpha * v_size)
-    return NaiveBayesModel(
-        log_prior=log_prior,
-        log_likelihood=log_likelihood,
-        alpha=alpha,
-        vocab_digest=vocab.digest(),
-    )
+    return NaiveBayesModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=alpha)
 
 
 def nb_predict_prob(model: NaiveBayesModel, vector: PresenceVector) -> float:
@@ -147,9 +140,8 @@ class LinearMarginModel:
 
 
 def svm_train(
-    vectors: Sequence[PresenceVector],
+    rows: FeatureRows,
     labels: Sequence[int],
-    vocab: Vocabulary,
     regularization: float = 1.0,
     seed: int = 0,
     max_epochs: int = 60,
@@ -161,43 +153,45 @@ def svm_train(
     the bias handled as an augmented unit feature. Coordinates are visited in
     seeded random permutations, so training is deterministic given
     (data, regularization, seed). Stops when the relative duality gap drops
-    below ``tol`` or after ``max_epochs`` sweeps.
+    below ``tol`` or after ``max_epochs`` sweeps; stopping at ``max_epochs``
+    logs a warning with the gap left.
 
-    The input vectors must be length-normalized (empty vectors are allowed and
+    The input rows must be length-normalized (empty rows are allowed and
     interact with the bias only).
     """
     if regularization <= 0:
         raise ValueError(f"regularization must be > 0, got {regularization}")
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
     y = np.asarray(labels, dtype=int)
-    if len(vectors) != len(y):
-        raise ValueError("vectors and labels differ in length")
+    if len(rows) != len(y):
+        raise ValueError("rows and labels differ in length")
     if set(np.unique(y)) != {0, 1}:
         raise TrainingError("training data must contain both classes")
-    for vec in vectors:
-        if vec.active_indices and not vec.normalized:
-            raise ValueError("SVM training requires length-normalized vectors")
+    if len(rows.indices) and not rows.normalized:
+        raise ValueError("SVM training requires length-normalized vectors")
 
-    n = len(vectors)
+    n = len(rows)
     c_penalty = float(regularization)
     signs = np.where(y == 1, 1.0, -1.0)
-    rows = [np.asarray(v.active_indices, dtype=np.intp) for v in vectors]
-    row_values = np.array([v.value_per_active for v in vectors])
+    row_indices = rows.rows()
+    row_values = rows.values
     # Q_ii = ||x_i||^2 + 1 for the augmented bias coordinate.
-    q_diag = np.array([len(r) for r in rows]) * row_values**2 + 1.0
+    q_diag = rows.lengths * row_values**2 + 1.0
 
-    w = np.zeros(vocab.size)
+    w = np.zeros(rows.n_features)
     b = 0.0
     alpha = np.zeros(n)
     rng = np.random.default_rng(seed)
 
     def margins() -> np.ndarray:
         return signs * np.array(
-            [row_values[i] * w[rows[i]].sum() + b for i in range(n)]
+            [row_values[i] * w[row_indices[i]].sum() + b for i in range(n)]
         )
 
     for _ in range(max_epochs):
         for i in rng.permutation(n):
-            idx = rows[i]
+            idx = row_indices[i]
             value = row_values[i]
             grad = signs[i] * (value * w[idx].sum() + b) - 1.0
             a_old = alpha[i]
@@ -220,13 +214,15 @@ def svm_train(
         dual = alpha.sum() - reg_term
         if primal - dual <= tol * max(primal, 1.0):
             break
+    else:
+        log.warning(
+            "svm_train stopped at max_epochs=%d before converging: relative duality gap "
+            "%.4g > tol %g",
+            max_epochs, (primal - dual) / max(primal, 1.0), tol,
+        )
 
     return LinearMarginModel(
-        weights=w,
-        bias=float(b),
-        regularization=c_penalty,
-        training_seed=seed,
-        vocab_digest=vocab.digest(),
+        weights=w, bias=float(b), regularization=c_penalty, training_seed=seed
     )
 
 

@@ -259,18 +259,21 @@ def cmd_grid(
     data_root, output_dir, base, classifier, thresholds, decays, strengths, weights, seed, threads
 ) -> None:
     """Grid-search proximity parameters; write grid.csv and best_report.json."""
+    try:
+        grid = evaluation.GridSpec(
+            thresholds=tuple(int(x) for x in thresholds.split(",")),
+            decays=tuple(decays.split(",")),
+            strengths=tuple(float(x) for x in strengths.split(",")) if strengths else (),
+            cross_paragraph_weights=tuple(float(x) for x in weights.split(",")),
+        )
+    except ValueError as exc:
+        raise click.UsageError(f"bad grid axes: {exc}")
     root = _data_root(data_root)
     out = _ensure_outdir(output_dir)
     try:
         documents, sentences = _load_datasets(root)
     except corpus.IngestionError as exc:
         raise click.UsageError(str(exc))
-    grid = evaluation.GridSpec(
-        thresholds=tuple(int(x) for x in thresholds.split(",")),
-        decays=tuple(decays.split(",")),
-        strengths=tuple(float(x) for x in strengths.split(",")) if strengths else (),
-        cross_paragraph_weights=tuple(float(x) for x in weights.split(",")),
-    )
     detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     base_config = evaluation.ExperimentConfig(
         extractor="graph", detector_base=base, classifier=classifier, seed=seed,
@@ -297,25 +300,31 @@ def cmd_grid(
 @click.option("--seed", default=0, show_default=True)
 def cmd_sweep(data_root, output_dir, methods, n_values, classifier, base, seed) -> None:
     """Accuracy of N-sentence extraction baselines over a range of N."""
-    root = _data_root(data_root)
-    out = _ensure_outdir(output_dir)
-    try:
-        documents, sentences = _load_datasets(root)
-    except corpus.IngestionError as exc:
-        raise click.UsageError(str(exc))
     method_list = tuple(methods.split(","))
     for m in method_list:
         if m not in evaluation.N_EXTRACTORS:
             raise click.UsageError(
                 f"unknown method {m!r}; valid: {', '.join(evaluation.N_EXTRACTORS)}"
             )
+    try:
+        n_list = tuple(int(x) for x in n_values.split(","))
+    except ValueError:
+        raise click.UsageError(f"--n-values must be comma-separated integers, got {n_values!r}")
+    if min(n_list) < 1:
+        raise click.UsageError(f"--n-values must all be >= 1, got {n_values!r}")
+    root = _data_root(data_root)
+    out = _ensure_outdir(output_dir)
+    try:
+        documents, sentences = _load_datasets(root)
+    except corpus.IngestionError as exc:
+        raise click.UsageError(str(exc))
     detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     classifiers = ("nb", "svm") if classifier == "both" else (classifier,)
     results = evaluation.n_sentence_sweep(
         documents,
         detector,
         methods=method_list,
-        n_values=tuple(int(x) for x in n_values.split(",")),
+        n_values=n_list,
         classifiers=classifiers,
         base_config=evaluation.ExperimentConfig(seed=seed),
     )

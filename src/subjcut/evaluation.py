@@ -18,7 +18,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
@@ -27,7 +27,6 @@ from .classifiers import (
     IndividualScores,
     LinearMarginModel,
     NaiveBayesModel,
-    nb_predict_prob,
     nb_train,
     svm_train,
 )
@@ -49,10 +48,11 @@ from .extraction import (
 )
 from .features import (
     EmptyVocabularyError,
-    PresenceVector,
+    PresenceMatrix,
     Vocabulary,
-    build_vocabulary,
-    featurize,
+    featurize_rows,
+    presence_matrix,
+    vocabulary_columns,
 )
 
 EXTRACTORS = (
@@ -224,16 +224,19 @@ def train_detector_model(
     min_doc_freq: int = 1,
 ) -> tuple[NaiveBayesModel | LinearMarginModel, Vocabulary]:
     """Train a subjectivity detector on the full sentence corpus."""
-    texts = [tokenize(s.text) for s in sentences]
-    labels = [1 if s.label == SUBJECTIVE else 0 for s in sentences]
-    vocab = build_vocabulary(texts, min_doc_freq)
-    if base == "nb":
-        vectors = [featurize(t, vocab, normalize=False) for t in texts]
-        return nb_train(vectors, labels, vocab, alpha=alpha), vocab
-    if base == "svm":
-        vectors = [featurize(t, vocab, normalize=True) for t in texts]
-        return svm_train(vectors, labels, vocab, regularization=regularization, seed=seed), vocab
-    raise ValueError(f"base must be nb or svm, got {base!r}")
+    if not sentences:
+        raise EmptyVocabularyError("no texts supplied")
+    matrix = presence_matrix(tokenize(s.text) for s in sentences)
+    labels = np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
+    every = np.arange(len(sentences))
+    model, columns, _ = _fit_predict(
+        matrix, labels, every, np.arange(0), base, min_doc_freq,
+        alpha=alpha, regularization=regularization, seed=seed,
+    )
+    if not len(columns):
+        raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
+    vocab = matrix.vocabulary(columns)
+    return replace(model, vocab_digest=vocab.digest()), vocab
 
 
 def make_detector(
@@ -278,41 +281,58 @@ def detector_cv_accuracies(
     Sentences get folds round-robin by position, which keeps the two label
     blocks of the distributed corpus balanced across folds.
     """
-    texts = [tokenize(s.text) for s in sentences]
-    labels = [1 if s.label == SUBJECTIVE else 0 for s in sentences]
-    fold_of = [i % folds for i in range(len(sentences))]
+    matrix = presence_matrix(tokenize(s.text) for s in sentences)
+    labels = np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
+    fold_of = np.arange(len(sentences)) % folds
     accuracies = []
     for fold in range(folds):
-        train_idx = [i for i in range(len(sentences)) if fold_of[i] != fold]
-        test_idx = [i for i in range(len(sentences)) if fold_of[i] == fold]
-        vocab = build_vocabulary([texts[i] for i in train_idx], min_doc_freq)
-        normalize = base == "svm"
-        train_vecs = [featurize(texts[i], vocab, normalize) for i in train_idx]
-        train_y = [labels[i] for i in train_idx]
-        if base == "nb":
-            model = nb_train(train_vecs, train_y, vocab, alpha=alpha)
-        else:
-            model = svm_train(train_vecs, train_y, vocab, regularization=regularization, seed=seed)
-        predict = _make_predictor(model)
-        correct = sum(
-            predict(featurize(texts[i], vocab, normalize)) == labels[i] for i in test_idx
+        test = np.flatnonzero(fold_of == fold)
+        _, _, predicted = _fit_predict(
+            matrix, labels, np.flatnonzero(fold_of != fold), test, base, min_doc_freq,
+            alpha=alpha, regularization=regularization, seed=seed,
         )
-        accuracies.append(correct / len(test_idx))
+        accuracies.append(int((predicted == labels[test]).sum()) / len(test))
     return accuracies
 
 
-def _make_predictor(model: NaiveBayesModel | LinearMarginModel) -> Callable[[PresenceVector], int]:
-    if isinstance(model, NaiveBayesModel):
-        return lambda vec: 1 if nb_predict_prob(model, vec) > 0.5 else 0
-    weights, bias = model.weights, model.bias
+def _fit_predict(
+    matrix: PresenceMatrix,
+    labels: np.ndarray,
+    train: np.ndarray,
+    test: np.ndarray,
+    base: str,
+    min_doc_freq: int,
+    alpha: float = 1.0,
+    regularization: float = 1.0,
+    seed: int = 0,
+) -> tuple[NaiveBayesModel | LinearMarginModel, np.ndarray, np.ndarray]:
+    """Vocabulary, features, training and prediction for one split of ``matrix``'s rows.
 
-    def predict(vec: PresenceVector) -> int:
-        raw = bias
-        if vec.active_indices:
-            raw += vec.value_per_active * weights[list(vec.active_indices)].sum()
-        return 1 if raw > 0 else 0
-
-    return predict
+    The vocabulary comes from the ``train`` rows alone; an empty one leaves
+    the classifier its class prior (NB) or bias sign (SVM). Returns the
+    model, the vocabulary as type ids in index order, and the 0/1 decisions
+    for the ``test`` rows.
+    """
+    columns = vocabulary_columns(matrix, train, min_doc_freq)
+    normalize = base == "svm"
+    train_rows = featurize_rows(matrix, columns, train, normalize)
+    if base == "nb":
+        model = nb_train(train_rows, labels[train], alpha=alpha)
+    elif base == "svm":
+        model = svm_train(train_rows, labels[train], regularization=regularization, seed=seed)
+    else:
+        raise ValueError(f"base must be nb or svm, got {base!r}")
+    test_rows = featurize_rows(matrix, columns, test, normalize)
+    predictions = np.zeros(len(test), dtype=int)
+    for k, (idx, value) in enumerate(zip(test_rows.rows(), test_rows.values)):
+        # the expressions of nb_predict_prob and of the SVM's raw margin, so
+        # that the sums run in the same order
+        if base == "nb":
+            joint = model.log_prior + model.log_likelihood[:, idx].sum(axis=1)
+            predictions[k] = np.exp(joint[1] - np.logaddexp(joint[0], joint[1])) > 0.5
+        else:
+            predictions[k] = model.bias + value * model.weights[idx].sum() > 0
+    return model, columns, predictions
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +387,6 @@ def make_extracts(
     return [build_extract(doc, sel) for doc, sel in zip(documents, selections)]
 
 
-def _vocabulary_for_training(token_lists: Sequence[list[str]], min_doc_freq: int) -> Vocabulary:
-    # A fold whose training extracts are all empty (e.g. an aggressive
-    # association setting labeled everything objective) degrades to an empty
-    # vocabulary: the classifier then falls back to its prior or bias sign.
-    try:
-        return build_vocabulary(token_lists, min_doc_freq)
-    except EmptyVocabularyError:
-        return Vocabulary(token_to_index={})
-
-
 def _train_digest(pairs: Sequence[tuple[str, str]]) -> str:
     h = hashlib.sha256()
     for doc_id, text in sorted(pairs):
@@ -395,8 +405,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Cross-validated polarity accuracy of a classifier over extracts.
 
-    For each fold, the vocabulary and the polarity classifier are built from
-    the training folds' extracts only; the held-out fold supplies the test
+    Every extract is tokenized once into the run's presence matrix. For each
+    fold, the vocabulary and the polarity classifier are built from the
+    training folds' extracts only; the held-out fold supplies the test
     extracts. ``scores`` may carry precomputed per-sentence detector scores
     aligned with ``documents`` (grid search reuses them across cells).
     """
@@ -404,38 +415,28 @@ def run_experiment(
     if bad:
         raise ValueError(f"documents without a valid fold: {bad[:3]}")
     extracts = make_extracts(config, documents, detector, scores)
-    labels = [1 if doc.label == POSITIVE else 0 for doc in documents]
-    token_lists = [tokenize(e.text) for e in extracts]
+    labels = np.array([1 if doc.label == POSITIVE else 0 for doc in documents])
+    matrix = presence_matrix(tokenize(e.text) for e in extracts)
+    fold_of = np.array([doc.fold for doc in documents])
 
     fold_results = []
     for fold in range(config.folds):
-        train_idx = [i for i, doc in enumerate(documents) if doc.fold != fold]
-        test_idx = [i for i, doc in enumerate(documents) if doc.fold == fold]
-        if not test_idx:
+        train = np.flatnonzero(fold_of != fold)
+        test = np.flatnonzero(fold_of == fold)
+        if not len(test):
             raise ValueError(f"fold {fold} is empty")
-        vocab = _vocabulary_for_training(
-            [token_lists[i] for i in train_idx], config.min_doc_freq
-        )
-        normalize = config.classifier == "svm"
-        train_vecs = [featurize(token_lists[i], vocab, normalize) for i in train_idx]
-        train_y = [labels[i] for i in train_idx]
-        if config.classifier == "nb":
-            model = nb_train(train_vecs, train_y, vocab)
-        else:
-            model = svm_train(train_vecs, train_y, vocab, seed=config.seed)
-        predict = _make_predictor(model)
-        correct = sum(
-            predict(featurize(token_lists[i], vocab, normalize)) == labels[i]
-            for i in test_idx
+        _, _, predicted = _fit_predict(
+            matrix, labels, train, test, config.classifier, config.min_doc_freq,
+            seed=config.seed,
         )
         fold_results.append(
             FoldResult(
                 fold=fold,
-                accuracy=correct / len(test_idx),
-                n_test=len(test_idx),
-                preservation=preservation_rate([extracts[i] for i in test_idx]),
+                accuracy=int((predicted == labels[test]).sum()) / len(test),
+                n_test=len(test),
+                preservation=preservation_rate([extracts[i] for i in test]),
                 train_digest=_train_digest(
-                    [(documents[i].id, extracts[i].text) for i in train_idx]
+                    [(documents[i].id, extracts[i].text) for i in train]
                 ),
             )
         )
@@ -514,6 +515,7 @@ class GridSpec:
             object.__setattr__(self, "strengths", default_strength_grid())
         if not (self.thresholds and self.decays and self.cross_paragraph_weights):
             raise ValueError("grid axes must be nonempty")
+        self.cells()  # every setting is a valid ProximityParams, or this raises
 
     def cells(self) -> list[ProximityParams]:
         out = []
@@ -612,6 +614,8 @@ def n_sentence_sweep(
     for m in methods:
         if m not in N_EXTRACTORS:
             raise ValueError(f"unknown sweep method {m!r}")
+    if any(n < 1 for n in n_values):
+        raise ValueError(f"sweep N values must be >= 1, got {tuple(n_values)}")
     base = base_config or ExperimentConfig()
     scores = score_documents(detector.model, detector.vocab, documents)
     out = {}

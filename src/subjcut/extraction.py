@@ -283,23 +283,6 @@ def select_least_n(scores: IndividualScores, n: int) -> tuple[int, ...]:
     return tuple(sorted(order[:n]))
 
 
-def extract_top_n(doc: ReviewDocument, scores: IndividualScores, n: int) -> Extract:
-    return build_extract(doc, select_top_n(scores, n))
-
-def extract_least_n(doc: ReviewDocument, scores: IndividualScores, n: int) -> Extract:
-    return build_extract(doc, select_least_n(scores, n))
-
-def extract_first_n(doc: ReviewDocument, n: int) -> Extract:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return build_extract(doc, range(min(n, len(doc.sentences))))
-
-def extract_last_n(doc: ReviewDocument, n: int) -> Extract:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return build_extract(doc, range(max(0, len(doc.sentences) - n), len(doc.sentences)))
-
-
 def preservation_rate(extracts: Sequence[Extract]) -> float:
     """Mean fraction of source words kept, over documents."""
     if not extracts:

@@ -4,15 +4,23 @@ A feature vector records only which vocabulary tokens occur in a text; the
 value of every active coordinate is 1, or 1/sqrt(#active) when the vector is
 length-normalized for margin classifiers. There is no tf, idf, or n-gram
 machinery here on purpose.
+
+Single texts are featurized with ``featurize``. Many texts are mapped once
+into a ``PresenceMatrix``; a vocabulary over any subset of its rows is then a
+selection of its columns (``vocabulary_columns``), and the rows' presence
+vectors over it one ``FeatureRows`` matrix (``featurize_rows``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class EmptyVocabularyError(Exception):
@@ -109,4 +117,129 @@ def featurize(tokens: Iterable[str], vocab: Vocabulary, normalize: bool = False)
         value = 1.0
     return PresenceVector(
         active_indices=tuple(active), value_per_active=value, normalized=normalize
+    )
+
+
+@dataclass(frozen=True)
+class PresenceMatrix:
+    """The distinct tokens of many texts, as ids into one type table.
+
+    Row ``r`` holds the ids of text ``r``'s distinct tokens in order of first
+    occurrence, ``ids[offsets[r]:offsets[r + 1]]``. Ids number the types in
+    order of first occurrence over all rows; ``types[i]`` is the token of id i.
+    """
+
+    types: tuple[str, ...]
+    ids: np.ndarray  # int32
+    offsets: np.ndarray  # int64, one more entry than there are rows
+
+    def vocabulary(self, columns: np.ndarray) -> Vocabulary:
+        """The vocabulary whose index i is the type with id ``columns[i]``."""
+        types = self.types
+        return Vocabulary(token_to_index={types[c]: i for i, c in enumerate(columns.tolist())})
+
+
+def presence_matrix(texts: Iterable[Iterable[str]]) -> PresenceMatrix:
+    """Map tokenized texts into one presence matrix, reading one text at a time."""
+    type_id: dict[str, int] = {}
+    ids = array("i")
+    offsets = array("q", [0])
+    for tokens in texts:
+        ids.extend([type_id.setdefault(t, len(type_id)) for t in dict.fromkeys(tokens)])
+        offsets.append(len(ids))
+    return PresenceMatrix(
+        types=tuple(type_id),
+        ids=np.frombuffer(ids, dtype=np.int32),
+        offsets=np.frombuffer(offsets, dtype=np.int64),
+    )
+
+
+def _row_ids(matrix: PresenceMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of ``rows``, concatenated in the order given, and each row's length."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = matrix.offsets[rows]
+    lengths = matrix.offsets[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    positions = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+    return matrix.ids[positions], lengths
+
+
+def vocabulary_columns(
+    matrix: PresenceMatrix, rows: np.ndarray, min_doc_freq: int = 1
+) -> np.ndarray:
+    """The type ids of the vocabulary ``build_vocabulary`` makes from ``rows``.
+
+    In vocabulary index order: first occurrence across the rows, in the order
+    given, keeping the types found in at least ``min_doc_freq`` of them. An
+    empty result is the empty vocabulary; no error is raised for it.
+    """
+    if min_doc_freq < 1:
+        raise ValueError(f"min_doc_freq must be >= 1, got {min_doc_freq}")
+    ids, _ = _row_ids(matrix, rows)
+    first = np.full(len(matrix.types), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    doc_freq = np.bincount(ids, minlength=len(matrix.types))  # ids are distinct within a row
+    kept = np.flatnonzero(doc_freq >= min_doc_freq)
+    return kept[np.argsort(first[kept])]
+
+
+@dataclass(frozen=True)
+class FeatureRows:
+    """Presence vectors of many texts, in compressed sparse row form.
+
+    Row ``i`` is active at the sorted columns ``indices[indptr[i]:indptr[i + 1]]``
+    and has the value ``values[i]`` there: 1, or 1/sqrt(#active) when
+    normalized, exactly as ``featurize`` gives it.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray  # np.intp, so indexing with a row needs no conversion
+    n_features: int
+    normalized: bool
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @property
+    def values(self) -> np.ndarray:
+        if not self.normalized:
+            return np.ones(len(self))
+        return 1.0 / np.sqrt(np.maximum(self.lengths, 1))  # an empty row keeps 1
+
+    def rows(self) -> list[np.ndarray]:
+        """Each row's active columns, as views into ``indices``."""
+        bounds = self.indptr.tolist()
+        return [self.indices[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def featurize_rows(
+    matrix: PresenceMatrix,
+    columns: np.ndarray,
+    rows: np.ndarray,
+    normalize: bool = False,
+) -> FeatureRows:
+    """Presence vectors of ``rows`` over the vocabulary whose type ids are ``columns``.
+
+    Row by row the same vectors ``featurize`` gives over that vocabulary.
+    """
+    ids, lengths = _row_ids(matrix, rows)
+    n_features = len(columns)
+    column_of = np.full(len(matrix.types), -1, dtype=np.intp)
+    column_of[columns] = np.arange(n_features)
+    cols = column_of[ids]
+    kept = cols >= 0
+    row_of = np.repeat(np.arange(len(lengths)), lengths)[kept]
+    keys = row_of * n_features + cols[kept]
+    keys.sort()  # rows stay in order; within a row, columns ascend
+    indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row_of, minlength=len(lengths)), out=indptr[1:])
+    return FeatureRows(
+        indptr=indptr,
+        indices=keys - row_of * n_features,
+        n_features=n_features,
+        normalized=normalize,
     )

@@ -1,8 +1,10 @@
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from subjcut.classifiers import (
     DegenerateModelError,
@@ -18,15 +20,28 @@ from subjcut.classifiers import (
     svm_to_individual,
     svm_train,
 )
-from subjcut.features import build_vocabulary, featurize
+from subjcut.features import (
+    build_vocabulary,
+    featurize,
+    featurize_rows,
+    presence_matrix,
+    vocabulary_columns,
+)
+
+
+def rows_and_vocab(texts, normalize=False):
+    """Presence rows of ``texts`` over the vocabulary built from all of them."""
+    matrix = presence_matrix(texts)
+    every = np.arange(len(texts))
+    columns = vocabulary_columns(matrix, every)
+    return featurize_rows(matrix, columns, every, normalize), matrix.vocabulary(columns)
 
 
 @pytest.fixture
 def tiny_nb():
     """Two training examples: {good}->class1, {bad}->class0, alpha=1."""
-    vocab = build_vocabulary([["good"], ["bad"]])
-    vectors = [featurize(["good"], vocab), featurize(["bad"], vocab)]
-    return nb_train(vectors, [1, 0], vocab, alpha=1.0), vocab
+    rows, vocab = rows_and_vocab([["good"], ["bad"]])
+    return replace(nb_train(rows, [1, 0], alpha=1.0), vocab_digest=vocab.digest()), vocab
 
 
 class TestNaiveBayes:
@@ -66,35 +81,51 @@ class TestNaiveBayes:
             assert nb_predict_prob(model, vec) + p0 == pytest.approx(1.0, abs=1e-9)
 
     def test_label_swap_complements_posteriors(self):
-        vocab = build_vocabulary([["good", "fine"], ["bad"], ["good"]])
         texts = [["good", "fine"], ["bad"], ["good"]]
+        rows, vocab = rows_and_vocab(texts)
         vectors = [featurize(t, vocab) for t in texts]
         labels = [1, 0, 1]
-        model = nb_train(vectors, labels, vocab)
-        flipped = nb_train(vectors, [1 - y for y in labels], vocab)
+        model = nb_train(rows, labels)
+        flipped = nb_train(rows, [1 - y for y in labels])
         for vec in vectors:
             assert nb_predict_prob(flipped, vec) == pytest.approx(
                 1.0 - nb_predict_prob(model, vec), abs=1e-12
             )
 
-    def test_single_class_rejected(self, tiny_nb):
-        _, vocab = tiny_nb
-        vectors = [featurize(["good"], vocab)] * 3
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.sampled_from("abcde"), max_size=6), st.integers(0, 1)),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_counts_are_the_per_vector_sums(self, examples):
+        texts = [t for t, _ in examples]
+        labels = [y for _, y in examples]
+        assume(set(labels) == {0, 1})
+        rows, vocab = rows_and_vocab(texts)
+        counts = np.zeros((2, vocab.size))
+        for tokens, y in zip(texts, labels):
+            counts[y, list(featurize(tokens, vocab).active_indices)] += 1.0
+        totals = counts.sum(axis=1, keepdims=True)
+        expected = np.log(counts + 1.0) - np.log(totals + vocab.size) if vocab.size else counts
+        assert np.array_equal(nb_train(rows, labels).log_likelihood, expected)
+
+    def test_single_class_rejected(self):
+        rows, _ = rows_and_vocab([["good"]] * 3)
         with pytest.raises(TrainingError):
-            nb_train(vectors, [1, 1, 1], vocab)
+            nb_train(rows, [1, 1, 1])
 
-    def test_bad_alpha_rejected(self, tiny_nb):
-        _, vocab = tiny_nb
-        vectors = [featurize(["good"], vocab), featurize(["bad"], vocab)]
+    def test_bad_alpha_rejected(self):
+        rows, _ = rows_and_vocab([["good"], ["bad"]])
         with pytest.raises(ValueError):
-            nb_train(vectors, [1, 0], vocab, alpha=0.0)
+            nb_train(rows, [1, 0], alpha=0.0)
 
-    def test_training_is_deterministic(self, tiny_nb, tmp_path):
-        _, vocab = tiny_nb
-        vectors = [featurize(["good"], vocab), featurize(["bad"], vocab)]
+    def test_training_is_deterministic(self, tmp_path):
+        rows, _ = rows_and_vocab([["good"], ["bad"]])
         first, second = tmp_path / "m1.json", tmp_path / "m2.json"
-        save_model(nb_train(vectors, [1, 0], vocab), first)
-        save_model(nb_train(vectors, [1, 0], vocab), second)
+        save_model(nb_train(rows, [1, 0]), first)
+        save_model(nb_train(rows, [1, 0]), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_probability_bounds_on_random_inputs(self, tiny_nb):
@@ -106,13 +137,16 @@ class TestNaiveBayes:
             assert 0.0 <= p <= 1.0 and not math.isnan(p)
 
 
+SEPARABLE_TEXTS = [["a"], ["a", "b"], ["c"], ["c", "d"]]
+SEPARABLE_LABELS = [1, 1, 0, 0]
+
+
 @pytest.fixture
 def separable_svm():
-    vocab = build_vocabulary([["a"], ["a", "b"], ["c"], ["c", "d"]])
-    texts = [["a"], ["a", "b"], ["c"], ["c", "d"]]
-    vectors = [featurize(t, vocab, normalize=True) for t in texts]
-    labels = [1, 1, 0, 0]
-    return svm_train(vectors, labels, vocab, seed=0), vocab, vectors, labels
+    rows, vocab = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+    vectors = [featurize(t, vocab, normalize=True) for t in SEPARABLE_TEXTS]
+    model = replace(svm_train(rows, SEPARABLE_LABELS, seed=0), vocab_digest=vocab.digest())
+    return model, vocab, vectors, SEPARABLE_LABELS
 
 
 class TestLinearMargin:
@@ -122,13 +156,15 @@ class TestLinearMargin:
             assert (svm_decision(model, vec) > 0) == (y == 1)
 
     def test_deterministic_given_seed(self, separable_svm):
-        model, vocab, vectors, labels = separable_svm
-        again = svm_train(vectors, labels, vocab, seed=0)
+        model, _, _, labels = separable_svm
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        again = svm_train(rows, labels, seed=0)
         assert np.array_equal(model.weights, again.weights)
         assert model.bias == again.bias
 
     def test_seeds_converge_to_same_objective(self, separable_svm):
-        _, vocab, vectors, labels = separable_svm
+        _, _, vectors, labels = separable_svm
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
 
         def objective(m):
             margins = []
@@ -138,20 +174,39 @@ class TestLinearMargin:
             hinge = sum(max(0.0, 1.0 - m) for m in margins)
             return 0.5 * (m.weights @ m.weights + m.bias**2) + m.regularization * hinge
 
-        runs = [svm_train(vectors, labels, vocab, seed=s) for s in (0, 1, 2)]
+        runs = [svm_train(rows, labels, seed=s) for s in (0, 1, 2)]
         values = [objective(m) for m in runs]
         assert max(values) - min(values) <= 1e-2 * max(values)
 
-    def test_single_class_rejected(self, separable_svm):
-        _, vocab, vectors, _ = separable_svm
+    def test_single_class_rejected(self):
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
         with pytest.raises(TrainingError):
-            svm_train(vectors, [1, 1, 1, 1], vocab)
+            svm_train(rows, [1, 1, 1, 1])
 
     def test_unnormalized_vectors_rejected(self):
-        vocab = build_vocabulary([["a"], ["b"]])
-        vectors = [featurize(["a"], vocab), featurize(["b"], vocab)]
+        rows, _ = rows_and_vocab([["a"], ["b"]])
         with pytest.raises(ValueError):
-            svm_train(vectors, [1, 0], vocab)
+            svm_train(rows, [1, 0])
+
+    def test_stopping_at_max_epochs_is_logged(self, caplog):
+        # overlapping classes: one sweep cannot close the duality gap
+        texts = [["a"], ["a", "b"], ["b"], ["a", "c"], ["c"], ["b", "c"]]
+        rows, _ = rows_and_vocab(texts, normalize=True)
+        labels = [1, 0, 1, 0, 1, 0]
+        with caplog.at_level(logging.WARNING, logger="subjcut.classifiers"):
+            svm_train(rows, labels, max_epochs=1)
+        [record] = caplog.records
+        assert "max_epochs=1" in record.getMessage()
+        assert "relative duality gap" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="subjcut.classifiers"):
+            svm_train(rows, labels)
+        assert not caplog.records
+
+    def test_max_epochs_must_be_positive(self):
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        with pytest.raises(ValueError):
+            svm_train(rows, SEPARABLE_LABELS, max_epochs=0)
 
     def test_decision_is_geometric_distance(self, separable_svm):
         model, vocab, _, _ = separable_svm

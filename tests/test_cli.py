@@ -197,6 +197,26 @@ class TestSweepAndGrid:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["grid", "--thresholds", "0"], "bad grid axes"),
+            (["grid", "--thresholds", "x"], "bad grid axes"),
+            (["grid", "--strengths", "-0.5"], "bad grid axes"),
+            (["sweep", "--n-values", "0"], "--n-values"),
+            (["sweep", "--n-values", "1,x"], "--n-values"),
+        ],
+    )
+    def test_bad_axis_values_are_usage_errors(
+        self, runner, small_data_root, tmp_path, args, message
+    ):
+        result = runner.invoke(
+            main, args + ["--data-root", str(small_data_root), "--output-dir", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "o").exists()  # refused before any data was read
+
     def test_grid_writes_csv_and_best(self, runner, small_data_root, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(

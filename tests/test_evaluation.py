@@ -217,6 +217,12 @@ class TestMakeExtracts:
 
 
 class TestGridSearch:
+    def test_spec_refuses_an_invalid_setting(self):
+        for axes in ({"thresholds": (1, 0)}, {"decays": ("cubic",)}, {"strengths": (-0.1,)},
+                     {"cross_paragraph_weights": (1.5,)}):
+            with pytest.raises(ValueError):
+                GridSpec(**axes)
+
     def test_zero_strength_cells_equal_basic(self, synthetic_documents, nb_detector):
         basic = run_experiment(
             ExperimentConfig(extractor="basic"), synthetic_documents, nb_detector
@@ -299,6 +305,10 @@ class TestSweep:
     def test_unknown_method_rejected(self, synthetic_documents, nb_detector):
         with pytest.raises(ValueError):
             n_sentence_sweep(synthetic_documents, nb_detector, methods=("middle_n",))
+
+    def test_nonpositive_n_rejected(self, synthetic_documents, nb_detector):
+        with pytest.raises(ValueError):
+            n_sentence_sweep(synthetic_documents, nb_detector, n_values=(3, 0))
 
 
 class TestDetectorCV:

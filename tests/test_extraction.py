@@ -6,6 +6,7 @@ import pytest
 
 from subjcut.classifiers import IndividualScores
 from subjcut.corpus import ReviewDocument
+from subjcut.evaluation import ExperimentConfig, make_extracts
 from subjcut import extraction
 from subjcut.extraction import (
     DetectorConfig,
@@ -14,10 +15,6 @@ from subjcut.extraction import (
     build_extract,
     complement_indices,
     detect_paragraph_unit,
-    extract_first_n,
-    extract_last_n,
-    extract_least_n,
-    extract_top_n,
     extracts_to_jsonl,
     individual_scores,
     preservation_rate,
@@ -259,16 +256,18 @@ class TestDetectorDispatch:
 class TestNSentenceExtracts:
     def test_top_n_with_positional_ties(self):
         doc = doc_of(["s0 a", "s1 b", "s2 c", "s3 d"])
-        ex = extract_top_n(doc, scores_from([0.2, 0.9, 0.9, 0.1]), 2)
+        ex = build_extract(doc, select_top_n(scores_from([0.2, 0.9, 0.9, 0.1]), 2))
         assert ex.selected == (1, 2)
 
     def test_short_document_returns_everything(self):
         doc = doc_of(["a", "b", "c"])
-        assert extract_top_n(doc, scores_from([0.5, 0.1, 0.9]), 5).selected == (0, 1, 2)
+        assert build_extract(doc, select_top_n(scores_from([0.5, 0.1, 0.9]), 5)).selected == (
+            0, 1, 2
+        )
 
     def test_top_1_is_argmax(self):
         doc = doc_of(["a", "b", "c"])
-        assert extract_top_n(doc, scores_from([0.5, 0.1, 0.9]), 1).selected == (2,)
+        assert build_extract(doc, select_top_n(scores_from([0.5, 0.1, 0.9]), 1)).selected == (2,)
 
     def test_least_is_top_of_negated(self):
         probs = [0.3, 0.8, 0.1, 0.5, 0.5]
@@ -279,16 +278,23 @@ class TestNSentenceExtracts:
 
     def test_first_and_last_slices(self):
         doc = doc_of([f"s{i}" for i in range(10)])
-        assert extract_first_n(doc, 3).selected == (0, 1, 2)
-        assert extract_last_n(doc, 3).selected == (7, 8, 9)
-        assert extract_first_n(doc, 99).selected == tuple(range(10))
+
+        def selected(extractor, n):
+            config = ExperimentConfig(extractor=extractor, n_sentences=n)
+            return make_extracts(config, [doc])[0].selected
+
+        assert selected("first_n", 3) == (0, 1, 2)
+        assert selected("last_n", 3) == (7, 8, 9)
+        assert selected("first_n", 99) == tuple(range(10))
 
     def test_n_must_be_positive(self):
-        doc = doc_of(["a"])
-        with pytest.raises(ValueError):
-            extract_first_n(doc, 0)
         with pytest.raises(ValueError):
             select_top_n(scores_from([0.5]), 0)
+        with pytest.raises(ValueError):
+            select_least_n(scores_from([0.5]), 0)
+        for extractor in ("top_n", "first_n", "last_n", "least_n"):
+            with pytest.raises(ValueError):
+                ExperimentConfig(extractor=extractor, n_sentences=0)
 
 
 class TestExtracts:

@@ -1,13 +1,17 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from subjcut.features import (
     EmptyVocabularyError,
     Vocabulary,
     build_vocabulary,
     featurize,
+    featurize_rows,
+    presence_matrix,
+    vocabulary_columns,
 )
 
 tokens_strategy = st.lists(
@@ -94,6 +98,64 @@ class TestFeaturize:
             assert vec.norm == pytest.approx(1.0, abs=1e-9)
         else:
             assert vec.norm == 0.0
+
+
+texts_strategy = st.lists(st.lists(st.sampled_from("a b c d e f".split()), max_size=8), max_size=10)
+
+
+def reference_vocabulary(texts, min_doc_freq):
+    try:
+        return build_vocabulary(texts, min_doc_freq)
+    except EmptyVocabularyError:
+        return Vocabulary(token_to_index={})
+
+
+class TestPresenceMatrix:
+    """Column selection and row featurization against build_vocabulary and featurize."""
+
+    @given(texts_strategy, st.integers(1, 3), st.data())
+    @example(texts=[[], []], min_doc_freq=1, data=None)  # an all-empty fold
+    def test_columns_and_rows_match_the_per_text_path(self, texts, min_doc_freq, data):
+        n = len(texts)
+        if data is None:
+            train, rows = list(range(n)), list(range(n))
+        else:
+            in_train = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            train = [i for i in range(n) if in_train[i]]
+            rows = data.draw(st.permutations(range(n)))
+        matrix = presence_matrix(iter(texts))
+        columns = vocabulary_columns(matrix, np.array(train, dtype=int), min_doc_freq)
+        vocab = reference_vocabulary([texts[i] for i in train], min_doc_freq)
+        assert list(matrix.vocabulary(columns).token_to_index.items()) == list(
+            vocab.token_to_index.items()
+        )
+        for normalize in (False, True):
+            features = featurize_rows(matrix, columns, np.array(rows, dtype=int), normalize)
+            assert len(features) == n and features.n_features == vocab.size
+            assert features.indices.dtype == np.intp
+            for i, idx, value in zip(rows, features.rows(), features.values):
+                vec = featurize(texts[i], vocab, normalize)
+                assert tuple(idx.tolist()) == vec.active_indices
+                assert value == vec.value_per_active
+
+    def test_frequency_cutoff_can_empty_the_vocabulary(self):
+        texts = [["a", "b"], ["c"], []]
+        matrix = presence_matrix(texts)
+        columns = vocabulary_columns(matrix, np.arange(3), min_doc_freq=2)
+        assert len(columns) == 0
+        features = featurize_rows(matrix, columns, np.arange(3))
+        assert features.n_features == 0
+        assert [len(r) for r in features.rows()] == [0, 0, 0]
+
+    def test_rows_hold_distinct_ids_in_first_occurrence_order(self):
+        matrix = presence_matrix([["b", "a", "b"], [], ["c", "a"]])
+        assert matrix.types == ("b", "a", "c")
+        assert matrix.ids.tolist() == [0, 1, 2, 1]
+        assert matrix.offsets.tolist() == [0, 2, 2, 4]
+
+    def test_min_doc_freq_must_be_positive(self):
+        with pytest.raises(ValueError):
+            vocabulary_columns(presence_matrix([["a"]]), np.arange(1), min_doc_freq=0)
 
 
 class TestSerialization:
