@@ -71,15 +71,10 @@ from .extraction import (
 )
 from .features import (
     EmptyVocabularyError,
-    FeatureRows,
-    PresenceMatrix,
     PresenceVector,
     Vocabulary,
     build_vocabulary,
     featurize,
-    featurize_rows,
-    presence_matrix,
-    vocabulary_columns,
 )
 from .mincut import (
     AssociationScores,

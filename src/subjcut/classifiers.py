@@ -226,14 +226,18 @@ def svm_train(
     )
 
 
+def svm_margin(model: LinearMarginModel, vector: PresenceVector) -> float:
+    """The raw margin ``bias + w . x``; positive means class 1."""
+    idx = list(vector.active_indices)
+    return float(model.bias + (vector.value_per_active * model.weights[idx].sum() if idx else 0.0))
+
+
 def svm_decision(model: LinearMarginModel, vector: PresenceVector) -> float:
     """Signed geometric distance from the hyperplane; positive means class 1."""
     norm = model.weight_norm
     if norm == 0.0:
         raise DegenerateModelError("zero weight vector has no decision boundary")
-    idx = list(vector.active_indices)
-    raw = model.bias + (vector.value_per_active * model.weights[idx].sum() if idx else 0.0)
-    return float(raw / norm)
+    return svm_margin(model, vector) / norm
 
 
 def svm_to_individual(d: float) -> tuple[float, float]:

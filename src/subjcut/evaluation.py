@@ -27,7 +27,9 @@ from .classifiers import (
     IndividualScores,
     LinearMarginModel,
     NaiveBayesModel,
+    nb_predict_prob,
     nb_train,
+    svm_margin,
     svm_train,
 )
 from .corpus import POSITIVE, SUBJECTIVE, LabeledSentence, ReviewDocument, tokenize
@@ -229,12 +231,13 @@ def train_detector_model(
     matrix = presence_matrix(tokenize(s.text) for s in sentences)
     labels = np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
     every = np.arange(len(sentences))
-    model, columns, _ = _fit_predict(
-        matrix, labels, every, np.arange(0), base, min_doc_freq,
-        alpha=alpha, regularization=regularization, seed=seed,
-    )
+    columns = vocabulary_columns(matrix, every, min_doc_freq)
     if not len(columns):
         raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
+    model = _fit(
+        matrix, labels, columns, every, base,
+        alpha=alpha, regularization=regularization, seed=seed,
+    )
     vocab = matrix.vocabulary(columns)
     return replace(model, vocab_digest=vocab.digest()), vocab
 
@@ -287,12 +290,31 @@ def detector_cv_accuracies(
     accuracies = []
     for fold in range(folds):
         test = np.flatnonzero(fold_of == fold)
-        _, _, predicted = _fit_predict(
+        predicted = _fit_predict(
             matrix, labels, np.flatnonzero(fold_of != fold), test, base, min_doc_freq,
             alpha=alpha, regularization=regularization, seed=seed,
         )
         accuracies.append(int((predicted == labels[test]).sum()) / len(test))
     return accuracies
+
+
+def _fit(
+    matrix: PresenceMatrix,
+    labels: np.ndarray,
+    columns: np.ndarray,
+    train: np.ndarray,
+    base: str,
+    alpha: float = 1.0,
+    regularization: float = 1.0,
+    seed: int = 0,
+) -> NaiveBayesModel | LinearMarginModel:
+    """Train ``base`` on the ``train`` rows of ``matrix`` over the vocabulary ``columns``."""
+    train_rows = featurize_rows(matrix, columns, train, normalize=base == "svm")
+    if base == "nb":
+        return nb_train(train_rows, labels[train], alpha=alpha)
+    if base == "svm":
+        return svm_train(train_rows, labels[train], regularization=regularization, seed=seed)
+    raise ValueError(f"base must be nb or svm, got {base!r}")
 
 
 def _fit_predict(
@@ -305,34 +327,21 @@ def _fit_predict(
     alpha: float = 1.0,
     regularization: float = 1.0,
     seed: int = 0,
-) -> tuple[NaiveBayesModel | LinearMarginModel, np.ndarray, np.ndarray]:
-    """Vocabulary, features, training and prediction for one split of ``matrix``'s rows.
+) -> np.ndarray:
+    """The 0/1 decisions for the ``test`` rows of a model fit on the ``train`` rows.
 
     The vocabulary comes from the ``train`` rows alone; an empty one leaves
-    the classifier its class prior (NB) or bias sign (SVM). Returns the
-    model, the vocabulary as type ids in index order, and the 0/1 decisions
-    for the ``test`` rows.
+    the classifier its class prior (NB) or bias sign (SVM).
     """
     columns = vocabulary_columns(matrix, train, min_doc_freq)
-    normalize = base == "svm"
-    train_rows = featurize_rows(matrix, columns, train, normalize)
+    model = _fit(
+        matrix, labels, columns, train, base,
+        alpha=alpha, regularization=regularization, seed=seed,
+    )
+    vectors = featurize_rows(matrix, columns, test, normalize=base == "svm").vectors()
     if base == "nb":
-        model = nb_train(train_rows, labels[train], alpha=alpha)
-    elif base == "svm":
-        model = svm_train(train_rows, labels[train], regularization=regularization, seed=seed)
-    else:
-        raise ValueError(f"base must be nb or svm, got {base!r}")
-    test_rows = featurize_rows(matrix, columns, test, normalize)
-    predictions = np.zeros(len(test), dtype=int)
-    for k, (idx, value) in enumerate(zip(test_rows.rows(), test_rows.values)):
-        # the expressions of nb_predict_prob and of the SVM's raw margin, so
-        # that the sums run in the same order
-        if base == "nb":
-            joint = model.log_prior + model.log_likelihood[:, idx].sum(axis=1)
-            predictions[k] = np.exp(joint[1] - np.logaddexp(joint[0], joint[1])) > 0.5
-        else:
-            predictions[k] = model.bias + value * model.weights[idx].sum() > 0
-    return model, columns, predictions
+        return np.array([nb_predict_prob(model, v) > 0.5 for v in vectors], dtype=int)
+    return np.array([svm_margin(model, v) > 0 for v in vectors], dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +434,7 @@ def run_experiment(
         test = np.flatnonzero(fold_of == fold)
         if not len(test):
             raise ValueError(f"fold {fold} is empty")
-        _, _, predicted = _fit_predict(
+        predicted = _fit_predict(
             matrix, labels, train, test, config.classifier, config.min_doc_freq,
             seed=config.seed,
         )

@@ -215,6 +215,13 @@ class FeatureRows:
         bounds = self.indptr.tolist()
         return [self.indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
+    def vectors(self) -> list[PresenceVector]:
+        """Each row as the ``PresenceVector`` that ``featurize`` gives for it."""
+        return [
+            PresenceVector(tuple(idx.tolist()), value, self.normalized)
+            for idx, value in zip(self.rows(), self.values.tolist())
+        ]
+
 
 def featurize_rows(
     matrix: PresenceMatrix,

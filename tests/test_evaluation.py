@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from subjcut.corpus import SUBJECTIVE, LabeledSentence
 from subjcut.evaluation import (
     ExperimentConfig,
     ExperimentReport,
@@ -20,8 +21,10 @@ from subjcut.evaluation import (
     run_experiment,
     score_documents,
     sweep_to_csv,
+    train_detector_model,
 )
 from subjcut.extraction import Detector, DetectorConfig, ProximityParams
+from subjcut.features import EmptyVocabularyError
 
 
 class TestPairedTTest:
@@ -309,6 +312,19 @@ class TestSweep:
     def test_nonpositive_n_rejected(self, synthetic_documents, nb_detector):
         with pytest.raises(ValueError):
             n_sentence_sweep(synthetic_documents, nb_detector, n_values=(3, 0))
+
+
+class TestTrainDetectorModel:
+    def test_cutoff_that_empties_the_vocabulary_is_refused_before_training(self):
+        # one class only: training would raise TrainingError, so the vocabulary
+        # check has to come first
+        sentences = [
+            LabeledSentence(text="a b", label=SUBJECTIVE),
+            LabeledSentence(text="c", label=SUBJECTIVE),
+        ]
+        for base in ("nb", "svm"):
+            with pytest.raises(EmptyVocabularyError):
+                train_detector_model(sentences, base=base, min_doc_freq=2)
 
 
 class TestDetectorCV:

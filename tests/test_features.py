@@ -133,10 +133,7 @@ class TestPresenceMatrix:
             features = featurize_rows(matrix, columns, np.array(rows, dtype=int), normalize)
             assert len(features) == n and features.n_features == vocab.size
             assert features.indices.dtype == np.intp
-            for i, idx, value in zip(rows, features.rows(), features.values):
-                vec = featurize(texts[i], vocab, normalize)
-                assert tuple(idx.tolist()) == vec.active_indices
-                assert value == vec.value_per_active
+            assert features.vectors() == [featurize(texts[i], vocab, normalize) for i in rows]
 
     def test_frequency_cutoff_can_empty_the_vocabulary(self):
         texts = [["a", "b"], ["c"], []]

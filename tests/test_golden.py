@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from subjcut.classifiers import save_model
+from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
 from subjcut.evaluation import (
     DETECTOR_EXTRACTORS,
     EXTRACTORS,
@@ -145,10 +147,26 @@ OTHER_DIGESTS = {
     "detector-nb-min_doc_freq1.tsv": "7311a5b922bb35565f3d8d83430a42caa011f663c5f01e613e125f66bf18f767",
     "detector-nb-min_doc_freq2.json": "0d8a385fcf9d5e1cf606ccba5d510ac3d5a1e4784cae61056bcfba9310df7f18",
     "detector-nb-min_doc_freq2.tsv": "7311a5b922bb35565f3d8d83430a42caa011f663c5f01e613e125f66bf18f767",
+    "detector-nb-min_doc_freq40.json": "4ab8ad8fc5216cd24b7da12308caee0f3563ab945786cfea6821086a39414a41",
+    "detector-nb-min_doc_freq40.tsv": "c92d75670144f1c62e9d6774848f84f07a9e8ec03f1fe404b773e9eff661b914",
     "detector-svm-min_doc_freq1.json": "d3a7c3c24bb166c106944978b4e625ae9796ff756e104f61f720626be7a20993",
     "detector-svm-min_doc_freq1.tsv": "7311a5b922bb35565f3d8d83430a42caa011f663c5f01e613e125f66bf18f767",
     "detector-svm-min_doc_freq2.json": "d3a7c3c24bb166c106944978b4e625ae9796ff756e104f61f720626be7a20993",
     "detector-svm-min_doc_freq2.tsv": "7311a5b922bb35565f3d8d83430a42caa011f663c5f01e613e125f66bf18f767",
+    "detector-svm-min_doc_freq40.json": "bf80ed6462fe5c7205f70345daf5218288488fb1b2ab250296f4ad236ef6c04c",
+    "detector-svm-min_doc_freq40.tsv": "c92d75670144f1c62e9d6774848f84f07a9e8ec03f1fe404b773e9eff661b914",
+    "noisy-detector-cv-nb-min_doc_freq1": "82686ea0ded5609a8cf1a08f5319450b80b217918f1b95a390bba589300309aa",
+    "noisy-detector-cv-nb-min_doc_freq3": "dacc315b62344d657fd31e3dcbb0be90fac69806d87953b6d3143f1a1824de78",
+    "noisy-detector-cv-svm-min_doc_freq1": "eeeb80d5f81efe1007c7b406eabb10771c20d71db6e11eb656aa0b385b8eb5dd",
+    "noisy-detector-cv-svm-min_doc_freq3": "7bc778736d49f23a3655b11b019858171cd09de9be9e2f4ccadcc5d03853887c",
+    "noisy-detector-nb-min_doc_freq1.json": "7c935a429673ef27b460e6c80f9bc446671661a6d34bb601f9b5648ba1f9aaa6",
+    "noisy-detector-nb-min_doc_freq1.tsv": "b6c2b94d4aff5f723911f0abbbfac50fa6490db455588c24d8e74fcb72233a5f",
+    "noisy-detector-nb-min_doc_freq3.json": "e4595fc767ddd20b9e70199e695f773cdaed87dd03ffdef57b22821aa4e81b14",
+    "noisy-detector-nb-min_doc_freq3.tsv": "610ff8426ffac7d8adaaf40b0f0eee42efb2f704a6fb2d4e34a3c4bd18b842d1",
+    "noisy-detector-svm-min_doc_freq1.json": "7b7e77d02286edd627099295830960c4d819b98fb60a3cdb9484ae178d7f9d17",
+    "noisy-detector-svm-min_doc_freq1.tsv": "b6c2b94d4aff5f723911f0abbbfac50fa6490db455588c24d8e74fcb72233a5f",
+    "noisy-detector-svm-min_doc_freq3.json": "425fef2ed6b956ab665a1c1831e9b40a97ea4206698c2a9cb9b9cfef25abd074",
+    "noisy-detector-svm-min_doc_freq3.tsv": "610ff8426ffac7d8adaaf40b0f0eee42efb2f704a6fb2d4e34a3c4bd18b842d1",
     "grid-nb-best.json": "896ad9fc1b875469e321ee55871cce185561c397cf80992303b1fd11f8dc4eea",
     "grid-nb.csv": "cf35786c64d22fec91bf504b0612776637966134aa732b1600198cc118598126",
     "grid-svm-best.json": "6ecc2b8b4cc6021434c324ce348cd79b35c860a89ee47ff7e4437e2983cef3b1",
@@ -196,18 +214,64 @@ def test_sweep_digest(synthetic_documents, svm_detector):
     assert sha256(sweep_to_csv(results)) == OTHER_DIGESTS["sweep.csv"]
 
 
-@pytest.mark.parametrize("base", ["nb", "svm"])
-@pytest.mark.parametrize("min_doc_freq", [1, 2])
-def test_detector_file_digests(base, min_doc_freq, synthetic_sentences, tmp_path):
-    model, vocab = train_detector_model(synthetic_sentences, base=base, min_doc_freq=min_doc_freq)
+def noisy_sentences(n: int = 80, seed: int = 3) -> list[LabeledSentence]:
+    """Sentences of 1-6 words drawn Zipf-weighted from 40, each label leaning a word over.
+
+    Unlike the planted corpus, a few words occur in one or two sentences
+    only, so small frequency cutoffs drop types, and the two detector bases
+    reach different cross-validated accuracies below 1.
+    """
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(40)]
+    weights = 1.0 / np.arange(1, 41)
+    sentences = []
+    for k in range(n):
+        label = SUBJECTIVE if k % 2 == 0 else OBJECTIVE
+        lean = np.roll(weights, 0 if label == SUBJECTIVE else 1)
+        tokens = rng.choice(words, size=rng.integers(1, 7), p=lean / lean.sum())
+        sentences.append(LabeledSentence(text=" ".join(tokens), label=label))
+    return sentences
+
+
+def detector_file_digests(sentences, base, min_doc_freq, tmp_path) -> tuple[str, str]:
+    """SHA-256 of the vocabulary and model files of a detector trained on ``sentences``."""
+    model, vocab = train_detector_model(sentences, base=base, min_doc_freq=min_doc_freq)
     vocab.save(tmp_path / "vocab.tsv")
     save_model(model, tmp_path / "model.json")
+    return sha256((tmp_path / "vocab.tsv").read_bytes()), sha256(
+        (tmp_path / "model.json").read_bytes()
+    )
+
+
+@pytest.mark.parametrize("base", ["nb", "svm"])
+@pytest.mark.parametrize("min_doc_freq", [1, 2, 40])  # 40 drops 22 of the 52 types
+def test_detector_file_digests(base, min_doc_freq, synthetic_sentences, tmp_path):
     name = f"detector-{base}-min_doc_freq{min_doc_freq}"
-    assert sha256((tmp_path / "vocab.tsv").read_bytes()) == OTHER_DIGESTS[f"{name}.tsv"]
-    assert sha256((tmp_path / "model.json").read_bytes()) == OTHER_DIGESTS[f"{name}.json"]
+    assert detector_file_digests(synthetic_sentences, base, min_doc_freq, tmp_path) == (
+        OTHER_DIGESTS[f"{name}.tsv"], OTHER_DIGESTS[f"{name}.json"]
+    )
+
+
+@pytest.mark.parametrize("base", ["nb", "svm"])
+@pytest.mark.parametrize("min_doc_freq", [1, 3])  # 3 drops 15 of the 37 types
+def test_noisy_detector_file_digests(base, min_doc_freq, tmp_path):
+    name = f"noisy-detector-{base}-min_doc_freq{min_doc_freq}"
+    assert detector_file_digests(noisy_sentences(), base, min_doc_freq, tmp_path) == (
+        OTHER_DIGESTS[f"{name}.tsv"], OTHER_DIGESTS[f"{name}.json"]
+    )
 
 
 @pytest.mark.parametrize("base", ["nb", "svm"])
 def test_detector_cv_digest(base, synthetic_sentences):
     accuracies = detector_cv_accuracies(synthetic_sentences, base=base, folds=5)
     assert sha256(repr(accuracies)) == OTHER_DIGESTS[f"detector-cv-{base}"]
+
+
+@pytest.mark.parametrize("base", ["nb", "svm"])
+@pytest.mark.parametrize("min_doc_freq", [1, 3])
+def test_noisy_detector_cv_digest(base, min_doc_freq):
+    accuracies = detector_cv_accuracies(
+        noisy_sentences(), base=base, folds=5, min_doc_freq=min_doc_freq
+    )
+    name = f"noisy-detector-cv-{base}-min_doc_freq{min_doc_freq}"
+    assert sha256(repr(accuracies)) == OTHER_DIGESTS[name]
