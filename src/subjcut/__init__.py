@@ -69,13 +69,7 @@ from .extraction import (
     select_basic,
     select_graph,
 )
-from .features import (
-    EmptyVocabularyError,
-    PresenceVector,
-    Vocabulary,
-    build_vocabulary,
-    featurize,
-)
+from .features import EmptyVocabularyError, Vocabulary
 from .mincut import (
     AssociationScores,
     CutResult,

@@ -1,11 +1,11 @@
 """The two sentence/document classifiers: Naive Bayes and a linear soft-margin SVM.
 
-Both train on unigram-presence rows (``FeatureRows``), score single
-presence vectors, and serve two roles: sentence-level subjectivity detection
-and document-level polarity classification. Class 1 is the class of interest
-(subjective, or positive). The SVM's signed geometric distance to the
-hyperplane is clamped into [0, 1] to produce per-item score pairs for the
-graph construction.
+Both train on unigram-presence rows (``FeatureRows``), score such rows into
+one array per call, and serve two roles: sentence-level subjectivity
+detection and document-level polarity classification. Class 1 is the class
+of interest (subjective, or positive). The SVM's signed geometric distance
+to the hyperplane is clamped into [0, 1] to produce per-item score pairs for
+the graph construction.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureRows, PresenceVector, Vocabulary
+from .features import FeatureRows, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -110,13 +110,15 @@ def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> Na
     return NaiveBayesModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=alpha)
 
 
-def nb_predict_prob(model: NaiveBayesModel, vector: PresenceVector) -> float:
-    """Posterior probability of class 1, normalized via log-sum-exp."""
-    idx = list(vector.active_indices)
-    joint = model.log_prior.copy()
-    if idx:
-        joint = joint + model.log_likelihood[:, idx].sum(axis=1)
-    return float(np.exp(joint[1] - np.logaddexp(joint[0], joint[1])))
+def nb_predict_prob(model: NaiveBayesModel, rows: FeatureRows) -> np.ndarray:
+    """Posterior probability of class 1 for each row, normalized via log-sum-exp."""
+    log_likelihood = model.log_likelihood
+    sums = np.zeros((len(rows), 2))  # an empty row leaves the prior
+    for r, idx in enumerate(rows.rows()):
+        if len(idx):
+            sums[r] = log_likelihood[:, idx].sum(axis=1)
+    joint = model.log_prior + sums
+    return np.exp(joint[:, 1] - np.logaddexp(joint[:, 0], joint[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +187,7 @@ def svm_train(
     rng = np.random.default_rng(seed)
 
     def margins() -> np.ndarray:
-        return signs * np.array(
-            [row_values[i] * w[row_indices[i]].sum() + b for i in range(n)]
-        )
+        return signs * (b + row_values * _row_sums(w, row_indices))
 
     for _ in range(max_epochs):
         for i in rng.permutation(n):
@@ -226,34 +226,35 @@ def svm_train(
     )
 
 
-def svm_margin(model: LinearMarginModel, vector: PresenceVector) -> float:
-    """The raw margin ``bias + w . x``; positive means class 1."""
-    idx = list(vector.active_indices)
-    return float(model.bias + (vector.value_per_active * model.weights[idx].sum() if idx else 0.0))
+def _row_sums(w: np.ndarray, row_indices: Sequence[np.ndarray]) -> np.ndarray:
+    """``w[idx].sum()`` for each row's active columns ``idx``; 0 for an empty row."""
+    return np.array([w[idx].sum() for idx in row_indices], dtype=float)
 
 
-def svm_decision(model: LinearMarginModel, vector: PresenceVector) -> float:
-    """Signed geometric distance from the hyperplane; positive means class 1."""
+def svm_margin(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:
+    """The raw margin ``bias + w . x`` of each row; positive means class 1."""
+    return model.bias + rows.values * _row_sums(model.weights, rows.rows())
+
+
+def svm_decision(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:
+    """Signed geometric distance of each row from the hyperplane; positive means class 1."""
     norm = model.weight_norm
     if norm == 0.0:
         raise DegenerateModelError("zero weight vector has no decision boundary")
-    return svm_margin(model, vector) / norm
+    return svm_margin(model, rows) / norm
 
 
-def svm_to_individual(d: float) -> tuple[float, float]:
-    """Clamp a signed distance into a class-1 preference in [0, 1].
+def svm_to_individual(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp signed distances into class-1 preferences in [0, 1].
 
     Piecewise linear: 1 above +2, 0 below -2, (2 + d) / 4 between; the
-    complement is returned as the class-2 preference.
+    complements are returned as the class-2 preferences.
     """
-    if not np.isfinite(d):
-        raise ValueError(f"decision value must be finite, got {d}")
-    if d > 2.0:
-        ind1 = 1.0
-    elif d < -2.0:
-        ind1 = 0.0
-    else:
-        ind1 = (2.0 + d) / 4.0
+    d = np.asarray(d, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if len(bad):
+        raise ValueError(f"decision values must be finite, got {d.flat[bad[0]]}")
+    ind1 = np.clip((2.0 + d) / 4.0, 0.0, 1.0)
     return ind1, 1.0 - ind1
 
 

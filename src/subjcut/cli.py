@@ -20,7 +20,7 @@ import numpy as np
 from . import corpus, evaluation, extraction, mincut
 from .classifiers import IndividualScores, VocabularyMismatchError, load_model, save_model
 from .extraction import Detector, DetectorConfig, ProximityParams
-from .features import Vocabulary
+from .features import EmptyVocabularyError, Vocabulary
 
 EXPECTED_COUNTS = {
     "positive_count": 1000,
@@ -146,11 +146,17 @@ def cmd_train_detector(
     except corpus.IngestionError as exc:
         raise click.UsageError(str(exc))
     bases = ["nb", "svm"] if base == "both" else [base]
-    for b in bases:
-        model, vocab = evaluation.train_detector_model(
-            sentences, base=b, alpha=alpha, regularization=regularization,
-            seed=seed, min_doc_freq=min_doc_freq,
-        )
+    try:  # every model is trained before any is written
+        trained = [
+            evaluation.train_detector_model(
+                sentences, base=b, alpha=alpha, regularization=regularization,
+                seed=seed, min_doc_freq=min_doc_freq,
+            )
+            for b in bases
+        ]
+    except (ValueError, EmptyVocabularyError) as exc:
+        raise click.UsageError(str(exc))
+    for b, (model, vocab) in zip(bases, trained):
         vocab.save(out / "detector_vocab.tsv")
         save_model(model, out / f"detector_{b}.json")
         click.echo(f"trained {b} detector on {len(sentences)} sentences -> detector_{b}.json")
@@ -253,7 +259,7 @@ def cmd_run(spec_path, data_root, output_dir, seed) -> None:
 @click.option("--strengths", default="", help="Comma floats; default 0.0..1.0 step 0.1.")
 @click.option("--weights", default="1.0", show_default=True, help="Cross-paragraph weights.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--threads", default=None, type=int,
+@click.option("--threads", default=None, type=click.IntRange(min=1),
               help="Parallel grid cells; defaults to the core count.")
 def cmd_grid(
     data_root, output_dir, base, classifier, thresholds, decays, strengths, weights, seed, threads

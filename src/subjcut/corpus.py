@@ -14,6 +14,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -70,9 +71,14 @@ class ReviewDocument:
         if starts[-1] >= len(self.sentences):
             raise ValueError(f"document {self.id}: paragraph start out of range")
 
+    @cached_property
+    def sentence_word_counts(self) -> tuple[int, ...]:
+        """Whitespace-separated words of each sentence, counted once per document."""
+        return tuple(len(s.split()) for s in self.sentences)
+
     @property
     def word_count(self) -> int:
-        return sum(len(s.split()) for s in self.sentences)
+        return sum(self.sentence_word_counts)
 
     def to_dict(self) -> dict:
         return {

@@ -41,6 +41,7 @@ from .extraction import (
     build_extract,
     complement_indices,
     detect_paragraph_unit,
+    document_batches,
     individual_scores,
     preservation_rate,
     select_basic,
@@ -50,6 +51,7 @@ from .extraction import (
 )
 from .features import (
     EmptyVocabularyError,
+    FeatureRows,
     PresenceMatrix,
     Vocabulary,
     featurize_rows,
@@ -100,6 +102,8 @@ class ExperimentConfig:
             raise ValueError("graph extractor requires proximity parameters")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.min_doc_freq < 1:
+            raise ValueError(f"min_doc_freq must be >= 1, got {self.min_doc_freq}")
 
     def to_dict(self) -> dict:
         return {
@@ -234,10 +238,8 @@ def train_detector_model(
     columns = vocabulary_columns(matrix, every, min_doc_freq)
     if not len(columns):
         raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
-    model = _fit(
-        matrix, labels, columns, every, base,
-        alpha=alpha, regularization=regularization, seed=seed,
-    )
+    rows = featurize_rows(matrix, matrix.column_map(columns), len(columns), every, base == "svm")
+    model = _fit(rows, labels, base, alpha=alpha, regularization=regularization, seed=seed)
     vocab = matrix.vocabulary(columns)
     return replace(model, vocab_digest=vocab.digest()), vocab
 
@@ -266,8 +268,21 @@ def score_documents(
     vocab: Vocabulary,
     documents: Sequence[ReviewDocument],
 ) -> list[IndividualScores]:
-    """Per-sentence scores for every document, computed once and reused."""
-    return [individual_scores(model, vocab, doc.sentences) for doc in documents]
+    """Per-sentence scores for every document, computed once and reused.
+
+    Documents are scored in batches of about ``CUT_BATCH_SENTENCES``
+    sentences, one presence matrix per batch.
+    """
+    counts = [len(doc.sentences) for doc in documents]
+    out: list[IndividualScores] = []
+    for batch in document_batches(counts):
+        sentences = [s for i in batch for s in documents[i].sentences]
+        scores = individual_scores(model, vocab, sentences)
+        bounds = np.cumsum([counts[i] for i in batch])[:-1]
+        out += map(
+            IndividualScores, np.split(scores.class1, bounds), np.split(scores.class2, bounds)
+        )
+    return out
 
 
 def detector_cv_accuracies(
@@ -299,21 +314,18 @@ def detector_cv_accuracies(
 
 
 def _fit(
-    matrix: PresenceMatrix,
+    rows: FeatureRows,
     labels: np.ndarray,
-    columns: np.ndarray,
-    train: np.ndarray,
     base: str,
     alpha: float = 1.0,
     regularization: float = 1.0,
     seed: int = 0,
 ) -> NaiveBayesModel | LinearMarginModel:
-    """Train ``base`` on the ``train`` rows of ``matrix`` over the vocabulary ``columns``."""
-    train_rows = featurize_rows(matrix, columns, train, normalize=base == "svm")
+    """Train ``base`` on presence ``rows`` (length-normalized for SVM) and their labels."""
     if base == "nb":
-        return nb_train(train_rows, labels[train], alpha=alpha)
+        return nb_train(rows, labels, alpha=alpha)
     if base == "svm":
-        return svm_train(train_rows, labels[train], regularization=regularization, seed=seed)
+        return svm_train(rows, labels, regularization=regularization, seed=seed)
     raise ValueError(f"base must be nb or svm, got {base!r}")
 
 
@@ -334,14 +346,18 @@ def _fit_predict(
     the classifier its class prior (NB) or bias sign (SVM).
     """
     columns = vocabulary_columns(matrix, train, min_doc_freq)
+    column_of = matrix.column_map(columns)
+    train_rows, test_rows = (
+        featurize_rows(matrix, column_of, len(columns), rows, base == "svm")
+        for rows in (train, test)
+    )
     model = _fit(
-        matrix, labels, columns, train, base,
+        train_rows, labels[train], base,
         alpha=alpha, regularization=regularization, seed=seed,
     )
-    vectors = featurize_rows(matrix, columns, test, normalize=base == "svm").vectors()
     if base == "nb":
-        return np.array([nb_predict_prob(model, v) > 0.5 for v in vectors], dtype=int)
-    return np.array([svm_margin(model, v) > 0 for v in vectors], dtype=int)
+        return (nb_predict_prob(model, test_rows) > 0.5).astype(int)
+    return (svm_margin(model, test_rows) > 0).astype(int)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .classifiers import (
     svm_to_individual,
 )
 from .corpus import ReviewDocument, tokenize
-from .features import Vocabulary, featurize
+from .features import Vocabulary, featurize_rows, presence_matrix
 from .mincut import AssociationScores, build_network, min_cut
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
@@ -126,20 +126,20 @@ def individual_scores(
     """Per-sentence class preferences from a trained sentence classifier.
 
     NB yields (posterior, 1 - posterior); the margin classifier's signed
-    distance is clamped into [0, 1] and complemented.
+    distance is clamped into [0, 1] and complemented. The sentences are
+    featurized together, as one presence matrix.
     """
-    class1 = []
-    if isinstance(model, NaiveBayesModel):
-        for text in sentences:
-            vec = featurize(tokenize(text), vocab, normalize=False)
-            class1.append(nb_predict_prob(model, vec))
-    elif isinstance(model, LinearMarginModel):
-        for text in sentences:
-            vec = featurize(tokenize(text), vocab, normalize=True)
-            class1.append(svm_to_individual(svm_decision(model, vec))[0])
-    else:
+    if not isinstance(model, (NaiveBayesModel, LinearMarginModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    c1 = np.asarray(class1, dtype=float)
+    matrix = presence_matrix(tokenize(text) for text in sentences)
+    rows = featurize_rows(
+        matrix, vocab.column_map(matrix.types), vocab.size, np.arange(len(matrix)),
+        normalize=isinstance(model, LinearMarginModel),
+    )
+    if isinstance(model, NaiveBayesModel):
+        c1 = nb_predict_prob(model, rows)
+    else:
+        c1, _ = svm_to_individual(svm_decision(model, rows))
     return IndividualScores(class1=c1, class2=1.0 - c1)
 
 
@@ -173,9 +173,21 @@ def select_basic(scores: IndividualScores) -> tuple[int, ...]:
     return tuple(i for i in range(len(scores)) if scores.class1[i] > scores.class2[i])
 
 
-# Documents are cut together in batches of about this many sentences: one
-# max-flow solve per batch, with the transient arrays of one batch at a time.
+# Documents are scored and cut together in batches of about this many
+# sentences: one presence matrix or max-flow solve per batch, with the
+# transient arrays of one batch at a time.
 CUT_BATCH_SENTENCES = 8192
+
+
+def document_batches(sentence_counts: Sequence[int]) -> Iterator[range]:
+    """Consecutive ranges of documents, each closed once it holds at least
+    ``CUT_BATCH_SENTENCES`` sentences; the last takes what is left."""
+    start, size = 0, 0
+    for end, count in enumerate(sentence_counts, start=1):
+        size += count
+        if size >= CUT_BATCH_SENTENCES or end == len(sentence_counts):
+            yield range(start, end)
+            start, size = end, 0
 
 
 def select_graph(
@@ -190,16 +202,12 @@ def select_graph(
     if len(paragraph_starts) != len(scores):
         raise ValueError("scores and paragraph_starts differ in length")
     selections: list[tuple[int, ...]] = []
-    batch_start, batch_size = 0, 0
-    for end, doc_scores in enumerate(scores, start=1):
-        batch_size += len(doc_scores)
-        if batch_size >= CUT_BATCH_SENTENCES or end == len(scores):
-            instances = (
-                (scores[i], assoc_scores(len(scores[i]), params, paragraph_starts[i]))
-                for i in range(batch_start, end)
-            )
-            selections += [cut.source_side for cut in min_cut(build_network(instances))]
-            batch_start, batch_size = end, 0
+    for batch in document_batches([len(s) for s in scores]):
+        instances = (
+            (scores[i], assoc_scores(len(scores[i]), params, paragraph_starts[i]))
+            for i in batch
+        )
+        selections += [cut.source_side for cut in min_cut(build_network(instances))]
     return selections
 
 
@@ -251,12 +259,12 @@ def build_extract(doc: ReviewDocument, selected: Iterable[int]) -> Extract:
     indices = tuple(sorted(set(selected)))
     if indices and (indices[0] < 0 or indices[-1] >= len(doc.sentences)):
         raise ValueError(f"selection out of range for document {doc.id}")
-    kept = [doc.sentences[i] for i in indices]
+    counts = doc.sentence_word_counts
     return Extract(
         doc_id=doc.id,
         selected=indices,
-        text="\n".join(kept),
-        words_kept=sum(len(s.split()) for s in kept),
+        text="\n".join(doc.sentences[i] for i in indices),
+        words_kept=sum(counts[i] for i in indices),
         words_total=doc.word_count,
     )
 

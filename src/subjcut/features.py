@@ -5,16 +5,17 @@ value of every active coordinate is 1, or 1/sqrt(#active) when the vector is
 length-normalized for margin classifiers. There is no tf, idf, or n-gram
 machinery here on purpose.
 
-Single texts are featurized with ``featurize``. Many texts are mapped once
-into a ``PresenceMatrix``; a vocabulary over any subset of its rows is then a
-selection of its columns (``vocabulary_columns``), and the rows' presence
-vectors over it one ``FeatureRows`` matrix (``featurize_rows``).
+Texts are always featurized many at a time. They are mapped once into a
+``PresenceMatrix``; a vocabulary over any subset of its rows is then a
+selection of its columns (``vocabulary_columns``). Either such a selection
+or a saved ``Vocabulary`` gives a column map from the matrix's type ids to
+vocabulary indices, and the rows' presence vectors over it are one
+``FeatureRows`` matrix (``featurize_rows``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,10 @@ class Vocabulary:
     def digest(self) -> str:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
+    def column_map(self, types: Sequence[str]) -> np.ndarray:
+        """The index of each of ``types`` in this vocabulary, -1 for one outside it."""
+        return np.array([self.token_to_index.get(t, -1) for t in types], dtype=np.intp)
+
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.serialize(), encoding="utf-8")
 
@@ -62,64 +67,6 @@ class Vocabulary:
         return cls(token_to_index=mapping)
 
 
-def build_vocabulary(texts: Sequence[Iterable[str]], min_doc_freq: int = 1) -> Vocabulary:
-    """Build a vocabulary from tokenized texts.
-
-    Keeps every token appearing in at least ``min_doc_freq`` texts; indices
-    follow first occurrence across the corpus, so construction is
-    deterministic for a fixed input order.
-    """
-    if min_doc_freq < 1:
-        raise ValueError(f"min_doc_freq must be >= 1, got {min_doc_freq}")
-    if not texts:
-        raise EmptyVocabularyError("no texts supplied")
-    doc_freq: dict[str, int] = {}
-    first_seen: list[str] = []
-    for text in texts:
-        for token in dict.fromkeys(text):  # de-duplicate, keep order
-            if token not in doc_freq:
-                first_seen.append(token)
-            doc_freq[token] = doc_freq.get(token, 0) + 1
-    kept = [t for t in first_seen if doc_freq[t] >= min_doc_freq]
-    if not kept:
-        raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
-    return Vocabulary(token_to_index={t: i for i, t in enumerate(kept)})
-
-
-@dataclass(frozen=True)
-class PresenceVector:
-    """Sparse binary presence vector: sorted active indices, one shared value."""
-
-    active_indices: tuple[int, ...]
-    value_per_active: float
-    normalized: bool
-
-    def __len__(self) -> int:
-        return len(self.active_indices)
-
-    @property
-    def norm(self) -> float:
-        return self.value_per_active * math.sqrt(len(self.active_indices))
-
-
-def featurize(tokens: Iterable[str], vocab: Vocabulary, normalize: bool = False) -> PresenceVector:
-    """Map tokens to a presence vector over ``vocab``.
-
-    Repeated tokens contribute once; out-of-vocabulary tokens are dropped.
-    With ``normalize`` the vector has unit Euclidean norm (empty input stays
-    the zero vector).
-    """
-    mapping = vocab.token_to_index
-    active = sorted({mapping[t] for t in tokens if t in mapping})
-    if normalize and active:
-        value = 1.0 / math.sqrt(len(active))
-    else:
-        value = 1.0
-    return PresenceVector(
-        active_indices=tuple(active), value_per_active=value, normalized=normalize
-    )
-
-
 @dataclass(frozen=True)
 class PresenceMatrix:
     """The distinct tokens of many texts, as ids into one type table.
@@ -133,10 +80,19 @@ class PresenceMatrix:
     ids: np.ndarray  # int32
     offsets: np.ndarray  # int64, one more entry than there are rows
 
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
     def vocabulary(self, columns: np.ndarray) -> Vocabulary:
         """The vocabulary whose index i is the type with id ``columns[i]``."""
         types = self.types
         return Vocabulary(token_to_index={types[c]: i for i, c in enumerate(columns.tolist())})
+
+    def column_map(self, columns: np.ndarray) -> np.ndarray:
+        """Type id -> index in the vocabulary whose type ids are ``columns``; -1 outside it."""
+        column_of = np.full(len(self.types), -1, dtype=np.intp)
+        column_of[columns] = np.arange(len(columns))
+        return column_of
 
 
 def presence_matrix(texts: Iterable[Iterable[str]]) -> PresenceMatrix:
@@ -167,11 +123,12 @@ def _row_ids(matrix: PresenceMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.n
 def vocabulary_columns(
     matrix: PresenceMatrix, rows: np.ndarray, min_doc_freq: int = 1
 ) -> np.ndarray:
-    """The type ids of the vocabulary ``build_vocabulary`` makes from ``rows``.
+    """The type ids of the vocabulary built from ``rows``, in vocabulary index order.
 
-    In vocabulary index order: first occurrence across the rows, in the order
-    given, keeping the types found in at least ``min_doc_freq`` of them. An
-    empty result is the empty vocabulary; no error is raised for it.
+    The vocabulary keeps the types found in at least ``min_doc_freq`` of the
+    rows, indexed by first occurrence across the rows in the order given, so
+    it is deterministic for a fixed row order. An empty result is the empty
+    vocabulary; no error is raised for it.
     """
     if min_doc_freq < 1:
         raise ValueError(f"min_doc_freq must be >= 1, got {min_doc_freq}")
@@ -189,7 +146,8 @@ class FeatureRows:
 
     Row ``i`` is active at the sorted columns ``indices[indptr[i]:indptr[i + 1]]``
     and has the value ``values[i]`` there: 1, or 1/sqrt(#active) when
-    normalized, exactly as ``featurize`` gives it.
+    normalized, so a normalized row has unit Euclidean norm (an empty row
+    stays the zero vector).
     """
 
     indptr: np.ndarray
@@ -215,28 +173,21 @@ class FeatureRows:
         bounds = self.indptr.tolist()
         return [self.indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def vectors(self) -> list[PresenceVector]:
-        """Each row as the ``PresenceVector`` that ``featurize`` gives for it."""
-        return [
-            PresenceVector(tuple(idx.tolist()), value, self.normalized)
-            for idx, value in zip(self.rows(), self.values.tolist())
-        ]
-
 
 def featurize_rows(
     matrix: PresenceMatrix,
-    columns: np.ndarray,
+    column_of: np.ndarray,
+    n_features: int,
     rows: np.ndarray,
     normalize: bool = False,
 ) -> FeatureRows:
-    """Presence vectors of ``rows`` over the vocabulary whose type ids are ``columns``.
+    """Presence vectors of ``rows`` over a vocabulary of ``n_features`` tokens.
 
-    Row by row the same vectors ``featurize`` gives over that vocabulary.
+    ``column_of[i]`` is the vocabulary index of the type with id i, or -1 for
+    a type outside the vocabulary (see the ``column_map`` methods). Repeated
+    tokens count once and out-of-vocabulary tokens are dropped.
     """
     ids, lengths = _row_ids(matrix, rows)
-    n_features = len(columns)
-    column_of = np.full(len(matrix.types), -1, dtype=np.intp)
-    column_of[columns] = np.arange(n_features)
     cols = column_of[ids]
     kept = cols >= 0
     row_of = np.repeat(np.arange(len(lengths)), lengths)[kept]

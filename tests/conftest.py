@@ -21,6 +21,13 @@ from subjcut.corpus import (
 )
 from subjcut.evaluation import make_detector, train_detector_model
 from subjcut.extraction import Detector, DetectorConfig
+from subjcut.features import (
+    FeatureRows,
+    Vocabulary,
+    featurize_rows,
+    presence_matrix,
+    vocabulary_columns,
+)
 
 OPINION_POSITIVE = [
     "excellent", "wonderful", "gripping", "superb", "delightful",
@@ -103,6 +110,20 @@ def make_sentence_corpus(n_each: int = 200, seed: int = 1) -> list[LabeledSenten
     for _ in range(n_each):
         sentences.append(LabeledSentence(text=make_objective_sentence(rng), label=OBJECTIVE))
     return sentences
+
+
+def vocabulary_of(texts, min_doc_freq: int = 1) -> Vocabulary:
+    """The vocabulary built from all of the tokenized ``texts``."""
+    matrix = presence_matrix(texts)
+    return matrix.vocabulary(vocabulary_columns(matrix, np.arange(len(texts)), min_doc_freq))
+
+
+def rows_over(texts, vocab: Vocabulary, normalize: bool = False) -> FeatureRows:
+    """Presence rows of the tokenized ``texts`` over a saved vocabulary."""
+    matrix = presence_matrix(texts)
+    return featurize_rows(
+        matrix, vocab.column_map(matrix.types), vocab.size, np.arange(len(matrix)), normalize
+    )
 
 
 @pytest.fixture(scope="session")

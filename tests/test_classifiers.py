@@ -17,24 +17,18 @@ from subjcut.classifiers import (
     nb_train,
     save_model,
     svm_decision,
+    svm_margin,
     svm_to_individual,
     svm_train,
 )
-from subjcut.features import (
-    build_vocabulary,
-    featurize,
-    featurize_rows,
-    presence_matrix,
-    vocabulary_columns,
-)
+
+from conftest import rows_over, vocabulary_of
 
 
 def rows_and_vocab(texts, normalize=False):
     """Presence rows of ``texts`` over the vocabulary built from all of them."""
-    matrix = presence_matrix(texts)
-    every = np.arange(len(texts))
-    columns = vocabulary_columns(matrix, every)
-    return featurize_rows(matrix, columns, every, normalize), matrix.vocabulary(columns)
+    vocab = vocabulary_of(texts)
+    return rows_over(texts, vocab, normalize), vocab
 
 
 @pytest.fixture
@@ -60,37 +54,35 @@ class TestNaiveBayes:
     def test_posterior_by_hand(self, tiny_nb):
         # balanced priors, so posterior = (2/3) / (2/3 + 1/3)
         model, vocab = tiny_nb
-        assert nb_predict_prob(model, featurize(["good"], vocab)) == pytest.approx(2 / 3)
+        [p] = nb_predict_prob(model, rows_over([["good"]], vocab))
+        assert p == pytest.approx(2 / 3)
 
     def test_empty_vector_gives_prior(self, tiny_nb):
         model, vocab = tiny_nb
-        assert nb_predict_prob(model, featurize([], vocab)) == pytest.approx(0.5)
+        assert nb_predict_prob(model, rows_over([[]], vocab)) == pytest.approx([0.5])
 
     def test_adding_indicative_token_raises_posterior(self, tiny_nb):
         model, vocab = tiny_nb
-        p_empty = nb_predict_prob(model, featurize([], vocab))
-        p_good = nb_predict_prob(model, featurize(["good"], vocab))
+        p_empty, p_good = nb_predict_prob(model, rows_over([[], ["good"]], vocab))
         assert p_good > p_empty
 
     def test_complement_symmetry(self, tiny_nb):
         model, vocab = tiny_nb
-        for tokens in ([], ["good"], ["bad"], ["good", "bad"]):
-            vec = featurize(tokens, vocab)
-            joint = model.log_prior + model.log_likelihood[:, list(vec.active_indices)].sum(axis=1)
+        rows = rows_over([[], ["good"], ["bad"], ["good", "bad"]], vocab)
+        for idx, p1 in zip(rows.rows(), nb_predict_prob(model, rows)):
+            joint = model.log_prior + model.log_likelihood[:, idx].sum(axis=1)
             p0 = float(np.exp(joint[0] - np.logaddexp(joint[0], joint[1])))
-            assert nb_predict_prob(model, vec) + p0 == pytest.approx(1.0, abs=1e-9)
+            assert p1 + p0 == pytest.approx(1.0, abs=1e-9)
 
     def test_label_swap_complements_posteriors(self):
         texts = [["good", "fine"], ["bad"], ["good"]]
         rows, vocab = rows_and_vocab(texts)
-        vectors = [featurize(t, vocab) for t in texts]
         labels = [1, 0, 1]
         model = nb_train(rows, labels)
         flipped = nb_train(rows, [1 - y for y in labels])
-        for vec in vectors:
-            assert nb_predict_prob(flipped, vec) == pytest.approx(
-                1.0 - nb_predict_prob(model, vec), abs=1e-12
-            )
+        assert nb_predict_prob(flipped, rows) == pytest.approx(
+            1.0 - nb_predict_prob(model, rows), abs=1e-12
+        )
 
     @given(
         st.lists(
@@ -106,7 +98,7 @@ class TestNaiveBayes:
         rows, vocab = rows_and_vocab(texts)
         counts = np.zeros((2, vocab.size))
         for tokens, y in zip(texts, labels):
-            counts[y, list(featurize(tokens, vocab).active_indices)] += 1.0
+            counts[y, sorted({vocab.token_to_index[t] for t in tokens})] += 1.0
         totals = counts.sum(axis=1, keepdims=True)
         expected = np.log(counts + 1.0) - np.log(totals + vocab.size) if vocab.size else counts
         assert np.array_equal(nb_train(rows, labels).log_likelihood, expected)
@@ -131,10 +123,26 @@ class TestNaiveBayes:
     def test_probability_bounds_on_random_inputs(self, tiny_nb):
         model, vocab = tiny_nb
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            tokens = list(rng.choice(["good", "bad", "zzz"], size=rng.integers(0, 5)))
-            p = nb_predict_prob(model, featurize(tokens, vocab))
-            assert 0.0 <= p <= 1.0 and not math.isnan(p)
+        texts = [
+            list(rng.choice(["good", "bad", "zzz"], size=rng.integers(0, 5))) for _ in range(50)
+        ]
+        p = nb_predict_prob(model, rows_over(texts, vocab))
+        assert p.shape == (50,)
+        assert ((0.0 <= p) & (p <= 1.0)).all()
+
+    @given(st.lists(st.lists(st.sampled_from(["good", "bad", "zzz"]), max_size=5), max_size=8))
+    def test_rows_match_the_per_row_formula(self, texts):
+        rows, vocab = rows_and_vocab([["good"], ["bad", "good"]])
+        model = nb_train(rows, [1, 0])
+
+        def posterior(idx):  # one row at a time, exactly
+            joint = model.log_prior.copy()
+            if len(idx):
+                joint = joint + model.log_likelihood[:, idx].sum(axis=1)
+            return float(np.exp(joint[1] - np.logaddexp(joint[0], joint[1])))
+
+        rows = rows_over(texts, vocab)
+        assert nb_predict_prob(model, rows).tolist() == [posterior(idx) for idx in rows.rows()]
 
 
 SEPARABLE_TEXTS = [["a"], ["a", "b"], ["c"], ["c", "d"]]
@@ -144,16 +152,14 @@ SEPARABLE_LABELS = [1, 1, 0, 0]
 @pytest.fixture
 def separable_svm():
     rows, vocab = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
-    vectors = [featurize(t, vocab, normalize=True) for t in SEPARABLE_TEXTS]
     model = replace(svm_train(rows, SEPARABLE_LABELS, seed=0), vocab_digest=vocab.digest())
-    return model, vocab, vectors, SEPARABLE_LABELS
+    return model, vocab, rows, SEPARABLE_LABELS
 
 
 class TestLinearMargin:
     def test_separable_training_accuracy(self, separable_svm):
-        model, _, vectors, labels = separable_svm
-        for vec, y in zip(vectors, labels):
-            assert (svm_decision(model, vec) > 0) == (y == 1)
+        model, _, rows, labels = separable_svm
+        assert ((svm_decision(model, rows) > 0) == (np.array(labels) == 1)).all()
 
     def test_deterministic_given_seed(self, separable_svm):
         model, _, _, labels = separable_svm
@@ -163,13 +169,12 @@ class TestLinearMargin:
         assert model.bias == again.bias
 
     def test_seeds_converge_to_same_objective(self, separable_svm):
-        _, _, vectors, labels = separable_svm
-        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        _, _, rows, labels = separable_svm
 
         def objective(m):
             margins = []
-            for vec, y in zip(vectors, labels):
-                raw = m.bias + vec.value_per_active * m.weights[list(vec.active_indices)].sum()
+            for idx, value, y in zip(rows.rows(), rows.values, labels):
+                raw = m.bias + value * m.weights[idx].sum()
                 margins.append((1 if y == 1 else -1) * raw)
             hinge = sum(max(0.0, 1.0 - m) for m in margins)
             return 0.5 * (m.weights @ m.weights + m.bias**2) + m.regularization * hinge
@@ -210,7 +215,7 @@ class TestLinearMargin:
 
     def test_decision_is_geometric_distance(self, separable_svm):
         model, vocab, _, _ = separable_svm
-        vec = featurize(["a"], vocab, normalize=True)
+        vec = rows_over([["a"]], vocab, normalize=True)
         doubled = LinearMarginModel(
             weights=model.weights * 2,
             bias=model.bias * 2,
@@ -222,25 +227,39 @@ class TestLinearMargin:
     def test_weight_norm_is_the_euclidean_norm(self, separable_svm):
         model, vocab, _, _ = separable_svm
         assert model.weight_norm == float(np.linalg.norm(model.weights))
-        vec = featurize(["a", "b"], vocab, normalize=True)
-        raw = model.bias + vec.value_per_active * model.weights[list(vec.active_indices)].sum()
-        assert svm_decision(model, vec) == float(raw / np.linalg.norm(model.weights))
+        vec = rows_over([["a", "b"]], vocab, normalize=True)
+        [idx], [value] = vec.rows(), vec.values
+        raw = model.bias + value * model.weights[idx].sum()
+        assert svm_margin(model, vec).tolist() == [raw]
+        assert svm_decision(model, vec).tolist() == [raw / np.linalg.norm(model.weights)]
+
+    @given(st.lists(st.lists(st.sampled_from("abcdz"), max_size=5), max_size=8))
+    def test_rows_match_the_per_row_formula(self, texts):
+        rows, vocab = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        model = svm_train(rows, SEPARABLE_LABELS, seed=0)
+        rows = rows_over(texts, vocab, normalize=True)
+        want = [  # one row at a time, exactly
+            float(model.bias + (value * model.weights[idx].sum() if len(idx) else 0.0))
+            / model.weight_norm
+            for idx, value in zip(rows.rows(), rows.values.tolist())
+        ]
+        assert svm_decision(model, rows).tolist() == want
 
     def test_point_on_hyperplane_scores_zero(self):
         model = LinearMarginModel(
             weights=np.array([1.0, -1.0]), bias=0.0, regularization=1.0, training_seed=0
         )
-        vocab = build_vocabulary([["a", "b"]])
-        vec = featurize(["a", "b"], vocab, normalize=True)  # w.x = 0
-        assert svm_decision(model, vec) == pytest.approx(0.0)
+        vocab = vocabulary_of([["a", "b"]])
+        vec = rows_over([["a", "b"]], vocab, normalize=True)  # w.x = 0
+        assert svm_decision(model, vec) == pytest.approx([0.0])
 
     def test_zero_weights_degenerate(self):
         model = LinearMarginModel(
             weights=np.zeros(2), bias=1.0, regularization=1.0, training_seed=0
         )
-        vocab = build_vocabulary([["a", "b"]])
+        vocab = vocabulary_of([["a", "b"]])
         with pytest.raises(DegenerateModelError):
-            svm_decision(model, featurize(["a"], vocab, normalize=True))
+            svm_decision(model, rows_over([["a"]], vocab, normalize=True))
 
 
 class TestDistanceClamp:
@@ -249,27 +268,37 @@ class TestDistanceClamp:
         [(3.0, 1.0), (0.0, 0.5), (-2.0, 0.0), (1.0, 0.75), (2.0, 1.0), (-3.0, 0.0)],
     )
     def test_table_values(self, d, expected):
-        ind1, ind2 = svm_to_individual(d)
+        [ind1], [ind2] = svm_to_individual(np.array([d]))
         assert ind1 == pytest.approx(expected)
         assert ind1 + ind2 == 1.0
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     def test_monotone(self, d1, d2):
-        lo, hi = min(d1, d2), max(d1, d2)
-        assert svm_to_individual(lo)[0] <= svm_to_individual(hi)[0]
+        lo, hi = svm_to_individual(np.array([min(d1, d2), max(d1, d2)]))[0]
+        assert lo <= hi
 
     @given(st.floats(-10, 10))
     def test_continuous_and_bounded(self, d):
-        ind1, ind2 = svm_to_individual(d)
-        assert 0.0 <= ind1 <= 1.0
-        assert ind1 + ind2 == 1.0
         # continuity: a small step moves the score by at most step/4 + eps
-        ind1_eps, _ = svm_to_individual(d + 1e-6)
-        assert abs(ind1_eps - ind1) <= 1e-6 / 4 + 1e-12
+        ind1, ind2 = svm_to_individual(np.array([d, d + 1e-6]))
+        assert ((0.0 <= ind1) & (ind1 <= 1.0)).all()
+        assert (ind1 + ind2 == 1.0).all()
+        assert abs(ind1[1] - ind1[0]) <= 1e-6 / 4 + 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            svm_to_individual(float("nan"))
+            svm_to_individual(np.array([float("nan")]))
+
+    @given(
+        st.lists(st.floats(-10, 10), min_size=1, max_size=20),
+        st.data(),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )
+    def test_a_nonfinite_value_anywhere_is_rejected(self, values, data, bad):
+        position = data.draw(st.integers(0, len(values) - 1))
+        values[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            svm_to_individual(np.array(values))
 
 
 class TestIndividualScores:
@@ -288,20 +317,20 @@ class TestSerialization:
         path = tmp_path / "nb.json"
         save_model(model, path)
         again = load_model(path, vocab)
-        vec = featurize(["good"], vocab)
+        vec = rows_over([["good"]], vocab)
         assert nb_predict_prob(again, vec) == pytest.approx(nb_predict_prob(model, vec))
 
     def test_svm_round_trip(self, separable_svm, tmp_path):
-        model, vocab, vectors, _ = separable_svm
+        model, vocab, rows, _ = separable_svm
         path = tmp_path / "svm.json"
         save_model(model, path)
         again = load_model(path, vocab)
-        assert svm_decision(again, vectors[0]) == pytest.approx(svm_decision(model, vectors[0]))
+        assert svm_decision(again, rows) == pytest.approx(svm_decision(model, rows))
 
     def test_vocabulary_mismatch_refused(self, tiny_nb, tmp_path):
         model, _ = tiny_nb
         path = tmp_path / "nb.json"
         save_model(model, path)
-        other_vocab = build_vocabulary([["entirely"], ["different"]])
+        other_vocab = vocabulary_of([["entirely"], ["different"]])
         with pytest.raises(VocabularyMismatchError):
             load_model(path, other_vocab)

@@ -64,6 +64,28 @@ class TestVerifyData:
 
 
 class TestTrainAndExtract:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--min-doc-freq", "0"], "min_doc_freq must be >= 1"),
+            (["--alpha", "0", "--base", "nb"], "alpha must be > 0"),
+            (["--regularization", "0", "--base", "svm"], "regularization must be > 0"),
+            (["--regularization", "0"], "regularization must be > 0"),
+        ],
+    )
+    def test_invalid_hyperparameters_are_usage_errors(
+        self, runner, small_data_root, tmp_path, args, message
+    ):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["train-detector", "--data-root", str(small_data_root), "--output-dir", str(out)]
+            + args,
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not list(out.glob("detector_*"))  # nothing written, not even the valid base
+
     def test_train_then_extract(self, runner, small_data_root, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(
@@ -163,6 +185,21 @@ class TestRun:
         assert result.exit_code == 2
         assert "full_review" in result.output
 
+    def test_invalid_min_doc_freq_is_refused_before_running(
+        self, runner, small_data_root, tmp_path
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"extractor": "full_review", "min_doc_freq": 0}))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["run", "--spec", str(spec), "--data-root", str(small_data_root),
+             "--output-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "min_doc_freq must be >= 1" in result.output
+        assert not (out / "report.json").exists()
+
     def test_seed_flag_overrides_spec(self, runner, small_data_root, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"extractor": "full_review", "seed": 1}))
@@ -216,6 +253,18 @@ class TestSweepAndGrid:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "o").exists()  # refused before any data was read
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_are_usage_errors(self, runner, small_data_root, tmp_path, threads):
+        result = runner.invoke(
+            main,
+            ["grid", "--data-root", str(small_data_root), "--output-dir", str(tmp_path / "o"),
+             "--thresholds", "1", "--decays", "constant", "--strengths", "0.0",
+             "--threads", threads],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--threads" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_grid_writes_csv_and_best(self, runner, small_data_root, tmp_path):
         out = tmp_path / "out"

@@ -28,6 +28,12 @@ class TestReviewDocument:
         doc = _doc(sentences=("a b c", "d e", "f"))
         assert doc.word_count == 6
 
+    def test_sentence_word_counts_are_counted_once(self):
+        doc = _doc(sentences=("a b c", "d  e", "f"))
+        assert doc.sentence_word_counts == (3, 2, 1)
+        assert doc.sentence_word_counts is doc.sentence_word_counts
+        assert doc.word_count == 6
+
     def test_rejects_empty_sentences(self):
         with pytest.raises(ValueError):
             _doc(sentences=())

@@ -23,7 +23,8 @@ from subjcut.evaluation import (
     sweep_to_csv,
     train_detector_model,
 )
-from subjcut.extraction import Detector, DetectorConfig, ProximityParams
+from subjcut import extraction
+from subjcut.extraction import Detector, DetectorConfig, ProximityParams, individual_scores
 from subjcut.features import EmptyVocabularyError
 
 
@@ -101,6 +102,8 @@ class TestExperimentConfig:
             ExperimentConfig(extractor="graph")  # missing proximity
         with pytest.raises(ValueError):
             ExperimentConfig(folds=1)
+        with pytest.raises(ValueError, match="min_doc_freq"):
+            ExperimentConfig(min_doc_freq=0)
 
 
 class TestRunExperiment:
@@ -210,6 +213,19 @@ class TestMakeExtracts:
         config = ExperimentConfig(extractor="first_n", n_sentences=3)
         extracts = make_extracts(config, synthetic_documents)
         assert all(e.selected == (0, 1, 2) for e in extracts)
+
+    @pytest.mark.parametrize("base", ["nb", "svm"])
+    def test_batched_scores_equal_per_document_scores(
+        self, monkeypatch, synthetic_documents, detector_models, base
+    ):
+        model, vocab = detector_models[base]
+        alone = [individual_scores(model, vocab, doc.sentences) for doc in synthetic_documents]
+        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        batched = score_documents(model, vocab, synthetic_documents)
+        assert len(batched) == len(alone)
+        for got, want in zip(batched, alone):
+            assert got.class1.tobytes() == want.class1.tobytes()
+            assert got.class2.tobytes() == want.class2.tobytes()
 
     def test_scores_shortcut_matches_fresh_scoring(self, synthetic_documents, nb_detector):
         config = ExperimentConfig(extractor="basic")

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
+from subjcut.evaluation import train_detector_model
 from subjcut.features import (
     EmptyVocabularyError,
     Vocabulary,
-    build_vocabulary,
-    featurize,
     featurize_rows,
     presence_matrix,
     vocabulary_columns,
 )
+
+from conftest import rows_over, vocabulary_of
 
 tokens_strategy = st.lists(
     st.sampled_from("good bad film plot great dull the a of scene".split()),
@@ -20,98 +22,127 @@ tokens_strategy = st.lists(
 )
 
 
+def featurize_one(tokens, vocab, normalize=False):
+    """One text's presence vector over ``vocab``: (active columns, value per active)."""
+    rows = rows_over([tokens], vocab, normalize)
+    return rows.indices.tolist(), float(rows.values[0])
+
+
+def norm(vector):
+    active, value = vector
+    return value * math.sqrt(len(active))
+
+
 class TestBuildVocabulary:
+    """Vocabularies built by column selection over a presence matrix."""
+
     def test_counts_all_tokens(self):
-        vocab = build_vocabulary([["good", "film"], ["good", "plot"]])
+        vocab = vocabulary_of([["good", "film"], ["good", "plot"]])
         assert vocab.size == 3
 
     def test_doc_frequency_cutoff(self):
-        vocab = build_vocabulary([["good", "film"], ["good", "plot"]], min_doc_freq=2)
+        vocab = vocabulary_of([["good", "film"], ["good", "plot"]], min_doc_freq=2)
         assert vocab.size == 1
         assert "good" in vocab
 
     def test_repeats_within_text_count_once(self):
         # df(good)=2 despite the repeat, df(plot)=1
-        vocab = build_vocabulary([["good", "good"], ["good", "plot"]], min_doc_freq=2)
+        vocab = vocabulary_of([["good", "good"], ["good", "plot"]], min_doc_freq=2)
         assert vocab.token_to_index == {"good": 0}
 
     def test_first_occurrence_order(self):
-        vocab = build_vocabulary([["b", "a"], ["c", "a"]])
+        vocab = vocabulary_of([["b", "a"], ["c", "a"]])
         assert vocab.token_to_index == {"b": 0, "a": 1, "c": 2}
 
     def test_deterministic_across_rebuilds(self):
         texts = [["good", "film"], ["bad", "plot", "film"], ["dull"]]
-        assert build_vocabulary(texts).token_to_index == build_vocabulary(texts).token_to_index
+        assert vocabulary_of(texts).token_to_index == vocabulary_of(texts).token_to_index
 
     def test_empty_inputs_rejected(self):
+        # no texts, or only empty ones, select no columns; detector training refuses that
+        for texts in ([], [[], []]):
+            matrix = presence_matrix(texts)
+            assert len(vocabulary_columns(matrix, np.arange(len(texts)))) == 0
         with pytest.raises(EmptyVocabularyError):
-            build_vocabulary([])
+            train_detector_model([])
+        sentences = [LabeledSentence("good film", SUBJECTIVE), LabeledSentence("a plot", OBJECTIVE)]
         with pytest.raises(EmptyVocabularyError):
-            build_vocabulary([[], []])
+            train_detector_model(sentences, min_doc_freq=2)
         with pytest.raises(ValueError):
-            build_vocabulary([["a"]], min_doc_freq=0)
+            vocabulary_columns(presence_matrix([["a"]]), np.arange(1), min_doc_freq=0)
 
 
 class TestFeaturize:
+    """One text's presence row over a saved vocabulary."""
+
     def test_presence_not_counts(self):
-        vocab = build_vocabulary([["good", "movie"]])
-        vec = featurize(["good", "good", "movie"], vocab)
-        assert vec.active_indices == (0, 1)
-        assert vec.value_per_active == 1.0
+        vocab = vocabulary_of([["good", "movie"]])
+        assert featurize_one(["good", "good", "movie"], vocab) == ([0, 1], 1.0)
 
     def test_empty_input_is_zero_vector(self):
-        vocab = build_vocabulary([["good"]])
-        vec = featurize([], vocab)
-        assert vec.active_indices == ()
+        vocab = vocabulary_of([["good"]])
+        assert featurize_one([], vocab)[0] == []
 
     def test_unknown_tokens_dropped(self):
-        vocab = build_vocabulary([["good"]])
-        vec = featurize(["good", "unseen"], vocab)
-        assert vec.active_indices == (0,)
+        vocab = vocabulary_of([["good"]])
+        assert featurize_one(["good", "unseen"], vocab)[0] == [0]
 
     def test_normalization(self):
-        vocab = build_vocabulary([["good", "movie"]])
-        vec = featurize(["good", "movie"], vocab, normalize=True)
-        assert vec.value_per_active == pytest.approx(1 / math.sqrt(2))
-        assert vec.norm == pytest.approx(1.0, abs=1e-9)
+        vocab = vocabulary_of([["good", "movie"]])
+        vec = featurize_one(["good", "movie"], vocab, normalize=True)
+        assert vec[1] == pytest.approx(1 / math.sqrt(2))
+        assert norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_normalized_stays_zero(self):
-        vocab = build_vocabulary([["good"]])
-        vec = featurize([], vocab, normalize=True)
-        assert vec.norm == 0.0
+        vocab = vocabulary_of([["good"]])
+        assert norm(featurize_one([], vocab, normalize=True)) == 0.0
 
     @given(tokens_strategy)
     def test_idempotent_under_repetition(self, tokens):
-        vocab = build_vocabulary([["good", "bad", "film", "plot", "great", "dull"]])
-        assert featurize(tokens, vocab) == featurize(tokens + tokens, vocab)
+        vocab = vocabulary_of([["good", "bad", "film", "plot", "great", "dull"]])
+        assert featurize_one(tokens, vocab) == featurize_one(tokens + tokens, vocab)
 
     @given(tokens_strategy)
     def test_multiset_equals_set(self, tokens):
-        vocab = build_vocabulary([["good", "bad", "film", "plot", "great", "dull"]])
-        assert featurize(tokens, vocab) == featurize(sorted(set(tokens)), vocab)
+        vocab = vocabulary_of([["good", "bad", "film", "plot", "great", "dull"]])
+        assert featurize_one(tokens, vocab) == featurize_one(sorted(set(tokens)), vocab)
 
     @given(tokens_strategy)
     def test_normalized_norm_is_unit_or_zero(self, tokens):
-        vocab = build_vocabulary([["good", "bad", "film", "plot", "great", "dull"]])
-        vec = featurize(tokens, vocab, normalize=True)
-        if vec.active_indices:
-            assert vec.norm == pytest.approx(1.0, abs=1e-9)
+        vocab = vocabulary_of([["good", "bad", "film", "plot", "great", "dull"]])
+        vec = featurize_one(tokens, vocab, normalize=True)
+        if vec[0]:
+            assert norm(vec) == pytest.approx(1.0, abs=1e-9)
         else:
-            assert vec.norm == 0.0
+            assert norm(vec) == 0.0
 
 
 texts_strategy = st.lists(st.lists(st.sampled_from("a b c d e f".split()), max_size=8), max_size=10)
 
 
 def reference_vocabulary(texts, min_doc_freq):
-    try:
-        return build_vocabulary(texts, min_doc_freq)
-    except EmptyVocabularyError:
-        return Vocabulary(token_to_index={})
+    """token -> index over the tokens in at least ``min_doc_freq`` texts, by first occurrence."""
+    doc_freq = {}
+    for text in texts:
+        for token in set(text):
+            doc_freq[token] = doc_freq.get(token, 0) + 1
+    first_seen = dict.fromkeys(t for text in texts for t in text)
+    return {t: i for i, t in enumerate(t for t in first_seen if doc_freq[t] >= min_doc_freq)}
+
+
+def reference_rows(texts, vocab, normalize):
+    """(indptr, indices, values) of the texts' presence vectors over ``vocab``."""
+    indptr, indices, values = [0], [], []
+    for text in texts:
+        active = sorted({vocab[t] for t in text if t in vocab})
+        indices += active
+        indptr.append(len(indices))
+        values.append(1.0 / math.sqrt(len(active)) if normalize and active else 1.0)
+    return indptr, indices, values
 
 
 class TestPresenceMatrix:
-    """Column selection and row featurization against build_vocabulary and featurize."""
+    """Column selection and row featurization against a plain-dict reference."""
 
     @given(texts_strategy, st.integers(1, 3), st.data())
     @example(texts=[[], []], min_doc_freq=1, data=None)  # an all-empty fold
@@ -126,21 +157,32 @@ class TestPresenceMatrix:
         matrix = presence_matrix(iter(texts))
         columns = vocabulary_columns(matrix, np.array(train, dtype=int), min_doc_freq)
         vocab = reference_vocabulary([texts[i] for i in train], min_doc_freq)
-        assert list(matrix.vocabulary(columns).token_to_index.items()) == list(
-            vocab.token_to_index.items()
-        )
+        saved = matrix.vocabulary(columns)
+        assert list(saved.token_to_index.items()) == list(vocab.items())
+        # the rows in a matrix of their own, where some vocabulary tokens may be missing
+        alone = presence_matrix(texts[i] for i in rows)
         for normalize in (False, True):
-            features = featurize_rows(matrix, columns, np.array(rows, dtype=int), normalize)
-            assert len(features) == n and features.n_features == vocab.size
-            assert features.indices.dtype == np.intp
-            assert features.vectors() == [featurize(texts[i], vocab, normalize) for i in rows]
+            want = reference_rows([texts[i] for i in rows], vocab, normalize)
+            for features in (
+                featurize_rows(
+                    matrix, matrix.column_map(columns), len(columns),
+                    np.array(rows, dtype=int), normalize,
+                ),
+                featurize_rows(
+                    alone, saved.column_map(alone.types), saved.size, np.arange(n), normalize
+                ),
+            ):
+                assert len(features) == n and features.n_features == len(vocab)
+                assert features.indices.dtype == np.intp
+                got = features.indptr, features.indices, features.values
+                assert tuple(a.tolist() for a in got) == want
 
     def test_frequency_cutoff_can_empty_the_vocabulary(self):
         texts = [["a", "b"], ["c"], []]
         matrix = presence_matrix(texts)
         columns = vocabulary_columns(matrix, np.arange(3), min_doc_freq=2)
         assert len(columns) == 0
-        features = featurize_rows(matrix, columns, np.arange(3))
+        features = featurize_rows(matrix, matrix.column_map(columns), 0, np.arange(3))
         assert features.n_features == 0
         assert [len(r) for r in features.rows()] == [0, 0, 0]
 
@@ -149,6 +191,7 @@ class TestPresenceMatrix:
         assert matrix.types == ("b", "a", "c")
         assert matrix.ids.tolist() == [0, 1, 2, 1]
         assert matrix.offsets.tolist() == [0, 2, 2, 4]
+        assert len(matrix) == 3
 
     def test_min_doc_freq_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -157,16 +200,16 @@ class TestPresenceMatrix:
 
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
-        vocab = build_vocabulary([["good", "film"], ["bad"]])
+        vocab = vocabulary_of([["good", "film"], ["bad"]])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         assert Vocabulary.load(path).token_to_index == vocab.token_to_index
         assert path.read_text() == "good\t0\nfilm\t1\nbad\t2\n"
 
     def test_digest_tracks_content(self):
-        v1 = build_vocabulary([["good", "film"]])
-        v2 = build_vocabulary([["good", "film"]])
-        v3 = build_vocabulary([["film", "good"]])
+        v1 = vocabulary_of([["good", "film"]])
+        v2 = vocabulary_of([["good", "film"]])
+        v3 = vocabulary_of([["film", "good"]])
         assert v1.digest() == v2.digest()
         assert v1.digest() != v3.digest()
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subjcut.classifiers import IndividualScores
+from subjcut.extraction import DECAY_NAMES, ProximityParams, assoc_scores
 from subjcut.mincut import (
     CAPACITY_BOUND,
     AssociationScores,
@@ -318,3 +319,68 @@ class TestBruteForce:
         ind = IndividualScores(class1=np.ones(n), class2=np.zeros(n))
         with pytest.raises(ValueError):
             brute_force_min(ind, AssociationScores(pairs={}))
+
+
+def banded_min(ind, assoc, reach):
+    """Exact minimum labeling cost when every pair joins items at most ``reach`` apart.
+
+    A Viterbi pass left to right over the 2^reach states "labels of the last
+    ``reach`` items" (bit d - 1 holds the label of the item d back), so it is
+    O(n * 2^reach) and reaches review lengths that brute force cannot.
+    """
+    weights = {}
+    for (i, k), value in assoc.pairs.items():
+        assert k - i <= reach, "pair beyond the band"
+        weights[(k, k - i)] = value
+    states = np.arange(1 << reach)
+    back_labels = (states[:, None] >> np.arange(reach)) & 1
+    cost = np.full(len(states), np.inf)
+    cost[0] = 0.0  # items before the first have no pairs, so their labels are free
+    for j in range(len(ind)):
+        band = np.array([weights.get((j, d), 0.0) for d in range(1, reach + 1)])
+        step = np.full(len(states), np.inf)
+        # label 1 puts item j on the source side (class 1) and pays its class-2 score
+        for label, unary in ((0, ind.class1[j]), (1, ind.class2[j])):
+            candidates = cost + unary + (back_labels != label) @ band
+            np.minimum.at(step, ((states << 1) | label) & (len(states) - 1), candidates)
+        cost = step
+    return float(cost.min())
+
+
+@st.composite
+def proximity_instances(draw, n_min, n_max):
+    """Review-shaped instances: scores, paragraph breaks, and ``assoc_scores`` edges."""
+    n = draw(st.integers(n_min, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    class1 = rng.uniform(0, 1, n)
+    if draw(st.booleans()):
+        class1 = np.round(class1 * 4) / 4  # coarse scores make ties common
+    class2 = 1.0 - class1 if draw(st.booleans()) else rng.uniform(0, 1, n)
+    breaks = sorted(set(rng.integers(1, n, draw(st.integers(0, 4))).tolist())) if n > 1 else []
+    params = ProximityParams(
+        threshold=draw(st.integers(1, 3)),
+        decay=draw(st.sampled_from(DECAY_NAMES)),
+        strength=draw(st.floats(0, 2)),
+        cross_paragraph_weight=draw(st.floats(0, 1)),
+    )
+    ind = IndividualScores(class1=class1, class2=class2)
+    return ind, assoc_scores(n, params, [0] + breaks), params.threshold
+
+
+class TestBandedOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(proximity_instances(1, 12))
+    def test_oracle_agrees_with_brute_force(self, instance):
+        ind, assoc, reach = instance
+        scaled = scale_instance(ind, assoc)
+        assert banded_min(*scaled, reach) == brute_force_min(*scaled).cost
+
+    @settings(max_examples=60, deadline=None)
+    @given(proximity_instances(20, 200))
+    def test_min_cut_is_optimal_at_review_lengths(self, instance):
+        ind, assoc, reach = instance
+        got = solve(ind, assoc)
+        scaled = scale_instance(ind, assoc)
+        best = banded_min(*scaled, reach)
+        assert got.max_flow_value == best
+        assert partition_cost(*scaled, got.source_side) == best
