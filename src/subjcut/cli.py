@@ -212,7 +212,15 @@ def cmd_extract(
     click.echo(f"wrote {len(extracts)} extracts, mean word preservation {rate:.3f}")
 
 
-def _config_from_spec(spec: dict) -> evaluation.ExperimentConfig:
+def _config_from_spec(spec_path: str) -> evaluation.ExperimentConfig:
+    try:
+        spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+        raise click.UsageError(f"bad experiment spec: {spec_path} is not JSON ({exc})")
+    if not isinstance(spec, dict):
+        raise click.UsageError(
+            f"bad experiment spec: a JSON object is required, got {type(spec).__name__}"
+        )
     try:
         return evaluation.ExperimentConfig.from_dict(spec)
     except (TypeError, ValueError) as exc:
@@ -230,8 +238,7 @@ def cmd_run(spec_path, data_root, output_dir, seed) -> None:
     """Run one experiment from a JSON spec file; write report.json and report.txt."""
     root = _data_root(data_root)
     out = _ensure_outdir(output_dir)
-    spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    config = _config_from_spec(spec)
+    config = _config_from_spec(spec_path)
     if seed is not None:
         config = replace(config, seed=seed)
     try:
@@ -358,8 +365,8 @@ WORKED_EXAMPLE_ASSOC = mincut.AssociationScores(
 
 
 @main.command("oracle")
-@click.option("--n-max", default=12, show_default=True)
-@click.option("--trials", default=200, show_default=True)
+@click.option("--n-max", default=12, show_default=True, type=click.IntRange(min=1))
+@click.option("--trials", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True)
 def cmd_oracle(n_max, trials, seed) -> None:
     """Check min_cut against brute-force enumeration on random instances."""
@@ -393,10 +400,14 @@ def cmd_oracle(n_max, trials, seed) -> None:
 @click.argument("report_file", type=click.Path(exists=True, dir_okay=False))
 def cmd_report(report_file) -> None:
     """Render a stored JSON report as aligned text."""
-    report = evaluation.ExperimentReport.from_json(
-        Path(report_file).read_text(encoding="utf-8")
-    )
-    click.echo(report.render_text(), nl=False)
+    try:
+        report = evaluation.ExperimentReport.from_json(
+            Path(report_file).read_text(encoding="utf-8")
+        )
+        text = report.render_text()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"{report_file}: not an experiment report ({exc!r})")
+    click.echo(text, nl=False)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ retrained per fold on the extracts of the nine training folds only; each
 fold's training inputs are digested into the report so leakage is auditable.
 Reports carry no timestamps and serialize canonically: the same configuration
 and seed reproduce the same bytes.
+
+Each experiment, grid, sweep or paragraph comparison tokenizes the review
+sentences once, into one sentence presence matrix; detector scores and every
+extract's row come from it. Grid and sweep cells whose selections are equal
+share one cross-validation.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from .extraction import (
     select_graph,
     select_least_n,
     select_top_n,
+    sentence_groups,
+    sentence_matrix,
 )
 from .features import (
     EmptyVocabularyError,
@@ -55,6 +62,7 @@ from .features import (
     PresenceMatrix,
     Vocabulary,
     featurize_rows,
+    join_rows,
     presence_matrix,
     vocabulary_columns,
 )
@@ -267,17 +275,22 @@ def score_documents(
     model: NaiveBayesModel | LinearMarginModel,
     vocab: Vocabulary,
     documents: Sequence[ReviewDocument],
+    matrix: PresenceMatrix | None = None,
 ) -> list[IndividualScores]:
     """Per-sentence scores for every document, computed once and reused.
 
-    Documents are scored in batches of about ``CUT_BATCH_SENTENCES``
-    sentences, one presence matrix per batch.
+    The sentences are the rows of ``matrix``, the documents'
+    ``sentence_matrix`` (built here when not given), scored in batches of
+    about ``CUT_BATCH_SENTENCES`` sentences.
     """
+    if matrix is None:
+        matrix = sentence_matrix(documents)
     counts = [len(doc.sentences) for doc in documents]
+    first = np.cumsum([0] + counts).tolist()
     out: list[IndividualScores] = []
     for batch in document_batches(counts):
-        sentences = [s for i in batch for s in documents[i].sentences]
-        scores = individual_scores(model, vocab, sentences)
+        rows = matrix.row_slice(first[batch.start], first[batch.stop])
+        scores = individual_scores(model, vocab, rows)
         bounds = np.cumsum([counts[i] for i in batch])[:-1]
         out += map(
             IndividualScores, np.split(scores.class1, bounds), np.split(scores.class2, bounds)
@@ -365,19 +378,14 @@ def _fit_predict(
 
 
 def _select_for_config(
-    config: ExperimentConfig,
-    doc: ReviewDocument,
-    detector: Detector | None,
-    scores: IndividualScores | None,
+    config: ExperimentConfig, doc: ReviewDocument, scores: IndividualScores | None
 ) -> tuple[int, ...]:
-    """One document's selection for every extractor but ``graph``."""
+    """One document's selection for every extractor but ``graph`` and ``paragraph``."""
     n_sent = len(doc.sentences)
     if config.extractor == "full_review":
         return tuple(range(n_sent))
     if config.extractor == "basic":
         return select_basic(scores)
-    if config.extractor == "paragraph":
-        return detect_paragraph_unit(detector.model, detector.vocab, doc)
     if config.extractor == "top_n":
         return select_top_n(scores, config.n_sentences)
     if config.extractor == "least_n":
@@ -392,19 +400,26 @@ def make_extracts(
     documents: Sequence[ReviewDocument],
     detector: Detector | None = None,
     scores: Sequence[IndividualScores] | None = None,
+    matrix: PresenceMatrix | None = None,
 ) -> list[Extract]:
-    """Produce the per-document extracts an experiment will classify."""
+    """Produce the per-document extracts an experiment will classify.
+
+    ``matrix``, the documents' ``sentence_matrix``, is built when the
+    detector needs it and it is not given.
+    """
     if config.extractor in DETECTOR_EXTRACTORS:
         if detector is None:
             raise ValueError(f"extractor {config.extractor!r} requires a trained detector")
         if scores is None and config.extractor != "paragraph":
-            scores = score_documents(detector.model, detector.vocab, documents)
+            scores = score_documents(detector.model, detector.vocab, documents, matrix)
     if config.extractor == "graph":
         starts = [doc.paragraph_starts for doc in documents]
         selections = select_graph(scores, config.proximity, starts)
+    elif config.extractor == "paragraph":
+        selections = detect_paragraph_unit(detector.model, detector.vocab, documents, matrix)
     else:
         selections = [
-            _select_for_config(config, doc, detector, scores[i] if scores is not None else None)
+            _select_for_config(config, doc, scores[i] if scores is not None else None)
             for i, doc in enumerate(documents)
         ]
     if config.flipped:
@@ -422,28 +437,26 @@ def _train_digest(pairs: Sequence[tuple[str, str]]) -> str:
     return h.hexdigest()
 
 
-def run_experiment(
+def _extract_rows(
+    matrix: PresenceMatrix, documents: Sequence[ReviewDocument], extracts: Sequence[Extract]
+) -> PresenceMatrix:
+    """Each extract's row: the join of its selected sentences' rows of ``matrix``."""
+    groups = sentence_groups(documents, [[e.selected] for e in extracts])
+    return join_rows(matrix, ((rows, lengths) for _, rows, lengths in groups))
+
+
+def _cross_validate(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
-    detector: Detector | None = None,
-    scores: Sequence[IndividualScores] | None = None,
-) -> ExperimentReport:
-    """Cross-validated polarity accuracy of a classifier over extracts.
-
-    Every extract is tokenized once into the run's presence matrix. For each
-    fold, the vocabulary and the polarity classifier are built from the
-    training folds' extracts only; the held-out fold supplies the test
-    extracts. ``scores`` may carry precomputed per-sentence detector scores
-    aligned with ``documents`` (grid search reuses them across cells).
-    """
+    extracts: Sequence[Extract],
+    extract_rows: PresenceMatrix,
+) -> tuple[FoldResult, ...]:
+    """The fold results of ``config``'s classifier over the extracts' rows."""
     bad = [doc.id for doc in documents if not (0 <= doc.fold < config.folds)]
     if bad:
         raise ValueError(f"documents without a valid fold: {bad[:3]}")
-    extracts = make_extracts(config, documents, detector, scores)
     labels = np.array([1 if doc.label == POSITIVE else 0 for doc in documents])
-    matrix = presence_matrix(tokenize(e.text) for e in extracts)
     fold_of = np.array([doc.fold for doc in documents])
-
     fold_results = []
     for fold in range(config.folds):
         train = np.flatnonzero(fold_of != fold)
@@ -451,7 +464,7 @@ def run_experiment(
         if not len(test):
             raise ValueError(f"fold {fold} is empty")
         predicted = _fit_predict(
-            matrix, labels, train, test, config.classifier, config.min_doc_freq,
+            extract_rows, labels, train, test, config.classifier, config.min_doc_freq,
             seed=config.seed,
         )
         fold_results.append(
@@ -465,12 +478,71 @@ def run_experiment(
                 ),
             )
         )
+    return tuple(fold_results)
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    documents: Sequence[ReviewDocument],
+    detector: Detector | None = None,
+    scores: Sequence[IndividualScores] | None = None,
+    matrix: PresenceMatrix | None = None,
+) -> ExperimentReport:
+    """Cross-validated polarity accuracy of a classifier over extracts.
+
+    Every review sentence is tokenized once, into ``matrix``, the documents'
+    ``sentence_matrix`` (built here when not given); an extract's row is the
+    join of its sentences' rows. For each fold, the vocabulary and the
+    polarity classifier are built from the training folds' extracts only;
+    the held-out fold supplies the test extracts. ``scores`` may carry
+    precomputed per-sentence detector scores aligned with ``documents``
+    (grid search reuses them across cells).
+    """
+    if matrix is None:
+        matrix = sentence_matrix(documents)
+    extracts = make_extracts(config, documents, detector, scores, matrix)
+    rows = _extract_rows(matrix, documents, extracts)
+    # A matrix built here is freed before the folds train, and the rows are
+    # copied once it is: left where they were built, above the matrix, they
+    # kept its memory from being reused for the folds' arrays, which raised
+    # the peak resident memory of a full-review SVM run by about 2 MB.
+    del matrix
+    rows = PresenceMatrix(rows.types, rows.ids.copy(), rows.offsets)
+    return _report(config, _cross_validate(config, documents, extracts, rows))
+
+
+def _cell_report(
+    config: ExperimentConfig,
+    documents: Sequence[ReviewDocument],
+    detector: Detector | None,
+    scores: Sequence[IndividualScores] | None,
+    matrix: PresenceMatrix,
+    done: dict,
+) -> ExperimentReport:
+    """``run_experiment`` for a grid or sweep cell, cross-validating once per
+    distinct selection.
+
+    Cells whose extracts select the same sentences, under the same classifier
+    settings, have the same fold results. ``done`` maps the key of each
+    selection already cross-validated (a digest of the selections, taken
+    after ``flipped``, and the classifier settings) to its fold results.
+    """
+    extracts = make_extracts(config, documents, detector, scores, matrix)
+    digest = hashlib.sha256("".join(repr(e.selected) for e in extracts).encode("ascii"))
+    key = (digest.hexdigest(), config.classifier, config.folds, config.seed, config.min_doc_freq)
+    if key not in done:
+        rows = _extract_rows(matrix, documents, extracts)
+        done[key] = _cross_validate(config, documents, extracts, rows)
+    return _report(config, done[key])
+
+
+def _report(config: ExperimentConfig, folds: tuple[FoldResult, ...]) -> ExperimentReport:
     return ExperimentReport(
         config=config.to_dict(),
         config_digest=config.digest(),
-        folds=tuple(fold_results),
-        mean_accuracy=float(np.mean([f.accuracy for f in fold_results])),
-        mean_preservation=float(np.mean([f.preservation for f in fold_results])),
+        folds=folds,
+        mean_accuracy=float(np.mean([f.accuracy for f in folds])),
+        mean_preservation=float(np.mean([f.preservation for f in folds])),
     )
 
 
@@ -581,14 +653,15 @@ class GridSearchResult:
 _WORKER_STATE: dict = {}
 
 
-def _init_grid_worker(base_config, documents, detector, scores) -> None:
-    _WORKER_STATE["args"] = (base_config, documents, detector, scores)
+def _init_grid_worker(base_config, documents, detector, scores, matrix) -> None:
+    _WORKER_STATE["args"] = (base_config, documents, detector, scores, matrix)
+    _WORKER_STATE["done"] = {}
 
 
 def _run_grid_cell(params: ProximityParams) -> ExperimentReport:
-    base_config, documents, detector, scores = _WORKER_STATE["args"]
+    base_config, documents, detector, scores, matrix = _WORKER_STATE["args"]
     config = replace(base_config, extractor="graph", proximity=params)
-    return run_experiment(config, documents, detector, scores)
+    return _cell_report(config, documents, detector, scores, matrix, _WORKER_STATE["done"])
 
 
 def grid_search(
@@ -597,26 +670,31 @@ def grid_search(
     detector: Detector,
     grid: GridSpec | None = None,
     max_workers: int = 1,
+    matrix: PresenceMatrix | None = None,
 ) -> GridSearchResult:
     """Evaluate every proximity setting; return all cells and the single best.
 
     Selection follows the protocol of reporting the best single setting by
     mean accuracy over all folds (an oracle-style choice, flagged as such in
     downstream reporting). Ties break toward the earlier cell in grid order.
-    Per-sentence detector scores are computed once and shared by every cell.
+    The sentence matrix (built here when not given) and per-sentence detector
+    scores are computed once and shared by every cell, and a cell whose
+    selections equal an earlier cell's reuses its fold results; with several
+    workers, each reuses the cells it ran.
     """
     grid = grid or GridSpec()
-    scores = score_documents(detector.model, detector.vocab, documents)
+    if matrix is None:
+        matrix = sentence_matrix(documents)
+    scores = score_documents(detector.model, detector.vocab, documents, matrix)
     cells = grid.cells()
+    args = (base_config, list(documents), detector, scores, matrix)
     if max_workers > 1:
         with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_init_grid_worker,
-            initargs=(base_config, list(documents), detector, scores),
+            max_workers=max_workers, initializer=_init_grid_worker, initargs=args
         ) as pool:
             reports = list(pool.map(_run_grid_cell, cells))
     else:
-        _init_grid_worker(base_config, list(documents), detector, scores)
+        _init_grid_worker(*args)
         reports = [_run_grid_cell(p) for p in cells]
         _WORKER_STATE.clear()
     best = max(zip(cells, reports), key=lambda pair: pair[1].mean_accuracy)[1]
@@ -635,15 +713,21 @@ def n_sentence_sweep(
     classifiers: Sequence[str] = ("nb",),
     base_config: ExperimentConfig | None = None,
 ) -> dict[tuple[str, int, str], ExperimentReport]:
-    """Accuracy of each length-limited extraction method at each N."""
+    """Accuracy of each length-limited extraction method at each N.
+
+    As in ``grid_search``, the sentence matrix and scores are shared, and a
+    cell whose selections equal an earlier cell's, with the same classifier,
+    reuses its fold results (at large N, every method keeps whole reviews).
+    """
     for m in methods:
         if m not in N_EXTRACTORS:
             raise ValueError(f"unknown sweep method {m!r}")
     if any(n < 1 for n in n_values):
         raise ValueError(f"sweep N values must be >= 1, got {tuple(n_values)}")
     base = base_config or ExperimentConfig()
-    scores = score_documents(detector.model, detector.vocab, documents)
-    out = {}
+    matrix = sentence_matrix(documents)
+    scores = score_documents(detector.model, detector.vocab, documents, matrix)
+    out, done = {}, {}
     for method in methods:
         for n in n_values:
             for clf in classifiers:
@@ -651,7 +735,9 @@ def n_sentence_sweep(
                     base, extractor=method, n_sentences=n, classifier=clf,
                     detector_base=detector.config.base,
                 )
-                out[(method, n, clf)] = run_experiment(config, documents, detector, scores)
+                out[(method, n, clf)] = _cell_report(
+                    config, documents, detector, scores, matrix, done
+                )
     return out
 
 
@@ -697,13 +783,16 @@ def paragraph_comparison(
     grid = grid or GridSpec(cross_paragraph_weights=(0.0, 0.25, 0.5, 0.75, 1.0))
     base = base_config or ExperimentConfig()
     base = replace(base, detector_base=detector.config.base)
+    matrix = sentence_matrix(documents)
     graph_best, paragraph_unit, tests = {}, {}, {}
     for clf in classifiers:
         clf_base = replace(base, classifier=clf)
-        result = grid_search(clf_base, documents, detector, grid, max_workers=max_workers)
+        result = grid_search(
+            clf_base, documents, detector, grid, max_workers=max_workers, matrix=matrix
+        )
         graph_best[clf] = result.best
         unit_config = replace(clf_base, extractor="paragraph")
-        paragraph_unit[clf] = run_experiment(unit_config, documents, detector)
+        paragraph_unit[clf] = run_experiment(unit_config, documents, detector, matrix=matrix)
         tests[clf] = paired_t_test(
             graph_best[clf].fold_accuracies(), paragraph_unit[clf].fold_accuracies()
         )

@@ -10,8 +10,10 @@ extract live here too.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -26,7 +28,14 @@ from .classifiers import (
     svm_to_individual,
 )
 from .corpus import ReviewDocument, tokenize
-from .features import Vocabulary, featurize_rows, presence_matrix
+from .features import (
+    PresenceMatrix,
+    Vocabulary,
+    distinct_runs,
+    featurize_rows,
+    join_rows,
+    presence_matrix,
+)
 from .mincut import AssociationScores, build_network, min_cut
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
@@ -121,17 +130,21 @@ def assoc_scores(
 def individual_scores(
     model: NaiveBayesModel | LinearMarginModel,
     vocab: Vocabulary,
-    sentences: Iterable[str],
+    sentences: Iterable[str] | PresenceMatrix,
 ) -> IndividualScores:
     """Per-sentence class preferences from a trained sentence classifier.
 
     NB yields (posterior, 1 - posterior); the margin classifier's signed
     distance is clamped into [0, 1] and complemented. The sentences are
-    featurized together, as one presence matrix.
+    featurized together, as one presence matrix; a ``PresenceMatrix`` given
+    in their place has every row scored.
     """
     if not isinstance(model, (NaiveBayesModel, LinearMarginModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    matrix = presence_matrix(tokenize(text) for text in sentences)
+    if isinstance(sentences, PresenceMatrix):
+        matrix = sentences
+    else:
+        matrix = presence_matrix(tokenize(text) for text in sentences)
     rows = featurize_rows(
         matrix, vocab.column_map(matrix.types), vocab.size, np.arange(len(matrix)),
         normalize=isinstance(model, LinearMarginModel),
@@ -173,9 +186,9 @@ def select_basic(scores: IndividualScores) -> tuple[int, ...]:
     return tuple(i for i in range(len(scores)) if scores.class1[i] > scores.class2[i])
 
 
-# Documents are scored and cut together in batches of about this many
-# sentences: one presence matrix or max-flow solve per batch, with the
-# transient arrays of one batch at a time.
+# Documents are tokenized, scored, joined and cut in batches of about this
+# many sentences: one sort, featurization or max-flow solve per batch, with
+# the transient arrays of one batch at a time.
 CUT_BATCH_SENTENCES = 8192
 
 
@@ -188,6 +201,48 @@ def document_batches(sentence_counts: Sequence[int]) -> Iterator[range]:
         if size >= CUT_BATCH_SENTENCES or end == len(sentence_counts):
             yield range(start, end)
             start, size = end, 0
+
+
+def sentence_matrix(documents: Sequence[ReviewDocument]) -> PresenceMatrix:
+    """The presence matrix of every sentence of ``documents``, in order.
+
+    It equals ``presence_matrix(tokenize(s) for s in sentences)``, type ids
+    included. Each document's sentences are tokenized as one text, since
+    ``tokenize`` of the sentences joined by newlines is the concatenation of
+    their tokens, and cut apart by ``sentence_word_counts``.
+    """
+    type_id: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    runs = []
+    for batch in document_batches([len(doc.sentences) for doc in documents]):
+        tokens = itertools.chain.from_iterable(
+            tokenize("\n".join(documents[i].sentences)) for i in batch
+        )
+        ids = np.fromiter(map(type_id.__getitem__, tokens), dtype=np.int32)
+        lengths = np.fromiter(
+            itertools.chain.from_iterable(documents[i].sentence_word_counts for i in batch),
+            dtype=np.int64,
+        )
+        runs.append(distinct_runs(ids, lengths, len(type_id)))
+    return PresenceMatrix.from_runs(type_id, runs)
+
+
+def sentence_groups(
+    documents: Sequence[ReviewDocument], groups: Sequence[Sequence[Sequence[int]]]
+) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """Per batch of documents, their groups of sentences as ``join_rows`` takes them.
+
+    ``groups[d]`` lists document d's groups, each a sequence of its sentence
+    indices. Yields the batch, the groups' rows of the documents'
+    ``sentence_matrix`` one group after another, and each group's length.
+    """
+    counts = [len(doc.sentences) for doc in documents]
+    first = np.cumsum([0] + counts).tolist()
+    for batch in document_batches(counts):
+        rows = np.fromiter(
+            (first[d] + i for d in batch for group in groups[d] for i in group), dtype=np.intp
+        )
+        lengths = np.fromiter((len(group) for d in batch for group in groups[d]), dtype=np.int64)
+        yield batch, rows, lengths
 
 
 def select_graph(
@@ -214,22 +269,30 @@ def select_graph(
 def detect_paragraph_unit(
     model: NaiveBayesModel | LinearMarginModel,
     vocab: Vocabulary,
-    doc: ReviewDocument,
-) -> tuple[int, ...]:
+    documents: Sequence[ReviewDocument],
+    matrix: PresenceMatrix | None = None,
+) -> list[tuple[int, ...]]:
     """Classify whole paragraphs; every sentence inherits its paragraph's label.
 
-    Documents without boundary information are treated as one paragraph, which
-    makes the decision all-or-nothing.
+    A paragraph is scored as the join of its sentences' rows of ``matrix``,
+    the documents' ``sentence_matrix`` (built here when not given). Documents
+    without boundary information are treated as one paragraph, which makes
+    the decision all-or-nothing.
     """
-    starts = list(doc.paragraph_starts)
-    spans = list(zip(starts, starts[1:] + [len(doc.sentences)]))
-    texts = [" ".join(doc.sentences[a:b]) for a, b in spans]
-    scores = individual_scores(model, vocab, texts)
-    selected: list[int] = []
-    for (a, b), keep in zip(spans, scores.class1 > scores.class2):
-        if keep:
-            selected.extend(range(a, b))
-    return tuple(selected)
+    if matrix is None:
+        matrix = sentence_matrix(documents)
+    spans = []
+    for doc in documents:
+        starts = list(doc.paragraph_starts)
+        spans.append([range(a, b) for a, b in zip(starts, starts[1:] + [len(doc.sentences)])])
+    selections: list[tuple[int, ...]] = []
+    for batch, rows, lengths in sentence_groups(documents, spans):
+        scores = individual_scores(model, vocab, join_rows(matrix, [(rows, lengths)]))
+        keep = iter((scores.class1 > scores.class2).tolist())
+        selections += [
+            tuple(i for span in spans[d] if next(keep) for i in span) for d in batch
+        ]
+    return selections
 
 
 # ---------------------------------------------------------------------------

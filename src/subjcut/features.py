@@ -11,6 +11,11 @@ selection of its columns (``vocabulary_columns``). Either such a selection
 or a saved ``Vocabulary`` gives a column map from the matrix's type ids to
 vocabulary indices, and the rows' presence vectors over it are one
 ``FeatureRows`` matrix (``featurize_rows``).
+
+A text made of several texts of a matrix, such as an extract made of
+sentences, needs no tokenizing of its own: ``join_rows`` concatenates their
+rows and keeps each id's first occurrence, which is the row the joined text
+would get, over the same type table.
 """
 
 from __future__ import annotations
@@ -94,6 +99,25 @@ class PresenceMatrix:
         column_of[columns] = np.arange(len(columns))
         return column_of
 
+    def row_slice(self, start: int, stop: int) -> "PresenceMatrix":
+        """Rows ``start`` to ``stop`` (exclusive), over the same type table, as views."""
+        offsets = self.offsets[start : stop + 1]
+        return PresenceMatrix(self.types, self.ids[offsets[0] : offsets[-1]], offsets - offsets[0])
+
+    @classmethod
+    def from_runs(
+        cls, types: Iterable[str], runs: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> "PresenceMatrix":
+        """The rows of ``runs``, one after another; each run is (ids, row lengths)."""
+        ids, lengths = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
+        for run_ids, run_lengths in runs:
+            ids.append(run_ids)
+            lengths.append(run_lengths)
+        lengths = np.concatenate(lengths)
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(types=tuple(types), ids=np.concatenate(ids), offsets=offsets)
+
 
 def presence_matrix(texts: Iterable[Iterable[str]]) -> PresenceMatrix:
     """Map tokenized texts into one presence matrix, reading one text at a time."""
@@ -108,6 +132,55 @@ def presence_matrix(texts: Iterable[Iterable[str]]) -> PresenceMatrix:
         ids=np.frombuffer(ids, dtype=np.int32),
         offsets=np.frombuffer(offsets, dtype=np.int64),
     )
+
+
+def distinct_runs(
+    ids: np.ndarray, lengths: np.ndarray, n_types: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the repeats within each run of ``ids``: the kept ids and each run's new length.
+
+    Run r is the next ``lengths[r]`` entries of ``ids``, all below ``n_types``.
+    A run keeps the first occurrence of each id, in its order. One sort of
+    (run, id, position in run) keys puts each id's first occurrence in a run
+    first among its copies.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    width = int(lengths.max(initial=0)) or 1
+    stride = max(n_types, 1) * width  # the keys of one run
+    if len(lengths) * stride >= 2**63:
+        raise ValueError(f"{len(lengths)} runs of up to {width} ids overflow the sort keys")
+    starts = np.cumsum(lengths) - lengths
+    keys = np.repeat(np.arange(len(lengths)) * stride - starts, lengths)
+    keys += np.arange(len(keys))
+    keys += ids.astype(np.int64) * width
+    keys.sort()
+    pairs = keys // width
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    kept = keys[first]
+    run_of = kept // stride
+    positions = np.sort(starts[run_of] + kept % width)
+    return ids[positions], np.bincount(run_of, minlength=len(lengths))
+
+
+def join_rows(
+    matrix: PresenceMatrix, batches: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> PresenceMatrix:
+    """One row per group of ``matrix`` rows, over the same type table.
+
+    Each batch is (rows, group lengths): ``rows`` lists the rows of its
+    groups one group after another, ``group_lengths[g]`` of them for group g.
+    A group's row holds the distinct ids of its rows in order of first
+    occurrence, the row of its texts joined by whitespace. Batches are joined
+    one at a time, so the sort's temporaries are one batch in size.
+    """
+
+    def joined(rows: np.ndarray, group_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ids, lengths = _row_ids(matrix, rows)
+        ends = np.concatenate(([0], np.cumsum(lengths)))[np.cumsum(group_lengths)]
+        return distinct_runs(ids, np.diff(ends, prepend=0), len(matrix.types))
+
+    return PresenceMatrix.from_runs(matrix.types, (joined(*batch) for batch in batches))
 
 
 def _row_ids(matrix: PresenceMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,7 @@ from subjcut.mincut import (
     scale_instance,
 )
 
-from conftest import write_polarity_tree, make_sentence_corpus
+from planted_corpus import write_polarity_tree, make_sentence_corpus
 
 DATA_ROOT = os.environ.get("SUBJCUT_DATA_ROOT")
 requires_data = pytest.mark.skipif(

@@ -22,7 +22,7 @@ from subjcut.classifiers import (
     svm_train,
 )
 
-from conftest import rows_over, vocabulary_of
+from planted_corpus import rows_over, vocabulary_of
 
 
 def rows_and_vocab(texts, normalize=False):

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from subjcut.cli import main
 
-from conftest import write_polarity_tree, make_sentence_corpus
+from planted_corpus import write_polarity_tree, make_sentence_corpus
 
 
 @pytest.fixture()
@@ -200,6 +200,18 @@ class TestRun:
         assert "min_doc_freq must be >= 1" in result.output
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("text", ["{not json", "[]", '[["extractor", "basic"]]'])
+    def test_spec_that_is_not_a_json_object_is_usage_error(
+        self, runner, small_data_root, tmp_path, text
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        result = runner.invoke(
+            main, ["run", "--spec", str(spec), "--data-root", str(small_data_root)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "bad experiment spec" in result.output
+
     def test_seed_flag_overrides_spec(self, runner, small_data_root, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"extractor": "full_review", "seed": 1}))
@@ -291,6 +303,16 @@ class TestOracle:
         assert result.exit_code == 0
         assert "vacuous" in result.output
 
+    def test_negative_trials_are_usage_error(self, runner):
+        result = runner.invoke(main, ["oracle", "--trials", "-3"])
+        assert result.exit_code == 2
+        assert "pass" not in result.output
+
+    def test_nonpositive_n_max_is_usage_error(self, runner):
+        result = runner.invoke(main, ["oracle", "--n-max", "0", "--trials", "5"])
+        assert result.exit_code == 2
+        assert "--n-max" in result.output
+
 
 class TestReport:
     def test_renders_stored_report(self, runner, small_data_root, tmp_path):
@@ -305,3 +327,11 @@ class TestReport:
         result = runner.invoke(main, ["report", str(out / "report.json")])
         assert result.exit_code == 0
         assert "mean accuracy" in result.output
+
+    @pytest.mark.parametrize("text", ['{"x": 1}', "{not json", "[1]"])
+    def test_file_that_is_not_a_report_is_usage_error(self, runner, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["report", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "not an experiment report" in result.output

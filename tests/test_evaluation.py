@@ -23,7 +23,7 @@ from subjcut.evaluation import (
     sweep_to_csv,
     train_detector_model,
 )
-from subjcut import extraction
+from subjcut import evaluation, extraction
 from subjcut.extraction import Detector, DetectorConfig, ProximityParams, individual_scores
 from subjcut.features import EmptyVocabularyError
 
@@ -281,13 +281,76 @@ class TestGridSearch:
         assert lines[1].startswith("graph_T1_constant_c0_w1,")
 
     def test_parallel_matches_serial(self, synthetic_documents, nb_detector):
-        grid = GridSpec(thresholds=(1,), decays=("constant",), strengths=(0.0, 0.4))
+        # the two strength-0 cells select alike, so a worker may reuse one for the other
+        grid = GridSpec(thresholds=(1, 2), decays=("constant",), strengths=(0.0, 0.4))
         base = ExperimentConfig(extractor="graph", proximity=ProximityParams(strength=0.0))
         serial = grid_search(base, synthetic_documents, nb_detector, grid, max_workers=1)
         parallel = grid_search(base, synthetic_documents, nb_detector, grid, max_workers=2)
         assert [r.to_json() for _, r in serial.cells] == [
             r.to_json() for _, r in parallel.cells
         ]
+
+
+def count_fits(monkeypatch) -> list:
+    calls = []
+    fit_predict = evaluation._fit_predict
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit_predict(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_fit_predict", counting)
+    return calls
+
+
+def distinct_selections(configs, documents, detector) -> int:
+    return len({
+        (config.classifier, tuple(e.selected for e in make_extracts(config, documents, detector)))
+        for config in configs
+    })
+
+
+class TestCellReuse:
+    """Cells whose selections are equal are cross-validated once."""
+
+    def test_grid_cross_validates_each_distinct_selection_once(
+        self, monkeypatch, synthetic_documents, nb_detector
+    ):
+        grid = GridSpec(thresholds=(1, 2), decays=("constant",), strengths=(0.0, 0.4))
+        base = ExperimentConfig(extractor="graph", proximity=ProximityParams(strength=0.0))
+        configs = [replace(base, proximity=p) for p in grid.cells()]
+        distinct = distinct_selections(configs, synthetic_documents, nb_detector)
+        assert distinct < len(configs)  # the two strength-0 cells select alike
+        calls = count_fits(monkeypatch)
+        result = grid_search(base, synthetic_documents, nb_detector, grid)
+        assert len(calls) == distinct * base.folds
+        for config, (params, report) in zip(configs, result.cells):
+            assert report.config["proximity"] == params.to_dict()
+            fresh = run_experiment(config, synthetic_documents, nb_detector)
+            assert report.to_json() == fresh.to_json()
+
+    def test_sweep_cross_validates_each_distinct_selection_once(
+        self, monkeypatch, synthetic_documents, nb_detector
+    ):
+        # at N = 50 every method keeps whole reviews (they have 8 sentences)
+        methods, n_values = ("top_n", "first_n", "last_n", "least_n"), (2, 50)
+        classifiers = ("nb", "svm")
+        configs = [
+            ExperimentConfig(extractor=m, n_sentences=n, classifier=c)
+            for m in methods for n in n_values for c in classifiers
+        ]
+        distinct = distinct_selections(configs, synthetic_documents, nb_detector)
+        assert distinct <= len(configs) - 6
+        calls = count_fits(monkeypatch)
+        results = n_sentence_sweep(
+            synthetic_documents, nb_detector, methods=methods, n_values=n_values,
+            classifiers=classifiers,
+        )
+        assert len(calls) == distinct * 10
+        for config in configs:
+            report = results[(config.extractor, config.n_sentences, config.classifier)]
+            fresh = run_experiment(config, synthetic_documents, nb_detector)
+            assert report.to_json() == fresh.to_json()
 
 
 class TestSweep:

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from subjcut.classifiers import IndividualScores
-from subjcut.corpus import ReviewDocument
+from subjcut.corpus import ReviewDocument, tokenize
 from subjcut.evaluation import ExperimentConfig, make_extracts
 from subjcut import extraction
 from subjcut.extraction import (
@@ -22,10 +23,13 @@ from subjcut.extraction import (
     select_graph,
     select_least_n,
     select_top_n,
+    sentence_groups,
+    sentence_matrix,
 )
+from subjcut.features import join_rows, presence_matrix
 from subjcut.mincut import brute_force_min, build_network, min_cut, scale_instance
 
-from conftest import make_objective_sentence, make_subjective_sentence
+from planted_corpus import make_objective_sentence, make_subjective_sentence
 
 
 def scores_from(probs) -> IndividualScores:
@@ -233,14 +237,14 @@ class TestDetectorDispatch:
             ],
             paragraph_starts=(0, 2),
         )
-        assert detect_paragraph_unit(model, vocab, doc) == (0, 1)
+        assert detect_paragraph_unit(model, vocab, [doc]) == [(0, 1)]
 
     def test_single_paragraph_is_all_or_nothing(self, detector_models):
         model, vocab = detector_models["nb"]
         subj = doc_of(["the film is excellent truly", "simply wonderful performance"])
         obj = doc_of(["a detective returns to the city", "his brother meets a widow"])
-        assert detect_paragraph_unit(model, vocab, subj) == (0, 1)
-        assert detect_paragraph_unit(model, vocab, obj) == ()
+        assert detect_paragraph_unit(model, vocab, [subj]) == [(0, 1)]
+        assert detect_paragraph_unit(model, vocab, [obj]) == [()]
 
     def test_singleton_paragraph_matches_sentence_decision(self, detector_models):
         model, vocab = detector_models["nb"]
@@ -248,9 +252,98 @@ class TestDetectorDispatch:
             ["the film is excellent truly", "a detective returns to the city"],
             paragraph_starts=(0, 1),
         )
-        para = detect_paragraph_unit(model, vocab, doc)
+        (para,) = detect_paragraph_unit(model, vocab, [doc])
         sent = select_basic(individual_scores(model, vocab, doc.sentences))
         assert para == sent
+
+
+# Characters around which lowercasing or splitting is context-dependent:
+# final and medial sigma, dotted capital I (two characters in lower case), and
+# whitespace that str.split() breaks on but a space-only split would not.
+TRICKY = ["Σ", "σ", "İ", "\xa0", "\u2028", "\x1c", "\x85", " ", "'", "a", "B", "ǅ"]
+sentence_text = st.text(
+    st.one_of(st.sampled_from(TRICKY), st.characters()), min_size=1, max_size=10
+).filter(str.strip)
+documents_strategy = st.lists(
+    st.lists(sentence_text, min_size=1, max_size=5).map(
+        lambda sentences: doc_of(sentences)
+    ),
+    max_size=6,
+)
+TRICKY_DOCUMENTS = [
+    doc_of(["ΟΔΟΣ end", "aΣ", "Σ'\u2028b", "İx\xa0yΣ\x1cc"]),
+    doc_of(["ΣΣ.Σ", "x\x85ΑΣ' z"]),
+]
+
+
+def row_tokens(matrix, r):
+    return [matrix.types[i] for i in matrix.ids[matrix.offsets[r]:matrix.offsets[r + 1]]]
+
+
+class TestSentenceMatrix:
+    """The shared sentence matrix and its joined rows against per-text tokenizing."""
+
+    @given(documents_strategy, st.integers(1, 8))
+    @example(documents=TRICKY_DOCUMENTS, batch=1)
+    @example(documents=[], batch=1)
+    def test_equals_the_per_sentence_matrix(self, documents, batch):
+        sentences = [s for doc in documents for s in doc.sentences]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extraction, "CUT_BATCH_SENTENCES", batch)
+            got = sentence_matrix(documents)
+        want = presence_matrix(tokenize(s) for s in sentences)
+        assert got.types == want.types
+        assert got.ids.tolist() == want.ids.tolist() and got.ids.dtype == np.int32
+        assert got.offsets.tolist() == want.offsets.tolist()
+        for doc in documents:
+            assert list(doc.sentence_word_counts) == [len(tokenize(s)) for s in doc.sentences]
+
+    @given(documents_strategy, st.integers(1, 8), st.data())
+    @example(documents=TRICKY_DOCUMENTS, batch=2, data=None)
+    def test_joined_rows_equal_the_joined_text(self, documents, batch, data):
+        groups = []  # per document, a few groups of its sentences; any may be empty
+        for doc in documents:
+            n = len(doc.sentences)
+            if data is None:
+                groups.append([list(range(n)), [], [n - 1]])
+            else:
+                groups.append(data.draw(st.lists(
+                    st.lists(st.integers(0, n - 1), max_size=n, unique=True).map(sorted),
+                    max_size=3,
+                )))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extraction, "CUT_BATCH_SENTENCES", batch)
+            matrix = sentence_matrix(documents)
+            joined = join_rows(
+                matrix, ((rows, lengths) for _, rows, lengths in sentence_groups(documents, groups))
+            )
+        texts = [
+            "\n".join(doc.sentences[i] for i in group)
+            for doc, doc_groups in zip(documents, groups) for group in doc_groups
+        ]
+        assert len(joined) == len(texts)
+        assert joined.types == matrix.types
+        for r, text in enumerate(texts):
+            want = presence_matrix([tokenize(text)])
+            assert row_tokens(joined, r) == row_tokens(want, 0)
+
+    def test_batched_paragraphs_equal_joined_text_scores(
+        self, monkeypatch, paragraph_documents, detector_models
+    ):
+        model, vocab = detector_models["nb"]
+        want = []
+        for doc in paragraph_documents:
+            starts = list(doc.paragraph_starts) + [len(doc.sentences)]
+            spans = [range(a, b) for a, b in zip(starts, starts[1:])]
+            texts = [" ".join(doc.sentences[i] for i in span) for span in spans]
+            scores = individual_scores(model, vocab, texts)
+            want.append(tuple(
+                i for span, keep in zip(spans, scores.class1 > scores.class2) if keep
+                for i in span
+            ))
+        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        assert detect_paragraph_unit(model, vocab, paragraph_documents) == want
+        assert any(want) and not all(len(w) == 8 for w in want)
 
 
 class TestNSentenceExtracts:

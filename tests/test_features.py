@@ -9,12 +9,13 @@ from subjcut.evaluation import train_detector_model
 from subjcut.features import (
     EmptyVocabularyError,
     Vocabulary,
+    distinct_runs,
     featurize_rows,
     presence_matrix,
     vocabulary_columns,
 )
 
-from conftest import rows_over, vocabulary_of
+from planted_corpus import rows_over, vocabulary_of
 
 tokens_strategy = st.lists(
     st.sampled_from("good bad film plot great dull the a of scene".split()),
@@ -196,6 +197,19 @@ class TestPresenceMatrix:
     def test_min_doc_freq_must_be_positive(self):
         with pytest.raises(ValueError):
             vocabulary_columns(presence_matrix([["a"]]), np.arange(1), min_doc_freq=0)
+
+    @given(st.lists(st.lists(st.integers(0, 6), max_size=8), max_size=6))
+    def test_distinct_runs_keep_first_occurrences(self, runs):
+        ids = np.array([i for run in runs for i in run], dtype=np.int32)
+        got_ids, got_lengths = distinct_runs(ids, np.array([len(r) for r in runs]), 7)
+        want = [list(dict.fromkeys(run)) for run in runs]
+        assert got_ids.tolist() == [i for run in want for i in run]
+        assert got_ids.dtype == np.int32
+        assert got_lengths.tolist() == [len(run) for run in want]
+
+    def test_distinct_runs_refuse_keys_beyond_int64(self):
+        with pytest.raises(ValueError, match="overflow"):
+            distinct_runs(np.zeros(2, dtype=np.int32), np.array([1, 1]), 2**62)
 
 
 class TestSerialization:
