@@ -61,7 +61,7 @@ from .extraction import (
     DetectorConfig,
     Extract,
     ProximityParams,
-    assoc_scores,
+    association_band,
     build_extract,
     detect_paragraph_unit,
     individual_scores,
@@ -79,6 +79,7 @@ from .mincut import (
     min_cut,
     partition_cost,
     scale_instance,
+    stack_instances,
 )
 
 __version__ = "0.1.0"

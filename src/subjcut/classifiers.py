@@ -78,10 +78,6 @@ class NaiveBayesModel:
     alpha: float
     vocab_digest: str = ""
 
-    @property
-    def vocab_size(self) -> int:
-        return self.log_likelihood.shape[1]
-
 
 def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> NaiveBayesModel:
     """Train NB from presence rows and 0/1 labels.

@@ -119,11 +119,13 @@ def cmd_verify_data(data_root: str | None, output_dir: str) -> None:
 
 
 def _load_datasets(root: Path):
-    pol_root = resolve_polarity_root(root)
-    quote, plot = resolve_subjectivity_files(root)
-    documents = corpus.load_polarity_dataset(pol_root)
-    sentences = corpus.load_subjectivity_dataset(quote, plot)
-    return documents, sentences
+    try:
+        pol_root = resolve_polarity_root(root)
+        quote, plot = resolve_subjectivity_files(root)
+        documents = corpus.load_polarity_dataset(pol_root)
+        return documents, corpus.load_subjectivity_dataset(quote, plot)
+    except corpus.IngestionError as exc:
+        raise click.UsageError(str(exc))
 
 
 @main.command("train-detector")
@@ -223,7 +225,7 @@ def _config_from_spec(spec_path: str) -> evaluation.ExperimentConfig:
         )
     try:
         return evaluation.ExperimentConfig.from_dict(spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
         raise click.UsageError(
             f"bad experiment spec ({exc}); valid extractors: {', '.join(evaluation.EXTRACTORS)}"
         )
@@ -241,10 +243,7 @@ def cmd_run(spec_path, data_root, output_dir, seed) -> None:
     config = _config_from_spec(spec_path)
     if seed is not None:
         config = replace(config, seed=seed)
-    try:
-        documents, sentences = _load_datasets(root)
-    except corpus.IngestionError as exc:
-        raise click.UsageError(str(exc))
+    documents, sentences = _load_datasets(root)
     detector = None
     if config.extractor in evaluation.DETECTOR_EXTRACTORS:
         detector = evaluation.make_detector(
@@ -283,10 +282,7 @@ def cmd_grid(
         raise click.UsageError(f"bad grid axes: {exc}")
     root = _data_root(data_root)
     out = _ensure_outdir(output_dir)
-    try:
-        documents, sentences = _load_datasets(root)
-    except corpus.IngestionError as exc:
-        raise click.UsageError(str(exc))
+    documents, sentences = _load_datasets(root)
     detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     base_config = evaluation.ExperimentConfig(
         extractor="graph", detector_base=base, classifier=classifier, seed=seed,
@@ -327,10 +323,7 @@ def cmd_sweep(data_root, output_dir, methods, n_values, classifier, base, seed) 
         raise click.UsageError(f"--n-values must all be >= 1, got {n_values!r}")
     root = _data_root(data_root)
     out = _ensure_outdir(output_dir)
-    try:
-        documents, sentences = _load_datasets(root)
-    except corpus.IngestionError as exc:
-        raise click.UsageError(str(exc))
+    documents, sentences = _load_datasets(root)
     detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     classifiers = ("nb", "svm") if classifier == "both" else (classifier,)
     results = evaluation.n_sentence_sweep(
@@ -378,7 +371,9 @@ def cmd_oracle(n_max, trials, seed) -> None:
     rng = np.random.default_rng(seed)
     instances = [_random_instance(rng, n_max) for _ in range(trials)]
     fixture, *cuts = mincut.min_cut(
-        mincut.build_network([(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_ASSOC)] + instances)
+        mincut.build_network(
+            *mincut.stack_instances([(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_ASSOC)] + instances)
+        )
     )
     if fixture.source_side != (0, 1) or abs(fixture.cost - 1.1) > 1e-9:
         fail(f"worked example failed: side={fixture.source_side} cost={fixture.cost}")

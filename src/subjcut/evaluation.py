@@ -19,10 +19,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -114,17 +115,7 @@ class ExperimentConfig:
             raise ValueError(f"min_doc_freq must be >= 1, got {self.min_doc_freq}")
 
     def to_dict(self) -> dict:
-        return {
-            "extractor": self.extractor,
-            "detector_base": self.detector_base,
-            "classifier": self.classifier,
-            "n_sentences": self.n_sentences,
-            "proximity": self.proximity.to_dict() if self.proximity else None,
-            "flipped": self.flipped,
-            "folds": self.folds,
-            "seed": self.seed,
-            "min_doc_freq": self.min_doc_freq,
-        }
+        return asdict(self)  # the proximity dataclass becomes a dict as well
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -615,20 +606,8 @@ class GridSpec:
         self.cells()  # every setting is a valid ProximityParams, or this raises
 
     def cells(self) -> list[ProximityParams]:
-        out = []
-        for t in self.thresholds:
-            for decay in self.decays:
-                for c in self.strengths:
-                    for w in self.cross_paragraph_weights:
-                        out.append(
-                            ProximityParams(
-                                threshold=t,
-                                decay=decay,
-                                strength=c,
-                                cross_paragraph_weight=w,
-                            )
-                        )
-        return out
+        axes = (self.thresholds, self.decays, self.strengths, self.cross_paragraph_weights)
+        return [ProximityParams(*setting) for setting in itertools.product(*axes)]
 
 
 @dataclass(frozen=True)

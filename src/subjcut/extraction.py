@@ -2,14 +2,15 @@
 
 A detector scores each sentence of a review for subjectivity and selects a
 subset: independently per sentence (basic), jointly via a minimum cut with
-proximity edges (graph), or per paragraph. Positional and score-ranked
-baselines (first/last/top/least N sentences) and the complement (objective)
-extract live here too.
+proximity edges (graph), or per paragraph. A batch of reviews gets its
+proximity edges from one band over the distances 1..T that every review
+shares, and its cut network straight from the band's arrays. Positional and
+score-ranked baselines (first/last/top/least N sentences) and the complement
+(objective) extract live here too.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -36,7 +37,7 @@ from .features import (
     join_rows,
     presence_matrix,
 )
-from .mincut import AssociationScores, build_network, min_cut
+from .mincut import build_network, min_cut, pair_capacities
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
 
@@ -74,8 +75,11 @@ class ProximityParams:
         object.__setattr__(self, "threshold", int(self.threshold))
         if self.decay not in DECAY_NAMES:
             raise ValueError(f"decay must be one of {DECAY_NAMES}, got {self.decay!r}")
-        if not (self.strength >= 0):
-            raise ValueError(f"strength must be >= 0, got {self.strength}")
+        if not (math.isfinite(self.strength) and self.strength >= 0):
+            raise ValueError(f"strength must be finite and >= 0, got {self.strength}")
+        # every decay is 1 at distance 1, so no pair outweighs the strength:
+        # refuse here, before any work, a strength the cut could not take
+        pair_capacities(np.array([self.strength]))
         if not (0.0 <= self.cross_paragraph_weight <= 1.0):
             raise ValueError(
                 f"cross_paragraph_weight must be in [0, 1], got {self.cross_paragraph_weight}"
@@ -94,37 +98,43 @@ class ProximityParams:
         return cls(**d)
 
 
-def assoc_scores(
-    num_sentences: int,
+def association_band(
+    counts: Sequence[int],
+    paragraph_starts: Sequence[Sequence[int] | None],
     params: ProximityParams,
-    paragraph_starts: Sequence[int] | None = None,
-) -> AssociationScores:
-    """Association score for each sentence pair within the distance threshold.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 2) association pairs of a batch of documents, in (i, distance)
+    order, and their weights; zero-valued pairs are omitted.
 
-    Pairs in different paragraphs are additionally multiplied by the
-    cross-paragraph weight. Zero-valued pairs are omitted.
+    The documents' sentences are numbered across the batch, ``counts[d]`` of
+    them for document d. Sentences of one document at most the threshold
+    apart weigh the decay at their distance times the strength, and the
+    cross-paragraph weight more if a start of ``paragraph_starts[d]`` (sorted)
+    lies in (i, k]; a document with fewer than two starts is one paragraph.
     """
-    by_distance = [
-        _decay(params.decay, d) * params.strength for d in range(1, params.threshold + 1)
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    reach = min(params.threshold, int(counts.max(initial=1)) - 1)
+    by_distance = np.array(
+        [_decay(params.decay, d) * params.strength for d in range(1, reach + 1)], dtype=float
+    )
+    first = np.arange(counts.sum(), dtype=np.int64)
+    second = first[:, None] + np.arange(1, reach + 1)
+    values = np.where(second < np.repeat(ends, counts)[:, None], by_distance, 0.0)
+    breaks = [
+        end - n + s
+        for end, n, starts in zip(ends.tolist(), counts.tolist(), paragraph_starts)
+        if starts and len(starts) > 1
+        for s in starts
+        if 0 < s < n
     ]
-    paragraph_of = None
-    if paragraph_starts and len(paragraph_starts) > 1:
-        starts = list(paragraph_starts)
-        paragraph_of = [
-            bisect.bisect_right(starts, i) - 1 for i in range(num_sentences)
-        ]
-    pairs: dict[tuple[int, int], float] = {}
-    for i in range(num_sentences):
-        for distance in range(1, params.threshold + 1):
-            j = i + distance
-            if j >= num_sentences:
-                break
-            value = by_distance[distance - 1]
-            if paragraph_of is not None and paragraph_of[i] != paragraph_of[j]:
-                value *= params.cross_paragraph_weight
-            if value > 0.0:
-                pairs[(i, j)] = value
-    return AssociationScores(pairs=pairs)
+    if breaks:
+        opened = np.cumsum(np.bincount(breaks, minlength=len(first)))
+        crossed = opened[np.minimum(second, len(first) - 1)] > opened[:, None]
+        values = np.where(crossed, values * params.cross_paragraph_weight, values)
+    keep = values > 0.0
+    pairs = np.stack([np.broadcast_to(first[:, None], keep.shape)[keep], second[keep]], axis=1)
+    return pairs, values[keep]
 
 
 def individual_scores(
@@ -256,13 +266,14 @@ def select_graph(
         paragraph_starts = [None] * len(scores)
     if len(paragraph_starts) != len(scores):
         raise ValueError("scores and paragraph_starts differ in length")
+    counts = [len(s) for s in scores]
     selections: list[tuple[int, ...]] = []
-    for batch in document_batches([len(s) for s in scores]):
-        instances = (
-            (scores[i], assoc_scores(len(scores[i]), params, paragraph_starts[i]))
-            for i in batch
-        )
-        selections += [cut.source_side for cut in min_cut(build_network(instances))]
+    for batch in document_batches(counts):
+        part = slice(batch.start, batch.stop)
+        pairs, values = association_band(counts[part], paragraph_starts[part], params)
+        selections += [
+            cut.source_side for cut in min_cut(build_network(scores[part], pairs, values))
+        ]
     return selections
 
 

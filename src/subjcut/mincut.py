@@ -6,14 +6,16 @@ over items placed in class 2, plus association scores over split pairs. The
 graph realizes these as capacities, rounded to integers so the max-flow
 computation is exact. Many instances are solved at once: their graphs share
 only the source and the sink, so each instance's cut is unaffected by the
-others. A brute-force enumerator over all subsets serves as the testing oracle.
+others; the network is built, and checked, from arrays that hold a whole
+batch. A brute-force enumerator over all subsets serves as the testing
+oracle; it takes one instance's pairs as ``AssociationScores``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,24 +31,11 @@ CAPACITY_BOUND = 2**31 - 1
 
 @dataclass(frozen=True)
 class AssociationScores:
-    """Symmetric nonnegative pairwise scores, stored once per unordered pair (i < k)."""
+    """One instance's symmetric pairwise scores, stored once per unordered pair
+    (i < k), as the oracles take them; ``build_network``, through
+    ``stack_instances``, checks them."""
 
     pairs: Mapping[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        for (i, k), value in self.pairs.items():
-            if not (0 <= i < k):
-                raise ValueError(f"pair ({i}, {k}) must satisfy 0 <= i < k")
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"association ({i}, {k}) = {value} must be finite and >= 0")
-
-    def get(self, i: int, k: int) -> float:
-        if i > k:
-            i, k = k, i
-        return self.pairs.get((i, k), 0.0)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def partition_cost(
@@ -105,53 +94,74 @@ def _capacities(values: np.ndarray, scale_factor: int, limit: int, what: str) ->
     return scaled.astype(np.int64)
 
 
+def pair_capacities(values: np.ndarray, scale_factor: int = DEFAULT_SCALE) -> np.ndarray:
+    """Integer capacities of association weights; both directions of an
+    association arc carry one, so a weight beyond half the bound is refused."""
+    return _capacities(values, scale_factor, CAPACITY_BOUND // 2, "association weight")
+
+
 def build_network(
-    instances: Iterable[tuple[IndividualScores, AssociationScores]],
+    scores: Sequence[IndividualScores],
+    pairs: np.ndarray,
+    values: np.ndarray,
     scale_factor: int = DEFAULT_SCALE,
 ) -> FlowNetwork:
     """Build the cut graphs of many instances: per instance, n source arcs,
     n sink arcs and one edge per nonzero pair.
 
-    Real-valued scores are rounded to integers at ``scale_factor`` so the flow
-    computation terminates exactly; a capacity beyond the solver's int32
-    bound is refused. Instances are read one at a time, so a generator may
-    produce them lazily.
+    The items of ``scores`` are numbered in one sequence, instance after
+    instance. ``pairs`` is an (m, 2) array of association pairs (i, k) in
+    these numbers, with i < k in the same instance, and ``values`` their
+    weights, finite and >= 0. Real-valued scores are rounded to integers at
+    ``scale_factor`` so the flow computation terminates exactly; a capacity
+    beyond the solver's int32 bound is refused.
     """
     if scale_factor < 1:
         raise ValueError("scale_factor must be >= 1")
-    sizes, class1, class2 = [0], [np.zeros(0)], [np.zeros(0)]
-    owners, pairs, values = [], [], []
-    for j, (ind, assoc) in enumerate(instances):
-        sizes.append(len(ind))
-        class1.append(ind.class1)
-        class2.append(ind.class2)
-        owners += [j] * len(assoc)
-        pairs.extend(assoc.pairs)
-        values.extend(assoc.pairs.values())
-    offsets = np.cumsum(sizes)
-    owner = np.array(owners, dtype=np.int64)
-    local = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    beyond = np.flatnonzero(local[:, 1] >= np.diff(offsets)[owner])
-    if len(beyond):
-        i, k = local[beyond[0]].tolist()
-        n = sizes[owner[beyond[0]] + 1]
-        raise ValueError(f"association pair ({i}, {k}) out of range for n={n}")
-    c1, c2, pair_values = np.concatenate(class1), np.concatenate(class2), np.array(values, float)
+    offsets = np.cumsum([0] + [len(ind) for ind in scores])
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(pairs),):
+        raise ValueError(f"{len(pairs)} association pairs but values of shape {values.shape}")
+    first, second = pairs.T
+    owners = np.searchsorted(offsets, first, side="right") - 1
+    for bad, problem in (
+        ((first < 0) | (first >= second), "must satisfy 0 <= i < k"),
+        (second >= offsets[-1], f"is out of range for n={offsets[-1]}"),
+        (second >= offsets[np.minimum(owners + 1, len(offsets) - 1)], "spans two instances"),
+        (~(np.isfinite(values) & (values >= 0)), "must weigh a finite value >= 0"),
+    ):
+        if bad.any():
+            (i, k), value = pairs[bad.argmax()].tolist(), values[bad.argmax()]
+            raise ValueError(f"association pair ({i}, {k}) of weight {value} {problem}")
+    c1 = np.concatenate([np.zeros(0)] + [ind.class1 for ind in scores])
+    c2 = np.concatenate([np.zeros(0)] + [ind.class2 for ind in scores])
     return FlowNetwork(
         scale_factor=scale_factor,
         offsets=offsets,
         class1=c1,
         class2=c2,
-        pairs=local + offsets[owner, None],
-        owners=owner,
-        pair_values=pair_values,
+        pairs=pairs,
+        owners=owners,
+        pair_values=values,
         toward_source=_capacities(c1, scale_factor, CAPACITY_BOUND, "class-1 score"),
         toward_sink=_capacities(c2, scale_factor, CAPACITY_BOUND, "class-2 score"),
-        # both directions of an association arc carry its capacity
-        pair_capacities=_capacities(
-            pair_values, scale_factor, CAPACITY_BOUND // 2, "association weight"
-        ),
+        pair_capacities=pair_capacities(values, scale_factor),
     )
+
+
+def stack_instances(
+    instances: Iterable[tuple[IndividualScores, AssociationScores]],
+) -> tuple[list[IndividualScores], np.ndarray, np.ndarray]:
+    """``build_network``'s arguments for instances whose pairs are given as
+    ``AssociationScores``, renumbered after the items of earlier instances."""
+    scores, pairs, values, first = [], [], [], 0
+    for ind, assoc in instances:
+        scores.append(ind)
+        pairs += [(i + first, k + first) for i, k in assoc.pairs]
+        values += assoc.pairs.values()
+        first += len(ind)
+    return scores, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -252,14 +262,10 @@ def brute_force_min(ind: IndividualScores, assoc: AssociationScores) -> CutResul
     n = len(ind)
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force refused: n={n} exceeds {BRUTE_FORCE_LIMIT}")
-    if n == 0:
-        return CutResult(source_side=(), cost=0.0)
-    best_cost = None
-    best_side: tuple[int, ...] = ()
+    best = CutResult(source_side=(), cost=math.inf)
     for mask in range(1 << n):
         side = tuple(i for i in range(n) if mask >> i & 1)
         cost = partition_cost(ind, assoc, side)
-        if best_cost is None or cost < best_cost or (cost == best_cost and side < best_side):
-            best_cost = cost
-            best_side = side
-    return CutResult(source_side=best_side, cost=best_cost)
+        if cost < best.cost or (cost == best.cost and side < best.source_side):
+            best = CutResult(source_side=side, cost=cost)
+    return best

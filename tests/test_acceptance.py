@@ -43,6 +43,7 @@ from subjcut.mincut import (
     min_cut,
     partition_cost,
     scale_instance,
+    stack_instances,
 )
 
 from planted_corpus import write_polarity_tree, make_sentence_corpus
@@ -75,7 +76,7 @@ WORKED_TABLE = {
 
 def test_criterion_01_worked_example_oracle():
     start = time.perf_counter()
-    [result] = min_cut(build_network([(WORKED_IND, WORKED_ASSOC)]))
+    [result] = min_cut(build_network(*stack_instances([(WORKED_IND, WORKED_ASSOC)])))
     assert result.source_side == (0, 1)
     assert result.cost == pytest.approx(1.1, abs=1e-12)
     for side, expected in WORKED_TABLE.items():
@@ -97,7 +98,7 @@ def test_criterion_02_mincut_exactness_200_random_instances():
                 if rng.random() < 0.4:
                     pairs[(i, k)] = float(rng.uniform(0, 1))
         assoc = AssociationScores(pairs=pairs)
-        [got] = min_cut(build_network([(ind, assoc)]))
+        [got] = min_cut(build_network(*stack_instances([(ind, assoc)])))
         want = brute_force_min(*scale_instance(ind, assoc))
         assert got.max_flow_value == int(want.cost), (ind, assoc)
     assert time.perf_counter() - start < 30.0

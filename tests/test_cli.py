@@ -158,6 +158,25 @@ class TestTrainAndExtract:
         assert "threshold must be a positive integer" in result.output
 
 
+    def test_strength_beyond_the_solver_bound_is_usage_error(
+        self, runner, small_data_root, tmp_path
+    ):
+        out = tmp_path / "out"
+        runner.invoke(
+            main,
+            ["train-detector", "--data-root", str(small_data_root),
+             "--output-dir", str(out), "--base", "nb"],
+        )
+        result = runner.invoke(
+            main,
+            ["extract", "--data-root", str(small_data_root), "--model-dir", str(out),
+             "--output-dir", str(out), "--mode", "graph", "--strength", "1e300"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "2**31 - 1" in result.output
+        assert not (out / "extracts.jsonl").exists()
+
+
 class TestRun:
     def test_run_writes_identical_reports(self, runner, small_data_root, tmp_path):
         spec = tmp_path / "spec.json"
@@ -212,6 +231,26 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert "bad experiment spec" in result.output
 
+    @pytest.mark.parametrize(
+        "strength, message",
+        [(1e300, "2**31 - 1"), (10**400, "too large to convert to float")],
+        ids=["float", "int"],
+    )
+    def test_strength_beyond_the_solver_bound_is_usage_error(
+        self, runner, small_data_root, tmp_path, strength, message
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"extractor": "graph", "proximity": {"strength": strength}}))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["run", "--spec", str(spec), "--data-root", str(small_data_root),
+             "--output-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (out / "report.json").exists()
+
     def test_seed_flag_overrides_spec(self, runner, small_data_root, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"extractor": "full_review", "seed": 1}))
@@ -254,6 +293,8 @@ class TestSweepAndGrid:
             (["grid", "--strengths", "-0.5"], "bad grid axes"),
             (["sweep", "--n-values", "0"], "--n-values"),
             (["sweep", "--n-values", "1,x"], "--n-values"),
+            (["grid", "--strengths", "0.5,1e300"], "2**31 - 1"),
+            (["grid", "--strengths", "inf"], "must be finite"),
         ],
     )
     def test_bad_axis_values_are_usage_errors(

@@ -1,18 +1,20 @@
+import bisect
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subjcut.classifiers import IndividualScores
 from subjcut.corpus import ReviewDocument, tokenize
 from subjcut.evaluation import ExperimentConfig, make_extracts
 from subjcut import extraction
 from subjcut.extraction import (
+    DECAY_NAMES,
     DetectorConfig,
     ProximityParams,
-    assoc_scores,
+    association_band,
     build_extract,
     complement_indices,
     detect_paragraph_unit,
@@ -27,7 +29,14 @@ from subjcut.extraction import (
     sentence_matrix,
 )
 from subjcut.features import join_rows, presence_matrix
-from subjcut.mincut import brute_force_min, build_network, min_cut, scale_instance
+from subjcut.mincut import (
+    AssociationScores,
+    brute_force_min,
+    build_network,
+    min_cut,
+    scale_instance,
+    stack_instances,
+)
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence
 
@@ -35,6 +44,12 @@ from planted_corpus import make_objective_sentence, make_subjective_sentence
 def scores_from(probs) -> IndividualScores:
     p = np.asarray(probs, dtype=float)
     return IndividualScores(class1=p, class2=1.0 - p)
+
+
+def band_pairs(num_sentences, params, paragraph_starts=None) -> dict:
+    """One document's ``association_band`` as a dict from pair to weight."""
+    pairs, values = association_band([num_sentences], [paragraph_starts], params)
+    return dict(zip(map(tuple, pairs.tolist()), values.tolist()))
 
 
 def doc_of(sentences, paragraph_starts=(0,), label="positive", doc_id="d") -> ReviewDocument:
@@ -53,6 +68,8 @@ class TestProximityParams:
             {"threshold": 0},
             {"decay": "linear"},
             {"strength": -0.1},
+            {"strength": float("inf")},
+            {"strength": float("nan")},
             {"cross_paragraph_weight": 1.5},
             {"cross_paragraph_weight": -0.1},
             {"threshold": 2.5},
@@ -62,51 +79,147 @@ class TestProximityParams:
         with pytest.raises(ValueError):
             ProximityParams(**kw)
 
+    def test_strength_beyond_the_solver_bound_rejected(self):
+        # the strongest pair weighs the strength; at scale 10^6 it must round
+        # to at most (2**31 - 1) // 2
+        ProximityParams(strength=1073.741823)
+        for strength in (1073.741824, 1e300):
+            with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+                ProximityParams(strength=strength)
+
     def test_integral_float_threshold_stored_as_int(self):
         params = ProximityParams(threshold=2.0, strength=0.5)
         assert params.threshold == 2 and type(params.threshold) is int
-        assert len(assoc_scores(4, params)) == 5
+        assert len(band_pairs(4, params)) == 5
 
 
 class TestAssocScores:
     def test_within_threshold(self):
-        a = assoc_scores(6, ProximityParams(threshold=3, decay="constant", strength=0.5))
-        assert a.get(1, 2) == pytest.approx(0.5)
-        assert a.get(1, 4) == pytest.approx(0.5)
-        assert a.get(1, 5) == 0.0
+        a = band_pairs(6, ProximityParams(threshold=3, decay="constant", strength=0.5))
+        assert a.get((1, 2), 0.0) == pytest.approx(0.5)
+        assert a.get((1, 4), 0.0) == pytest.approx(0.5)
+        assert a.get((1, 5), 0.0) == 0.0
 
     def test_exponential_decay_value(self):
-        a = assoc_scores(4, ProximityParams(threshold=3, decay="exponential", strength=1.0))
-        assert a.get(0, 2) == pytest.approx(math.exp(-1))
-        assert a.get(0, 1) == pytest.approx(1.0)  # e^(1-1)
+        a = band_pairs(4, ProximityParams(threshold=3, decay="exponential", strength=1.0))
+        assert a.get((0, 2), 0.0) == pytest.approx(math.exp(-1))
+        assert a.get((0, 1), 0.0) == pytest.approx(1.0)  # e^(1-1)
 
     def test_inverse_square_decay_value(self):
-        a = assoc_scores(4, ProximityParams(threshold=3, decay="inverse_square", strength=1.0))
-        assert a.get(0, 3) == pytest.approx(1 / 9)
+        a = band_pairs(4, ProximityParams(threshold=3, decay="inverse_square", strength=1.0))
+        assert a.get((0, 3), 0.0) == pytest.approx(1 / 9)
 
     def test_cross_paragraph_attenuation(self):
         params = ProximityParams(threshold=2, decay="constant", strength=1.0,
                                  cross_paragraph_weight=0.3)
-        a = assoc_scores(4, params, paragraph_starts=(0, 2))
-        assert a.get(0, 1) == pytest.approx(1.0)  # same paragraph
-        assert a.get(1, 2) == pytest.approx(0.3)  # crosses the break
-        assert a.get(2, 3) == pytest.approx(1.0)
+        a = band_pairs(4, params, paragraph_starts=(0, 2))
+        assert a.get((0, 1), 0.0) == pytest.approx(1.0)  # same paragraph
+        assert a.get((1, 2), 0.0) == pytest.approx(0.3)  # crosses the break
+        assert a.get((2, 3), 0.0) == pytest.approx(1.0)
 
     def test_weight_one_ignores_paragraphs(self):
         params = ProximityParams(threshold=2, decay="constant", strength=0.7)
-        with_breaks = assoc_scores(5, params, paragraph_starts=(0, 2))
-        without = assoc_scores(5, params)
-        assert dict(with_breaks.pairs) == dict(without.pairs)
+        with_breaks = band_pairs(5, params, paragraph_starts=(0, 2))
+        without = band_pairs(5, params)
+        assert with_breaks == without
 
     def test_zero_strength_empty(self):
-        assert len(assoc_scores(8, ProximityParams(threshold=3, strength=0.0))) == 0
+        assert len(band_pairs(8, ProximityParams(threshold=3, strength=0.0))) == 0
 
     def test_nonnegative_and_bounded_distance(self):
         params = ProximityParams(threshold=2, decay="inverse_square", strength=0.9)
-        a = assoc_scores(10, params)
-        for (i, k), value in a.pairs.items():
+        a = band_pairs(10, params)
+        for (i, k), value in a.items():
             assert k - i <= 2
             assert value >= 0
+
+
+def reference_assoc(num_sentences, params, paragraph_starts=None) -> dict:
+    """The per-document dict loop the band replaced, kept as its reference."""
+    by_distance = [
+        extraction._decay(params.decay, d) * params.strength
+        for d in range(1, params.threshold + 1)
+    ]
+    paragraph_of = None
+    if paragraph_starts and len(paragraph_starts) > 1:
+        starts = list(paragraph_starts)
+        paragraph_of = [bisect.bisect_right(starts, i) - 1 for i in range(num_sentences)]
+    pairs = {}
+    for i in range(num_sentences):
+        for distance in range(1, params.threshold + 1):
+            j = i + distance
+            if j >= num_sentences:
+                break
+            value = by_distance[distance - 1]
+            if paragraph_of is not None and paragraph_of[i] != paragraph_of[j]:
+                value *= params.cross_paragraph_weight
+            if value > 0.0:
+                pairs[(i, j)] = value
+    return pairs
+
+
+@st.composite
+def band_documents(draw):
+    """A sentence count and paragraph starts: None, (0,), a single non-zero
+    start (one paragraph), or several increasing starts, some maybe past the end."""
+    n = draw(st.integers(1, 12))
+    starts = draw(
+        st.none()
+        | st.just((0,))
+        | st.integers(1, n + 1).map(lambda s: (s,))
+        | st.lists(st.integers(0, n + 1), min_size=2, max_size=5, unique=True).map(
+            lambda s: tuple(sorted(s))
+        )
+    )
+    return n, starts
+
+
+band_params = st.builds(
+    ProximityParams,
+    threshold=st.integers(1, 6),
+    decay=st.sampled_from(DECAY_NAMES),
+    strength=st.just(0.0) | st.floats(0, 5),
+    cross_paragraph_weight=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+)
+
+
+class TestBandEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(band_documents(), min_size=1, max_size=6), band_params)
+    @example([(1, None)], ProximityParams(threshold=3, strength=0.5))
+    @example([(2, (0,)), (1, (0,))], ProximityParams(threshold=5, decay="exponential", strength=1.0))
+    @example([(6, (0, 3))], ProximityParams(threshold=3, strength=0.0))
+    @example([(6, (0, 3))], ProximityParams(threshold=3, strength=0.5, cross_paragraph_weight=0.0))
+    @example([(6, (0, 3))], ProximityParams(threshold=3, strength=0.5, cross_paragraph_weight=1.0))
+    @example([(6, (3,))], ProximityParams(threshold=3, strength=0.5, cross_paragraph_weight=0.0))
+    def test_band_equals_the_dict_loop(self, documents, params):
+        pairs, values = association_band(
+            [n for n, _ in documents], [starts for _, starts in documents], params
+        )
+        want_pairs, want_values, first = [], [], 0
+        for n, starts in documents:
+            reference = reference_assoc(n, params, starts)
+            want_pairs += [[i + first, k + first] for i, k in reference]
+            want_values += reference.values()
+            first += n
+        assert pairs.dtype == np.int64 and pairs.shape == (len(want_pairs), 2)
+        assert pairs.tolist() == want_pairs
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in want_values]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(band_documents(), min_size=1, max_size=8), band_params, st.integers(1, 20))
+    def test_batched_cuts_equal_the_dict_path(self, documents, params, batch):
+        rng = np.random.default_rng(len(documents))
+        scores = [scores_from(rng.uniform(0, 1, n)) for n, _ in documents]
+        starts = [s for _, s in documents]
+        instances = [
+            (ind, AssociationScores(pairs=reference_assoc(len(ind), params, p)))
+            for ind, p in zip(scores, starts)
+        ]
+        want = [cut.source_side for cut in min_cut(build_network(*stack_instances(instances)))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extraction, "CUT_BATCH_SENTENCES", batch)
+            assert select_graph(scores, params, starts) == want
 
 
 class TestIndividualScoresFromModels:
@@ -143,10 +256,8 @@ class TestSelection:
         scores = scores_from([0.8, 0.5, 0.1])
         params = ProximityParams(threshold=2, decay="constant", strength=1.0)
         # build the exact association pattern by hand via mincut primitives
-        from subjcut.mincut import AssociationScores
-
         assoc = AssociationScores(pairs={(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.2})
-        [result] = min_cut(build_network([(scores, assoc)]))
+        [result] = min_cut(build_network(*stack_instances([(scores, assoc)])))
         assert result.source_side == (0, 1)
 
     def test_zero_strength_equals_basic(self):
@@ -183,8 +294,8 @@ class TestSelection:
                 params = ProximityParams(threshold=threshold, decay="constant", strength=c)
                 selected = set(select_graph([scores], params)[0])
                 # verify optimality against the oracle while we are here
-                a = assoc_scores(n, params)
-                [got] = min_cut(build_network([(scores, a)]))
+                a = AssociationScores(pairs=band_pairs(n, params))
+                [got] = min_cut(build_network([scores], *association_band([n], [None], params)))
                 want = brute_force_min(*scale_instance(scores, a))
                 assert got.max_flow_value == int(want.cost)
                 split = sum(

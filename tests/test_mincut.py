@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subjcut.classifiers import IndividualScores
-from subjcut.extraction import DECAY_NAMES, ProximityParams, assoc_scores
+from subjcut.extraction import DECAY_NAMES, ProximityParams, association_band
 from subjcut.mincut import (
     CAPACITY_BOUND,
     AssociationScores,
@@ -13,6 +13,7 @@ from subjcut.mincut import (
     min_cut,
     partition_cost,
     scale_instance,
+    stack_instances,
 )
 
 # the three-item worked example: strong pull between items 0 and 1
@@ -45,7 +46,7 @@ def random_instance(rng, n_max=12, assoc_density=0.4):
 
 def solve(ind, assoc, scale_factor=10**6):
     """Cut one instance on its own."""
-    return min_cut(build_network([(ind, assoc)], scale_factor))[0]
+    return min_cut(build_network(*stack_instances([(ind, assoc)]), scale_factor))[0]
 
 
 class TestPartitionCost:
@@ -61,35 +62,39 @@ class TestPartitionCost:
 
 
 class TestAssociationScores:
+    """An instance's pairs are checked where they become a network."""
+
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            AssociationScores(pairs={(0, 1): -0.5})
+        with pytest.raises(ValueError, match="must weigh a finite value >= 0"):
+            solve(EXAMPLE_IND, AssociationScores(pairs={(0, 1): -0.5}))
 
     def test_rejects_bad_ordering(self):
-        with pytest.raises(ValueError):
-            AssociationScores(pairs={(1, 0): 0.5})
+        with pytest.raises(ValueError, match="0 <= i < k"):
+            solve(EXAMPLE_IND, AssociationScores(pairs={(1, 0): 0.5}))
 
-    def test_symmetric_lookup(self):
-        a = AssociationScores(pairs={(0, 2): 0.3})
-        assert a.get(0, 2) == a.get(2, 0) == 0.3
-        assert a.get(0, 1) == 0.0
+    def test_pair_beyond_its_instance_rejected(self):
+        instances = [
+            (EXAMPLE_IND, AssociationScores(pairs={(2, 3): 0.5})), (EXAMPLE_IND, EXAMPLE_ASSOC)
+        ]
+        with pytest.raises(ValueError, match="spans two instances"):
+            build_network(*stack_instances(instances))
 
 
 class TestBuildNetwork:
     def test_worked_example_structure(self):
-        net = build_network([(EXAMPLE_IND, EXAMPLE_ASSOC)])
+        net = build_network(*stack_instances([(EXAMPLE_IND, EXAMPLE_ASSOC)]))
         # 3 source arcs + 3 sink arcs + 3 association edges
         assert net.n == 3
         assert net.arc_count == 9
 
     def test_minimal_graph(self):
         ind = IndividualScores(class1=np.array([0.7]), class2=np.array([0.3]))
-        net = build_network([(ind, AssociationScores(pairs={}))])
+        net = build_network([ind], [], [])
         assert net.arc_count == 2
 
     def test_zero_associations_omitted(self):
         ind = IndividualScores(class1=np.array([0.7, 0.2]), class2=np.array([0.3, 0.8]))
-        net = build_network([(ind, AssociationScores(pairs={(0, 1): 0.0}))])
+        net = build_network([ind], [(0, 1)], [0.0])
         assert net.arc_count == 4
 
     def test_negative_scores_rejected(self):
@@ -98,11 +103,36 @@ class TestBuildNetwork:
 
     def test_out_of_range_pair_rejected(self):
         ind = IndividualScores(class1=np.array([0.7]), class2=np.array([0.3]))
-        with pytest.raises(ValueError):
-            build_network([(ind, AssociationScores(pairs={(0, 5): 0.2}))])
+        with pytest.raises(ValueError, match="out of range for n=1"):
+            build_network([ind], [(0, 5)], [0.2])
+
+    @pytest.mark.parametrize("pair", [(1, 0), (1, 1), (-1, 1)])
+    def test_bad_ordering_rejected(self, pair):
+        with pytest.raises(ValueError, match="0 <= i < k"):
+            build_network([EXAMPLE_IND], [(0, 1), pair], [0.5, 0.5])
+
+    def test_pair_spanning_two_instances_rejected(self):
+        # items 0-2 are the first instance, 3-5 the second
+        scores = [EXAMPLE_IND, EXAMPLE_IND]
+        with pytest.raises(ValueError, match=r"\(2, 3\) of weight 0.5 spans two instances"):
+            build_network(scores, np.array([[0, 1], [2, 3]]), np.array([0.5, 0.5]))
+
+    def test_pair_beside_an_empty_instance_is_accepted(self):
+        empty = IndividualScores(class1=np.array([]), class2=np.array([]))
+        net = build_network([empty, EXAMPLE_IND, empty], np.array([[0, 2]]), np.array([0.5]))
+        assert net.owners.tolist() == [1]
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_bad_weight_rejected(self, value):
+        with pytest.raises(ValueError, match="must weigh a finite value >= 0"):
+            build_network([EXAMPLE_IND], [(0, 1), (1, 2)], [0.5, value])
+
+    def test_values_must_match_pairs(self):
+        with pytest.raises(ValueError, match="2 association pairs"):
+            build_network([EXAMPLE_IND], [(0, 1), (1, 2)], [0.5])
 
     def test_capacities_are_scaled_integers(self):
-        net = build_network([(EXAMPLE_IND, EXAMPLE_ASSOC)], scale_factor=10)
+        net = build_network(*stack_instances([(EXAMPLE_IND, EXAMPLE_ASSOC)]), scale_factor=10)
         caps = np.concatenate([net.toward_source, net.toward_sink, net.pair_capacities])
         assert sorted(caps.tolist()) == [1, 1, 2, 2, 5, 5, 8, 9, 10]
 
@@ -112,7 +142,7 @@ class TestCapacityBound:
         # at 10^6 this overflowed a 64-bit cast and cut the wrong side
         ind = IndividualScores(class1=np.array([1e20]), class2=np.array([0.9]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            build_network([(ind, AssociationScores(pairs={}))])
+            build_network([ind], [], [])
 
     def test_terminal_capacity_at_the_bound_accepted(self):
         ind = IndividualScores(
@@ -125,24 +155,23 @@ class TestCapacityBound:
     def test_terminal_capacity_above_the_bound_refused(self):
         ind = IndividualScores(class1=np.array([CAPACITY_BOUND + 1.0]), class2=np.array([0.0]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            build_network([(ind, AssociationScores(pairs={}))], scale_factor=1)
+            build_network([ind], [], [], scale_factor=1)
 
     def test_association_at_half_the_bound_accepted(self):
         # both directions of an association arc together reach the bound
         weight = CAPACITY_BOUND // 2
         big = float(CAPACITY_BOUND)
         ind = IndividualScores(class1=np.array([big, 0.0]), class2=np.array([0.0, big]))
-        assoc = AssociationScores(pairs={(0, 1): float(weight)})
-        result = solve(ind, assoc, scale_factor=1)
+        [result] = min_cut(build_network([ind], [(0, 1)], [float(weight)], scale_factor=1))
         assert result.source_side == (0,)
         assert result.max_flow_value == weight
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            build_network([(ind, AssociationScores(pairs={(0, 1): weight + 1.0}))], 1)
+            build_network([ind], [(0, 1)], [weight + 1.0], scale_factor=1)
 
     def test_large_association_weight_refused(self):
         ind = IndividualScores(class1=np.array([0.5, 0.5]), class2=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            build_network([(ind, AssociationScores(pairs={(0, 1): 2148.0}))])
+            build_network([ind], [(0, 1)], [2148.0])
 
 
 class TestMinCut:
@@ -177,7 +206,7 @@ class TestMinCut:
         rng = np.random.default_rng(8)
         for _ in range(40):
             ind, assoc = random_instance(rng)
-            net = build_network([(ind, assoc)])
+            net = build_network(*stack_instances([(ind, assoc)]))
             [result] = min_cut(net)
             assert abs(result.cost * net.scale_factor - result.max_flow_value) <= len(ind)
 
@@ -234,7 +263,7 @@ class TestMinCut:
                 assert scaled.cost == pytest.approx(base.cost * factor, rel=1e-9)
 
     def test_repeated_solves_are_stable(self):
-        net = build_network([(EXAMPLE_IND, EXAMPLE_ASSOC)])
+        net = build_network(*stack_instances([(EXAMPLE_IND, EXAMPLE_ASSOC)]))
         assert min_cut(net) == min_cut(net)
 
     @settings(max_examples=60, deadline=None)
@@ -272,7 +301,7 @@ class TestBatch:
         instances = [random_instance(rng, n_max=14) for _ in range(40)]
         instances[5:5] = [empty]
         instances[20:20] = [single, empty]
-        results = min_cut(build_network(instances))
+        results = min_cut(build_network(*stack_instances(instances)))
         assert len(results) == len(instances)
         for (ind, assoc), got in zip(instances, results):
             alone = solve(ind, assoc)
@@ -283,11 +312,11 @@ class TestBatch:
             assert got.max_flow_value == int(want.cost)
 
     def test_empty_batch(self):
-        assert min_cut(build_network([])) == []
+        assert min_cut(build_network([], np.zeros((0, 2), np.int64), np.zeros(0))) == []
 
     def test_accepts_a_generator(self):
         instances = (random_instance(np.random.default_rng(s), n_max=5) for s in range(3))
-        assert len(min_cut(build_network(instances))) == 3
+        assert len(min_cut(build_network(*stack_instances(instances)))) == 3
 
 
 class TestBruteForce:
@@ -349,7 +378,7 @@ def banded_min(ind, assoc, reach):
 
 @st.composite
 def proximity_instances(draw, n_min, n_max):
-    """Review-shaped instances: scores, paragraph breaks, and ``assoc_scores`` edges."""
+    """Review-shaped instances: scores, paragraph breaks, and ``association_band`` edges."""
     n = draw(st.integers(n_min, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     class1 = rng.uniform(0, 1, n)
@@ -364,7 +393,9 @@ def proximity_instances(draw, n_min, n_max):
         cross_paragraph_weight=draw(st.floats(0, 1)),
     )
     ind = IndividualScores(class1=class1, class2=class2)
-    return ind, assoc_scores(n, params, [0] + breaks), params.threshold
+    pairs, values = association_band([n], [[0] + breaks], params)
+    assoc = AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
+    return ind, assoc, params.threshold
 
 
 class TestBandedOracle:
