@@ -6,6 +6,14 @@ detection and document-level polarity classification. Class 1 is the class
 of interest (subjective, or positive). The SVM's signed geometric distance
 to the hyperplane is clamped into [0, 1] to produce per-item score pairs for
 the graph construction.
+
+Scoring a row sums a table's entries at the row's active columns (a weight
+vector's, or each class's log-likelihoods). The rows are summed in blocks of
+equal length (``FeatureRows.blocks``): one gather and one ``sum`` over the
+last axis per block. numpy reduces each contiguous last-axis run of L values
+with the same pairwise summation it applies to a 1-d array of L values, so a
+block's sums are the same values added in the same order, in the same tree,
+as the row-at-a-time ``w[idx].sum()``, and equal it to the last bit.
 """
 
 from __future__ import annotations
@@ -108,13 +116,9 @@ def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> Na
 
 def nb_predict_prob(model: NaiveBayesModel, rows: FeatureRows) -> np.ndarray:
     """Posterior probability of class 1 for each row, normalized via log-sum-exp."""
-    log_likelihood = model.log_likelihood
-    sums = np.zeros((len(rows), 2))  # an empty row leaves the prior
-    for r, idx in enumerate(rows.rows()):
-        if len(idx):
-            sums[r] = log_likelihood[:, idx].sum(axis=1)
-    joint = model.log_prior + sums
-    return np.exp(joint[:, 1] - np.logaddexp(joint[:, 0], joint[:, 1]))
+    # an empty row sums to 0 and leaves the prior
+    joint = model.log_prior[:, None] + _row_sums(model.log_likelihood, len(rows), rows.blocks())
+    return np.exp(joint[1] - np.logaddexp(joint[0], joint[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,24 +176,24 @@ def svm_train(
     n = len(rows)
     c_penalty = float(regularization)
     signs = np.where(y == 1, 1.0, -1.0)
-    row_indices = rows.rows()
     row_values = rows.values
     # Q_ii = ||x_i||^2 + 1 for the augmented bias coordinate.
     q_diag = rows.lengths * row_values**2 + 1.0
+    blocks = rows.blocks()
+    # The coordinate loop reads Python floats: the same IEEE doubles as the
+    # arrays' entries, without a numpy scalar per access.
+    visits = list(zip(rows.rows(), signs.tolist(), row_values.tolist(), q_diag.tolist()))
 
     w = np.zeros(rows.n_features)
     b = 0.0
-    alpha = np.zeros(n)
+    alpha = [0.0] * n
     rng = np.random.default_rng(seed)
 
-    def margins() -> np.ndarray:
-        return signs * (b + row_values * _row_sums(w, row_indices))
-
     for _ in range(max_epochs):
-        for i in rng.permutation(n):
-            idx = row_indices[i]
-            value = row_values[i]
-            grad = signs[i] * (value * w[idx].sum() + b) - 1.0
+        for i in rng.permutation(n).tolist():
+            idx, sign, value, q_ii = visits[i]
+            w_idx = w[idx]
+            grad = sign * (value * w_idx.sum() + b) - 1.0
             a_old = alpha[i]
             if a_old == 0.0:
                 projected = min(grad, 0.0)
@@ -199,15 +203,16 @@ def svm_train(
                 projected = grad
             if abs(projected) < 1e-12:
                 continue
-            a_new = min(max(a_old - grad / q_diag[i], 0.0), c_penalty)
+            a_new = min(max(a_old - grad / q_ii, 0.0), c_penalty)
             delta = a_new - a_old
             if delta != 0.0:
-                w[idx] += delta * signs[i] * value
-                b += delta * signs[i]
+                w[idx] = w_idx + delta * sign * value
+                b += delta * sign
                 alpha[i] = a_new
         reg_term = 0.5 * (w @ w + b * b)
-        primal = reg_term + c_penalty * np.maximum(0.0, 1.0 - margins()).sum()
-        dual = alpha.sum() - reg_term
+        margins = signs * (b + row_values * _row_sums(w, n, blocks))
+        primal = reg_term + c_penalty * np.maximum(0.0, 1.0 - margins).sum()
+        dual = np.array(alpha).sum() - reg_term
         if primal - dual <= tol * max(primal, 1.0):
             break
     else:
@@ -222,14 +227,23 @@ def svm_train(
     )
 
 
-def _row_sums(w: np.ndarray, row_indices: Sequence[np.ndarray]) -> np.ndarray:
-    """``w[idx].sum()`` for each row's active columns ``idx``; 0 for an empty row."""
-    return np.array([w[idx].sum() for idx in row_indices], dtype=float)
+def _row_sums(
+    table: np.ndarray, n_rows: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """``table[..., idx].sum(axis=-1)`` for each of ``n_rows`` rows' active columns ``idx``.
+
+    ``blocks`` are the rows' ``FeatureRows.blocks``; an empty row sums to 0.
+    The result has the table's leading axes and then one entry per row.
+    """
+    sums = np.zeros(table.shape[:-1] + (n_rows,))
+    for numbers, columns in blocks:
+        sums[..., numbers] = table[..., columns].sum(axis=-1)
+    return sums
 
 
 def svm_margin(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:
     """The raw margin ``bias + w . x`` of each row; positive means class 1."""
-    return model.bias + rows.values * _row_sums(model.weights, rows.rows())
+    return model.bias + rows.values * _row_sums(model.weights, len(rows), rows.blocks())
 
 
 def svm_decision(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:

@@ -272,16 +272,18 @@ def score_documents(
 
     The sentences are the rows of ``matrix``, the documents'
     ``sentence_matrix`` (built here when not given), scored in batches of
-    about ``CUT_BATCH_SENTENCES`` sentences.
+    about ``CUT_BATCH_SENTENCES`` sentences. The batches share the matrix's
+    type table, which is mapped into the vocabulary once.
     """
     if matrix is None:
         matrix = sentence_matrix(documents)
+    column_of = vocab.column_map(matrix.types)
     counts = [len(doc.sentences) for doc in documents]
     first = np.cumsum([0] + counts).tolist()
     out: list[IndividualScores] = []
     for batch in document_batches(counts):
         rows = matrix.row_slice(first[batch.start], first[batch.stop])
-        scores = individual_scores(model, vocab, rows)
+        scores = individual_scores(model, vocab, rows, column_of)
         bounds = np.cumsum([counts[i] for i in batch])[:-1]
         out += map(
             IndividualScores, np.split(scores.class1, bounds), np.split(scores.class2, bounds)
@@ -418,14 +420,21 @@ def make_extracts(
     return [build_extract(doc, sel) for doc, sel in zip(documents, selections)]
 
 
-def _train_digest(pairs: Sequence[tuple[str, str]]) -> str:
-    h = hashlib.sha256()
-    for doc_id, text in sorted(pairs):
-        h.update(doc_id.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(text.encode("utf-8"))
-        h.update(b"\x01")
-    return h.hexdigest()
+def _train_digests(
+    pairs: Sequence[tuple[str, str]], fold_of: np.ndarray, folds: int
+) -> list[str]:
+    """Per fold, the SHA-256 of the other folds' sorted (id, text) pairs.
+
+    Each pair is framed as ``id \\x00 text \\x01`` and the pairs are sorted
+    once; a fold hashes its training pairs' frames, in that order, at once.
+    """
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    frames = [f"{pairs[i][0]}\x00{pairs[i][1]}\x01".encode("utf-8") for i in order]
+    fold_of = fold_of[order]
+    return [
+        hashlib.sha256(b"".join(itertools.compress(frames, fold_of != fold))).hexdigest()
+        for fold in range(folds)
+    ]
 
 
 def _extract_rows(
@@ -448,6 +457,9 @@ def _cross_validate(
         raise ValueError(f"documents without a valid fold: {bad[:3]}")
     labels = np.array([1 if doc.label == POSITIVE else 0 for doc in documents])
     fold_of = np.array([doc.fold for doc in documents])
+    digests = _train_digests(
+        [(doc.id, e.text) for doc, e in zip(documents, extracts)], fold_of, config.folds
+    )
     fold_results = []
     for fold in range(config.folds):
         train = np.flatnonzero(fold_of != fold)
@@ -464,9 +476,7 @@ def _cross_validate(
                 accuracy=int((predicted == labels[test]).sum()) / len(test),
                 n_test=len(test),
                 preservation=preservation_rate([extracts[i] for i in test]),
-                train_digest=_train_digest(
-                    [(documents[i].id, extracts[i].text) for i in train]
-                ),
+                train_digest=digests[fold],
             )
         )
     return tuple(fold_results)

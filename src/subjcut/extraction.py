@@ -141,13 +141,16 @@ def individual_scores(
     model: NaiveBayesModel | LinearMarginModel,
     vocab: Vocabulary,
     sentences: Iterable[str] | PresenceMatrix,
+    column_of: np.ndarray | None = None,
 ) -> IndividualScores:
     """Per-sentence class preferences from a trained sentence classifier.
 
     NB yields (posterior, 1 - posterior); the margin classifier's signed
     distance is clamped into [0, 1] and complemented. The sentences are
     featurized together, as one presence matrix; a ``PresenceMatrix`` given
-    in their place has every row scored.
+    in their place has every row scored, and ``column_of``, when given, is
+    its ``vocab.column_map(matrix.types)``, so that scoring many row slices
+    of one matrix maps its type table once.
     """
     if not isinstance(model, (NaiveBayesModel, LinearMarginModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -155,8 +158,10 @@ def individual_scores(
         matrix = sentences
     else:
         matrix = presence_matrix(tokenize(text) for text in sentences)
+    if column_of is None:
+        column_of = vocab.column_map(matrix.types)
     rows = featurize_rows(
-        matrix, vocab.column_map(matrix.types), vocab.size, np.arange(len(matrix)),
+        matrix, column_of, vocab.size, np.arange(len(matrix)),
         normalize=isinstance(model, LinearMarginModel),
     )
     if isinstance(model, NaiveBayesModel):

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from subjcut.classifiers import (
     DegenerateModelError,
     IndividualScores,
     LinearMarginModel,
+    NaiveBayesModel,
+    _row_sums,
     TrainingError,
     VocabularyMismatchError,
     load_model,
@@ -21,6 +23,7 @@ from subjcut.classifiers import (
     svm_to_individual,
     svm_train,
 )
+from subjcut.features import FeatureRows
 
 from planted_corpus import rows_over, vocabulary_of
 
@@ -334,3 +337,143 @@ class TestSerialization:
         other_vocab = vocabulary_of([["entirely"], ["different"]])
         with pytest.raises(VocabularyMismatchError):
             load_model(path, other_vocab)
+
+
+def random_rows(rng, lengths, n_features, normalize):
+    """Rows of the given lengths at random distinct columns, in ascending order."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = [np.sort(rng.choice(n_features, n, replace=False)) for n in lengths]
+    return FeatureRows(
+        indptr=indptr,
+        indices=np.concatenate([np.zeros(0, dtype=np.intp)] + indices).astype(np.intp),
+        n_features=n_features,
+        normalized=normalize,
+    )
+
+
+def random_table(rng, shape):
+    """Signed floats spread over twelve orders of magnitude, so addition order shows."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+
+
+class TestBlockSums:
+    """Equal-length row blocks sum to the bytes of the row-at-a-time sums.
+
+    Rows reach 600 columns, past numpy's 8-lane unrolling and the 128-value
+    leaves of its pairwise summation.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.one_of(st.just(0), st.integers(1, 600)), max_size=12),
+        repeats=st.integers(1, 25),
+    )
+    @example(seed=0, lengths=[], repeats=1)  # no rows
+    @example(seed=1, lengths=[0, 0, 0], repeats=2)  # only empty rows
+    @example(seed=2, lengths=[600], repeats=25)  # many rows of one length
+    @example(seed=3, lengths=[127, 128, 129, 0, 8, 9, 7, 1], repeats=3)
+    def test_block_sums_equal_per_row_sums(self, seed, lengths, repeats):
+        rng = np.random.default_rng(seed)
+        lengths = rng.permutation(np.repeat(np.array(lengths, dtype=np.intp), repeats))
+        n_features = 700
+        rows = random_rows(rng, lengths, n_features, normalize=True)
+        weights = random_table(rng, n_features)
+        log_likelihood = random_table(rng, (2, n_features))
+        per_row = rows.rows()
+
+        want_w = np.array([weights[idx].sum() for idx in per_row], dtype=float)
+        got_w = _row_sums(weights, len(rows), rows.blocks())
+        assert got_w.tobytes() == want_w.tobytes()
+
+        want_ll = np.zeros((2, len(rows)))
+        for r, idx in enumerate(per_row):
+            want_ll[:, r] = log_likelihood[:, idx].sum(axis=1)
+        got_ll = _row_sums(log_likelihood, len(rows), rows.blocks())
+        assert got_ll.tobytes() == want_ll.tobytes()
+
+        svm = LinearMarginModel(weights=weights, bias=0.25, regularization=1.0, training_seed=0)
+        want_margin = [0.25 + value * weights[idx].sum() for idx, value in
+                       zip(per_row, rows.values.tolist())]
+        assert svm_margin(svm, rows).tolist() == want_margin
+
+        nb = NaiveBayesModel(
+            log_prior=np.log([0.4, 0.6]), log_likelihood=log_likelihood, alpha=1.0
+        )
+        joint = nb.log_prior[:, None] + want_ll
+        want_p = np.exp(joint[1] - np.logaddexp(joint[0], joint[1]))
+        assert nb_predict_prob(nb, rows).tobytes() == want_p.tobytes()
+
+    def test_blocks_group_rows_by_length(self):
+        rng = np.random.default_rng(0)
+        rows = random_rows(rng, [2, 0, 3, 2, 1, 3, 0], 10, normalize=False)
+        blocks = rows.blocks()
+        assert [numbers.tolist() for numbers, _ in blocks] == [[4], [0, 3], [2, 5]]
+        for numbers, columns in blocks:
+            assert columns.shape == (len(numbers), len(rows.rows()[numbers[0]]))
+            for number, row_columns in zip(numbers, columns):
+                assert row_columns.tolist() == rows.rows()[number].tolist()
+
+
+def reference_svm_train(rows, labels, regularization, seed, max_epochs=60, tol=1e-3):
+    """The coordinate descent of ``svm_train`` written one numpy scalar at a time."""
+    y = np.asarray(labels, dtype=int)
+    n = len(rows)
+    signs = np.where(y == 1, 1.0, -1.0)
+    row_indices = rows.rows()
+    row_values = rows.values
+    q_diag = rows.lengths * row_values**2 + 1.0
+    w = np.zeros(rows.n_features)
+    b = 0.0
+    alpha = np.zeros(n)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_epochs):
+        for i in rng.permutation(n):
+            idx = row_indices[i]
+            value = row_values[i]
+            grad = signs[i] * (value * w[idx].sum() + b) - 1.0
+            a_old = alpha[i]
+            if a_old == 0.0:
+                projected = min(grad, 0.0)
+            elif a_old == regularization:
+                projected = max(grad, 0.0)
+            else:
+                projected = grad
+            if abs(projected) < 1e-12:
+                continue
+            a_new = min(max(a_old - grad / q_diag[i], 0.0), regularization)
+            delta = a_new - a_old
+            if delta != 0.0:
+                w[idx] += delta * signs[i] * value
+                b += delta * signs[i]
+                alpha[i] = a_new
+        margins = signs * (
+            b + row_values * np.array([w[idx].sum() for idx in row_indices], dtype=float)
+        )
+        reg_term = 0.5 * (w @ w + b * b)
+        primal = reg_term + regularization * np.maximum(0.0, 1.0 - margins).sum()
+        dual = alpha.sum() - reg_term
+        if primal - dual <= tol * max(primal, 1.0):
+            break
+    return w, float(b)
+
+
+class TestSvmTrainExactness:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(2, 40),
+        regularization=st.sampled_from([0.05, 1.0, 10.0]),
+        max_epochs=st.sampled_from([1, 5, 60]),
+    )
+    def test_weights_equal_the_reference_loop(self, seed, n_rows, regularization, max_epochs):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(0, 301, size=n_rows)
+        rows = random_rows(rng, lengths, 400, normalize=True)
+        labels = rng.integers(0, 2, size=n_rows)
+        labels[:2] = [0, 1]
+        model = svm_train(rows, labels, regularization, seed=seed % 7, max_epochs=max_epochs)
+        w, b = reference_svm_train(rows, labels, regularization, seed % 7, max_epochs)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias.hex() == b.hex()

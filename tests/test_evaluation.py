@@ -25,7 +25,7 @@ from subjcut.evaluation import (
 )
 from subjcut import evaluation, extraction
 from subjcut.extraction import Detector, DetectorConfig, ProximityParams, individual_scores
-from subjcut.features import EmptyVocabularyError
+from subjcut.features import EmptyVocabularyError, Vocabulary
 
 
 class TestPairedTTest:
@@ -224,6 +224,30 @@ class TestMakeExtracts:
         batched = score_documents(model, vocab, synthetic_documents)
         assert len(batched) == len(alone)
         for got, want in zip(batched, alone):
+            assert got.class1.tobytes() == want.class1.tobytes()
+            assert got.class2.tobytes() == want.class2.tobytes()
+
+    @pytest.mark.parametrize("base", ["nb", "svm"])
+    def test_batches_map_the_vocabulary_once(
+        self, monkeypatch, synthetic_documents, detector_models, base
+    ):
+        model, vocab = detector_models[base]
+        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 10**9)  # one batch
+        whole = score_documents(model, vocab, synthetic_documents)
+        calls = []
+        column_map = Vocabulary.column_map
+
+        def counted(self, types):
+            calls.append(len(types))
+            return column_map(self, types)
+
+        monkeypatch.setattr(Vocabulary, "column_map", counted)
+        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        counts = [len(doc.sentences) for doc in synthetic_documents]
+        assert len(list(extraction.document_batches(counts))) > 1
+        batched = score_documents(model, vocab, synthetic_documents)
+        assert len(calls) == 1
+        for got, want in zip(batched, whole, strict=True):
             assert got.class1.tobytes() == want.class1.tobytes()
             assert got.class2.tobytes() == want.class2.tobytes()
 
