@@ -72,6 +72,19 @@ class IndividualScores:
     def __len__(self) -> int:
         return len(self.class1)
 
+    def split(self, bounds: Sequence[int]) -> list["IndividualScores"]:
+        """These scores cut before each of ``bounds``, as views.
+
+        The parts are not checked again: every entry was checked here.
+        """
+        parts = []
+        for c1, c2 in zip(np.split(self.class1, bounds), np.split(self.class2, bounds)):
+            part = object.__new__(IndividualScores)
+            object.__setattr__(part, "class1", c1)
+            object.__setattr__(part, "class2", c2)
+            parts.append(part)
+        return parts
+
 
 # ---------------------------------------------------------------------------
 # Naive Bayes
@@ -94,8 +107,6 @@ def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> Na
     index of a training row counts as one draw for its class, so the counts
     are the per-class column sums of the rows.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
     y = np.asarray(labels, dtype=int)
     if len(rows) != len(y):
         raise ValueError("rows and labels differ in length")
@@ -103,8 +114,25 @@ def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> Na
         raise TrainingError("training data must contain both classes")
     v_size = rows.n_features
     draws = np.repeat(y, rows.lengths) * v_size + rows.indices
-    counts = np.bincount(draws, minlength=2 * v_size).reshape(2, v_size).astype(float)
-    class_counts = np.bincount(y, minlength=2).astype(float)
+    counts = np.bincount(draws, minlength=2 * v_size).reshape(2, v_size)
+    return nb_from_counts(counts, np.bincount(y, minlength=2), alpha)
+
+
+def nb_from_counts(
+    counts: np.ndarray, class_counts: np.ndarray, alpha: float = 1.0
+) -> NaiveBayesModel:
+    """NB from its counts: ``counts[c, j]`` training rows of class c are active
+    at column j, and ``class_counts[c]`` training rows are of class c.
+
+    The counts are integers, so they are the same however they were gathered.
+    """
+    if alpha <= 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if len(class_counts) != 2 or min(class_counts) < 1:
+        raise TrainingError("training data must contain both classes")
+    counts = np.asarray(counts).astype(float)
+    class_counts = np.asarray(class_counts).astype(float)
+    v_size = counts.shape[1]
     log_prior = np.log(class_counts / class_counts.sum())
     if v_size == 0:
         log_likelihood = np.zeros((2, 0))  # prior-only model

@@ -12,6 +12,12 @@ Each experiment, grid, sweep or paragraph comparison tokenizes the review
 sentences once, into one sentence presence matrix; detector scores and every
 extract's row come from it. Grid and sweep cells whose selections are equal
 share one cross-validation.
+
+A cross-validation (of extracts, or of detector sentences) reads all its rows
+once, into per-type class counts and first positions (``type_counts``). Each
+fold subtracts its held-out rows' counts, an exact integer step, and selects
+its vocabulary from what is left; NB trains from those counts and featurizes
+only the fold's test rows, while the SVM featurizes its training rows too.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from .classifiers import (
     IndividualScores,
     LinearMarginModel,
     NaiveBayesModel,
+    nb_from_counts,
     nb_predict_prob,
-    nb_train,
     svm_margin,
     svm_train,
 )
@@ -59,13 +65,14 @@ from .extraction import (
 )
 from .features import (
     EmptyVocabularyError,
-    FeatureRows,
     PresenceMatrix,
+    TypeCounts,
     Vocabulary,
+    class_counts,
     featurize_rows,
     join_rows,
     presence_matrix,
-    vocabulary_columns,
+    type_counts,
 )
 
 EXTRACTORS = (
@@ -231,14 +238,19 @@ def train_detector_model(
     """Train a subjectivity detector on the full sentence corpus."""
     if not sentences:
         raise EmptyVocabularyError("no texts supplied")
+    if base not in ("nb", "svm"):
+        raise ValueError(f"base must be nb or svm, got {base!r}")
     matrix = presence_matrix(tokenize(s.text) for s in sentences)
     labels = np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
-    every = np.arange(len(sentences))
-    columns = vocabulary_columns(matrix, every, min_doc_freq)
+    columns, counts = type_counts(matrix, labels, np.zeros_like(labels)).columns(min_doc_freq)
     if not len(columns):
         raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
-    rows = featurize_rows(matrix, matrix.column_map(columns), len(columns), every, base == "svm")
-    model = _fit(rows, labels, base, alpha=alpha, regularization=regularization, seed=seed)
+    if base == "nb":
+        model = nb_from_counts(counts, np.bincount(labels, minlength=2), alpha=alpha)
+    else:
+        every = np.arange(len(sentences))
+        rows = featurize_rows(matrix, matrix.column_map(columns), len(columns), every, True)
+        model = svm_train(rows, labels, regularization=regularization, seed=seed)
     vocab = matrix.vocabulary(columns)
     return replace(model, vocab_digest=vocab.digest()), vocab
 
@@ -284,10 +296,7 @@ def score_documents(
     for batch in document_batches(counts):
         rows = matrix.row_slice(first[batch.start], first[batch.stop])
         scores = individual_scores(model, vocab, rows, column_of)
-        bounds = np.cumsum([counts[i] for i in batch])[:-1]
-        out += map(
-            IndividualScores, np.split(scores.class1, bounds), np.split(scores.class2, bounds)
-        )
+        out += scores.split(np.cumsum([counts[i] for i in batch])[:-1])
     return out
 
 
@@ -303,67 +312,67 @@ def detector_cv_accuracies(
     """Cross-validated sentence-classification accuracy of a detector base.
 
     Sentences get folds round-robin by position, which keeps the two label
-    blocks of the distributed corpus balanced across folds.
+    blocks of the distributed corpus balanced across folds. Fewer than 2
+    folds, more folds than sentences, or an unknown base is refused with a
+    ``ValueError`` before anything is trained.
     """
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    if len(sentences) < folds:
+        raise ValueError(f"{folds} folds leave a fold without sentences: {len(sentences)} given")
+    if base not in ("nb", "svm"):
+        raise ValueError(f"base must be nb or svm, got {base!r}")
     matrix = presence_matrix(tokenize(s.text) for s in sentences)
     labels = np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
     fold_of = np.arange(len(sentences)) % folds
+    stats = type_counts(matrix, labels, fold_of)
     accuracies = []
     for fold in range(folds):
-        test = np.flatnonzero(fold_of == fold)
-        predicted = _fit_predict(
-            matrix, labels, np.flatnonzero(fold_of != fold), test, base, min_doc_freq,
+        test, predicted = _fit_predict(
+            matrix, labels, fold_of, stats, fold, base, min_doc_freq,
             alpha=alpha, regularization=regularization, seed=seed,
         )
         accuracies.append(int((predicted == labels[test]).sum()) / len(test))
     return accuracies
 
 
-def _fit(
-    rows: FeatureRows,
-    labels: np.ndarray,
-    base: str,
-    alpha: float = 1.0,
-    regularization: float = 1.0,
-    seed: int = 0,
-) -> NaiveBayesModel | LinearMarginModel:
-    """Train ``base`` on presence ``rows`` (length-normalized for SVM) and their labels."""
-    if base == "nb":
-        return nb_train(rows, labels, alpha=alpha)
-    if base == "svm":
-        return svm_train(rows, labels, regularization=regularization, seed=seed)
-    raise ValueError(f"base must be nb or svm, got {base!r}")
-
-
 def _fit_predict(
     matrix: PresenceMatrix,
     labels: np.ndarray,
-    train: np.ndarray,
-    test: np.ndarray,
+    fold_of: np.ndarray,
+    stats: TypeCounts,
+    fold: int,
     base: str,
     min_doc_freq: int,
     alpha: float = 1.0,
     regularization: float = 1.0,
     seed: int = 0,
-) -> np.ndarray:
-    """The 0/1 decisions for the ``test`` rows of a model fit on the ``train`` rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``fold`` and their 0/1 decisions by a model fit on the other rows.
 
-    The vocabulary comes from the ``train`` rows alone; an empty one leaves
-    the classifier its class prior (NB) or bias sign (SVM).
+    ``stats`` is the ``type_counts`` of all rows. The vocabulary and NB's
+    counts come from it minus the held-out rows' counts, so NB reads no
+    training row; the SVM featurizes its training rows over that vocabulary.
+    An empty vocabulary leaves the classifier its class prior (NB) or bias
+    sign (SVM).
     """
-    columns = vocabulary_columns(matrix, train, min_doc_freq)
+    test = np.flatnonzero(fold_of == fold)
+    columns, counts = stats.columns(min_doc_freq, fold, class_counts(matrix, test, labels[test]))
     column_of = matrix.column_map(columns)
-    train_rows, test_rows = (
-        featurize_rows(matrix, column_of, len(columns), rows, base == "svm")
-        for rows in (train, test)
-    )
-    model = _fit(
-        train_rows, labels[train], base,
-        alpha=alpha, regularization=regularization, seed=seed,
-    )
     if base == "nb":
-        return (nb_predict_prob(model, test_rows) > 0.5).astype(int)
-    return (svm_margin(model, test_rows) > 0).astype(int)
+        train_classes = np.bincount(labels, minlength=2) - np.bincount(labels[test], minlength=2)
+        model = nb_from_counts(counts, train_classes, alpha=alpha)
+        test_rows = featurize_rows(matrix, column_of, len(columns), test)
+        return test, (nb_predict_prob(model, test_rows) > 0.5).astype(int)
+    # the training rows are freed once trained on, before the test rows are built
+    del counts
+    train = np.flatnonzero(fold_of != fold)
+    model = svm_train(
+        featurize_rows(matrix, column_of, len(columns), train, True), labels[train],
+        regularization=regularization, seed=seed,
+    )
+    test_rows = featurize_rows(matrix, column_of, len(columns), test, True)
+    return test, (svm_margin(model, test_rows) > 0).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +465,19 @@ def _cross_validate(
     if bad:
         raise ValueError(f"documents without a valid fold: {bad[:3]}")
     labels = np.array([1 if doc.label == POSITIVE else 0 for doc in documents])
-    fold_of = np.array([doc.fold for doc in documents])
+    fold_of = np.array([doc.fold for doc in documents], dtype=np.int64)
+    empty = np.flatnonzero(np.bincount(fold_of, minlength=config.folds) == 0)
+    if len(empty):
+        raise ValueError(f"fold {empty[0]} is empty")
     digests = _train_digests(
         [(doc.id, e.text) for doc, e in zip(documents, extracts)], fold_of, config.folds
     )
+    stats = type_counts(extract_rows, labels, fold_of)
     fold_results = []
     for fold in range(config.folds):
-        train = np.flatnonzero(fold_of != fold)
-        test = np.flatnonzero(fold_of == fold)
-        if not len(test):
-            raise ValueError(f"fold {fold} is empty")
-        predicted = _fit_predict(
-            extract_rows, labels, train, test, config.classifier, config.min_doc_freq,
-            seed=config.seed,
+        test, predicted = _fit_predict(
+            extract_rows, labels, fold_of, stats, fold, config.classifier,
+            config.min_doc_freq, seed=config.seed,
         )
         fold_results.append(
             FoldResult(

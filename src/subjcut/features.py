@@ -6,11 +6,15 @@ length-normalized for margin classifiers. There is no tf, idf, or n-gram
 machinery here on purpose.
 
 Texts are always featurized many at a time. They are mapped once into a
-``PresenceMatrix``; a vocabulary over any subset of its rows is then a
-selection of its columns (``vocabulary_columns``). Either such a selection
-or a saved ``Vocabulary`` gives a column map from the matrix's type ids to
-vocabulary indices, and the rows' presence vectors over it are one
-``FeatureRows`` matrix (``featurize_rows``).
+``PresenceMatrix``; a vocabulary over its rows is then a selection of its
+columns. One pass over the rows (``type_counts``) records each type's
+per-class document counts and first positions; a cross-validation fold's
+vocabulary subtracts the held-out rows' counts (``class_counts``) and selects
+the columns (``TypeCounts.columns``) without reading a training row again,
+and the per-class counts at those columns are what NB trains on. Either such
+a selection or a saved ``Vocabulary`` gives a column map from the matrix's
+type ids to vocabulary indices, and the rows' presence vectors over it are
+one ``FeatureRows`` matrix (``featurize_rows``).
 
 A text made of several texts of a matrix, such as an extract made of
 sentences, needs no tokenizing of its own: ``join_rows`` concatenates their
@@ -189,28 +193,94 @@ def _row_ids(matrix: PresenceMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.n
     starts = matrix.offsets[rows]
     lengths = matrix.offsets[rows + 1] - starts
     ends = np.cumsum(lengths)
-    positions = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+    positions = np.repeat(starts - ends + lengths, lengths)
+    positions += np.arange(len(positions))
     return matrix.ids[positions], lengths
 
 
-def vocabulary_columns(
-    matrix: PresenceMatrix, rows: np.ndarray, min_doc_freq: int = 1
-) -> np.ndarray:
-    """The type ids of the vocabulary built from ``rows``, in vocabulary index order.
+COUNT_BATCH_TOKENS = 1 << 16  # tokens per step of ``type_counts``
 
-    The vocabulary keeps the types found in at least ``min_doc_freq`` of the
-    rows, indexed by first occurrence across the rows in the order given, so
-    it is deterministic for a fixed row order. An empty result is the empty
-    vocabulary; no error is raised for it.
+
+def class_counts(matrix: PresenceMatrix, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The (2, types) array of how many ``rows`` of each class hold each type.
+
+    ``labels[j]`` is the 0/1 class of ``rows[j]``. Ids are distinct within a
+    row, so one count per token is one count per row.
     """
-    if min_doc_freq < 1:
-        raise ValueError(f"min_doc_freq must be >= 1, got {min_doc_freq}")
-    ids, _ = _row_ids(matrix, rows)
-    first = np.full(len(matrix.types), len(ids))
-    np.minimum.at(first, ids, np.arange(len(ids)))
-    doc_freq = np.bincount(ids, minlength=len(matrix.types))  # ids are distinct within a row
-    kept = np.flatnonzero(doc_freq >= min_doc_freq)
-    return kept[np.argsort(first[kept])]
+    ids, lengths = _row_ids(matrix, rows)
+    return _class_counts(ids, np.repeat(labels, lengths), len(matrix.types))
+
+
+def _class_counts(ids: np.ndarray, token_labels: np.ndarray, n_types: int) -> np.ndarray:
+    draws = token_labels.astype(np.int64) * n_types + ids
+    return np.bincount(draws, minlength=2 * n_types).reshape(2, n_types)
+
+
+@dataclass(frozen=True)
+class TypeCounts:
+    """What a vocabulary over any fold's complement needs to know of each type.
+
+    Positions number the tokens of all rows of a matrix, one row after
+    another. ``counts[c, t]`` is the number of class-c rows holding type t;
+    ``first[t]`` is t's first position and ``first_fold[t]`` the fold of its
+    row; ``later[t]`` is t's first position in a row of any other fold. A
+    position past the last token stands for none.
+    """
+
+    counts: np.ndarray  # (2, types) int64
+    first: np.ndarray
+    first_fold: np.ndarray
+    later: np.ndarray
+
+    def columns(
+        self, min_doc_freq: int = 1, fold: int = -1, held: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The vocabulary of the rows outside ``fold``: its type ids in index
+        order, and their per-class counts over those rows.
+
+        ``held`` is the held-out fold's ``class_counts`` (none by default, when
+        every row is kept). The vocabulary keeps the types found in at least
+        ``min_doc_freq`` of the kept rows, indexed by their first position in
+        a kept row: ``first``, or ``later`` when ``first`` is in the held-out
+        fold. An empty result is the empty vocabulary; no error is raised.
+        """
+        if min_doc_freq < 1:
+            raise ValueError(f"min_doc_freq must be >= 1, got {min_doc_freq}")
+        counts = self.counts if held is None else self.counts - held
+        kept = np.flatnonzero(counts.sum(axis=0) >= min_doc_freq)
+        first = self.first[kept]
+        np.copyto(first, self.later[kept], where=self.first_fold[kept] == fold)
+        columns = kept[np.argsort(first)]
+        return columns, counts[:, columns]
+
+
+def type_counts(matrix: PresenceMatrix, labels: np.ndarray, fold_of: np.ndarray) -> TypeCounts:
+    """The ``TypeCounts`` of every row of ``matrix``, from one pass over its ids.
+
+    Row r has the 0/1 class ``labels[r]`` and the fold ``fold_of[r]`` (>= 0).
+    The pass reads about ``COUNT_BATCH_TOKENS`` tokens at a time, so its
+    temporaries are one batch in size; within a batch, a token is its type's
+    first occurrence when its position equals the type's least position so far.
+    """
+    n_types, offsets = len(matrix.types), matrix.offsets
+    fold_of = np.asarray(fold_of, dtype=np.int64)
+    counts = np.zeros((2, n_types), dtype=np.int64)
+    first = np.full(n_types, offsets[-1])
+    first_fold = np.full(n_types, -1)
+    later = first.copy()
+    bounds = np.searchsorted(offsets, np.arange(0, offsets[-1], COUNT_BATCH_TOKENS), "right") - 1
+    for a, b in zip(bounds.tolist(), bounds[1:].tolist() + [len(matrix)]):
+        lengths = np.diff(offsets[a : b + 1])
+        ids = matrix.ids[offsets[a] : offsets[b]]
+        positions = np.arange(offsets[a], offsets[b])
+        counts += _class_counts(ids, np.repeat(labels[a:b], lengths), n_types)
+        np.minimum.at(first, ids, positions)
+        token_fold = np.repeat(fold_of[a:b], lengths)
+        new = first[ids] == positions
+        first_fold[ids[new]] = token_fold[new]
+        other = token_fold != first_fold[ids]
+        np.minimum.at(later, ids[other], positions[other])
+    return TypeCounts(counts=counts, first=first, first_fold=first_fold, later=later)
 
 
 @dataclass(frozen=True)
@@ -279,15 +349,16 @@ def featurize_rows(
     """
     ids, lengths = _row_ids(matrix, rows)
     cols = column_of[ids]
+    del ids
     kept = cols >= 0
+    keys = cols[kept].astype(np.intp, copy=False)
+    del cols  # each token-length temporary goes as soon as it is used
     row_of = np.repeat(np.arange(len(lengths)), lengths)[kept]
-    keys = row_of * n_features + cols[kept]
-    keys.sort()  # rows stay in order; within a row, columns ascend
+    del kept
     indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
     np.cumsum(np.bincount(row_of, minlength=len(lengths)), out=indptr[1:])
-    return FeatureRows(
-        indptr=indptr,
-        indices=keys - row_of * n_features,
-        n_features=n_features,
-        normalized=normalize,
-    )
+    row_of *= n_features
+    keys += row_of
+    keys.sort()  # rows stay in order, with their sizes; within a row, columns ascend
+    keys -= row_of
+    return FeatureRows(indptr=indptr, indices=keys, n_features=n_features, normalized=normalize)

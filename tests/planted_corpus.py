@@ -19,7 +19,7 @@ from subjcut.features import (
     Vocabulary,
     featurize_rows,
     presence_matrix,
-    vocabulary_columns,
+    type_counts,
 )
 
 OPINION_POSITIVE = [
@@ -108,7 +108,8 @@ def make_sentence_corpus(n_each: int = 200, seed: int = 1) -> list[LabeledSenten
 def vocabulary_of(texts, min_doc_freq: int = 1) -> Vocabulary:
     """The vocabulary built from all of the tokenized ``texts``."""
     matrix = presence_matrix(texts)
-    return matrix.vocabulary(vocabulary_columns(matrix, np.arange(len(texts)), min_doc_freq))
+    every = np.zeros(len(texts), dtype=np.int64)
+    return matrix.vocabulary(type_counts(matrix, every, every).columns(min_doc_freq)[0])
 
 
 def rows_over(texts, vocab: Vocabulary, normalize: bool = False) -> FeatureRows:

@@ -313,6 +313,36 @@ class TestIndividualScores:
         with pytest.raises(ValueError):
             IndividualScores(class1=np.array([np.inf]), class2=np.array([0.5]))
 
+    def test_rejects_arrays_that_are_not_1d(self):
+        with pytest.raises(ValueError, match="1-d"):
+            IndividualScores(class1=np.full((2, 2), 0.5), class2=np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="1-d"):
+            IndividualScores(class1=np.float64(0.5), class2=np.float64(0.5))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            IndividualScores(class1=np.array([0.2, np.nan]), class2=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            IndividualScores(class1=np.array([0.5]), class2=np.array([np.nan]))
+
+    @given(st.lists(st.floats(0, 1), max_size=30), st.data())
+    def test_split_equals_checked_parts(self, values, data):
+        c1 = np.array(values, dtype=float)
+        scores = IndividualScores(class1=c1, class2=1.0 - c1)
+        bounds = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=5)))
+        parts = scores.split(bounds)
+        want = [
+            IndividualScores(a, b)
+            for a, b in zip(np.split(scores.class1, bounds), np.split(scores.class2, bounds))
+        ]
+        assert len(parts) == len(want) == len(bounds) + 1
+        for got, expected in zip(parts, want):
+            assert type(got) is IndividualScores and len(got) == len(expected)
+            assert got.class1.dtype == got.class2.dtype == np.float64
+            assert got.class1.tobytes() == expected.class1.tobytes()
+            assert got.class2.tobytes() == expected.class2.tobytes()
+            assert np.shares_memory(got.class1, scores.class1) or not len(got)
+
 
 class TestSerialization:
     def test_nb_round_trip(self, tiny_nb, tmp_path):

@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from subjcut.corpus import SUBJECTIVE, LabeledSentence
+from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
 from subjcut.evaluation import (
     ExperimentConfig,
     ExperimentReport,
@@ -25,6 +26,7 @@ from subjcut.evaluation import (
 )
 from subjcut import evaluation, extraction
 from subjcut.extraction import Detector, DetectorConfig, ProximityParams, individual_scores
+from subjcut.classifiers import IndividualScores
 from subjcut.features import EmptyVocabularyError, Vocabulary
 
 
@@ -251,6 +253,41 @@ class TestMakeExtracts:
             assert got.class1.tobytes() == want.class1.tobytes()
             assert got.class2.tobytes() == want.class2.tobytes()
 
+    @pytest.mark.parametrize("base", ["nb", "svm"])
+    def test_document_scores_are_checked_once_per_batch(
+        self, monkeypatch, synthetic_documents, detector_models, base
+    ):
+        model, vocab = detector_models[base]
+        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        counts = [len(doc.sentences) for doc in synthetic_documents]
+        batches = list(extraction.document_batches(counts))
+        matrix = extraction.sentence_matrix(synthetic_documents)
+        # each document's scores as they were made before: one checked
+        # IndividualScores per document, split from its batch's scores
+        first = np.cumsum([0] + counts).tolist()
+        want = []
+        for batch in batches:
+            rows = matrix.row_slice(first[batch.start], first[batch.stop])
+            scores = individual_scores(model, vocab, rows)
+            bounds = np.cumsum([counts[i] for i in batch])[:-1]
+            want += map(
+                IndividualScores, np.split(scores.class1, bounds), np.split(scores.class2, bounds)
+            )
+        checks = []
+        post_init = IndividualScores.__post_init__
+
+        def counted(self):
+            checks.append(len(self))
+            post_init(self)
+
+        monkeypatch.setattr(IndividualScores, "__post_init__", counted)
+        got = score_documents(model, vocab, synthetic_documents, matrix)
+        assert len(checks) == len(batches) > 1
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is IndividualScores
+            assert g.class1.tobytes() == w.class1.tobytes()
+            assert g.class2.tobytes() == w.class2.tobytes()
+
     def test_scores_shortcut_matches_fresh_scoring(self, synthetic_documents, nb_detector):
         config = ExperimentConfig(extractor="basic")
         scores = score_documents(nb_detector.model, nb_detector.vocab, synthetic_documents)
@@ -332,6 +369,39 @@ def distinct_selections(configs, documents, detector) -> int:
         (config.classifier, tuple(e.selected for e in make_extracts(config, documents, detector)))
         for config in configs
     })
+
+
+def record_featurized_rows(monkeypatch) -> list:
+    seen = []
+    featurize_rows = evaluation.featurize_rows
+
+    def recording(matrix, column_of, n_features, rows, normalize=False):
+        seen.append(np.asarray(rows).tolist())
+        return featurize_rows(matrix, column_of, n_features, rows, normalize)
+
+    monkeypatch.setattr(evaluation, "featurize_rows", recording)
+    return seen
+
+
+class TestFoldFeaturization:
+    """NB folds train from counts; only the SVM featurizes training rows."""
+
+    def test_nb_folds_featurize_only_their_test_rows(self, monkeypatch, synthetic_documents):
+        seen = record_featurized_rows(monkeypatch)
+        run_experiment(ExperimentConfig(classifier="nb"), synthetic_documents)
+        assert len(seen) == 10
+        assert sorted(r for rows in seen for r in rows) == list(range(len(synthetic_documents)))
+        for fold, rows in enumerate(seen):
+            assert rows and all(synthetic_documents[r].fold == fold for r in rows)
+
+    def test_svm_folds_featurize_every_row(self, monkeypatch, synthetic_documents):
+        seen = record_featurized_rows(monkeypatch)
+        run_experiment(ExperimentConfig(classifier="svm"), synthetic_documents)
+        assert len(seen) == 2 * 10
+        for fold in range(10):
+            train, test = seen[2 * fold], seen[2 * fold + 1]
+            assert all(synthetic_documents[r].fold == fold for r in test)
+            assert sorted(train + test) == list(range(len(synthetic_documents)))
 
 
 class TestCellReuse:
@@ -439,6 +509,33 @@ class TestDetectorCV:
     def test_svm_detector_cv_on_planted_corpus(self, synthetic_sentences):
         accuracies = detector_cv_accuracies(synthetic_sentences, base="svm", folds=5)
         assert np.mean(accuracies) > 0.9
+
+    @pytest.mark.parametrize(
+        "folds, message",
+        [(5, "without sentences"), (0, "folds must be >= 2"), (1, "folds must be >= 2")],
+        ids=["fold_without_sentences", "zero_folds", "one_fold"],
+    )
+    @pytest.mark.parametrize("base", ["nb", "svm"])
+    def test_bad_fold_count_refused_before_training(self, monkeypatch, folds, message, base):
+        sentences = [
+            LabeledSentence(text=text, label=label)
+            for text, label in [("a b", SUBJECTIVE), ("c", OBJECTIVE),
+                                ("b d", SUBJECTIVE), ("e", OBJECTIVE)]
+        ]
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the folds were checked")
+
+        monkeypatch.setattr(evaluation, "nb_from_counts", no_training)
+        monkeypatch.setattr(evaluation, "svm_train", no_training)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                detector_cv_accuracies(sentences, base=base, folds=folds)
+
+    def test_unknown_base_refused(self, synthetic_sentences):
+        with pytest.raises(ValueError, match="base"):
+            detector_cv_accuracies(synthetic_sentences, base="tree", folds=2)
 
 
 class TestParagraphComparison:

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from subjcut.classifiers import TrainingError, nb_from_counts, nb_train
+from subjcut import features
 from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
 from subjcut.evaluation import train_detector_model
 from subjcut.features import (
     EmptyVocabularyError,
     Vocabulary,
+    class_counts,
     distinct_runs,
     featurize_rows,
     presence_matrix,
-    vocabulary_columns,
+    type_counts,
 )
 
 from planted_corpus import rows_over, vocabulary_of
@@ -27,6 +30,15 @@ def featurize_one(tokens, vocab, normalize=False):
     """One text's presence vector over ``vocab``: (active columns, value per active)."""
     rows = rows_over([tokens], vocab, normalize)
     return rows.indices.tolist(), float(rows.values[0])
+
+
+def kept_columns(matrix, kept, min_doc_freq=1):
+    """The vocabulary columns over the rows where ``kept`` is true; the others
+    are held out as fold 1."""
+    fold_of = np.where(kept, 0, 1)
+    zeros = np.zeros(len(matrix), dtype=np.int64)
+    held = class_counts(matrix, np.flatnonzero(fold_of == 1), zeros[fold_of == 1])
+    return type_counts(matrix, zeros, fold_of).columns(min_doc_freq, 1, held)[0]
 
 
 def norm(vector):
@@ -63,14 +75,14 @@ class TestBuildVocabulary:
         # no texts, or only empty ones, select no columns; detector training refuses that
         for texts in ([], [[], []]):
             matrix = presence_matrix(texts)
-            assert len(vocabulary_columns(matrix, np.arange(len(texts)))) == 0
+            assert len(kept_columns(matrix, np.ones(len(texts), dtype=bool))) == 0
         with pytest.raises(EmptyVocabularyError):
             train_detector_model([])
         sentences = [LabeledSentence("good film", SUBJECTIVE), LabeledSentence("a plot", OBJECTIVE)]
         with pytest.raises(EmptyVocabularyError):
             train_detector_model(sentences, min_doc_freq=2)
         with pytest.raises(ValueError):
-            vocabulary_columns(presence_matrix([["a"]]), np.arange(1), min_doc_freq=0)
+            kept_columns(presence_matrix([["a"]]), np.ones(1, dtype=bool), min_doc_freq=0)
 
 
 class TestFeaturize:
@@ -156,7 +168,7 @@ class TestPresenceMatrix:
             train = [i for i in range(n) if in_train[i]]
             rows = data.draw(st.permutations(range(n)))
         matrix = presence_matrix(iter(texts))
-        columns = vocabulary_columns(matrix, np.array(train, dtype=int), min_doc_freq)
+        columns = kept_columns(matrix, np.isin(np.arange(n), train), min_doc_freq)
         vocab = reference_vocabulary([texts[i] for i in train], min_doc_freq)
         saved = matrix.vocabulary(columns)
         assert list(saved.token_to_index.items()) == list(vocab.items())
@@ -181,7 +193,7 @@ class TestPresenceMatrix:
     def test_frequency_cutoff_can_empty_the_vocabulary(self):
         texts = [["a", "b"], ["c"], []]
         matrix = presence_matrix(texts)
-        columns = vocabulary_columns(matrix, np.arange(3), min_doc_freq=2)
+        columns = kept_columns(matrix, np.ones(3, dtype=bool), min_doc_freq=2)
         assert len(columns) == 0
         features = featurize_rows(matrix, matrix.column_map(columns), 0, np.arange(3))
         assert features.n_features == 0
@@ -196,7 +208,7 @@ class TestPresenceMatrix:
 
     def test_min_doc_freq_must_be_positive(self):
         with pytest.raises(ValueError):
-            vocabulary_columns(presence_matrix([["a"]]), np.arange(1), min_doc_freq=0)
+            kept_columns(presence_matrix([["a"]]), np.ones(1, dtype=bool), min_doc_freq=0)
 
     @given(st.lists(st.lists(st.integers(0, 6), max_size=8), max_size=6))
     def test_distinct_runs_keep_first_occurrences(self, runs):
@@ -210,6 +222,90 @@ class TestPresenceMatrix:
     def test_distinct_runs_refuse_keys_beyond_int64(self):
         with pytest.raises(ValueError, match="overflow"):
             distinct_runs(np.zeros(2, dtype=np.int32), np.array([1, 1]), 2**62)
+
+
+def reference_vocabulary_columns(matrix, rows, min_doc_freq):
+    """A fold's vocabulary as a scan of its training ``rows`` selects it: the
+    types in at least ``min_doc_freq`` of them, by first occurrence across them."""
+    ids = np.concatenate(
+        [np.zeros(0, dtype=np.int32)]
+        + [matrix.ids[matrix.offsets[r] : matrix.offsets[r + 1]] for r in rows]
+    )
+    first = np.full(len(matrix.types), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    doc_freq = np.bincount(ids, minlength=len(matrix.types))
+    kept = np.flatnonzero(doc_freq >= min_doc_freq)
+    return kept[np.argsort(first[kept])]
+
+
+@st.composite
+def folded_texts(draw):
+    """Texts with interleaved fold ids and 0/1 labels, and the number of folds."""
+    texts = draw(st.lists(tokens_strategy, max_size=14))
+    folds = draw(st.integers(2, 4))
+    n = len(texts)
+    fold_of = draw(st.lists(st.integers(0, folds - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return texts, fold_of, labels, folds
+
+
+class TestFoldCounts:
+    """One pass of per-class counts, minus each held-out fold, against a scan of
+    each fold's training rows and NB trained on their presence vectors."""
+
+    @given(folded_texts(), st.integers(1, 3))
+    # "x" occurs only in the held-out fold 0
+    @example(case=([["x"], ["a"], ["a"], ["b"]], [0, 1, 1, 0], [0, 1, 0, 1], 2), min_doc_freq=1)
+    # "a" and "b" first occur in the held-out fold 0, then in training in the other order
+    @example(
+        case=([["a", "b"], ["c"], ["b", "a"], ["c", "a"]], [0, 1, 1, 0], [1, 0, 1, 0], 2),
+        min_doc_freq=1,
+    )
+    # holding out fold 0 leaves two empty rows, so an empty vocabulary: the prior only
+    @example(case=([["a"], [], ["a"], []], [0, 1, 0, 1], [0, 0, 1, 1], 2), min_doc_freq=1)
+    @example(case=([[], [], [], []], [0, 1, 0, 1], [0, 1, 1, 0], 2), min_doc_freq=1)
+    @example(case=([["a"], ["b"], ["a"], ["b"]], [0, 1, 0, 1], [0, 1, 1, 0], 2), min_doc_freq=3)
+    def test_fold_columns_and_nb_equal_the_training_row_scan(self, case, min_doc_freq):
+        texts, fold_of, labels, folds = case
+        fold_of, labels = np.array(fold_of, dtype=int), np.array(labels, dtype=int)
+        matrix = presence_matrix(texts)
+        stats = type_counts(matrix, labels, fold_of)
+        for fold in range(folds):
+            test, train = np.flatnonzero(fold_of == fold), np.flatnonzero(fold_of != fold)
+            held = class_counts(matrix, test, labels[test])
+            columns, counts = stats.columns(min_doc_freq, fold, held)
+            want = reference_vocabulary_columns(matrix, train, min_doc_freq)
+            assert columns.tolist() == want.tolist()
+            rows = featurize_rows(matrix, matrix.column_map(want), len(want), train)
+            classes = np.bincount(labels[train], minlength=2)
+            if classes.min() == 0:
+                for train_model in (
+                    lambda: nb_train(rows, labels[train]),
+                    lambda: nb_from_counts(counts, classes),
+                ):
+                    with pytest.raises(TrainingError):
+                        train_model()
+                continue
+            expected, got = nb_train(rows, labels[train]), nb_from_counts(counts, classes)
+            assert got.log_prior.tobytes() == expected.log_prior.tobytes()
+            assert got.log_likelihood.shape == expected.log_likelihood.shape == (2, len(want))
+            assert got.log_likelihood.tobytes() == expected.log_likelihood.tobytes()
+
+    def test_a_row_longer_than_a_batch(self, monkeypatch):
+        # batches cut between rows, so a row of more tokens than a batch is read whole
+        texts = [["a", "b", "c"], ["d"], ["b", "e", "f", "a"], [], ["g"]]
+        matrix = presence_matrix(texts)
+        labels, fold_of = np.array([0, 1, 1, 0, 1]), np.array([1, 0, 0, 0, 1])
+        whole = type_counts(matrix, labels, fold_of)
+        monkeypatch.setattr(features, "COUNT_BATCH_TOKENS", 2)
+        batched = type_counts(matrix, labels, fold_of)
+        for name in ("counts", "first", "first_fold", "later"):
+            assert getattr(batched, name).tolist() == getattr(whole, name).tolist()
+        # types a..g; positions 0-2 in row 0, 3 in row 1, 4-7 in row 2, 8 in row 4
+        assert whole.counts.tolist() == [[1, 1, 1, 0, 0, 0, 0], [1, 1, 0, 1, 1, 1, 1]]
+        assert whole.first.tolist() == [0, 1, 2, 3, 5, 6, 8]
+        assert whole.first_fold.tolist() == [1, 1, 1, 0, 0, 0, 1]
+        assert whole.later.tolist() == [7, 4, 9, 9, 9, 9, 9]  # 9: none
 
 
 class TestSerialization:
