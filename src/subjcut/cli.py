@@ -236,7 +236,9 @@ def _config_from_spec(spec_path: str) -> evaluation.ExperimentConfig:
 @data_root_option
 @output_dir_option
 @click.option("--seed", default=None, type=int, help="Override the spec's seed.")
-def cmd_run(spec_path, data_root, output_dir, seed) -> None:
+@click.option("--threads", default=None, type=click.IntRange(min=1),
+              help="Parallel SVM folds; defaults to the core count, capped at the folds.")
+def cmd_run(spec_path, data_root, output_dir, seed, threads) -> None:
     """Run one experiment from a JSON spec file; write report.json and report.txt."""
     root = _data_root(data_root)
     out = _ensure_outdir(output_dir)
@@ -249,7 +251,7 @@ def cmd_run(spec_path, data_root, output_dir, seed) -> None:
         detector = evaluation.make_detector(
             sentences, DetectorConfig(base=config.detector_base), seed=config.seed
         )
-    report = evaluation.run_experiment(config, documents, detector)
+    report = evaluation.run_experiment(config, documents, detector, max_workers=threads)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.render_text(), encoding="utf-8")
     click.echo(report.render_text(), nl=False)

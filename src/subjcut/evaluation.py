@@ -18,6 +18,17 @@ once, into per-type class counts and first positions (``type_counts``). Each
 fold subtracts its held-out rows' counts, an exact integer step, and selects
 its vocabulary from what is left; NB trains from those counts and featurizes
 only the fold's test rows, while the SVM featurizes its training rows too.
+
+SVM folds train in parallel: ``run_experiment`` and ``detector_cv_accuracies``
+fork a process pool (``max_workers``, by default the core count capped at the
+number of folds) once a cross-validation's rows, labels, fold ids and counts
+are built. The workers inherit those through the fork, so only fold numbers
+and each fold's ``(test, predicted)`` are pickled, and the parent takes the
+train digests and preservation while the folds train. NB folds train from
+counts in milliseconds and stay in this process. ``grid_search`` runs its
+cells on the same kind of pool, and a cell's folds then train in its worker.
+Results are assembled in fold and cell order, so no byte depends on the
+worker count.
 """
 
 from __future__ import annotations
@@ -28,9 +39,13 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
@@ -224,6 +239,59 @@ class ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
+# Worker pools
+
+
+def _worker_count(max_workers: int | None, jobs: int) -> int:
+    """``max_workers``, or when it is None the core count capped at ``jobs``.
+
+    Fewer than one worker is refused with a ``ValueError``.
+    """
+    if max_workers is None:
+        return max(1, min(os.cpu_count() or 1, jobs))
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    return max_workers
+
+
+_WORKER_FN: Callable | None = None  # set only in a pool's forked workers
+
+
+def _init_worker(fn: Callable) -> None:
+    global _WORKER_FN
+    _WORKER_FN = fn
+
+
+def _call_worker(item):
+    return _WORKER_FN(item)
+
+
+@contextmanager
+def _forked_map(fn: Callable, items: Iterable, max_workers: int) -> Iterator[Iterator]:
+    """Yields an iterator of ``fn(item)`` over ``items``, in their order.
+
+    With one worker, or one item, ``fn`` runs in this process as the iterator
+    is read. Otherwise every item is submitted on entry to a pool of forked
+    processes, which inherit ``fn`` and all it binds, so only the items and
+    the results are pickled, and the caller can work while they run. An
+    exception raised by ``fn`` in a worker is raised by the iterator. The
+    pool is shut down, and its processes joined, on exit.
+    """
+    items = list(items)
+    workers = min(max_workers, len(items))
+    if workers <= 1:
+        yield map(fn, items)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(fn,),
+    ) as pool:
+        yield pool.map(_call_worker, items)
+
+
+# ---------------------------------------------------------------------------
 # Detector training and scoring
 
 
@@ -308,13 +376,16 @@ def detector_cv_accuracies(
     regularization: float = 1.0,
     seed: int = 0,
     min_doc_freq: int = 1,
+    max_workers: int | None = None,
 ) -> list[float]:
     """Cross-validated sentence-classification accuracy of a detector base.
 
     Sentences get folds round-robin by position, which keeps the two label
     blocks of the distributed corpus balanced across folds. Fewer than 2
-    folds, more folds than sentences, or an unknown base is refused with a
-    ``ValueError`` before anything is trained.
+    folds, more folds than sentences, an unknown base or fewer than one
+    worker is refused with a ``ValueError`` before anything is trained. SVM
+    folds train on ``max_workers`` forked processes (by default the core
+    count, capped at ``folds``); NB folds train here.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -322,18 +393,17 @@ def detector_cv_accuracies(
         raise ValueError(f"{folds} folds leave a fold without sentences: {len(sentences)} given")
     if base not in ("nb", "svm"):
         raise ValueError(f"base must be nb or svm, got {base!r}")
+    workers = _worker_count(max_workers, folds)
     matrix = presence_matrix(tokenize(s.text) for s in sentences)
     labels = np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
     fold_of = np.arange(len(sentences)) % folds
-    stats = type_counts(matrix, labels, fold_of)
-    accuracies = []
-    for fold in range(folds):
-        test, predicted = _fit_predict(
-            matrix, labels, fold_of, stats, fold, base, min_doc_freq,
-            alpha=alpha, regularization=regularization, seed=seed,
-        )
-        accuracies.append(int((predicted == labels[test]).sum()) / len(test))
-    return accuracies
+    fit = partial(
+        _fit_predict, matrix, labels, fold_of, type_counts(matrix, labels, fold_of),
+        base=base, min_doc_freq=min_doc_freq, alpha=alpha, regularization=regularization,
+        seed=seed,
+    )
+    with _forked_map(fit, range(folds), workers if base == "svm" else 1) as fits:
+        return [int((predicted == labels[test]).sum()) / len(test) for test, predicted in fits]
 
 
 def _fit_predict(
@@ -409,6 +479,18 @@ def make_extracts(
     ``matrix``, the documents' ``sentence_matrix``, is built when the
     detector needs it and it is not given.
     """
+    selections = _selections(config, documents, detector, scores, matrix)
+    return [build_extract(doc, sel) for doc, sel in zip(documents, selections)]
+
+
+def _selections(
+    config: ExperimentConfig,
+    documents: Sequence[ReviewDocument],
+    detector: Detector | None,
+    scores: Sequence[IndividualScores] | None,
+    matrix: PresenceMatrix | None,
+) -> list[tuple[int, ...]]:
+    """Per document, the ascending sentence indices ``make_extracts`` keeps."""
     if config.extractor in DETECTOR_EXTRACTORS:
         if detector is None:
             raise ValueError(f"extractor {config.extractor!r} requires a trained detector")
@@ -426,7 +508,7 @@ def make_extracts(
         ]
     if config.flipped:
         selections = [complement_indices(doc, sel) for doc, sel in zip(documents, selections)]
-    return [build_extract(doc, sel) for doc, sel in zip(documents, selections)]
+    return selections
 
 
 def _train_digests(
@@ -459,8 +541,13 @@ def _cross_validate(
     documents: Sequence[ReviewDocument],
     extracts: Sequence[Extract],
     extract_rows: PresenceMatrix,
+    max_workers: int = 1,
 ) -> tuple[FoldResult, ...]:
-    """The fold results of ``config``'s classifier over the extracts' rows."""
+    """The fold results of ``config``'s classifier over the extracts' rows.
+
+    SVM folds train on ``max_workers`` forked processes while this one takes
+    the train digests and preservation; NB folds train here.
+    """
     bad = [doc.id for doc in documents if not (0 <= doc.fold < config.folds)]
     if bad:
         raise ValueError(f"documents without a valid fold: {bad[:3]}")
@@ -469,26 +556,29 @@ def _cross_validate(
     empty = np.flatnonzero(np.bincount(fold_of, minlength=config.folds) == 0)
     if len(empty):
         raise ValueError(f"fold {empty[0]} is empty")
-    digests = _train_digests(
-        [(doc.id, e.text) for doc, e in zip(documents, extracts)], fold_of, config.folds
+    fit = partial(
+        _fit_predict, extract_rows, labels, fold_of, type_counts(extract_rows, labels, fold_of),
+        base=config.classifier, min_doc_freq=config.min_doc_freq, seed=config.seed,
     )
-    stats = type_counts(extract_rows, labels, fold_of)
-    fold_results = []
-    for fold in range(config.folds):
-        test, predicted = _fit_predict(
-            extract_rows, labels, fold_of, stats, fold, config.classifier,
-            config.min_doc_freq, seed=config.seed,
+    workers = max_workers if config.classifier == "svm" else 1
+    with _forked_map(fit, range(config.folds), workers) as fits:
+        digests = _train_digests(
+            [(doc.id, e.text) for doc, e in zip(documents, extracts)], fold_of, config.folds
         )
-        fold_results.append(
+        preservation = [
+            preservation_rate([extracts[i] for i in np.flatnonzero(fold_of == fold)])
+            for fold in range(config.folds)
+        ]
+        return tuple(
             FoldResult(
                 fold=fold,
                 accuracy=int((predicted == labels[test]).sum()) / len(test),
                 n_test=len(test),
-                preservation=preservation_rate([extracts[i] for i in test]),
+                preservation=preservation[fold],
                 train_digest=digests[fold],
             )
+            for fold, (test, predicted) in enumerate(fits)
         )
-    return tuple(fold_results)
 
 
 def run_experiment(
@@ -497,6 +587,7 @@ def run_experiment(
     detector: Detector | None = None,
     scores: Sequence[IndividualScores] | None = None,
     matrix: PresenceMatrix | None = None,
+    max_workers: int | None = None,
 ) -> ExperimentReport:
     """Cross-validated polarity accuracy of a classifier over extracts.
 
@@ -506,8 +597,11 @@ def run_experiment(
     polarity classifier are built from the training folds' extracts only;
     the held-out fold supplies the test extracts. ``scores`` may carry
     precomputed per-sentence detector scores aligned with ``documents``
-    (grid search reuses them across cells).
+    (grid search reuses them across cells). SVM folds train on
+    ``max_workers`` forked processes, by default the core count capped at
+    the number of folds; fewer than one is refused with a ``ValueError``.
     """
+    workers = _worker_count(max_workers, config.folds)
     if matrix is None:
         matrix = sentence_matrix(documents)
     extracts = make_extracts(config, documents, detector, scores, matrix)
@@ -518,7 +612,7 @@ def run_experiment(
     # the peak resident memory of a full-review SVM run by about 2 MB.
     del matrix
     rows = PresenceMatrix(rows.types, rows.ids.copy(), rows.offsets)
-    return _report(config, _cross_validate(config, documents, extracts, rows))
+    return _report(config, _cross_validate(config, documents, extracts, rows, workers))
 
 
 def _cell_report(
@@ -535,12 +629,15 @@ def _cell_report(
     Cells whose extracts select the same sentences, under the same classifier
     settings, have the same fold results. ``done`` maps the key of each
     selection already cross-validated (a digest of the selections, taken
-    after ``flipped``, and the classifier settings) to its fold results.
+    after ``flipped``, and the classifier settings) to its fold results; the
+    extracts are built only for a key not in it. The folds train in this
+    process.
     """
-    extracts = make_extracts(config, documents, detector, scores, matrix)
-    digest = hashlib.sha256("".join(repr(e.selected) for e in extracts).encode("ascii"))
+    selections = _selections(config, documents, detector, scores, matrix)
+    digest = hashlib.sha256("".join(repr(sel) for sel in selections).encode("ascii"))
     key = (digest.hexdigest(), config.classifier, config.folds, config.seed, config.min_doc_freq)
     if key not in done:
+        extracts = [build_extract(doc, sel) for doc, sel in zip(documents, selections)]
         rows = _extract_rows(matrix, documents, extracts)
         done[key] = _cross_validate(config, documents, extracts, rows)
     return _report(config, done[key])
@@ -648,18 +745,9 @@ class GridSearchResult:
         return rows_to_csv(rows)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_grid_worker(base_config, documents, detector, scores, matrix) -> None:
-    _WORKER_STATE["args"] = (base_config, documents, detector, scores, matrix)
-    _WORKER_STATE["done"] = {}
-
-
-def _run_grid_cell(params: ProximityParams) -> ExperimentReport:
-    base_config, documents, detector, scores, matrix = _WORKER_STATE["args"]
+def _grid_cell(base_config, documents, detector, scores, matrix, done, params) -> ExperimentReport:
     config = replace(base_config, extractor="graph", proximity=params)
-    return _cell_report(config, documents, detector, scores, matrix, _WORKER_STATE["done"])
+    return _cell_report(config, documents, detector, scores, matrix, done)
 
 
 def grid_search(
@@ -677,24 +765,19 @@ def grid_search(
     downstream reporting). Ties break toward the earlier cell in grid order.
     The sentence matrix (built here when not given) and per-sentence detector
     scores are computed once and shared by every cell, and a cell whose
-    selections equal an earlier cell's reuses its fold results; with several
-    workers, each reuses the cells it ran.
+    selections equal an earlier cell's reuses its fold results. With
+    ``max_workers`` above 1 the cells run on that many forked processes,
+    each reusing the cells it ran; fewer than 1 is refused with a
+    ``ValueError``.
     """
-    grid = grid or GridSpec()
+    cells = (grid or GridSpec()).cells()
+    workers = _worker_count(max_workers, len(cells))
     if matrix is None:
         matrix = sentence_matrix(documents)
     scores = score_documents(detector.model, detector.vocab, documents, matrix)
-    cells = grid.cells()
-    args = (base_config, list(documents), detector, scores, matrix)
-    if max_workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=max_workers, initializer=_init_grid_worker, initargs=args
-        ) as pool:
-            reports = list(pool.map(_run_grid_cell, cells))
-    else:
-        _init_grid_worker(*args)
-        reports = [_run_grid_cell(p) for p in cells]
-        _WORKER_STATE.clear()
+    cell = partial(_grid_cell, base_config, list(documents), detector, scores, matrix, {})
+    with _forked_map(cell, cells, workers) as reports:
+        reports = list(reports)
     best = max(zip(cells, reports), key=lambda pair: pair[1].mean_accuracy)[1]
     return GridSearchResult(best=best, cells=tuple(zip(cells, reports)))
 
@@ -776,8 +859,9 @@ def paragraph_comparison(
 
     The graph side searches the proximity grid (including the cross-paragraph
     weights); the baseline runs the same classifier base with paragraphs as
-    the unit of labeling.
+    the unit of labeling. ``max_workers`` goes to both.
     """
+    _worker_count(max_workers, 1)
     grid = grid or GridSpec(cross_paragraph_weights=(0.0, 0.25, 0.5, 0.75, 1.0))
     base = base_config or ExperimentConfig()
     base = replace(base, detector_base=detector.config.base)
@@ -790,7 +874,9 @@ def paragraph_comparison(
         )
         graph_best[clf] = result.best
         unit_config = replace(clf_base, extractor="paragraph")
-        paragraph_unit[clf] = run_experiment(unit_config, documents, detector, matrix=matrix)
+        paragraph_unit[clf] = run_experiment(
+            unit_config, documents, detector, matrix=matrix, max_workers=max_workers
+        )
         tests[clf] = paired_t_test(
             graph_best[clf].fold_accuracies(), paragraph_unit[clf].fold_accuracies()
         )

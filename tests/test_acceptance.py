@@ -142,17 +142,21 @@ def test_criterion_09_determinism_byte_identical_reports(tmp_path):
     )
     runner = CliRunner()
     payloads = []
-    for name in ("a", "b"):
+    # two default runs, then the SVM folds trained in this process and on two workers
+    for name, threads in (("a", []), ("b", []), ("t1", ["--threads", "1"]),
+                          ("t2", ["--threads", "2"])):
         out = tmp_path / name
         result = runner.invoke(
             main,
-            ["run", "--spec", str(spec), "--data-root", str(root), "--output-dir", str(out)],
+            ["run", "--spec", str(spec), "--data-root", str(root), "--output-dir", str(out)]
+            + threads,
         )
         assert result.exit_code == 0, result.output
         payloads.append(
             ((out / "report.json").read_bytes(), (out / "report.txt").read_bytes())
         )
     assert payloads[0] == payloads[1]
+    assert payloads[2] == payloads[3] == payloads[0]
 
 
 def test_criterion_10a_single_document_cut_under_10ms():

@@ -251,6 +251,20 @@ class TestRun:
         assert message in result.output
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_are_usage_errors(self, runner, small_data_root, tmp_path, threads):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"extractor": "full_review", "classifier": "svm"}))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["run", "--spec", str(spec), "--data-root", str(small_data_root),
+             "--output-dir", str(out), "--threads", threads],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--threads" in result.output
+        assert not out.exists()
+
     def test_seed_flag_overrides_spec(self, runner, small_data_root, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"extractor": "full_review", "seed": 1}))

@@ -1,12 +1,13 @@
 import json
 import math
+import multiprocessing
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
+from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence, ReviewDocument
 from subjcut.evaluation import (
     ExperimentConfig,
     ExperimentReport,
@@ -26,7 +27,7 @@ from subjcut.evaluation import (
 )
 from subjcut import evaluation, extraction
 from subjcut.extraction import Detector, DetectorConfig, ProximityParams, individual_scores
-from subjcut.classifiers import IndividualScores
+from subjcut.classifiers import IndividualScores, TrainingError
 from subjcut.features import EmptyVocabularyError, Vocabulary
 
 
@@ -396,7 +397,8 @@ class TestFoldFeaturization:
 
     def test_svm_folds_featurize_every_row(self, monkeypatch, synthetic_documents):
         seen = record_featurized_rows(monkeypatch)
-        run_experiment(ExperimentConfig(classifier="svm"), synthetic_documents)
+        # rows featurized in a forked worker would not be recorded here
+        run_experiment(ExperimentConfig(classifier="svm"), synthetic_documents, max_workers=1)
         assert len(seen) == 2 * 10
         for fold in range(10):
             train, test = seen[2 * fold], seen[2 * fold + 1]
@@ -445,6 +447,74 @@ class TestCellReuse:
             report = results[(config.extractor, config.n_sentences, config.classifier)]
             fresh = run_experiment(config, synthetic_documents, nb_detector)
             assert report.to_json() == fresh.to_json()
+
+
+class TestWorkerPool:
+    """SVM folds train on forked workers; nothing observable depends on how many."""
+
+    @pytest.fixture(autouse=True)
+    def no_process_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_svm_reports_do_not_depend_on_the_worker_count(self, synthetic_documents):
+        config = ExperimentConfig(classifier="svm")
+        reports = [
+            run_experiment(config, synthetic_documents, max_workers=workers).to_json()
+            for workers in (1, 2, 3)
+        ]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_svm_detector_cv_does_not_depend_on_the_worker_count(self, synthetic_sentences):
+        runs = [
+            detector_cv_accuracies(synthetic_sentences, base="svm", folds=5, max_workers=workers)
+            for workers in (1, 2)
+        ]
+        assert runs[1] == runs[0]
+
+    @staticmethod
+    def one_class_folds() -> list[ReviewDocument]:
+        # fold 0 holds only positive reviews and fold 1 only negative ones
+        return [
+            ReviewDocument(id=f"{label}{i}", label=label, sentences=(f"{label} words {i}",),
+                           fold=int(label == "negative"))
+            for label in ("positive", "negative") for i in range(3)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_training_error_reaches_the_caller(self, workers):
+        config = ExperimentConfig(classifier="svm", folds=2)
+        with pytest.raises(TrainingError, match="both classes"):
+            run_experiment(config, self.one_class_folds(), max_workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_detector_cv_training_error_reaches_the_caller(self, workers):
+        # folds go round-robin, so fold 0 holds the subjective sentences
+        sentences = [
+            LabeledSentence(text=text, label=label)
+            for text, label in [("a b", SUBJECTIVE), ("c", OBJECTIVE),
+                                ("b d", SUBJECTIVE), ("e", OBJECTIVE)]
+        ]
+        with pytest.raises(TrainingError, match="both classes"):
+            detector_cv_accuracies(sentences, base="svm", folds=2, max_workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_fewer_than_one_worker_is_refused(
+        self, synthetic_documents, synthetic_sentences, nb_detector, workers
+    ):
+        grid = GridSpec(thresholds=(1,), decays=("constant",), strengths=(0.0,))
+        base = ExperimentConfig(extractor="graph", proximity=ProximityParams(strength=0.0))
+        calls = [
+            lambda: grid_search(base, synthetic_documents, nb_detector, grid, max_workers=workers),
+            lambda: paragraph_comparison(
+                synthetic_documents, nb_detector, grid, max_workers=workers
+            ),
+            lambda: run_experiment(ExperimentConfig(), synthetic_documents, max_workers=workers),
+            lambda: detector_cv_accuracies(synthetic_sentences, max_workers=workers),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="max_workers must be >= 1"):
+                call()
 
 
 class TestSweep:
