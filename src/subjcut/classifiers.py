@@ -217,24 +217,29 @@ def svm_train(
     alpha = [0.0] * n
     rng = np.random.default_rng(seed)
 
+    # No builtin call per visit: ``ndarray.sum`` reaches ``np.add.reduce`` through a
+    # Python wrapper; each comparison is the one min/max/abs makes, NaN and -0.0 alike.
+    add_reduce = np.add.reduce
     for _ in range(max_epochs):
         for i in rng.permutation(n).tolist():
             idx, sign, value, q_ii = visits[i]
             w_idx = w[idx]
-            grad = sign * (value * w_idx.sum() + b) - 1.0
+            grad = sign * (value * add_reduce(w_idx) + b) - 1.0
             a_old = alpha[i]
             if a_old == 0.0:
-                projected = min(grad, 0.0)
+                projected = 0.0 if 0.0 < grad else grad  # min(grad, 0.0)
             elif a_old == c_penalty:
-                projected = max(grad, 0.0)
+                projected = 0.0 if 0.0 > grad else grad  # max(grad, 0.0)
             else:
                 projected = grad
-            if abs(projected) < 1e-12:
+            if -1e-12 < projected < 1e-12:
                 continue
-            a_new = min(max(a_old - grad / q_ii, 0.0), c_penalty)
+            a_new = a_old - grad / q_ii  # clamped: min(max(a_new, 0.0), c_penalty)
+            a_new = 0.0 if 0.0 > a_new else c_penalty if c_penalty < a_new else a_new
             delta = a_new - a_old
             if delta != 0.0:
-                w[idx] = w_idx + delta * sign * value
+                w_idx += delta * sign * value
+                w[idx] = w_idx
                 b += delta * sign
                 alpha[i] = a_new
         reg_term = 0.5 * (w @ w + b * b)
@@ -265,7 +270,7 @@ def _row_sums(
     """
     sums = np.zeros(table.shape[:-1] + (n_rows,))
     for numbers, columns in blocks:
-        sums[..., numbers] = table[..., columns].sum(axis=-1)
+        sums[..., numbers] = np.add.reduce(table[..., columns], axis=-1)
     return sums
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
@@ -61,7 +62,7 @@ class ReviewDocument:
             raise ValueError(f"bad label {self.label!r}")
         if not self.sentences:
             raise ValueError(f"document {self.id}: no sentences")
-        if any(not s.strip() for s in self.sentences):
+        if not all(map(str.strip, self.sentences)):
             raise ValueError(f"document {self.id}: blank sentence")
         starts = self.paragraph_starts
         if not starts or starts[0] != 0:
@@ -114,13 +115,31 @@ class LabeledSentence:
     def __post_init__(self) -> None:
         if self.label not in (SUBJECTIVE, OBJECTIVE):
             raise ValueError(f"bad label {self.label!r}")
-        if not self.text.split():
+        if not self.text.strip():
             raise ValueError("sentence has no tokens")
+
+
+def _parse_lines(raw_text: str) -> tuple[list[str], tuple[int, ...]]:
+    """The one parser of review files: the nonblank lines, stripped, and the index
+    of each paragraph's first sentence (0, then each one after blank lines)."""
+    sentences: list[str] = []
+    starts = [0]
+    pending_break = False
+    for line in raw_text.splitlines():
+        line = line.strip()
+        if not line:
+            pending_break = True
+            continue
+        if pending_break and sentences:
+            starts.append(len(sentences))
+        pending_break = False
+        sentences.append(line)
+    return sentences, tuple(starts)
 
 
 def read_sentences(raw_text: str) -> list[str]:
     """Nonblank lines of a one-sentence-per-line file, stripped, in order."""
-    return [line.strip() for line in raw_text.splitlines() if line.strip()]
+    return _parse_lines(raw_text)[0]
 
 
 def detect_paragraphs(raw_text: str, sidecar: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -130,30 +149,21 @@ def detect_paragraphs(raw_text: str, sidecar: Sequence[int] | None = None) -> tu
     lines mark paragraph breaks; a document without either is one paragraph.
     Sidecar indices are validated against the number of sentences.
     """
-    n_sentences = len(read_sentences(raw_text))
-    if sidecar is not None:
-        starts = tuple(int(i) for i in sidecar)
-        if not starts or starts[0] != 0:
-            raise ConfigurationError("sidecar paragraph starts must begin with 0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ConfigurationError("sidecar paragraph starts must be strictly increasing")
-        if starts[-1] >= max(n_sentences, 1):
-            raise ConfigurationError(
-                f"sidecar paragraph start {starts[-1]} out of range for {n_sentences} sentences"
-            )
-        return starts
-    starts = [0]
-    index = 0
-    pending_break = False
-    for line in raw_text.splitlines():
-        if not line.strip():
-            pending_break = True
-            continue
-        if pending_break and index > 0:
-            starts.append(index)
-        pending_break = False
-        index += 1
-    return tuple(starts)
+    sentences, starts = _parse_lines(raw_text)
+    return starts if sidecar is None else _sidecar_starts(sidecar, len(sentences))
+
+
+def _sidecar_starts(sidecar: Sequence[int], n_sentences: int) -> tuple[int, ...]:
+    starts = tuple(int(i) for i in sidecar)
+    if not starts or starts[0] != 0:
+        raise ConfigurationError("sidecar paragraph starts must begin with 0")
+    if any(b <= a for a, b in zip(starts, starts[1:])):
+        raise ConfigurationError("sidecar paragraph starts must be strictly increasing")
+    if starts[-1] >= max(n_sentences, 1):
+        raise ConfigurationError(
+            f"sidecar paragraph start {starts[-1]} out of range for {n_sentences} sentences"
+        )
+    return starts
 
 
 def load_sidecar(path: str | Path) -> dict[str, tuple[int, ...]]:
@@ -176,28 +186,41 @@ def assign_folds(docs: Sequence[ReviewDocument], k: int = 10) -> list[ReviewDocu
     standard balanced split of the review corpus); anything else, including
     synthetic fixtures, falls back to document ordinal mod k.
     """
+    _check_fold_count(k)
+    return [replace(doc, fold=_fold(doc.id, ordinal, k)) for ordinal, doc in enumerate(docs)]
+
+
+def _check_fold_count(k: int) -> None:
     if k < 2:
         raise ConfigurationError(f"fold count must be >= 2, got {k}")
-    out = []
-    for ordinal, doc in enumerate(docs):
-        fold = None
-        m = _CV_TAG.match(doc.id)
-        if m:
-            tagged = int(m.group(1)) // 100
-            if tagged < k:
-                fold = tagged
-        if fold is None:
-            fold = ordinal % k
-        out.append(replace(doc, fold=fold))
-    return out
 
 
-def _iter_label_dirs(root: Path) -> Iterable[tuple[str, Path]]:
+def _fold(doc_id: str, ordinal: int, k: int) -> int:
+    """The fold of the ``ordinal``-th document: its ``cvNNN`` tag if below k, else ordinal mod k."""
+    m = _CV_TAG.match(doc_id)
+    tagged = int(m.group(1)) // 100 if m else k
+    return tagged if tagged < k else ordinal % k
+
+
+def _iter_label_dirs(root: Path) -> Iterable[tuple[str, Path, list[tuple[str, str]]]]:
+    """Each label, its directory and the (name, path) of each file in it, sorted by
+    name: within one directory, the order of sorted ``Path``s."""
     for label, sub in ((POSITIVE, "pos"), (NEGATIVE, "neg")):
         d = root / sub
         if not d.is_dir():
             raise IngestionError(f"missing dataset subdirectory: {d}")
-        yield label, d
+        with os.scandir(d) as entries:  # a symlink is tested as Path.is_file tests it
+            files = sorted(
+                (e.name, e.path) for e in entries
+                if e.is_file(follow_symlinks=False) or e.is_symlink() and Path(e.path).is_file()
+            )
+        yield label, d, files
+
+
+def _read_text(path: str | Path) -> str:
+    # no newline translation: splitlines breaks at \r\n, \r and \n alike
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8", errors="replace")
 
 
 def load_polarity_dataset(
@@ -208,33 +231,28 @@ def load_polarity_dataset(
     """Load the review corpus from ``root/pos`` and ``root/neg``.
 
     One document per file, one sentence per nonblank line, label from the
-    subdirectory. Empty files are skipped with a warning. Folds are assigned
-    via :func:`assign_folds`.
+    subdirectory. Empty files are skipped with a warning. Folds follow the
+    rule of :func:`assign_folds`, the ordinal counting only the files kept.
     """
+    _check_fold_count(k)
     root = Path(root)
     sidecars = load_sidecar(sidecar_path) if sidecar_path else {}
     docs: list[ReviewDocument] = []
-    for label, d in _iter_label_dirs(root):
-        files = sorted(p for p in d.iterdir() if p.is_file())
+    for label, d, files in _iter_label_dirs(root):
         n_before = len(docs)
-        for f in files:
-            raw = f.read_text(encoding="utf-8", errors="replace")
-            sentences = read_sentences(raw)
+        for name, path in files:
+            sentences, starts = _parse_lines(_read_text(path))
             if not sentences:
-                log.warning("skipping empty file %s", f)
+                log.warning("skipping empty file %s", path)
                 continue
-            stem = f.stem
-            docs.append(
-                ReviewDocument(
-                    id=stem,
-                    label=label,
-                    sentences=tuple(sentences),
-                    paragraph_starts=detect_paragraphs(raw, sidecars.get(stem)),
-                )
-            )
+            stem = PurePath(name).stem
+            if stem in sidecars:
+                starts = _sidecar_starts(sidecars[stem], len(sentences))
+            fold = _fold(stem, len(docs), k)
+            docs.append(ReviewDocument(stem, label, tuple(sentences), starts, fold))
         if len(docs) == n_before:
             raise IngestionError(f"no usable documents under {d}")
-    return assign_folds(docs, k)
+    return docs
 
 
 def load_subjectivity_dataset(
@@ -244,7 +262,7 @@ def load_subjectivity_dataset(
     out: list[LabeledSentence] = []
     for path, label in ((Path(quote_file), SUBJECTIVE), (Path(plot_file), OBJECTIVE)):
         try:
-            raw = path.read_text(encoding="utf-8", errors="replace")
+            raw = _read_text(path)
         except OSError as exc:
             raise IngestionError(f"cannot read {path}: {exc}") from exc
         out.extend(LabeledSentence(text=s, label=label) for s in read_sentences(raw))
@@ -274,8 +292,8 @@ class CorpusManifest:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def build_manifest(
@@ -290,12 +308,11 @@ def build_manifest(
     manifest = CorpusManifest()
     if polarity_root is not None:
         root = Path(polarity_root)
-        for label, d in _iter_label_dirs(root):
-            for f in sorted(p for p in d.iterdir() if p.is_file()):
-                rel = f"{d.name}/{f.name}"
-                manifest.checksums[rel] = _sha256(f)
-                raw = f.read_text(encoding="utf-8", errors="replace")
-                if not read_sentences(raw):
+        for label, d, files in _iter_label_dirs(root):
+            for name, path in files:
+                rel = f"{d.name}/{name}"
+                manifest.checksums[rel] = _sha256(path)
+                if not read_sentences(_read_text(path)):
                     manifest.skipped = manifest.skipped + (rel,)
                 elif label == POSITIVE:
                     manifest.positive_count += 1
@@ -308,6 +325,5 @@ def build_manifest(
         if not p.is_file():
             raise IngestionError(f"missing dataset file: {p}")
         manifest.checksums[p.name] = _sha256(p)
-        count = len(read_sentences(p.read_text(encoding="utf-8", errors="replace")))
-        setattr(manifest, attr, count)
+        setattr(manifest, attr, len(read_sentences(_read_text(p))))
     return manifest

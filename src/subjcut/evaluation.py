@@ -48,7 +48,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .classifiers import (
     IndividualScores,
@@ -683,7 +683,7 @@ def paired_t_test(acc_a: Sequence[float], acc_b: Sequence[float]) -> TTestResult
     if sd == 0.0:
         return TTestResult(t=math.copysign(math.inf, d.mean()), p=0.0, degenerate=True)
     t = d.mean() / (sd / math.sqrt(len(d)))
-    p = 2.0 * stats.t.sf(abs(t), df=len(d) - 1)
+    p = 2.0 * stdtr(len(d) - 1, -abs(t))  # the survival function scipy.stats.t.sf computes
     return TTestResult(t=float(t), p=float(p))
 
 

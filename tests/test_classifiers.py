@@ -25,7 +25,12 @@ from subjcut.classifiers import (
 )
 from subjcut.features import FeatureRows
 
-from planted_corpus import rows_over, vocabulary_of
+from planted_corpus import (
+    make_review_lines,
+    make_sentence_corpus,
+    rows_over,
+    vocabulary_of,
+)
 
 
 def rows_and_vocab(texts, normalize=False):
@@ -505,5 +510,101 @@ class TestSvmTrainExactness:
         labels[:2] = [0, 1]
         model = svm_train(rows, labels, regularization, seed=seed % 7, max_epochs=max_epochs)
         w, b = reference_svm_train(rows, labels, regularization, seed % 7, max_epochs)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias.hex() == b.hex()
+
+
+def builtin_loop_svm_train(rows, labels, regularization, seed, max_epochs=60, tol=1e-3):
+    """``svm_train``'s coordinate loop as it was with builtin ``min``/``max``/``abs``
+    and ``ndarray.sum`` per visit; returns the weights, bias, duals and whether
+    the gap closed."""
+    n = len(rows)
+    signs = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+    row_values = rows.values
+    q_diag = rows.lengths * row_values**2 + 1.0
+    blocks = rows.blocks()
+    visits = list(zip(rows.rows(), signs.tolist(), row_values.tolist(), q_diag.tolist()))
+    w = np.zeros(rows.n_features)
+    b = 0.0
+    alpha = [0.0] * n
+    rng = np.random.default_rng(seed)
+    converged = False
+    for _ in range(max_epochs):
+        for i in rng.permutation(n).tolist():
+            idx, sign, value, q_ii = visits[i]
+            w_idx = w[idx]
+            grad = sign * (value * w_idx.sum() + b) - 1.0
+            a_old = alpha[i]
+            if a_old == 0.0:
+                projected = min(grad, 0.0)
+            elif a_old == regularization:
+                projected = max(grad, 0.0)
+            else:
+                projected = grad
+            if abs(projected) < 1e-12:
+                continue
+            a_new = min(max(a_old - grad / q_ii, 0.0), regularization)
+            delta = a_new - a_old
+            if delta != 0.0:
+                w[idx] = w_idx + delta * sign * value
+                b += delta * sign
+                alpha[i] = a_new
+        reg_term = 0.5 * (w @ w + b * b)
+        sums = np.zeros(n)
+        for numbers, columns in blocks:
+            sums[numbers] = w[columns].sum(axis=-1)
+        margins = signs * (b + row_values * sums)
+        primal = reg_term + regularization * np.maximum(0.0, 1.0 - margins).sum()
+        dual = np.array(alpha).sum() - reg_term
+        if primal - dual <= tol * max(primal, 1.0):
+            converged = True
+            break
+    return w, float(b), np.array(alpha), converged
+
+
+def planted_svm_corpora():
+    """Normalized rows and labels of the planted detector sentences and of whole reviews."""
+    sentences = make_sentence_corpus()
+    texts = [s.text for s in sentences]
+    out = {"sentences": (texts, [int(s.label == "subjective") for s in sentences])}
+    rng = np.random.default_rng(3)
+    reviews, labels = [], []
+    for polarity in ("positive", "negative") * 20:
+        reviews.append(" ".join(make_review_lines(rng, polarity)))
+        labels.append(int(polarity == "positive"))
+    out["reviews"] = (reviews, labels)
+    return {
+        name: (rows_over(texts, vocabulary_of(texts), normalize=True), labels)
+        for name, (texts, labels) in out.items()
+    }
+
+
+class TestSvmCoordinateLoop:
+    """``svm_train`` gives the bytes of the builtin-call loop it replaced."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        return planted_svm_corpora()
+
+    @pytest.mark.parametrize("corpus_name", ["sentences", "reviews"])
+    @pytest.mark.parametrize("regularization, seed", [(0.01, 0), (0.3, 5), (1.0, 1), (10.0, 2)])
+    def test_weights_and_bias_bytes_equal(self, corpora, corpus_name, regularization, seed):
+        rows, labels = corpora[corpus_name]
+        model = svm_train(rows, labels, regularization, seed=seed)
+        w, b, alpha, _ = builtin_loop_svm_train(rows, labels, regularization, seed)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias.hex() == b.hex()
+        if regularization == 0.01:
+            assert (alpha == regularization).any()  # the upper bound is reached
+
+    @pytest.mark.parametrize("corpus_name", ["sentences", "reviews"])
+    def test_one_epoch_stops_early_with_equal_bytes(self, corpora, corpus_name, caplog):
+        rows, labels = corpora[corpus_name]
+        with caplog.at_level(logging.WARNING, logger="subjcut.classifiers"):
+            model = svm_train(rows, labels, 1.0, seed=4, max_epochs=1)
+        w, b, _, converged = builtin_loop_svm_train(rows, labels, 1.0, 4, max_epochs=1)
+        assert not converged
+        [record] = caplog.records
+        assert "max_epochs=1" in record.getMessage()
         assert model.weights.tobytes() == w.tobytes()
         assert model.bias.hex() == b.hex()

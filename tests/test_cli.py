@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import subjcut
 from subjcut.cli import main
 
 from planted_corpus import write_polarity_tree, make_sentence_corpus
@@ -390,3 +395,14 @@ class TestReport:
         result = runner.invoke(main, ["report", str(path)])
         assert result.exit_code == 2, result.output
         assert "not an experiment report" in result.output
+
+
+def test_importing_the_cli_does_not_import_scipy_stats():
+    """Every CLI command pays for the imports; the t-test needs only ``scipy.special``."""
+    src = str(Path(subjcut.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, subjcut, subjcut.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

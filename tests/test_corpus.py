@@ -1,6 +1,11 @@
 import json
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subjcut.corpus import (
     ConfigurationError,
@@ -13,6 +18,7 @@ from subjcut.corpus import (
     load_polarity_dataset,
     load_sidecar,
     load_subjectivity_dataset,
+    read_sentences,
     tokenize,
 )
 
@@ -233,3 +239,180 @@ class TestManifest:
         m = build_manifest(tmp_path)
         assert m.skipped == ("pos/empty.txt",)
         assert m.positive_count == 1
+
+
+# The loader as it was, kept as the reference for the one-pass loader: each
+# file listed by ``Path.iterdir``, read in text mode, scanned by the
+# three-pass parser below, and each document built twice (folds assigned by
+# ``dataclasses.replace``).
+
+
+def three_pass_read_sentences(raw_text):
+    return [line.strip() for line in raw_text.splitlines() if line.strip()]
+
+
+def three_pass_detect_paragraphs(raw_text, sidecar=None):
+    n_sentences = len(three_pass_read_sentences(raw_text))
+    if sidecar is not None:
+        starts = tuple(int(i) for i in sidecar)
+        if not starts or starts[0] != 0:
+            raise ConfigurationError("sidecar paragraph starts must begin with 0")
+        if any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ConfigurationError("sidecar paragraph starts must be strictly increasing")
+        if starts[-1] >= max(n_sentences, 1):
+            raise ConfigurationError("sidecar paragraph start out of range")
+        return starts
+    starts = [0]
+    index = 0
+    pending_break = False
+    for line in raw_text.splitlines():
+        if not line.strip():
+            pending_break = True
+            continue
+        if pending_break and index > 0:
+            starts.append(index)
+        pending_break = False
+        index += 1
+    return tuple(starts)
+
+
+def replace_assign_folds(docs, k):
+    out = []
+    for ordinal, doc in enumerate(docs):
+        fold = None
+        m = re.match(r"^cv(\d{3})", doc.id)
+        if m and int(m.group(1)) // 100 < k:
+            fold = int(m.group(1)) // 100
+        out.append(replace(doc, fold=ordinal % k if fold is None else fold))
+    return out
+
+
+def reference_load(root, k=10, sidecar_path=None):
+    sidecars = load_sidecar(sidecar_path) if sidecar_path else {}
+    docs = []
+    for label, sub in (("positive", "pos"), ("negative", "neg")):
+        for f in sorted(p for p in (Path(root) / sub).iterdir() if p.is_file()):
+            raw = f.read_text(encoding="utf-8", errors="replace")
+            sentences = three_pass_read_sentences(raw)
+            if sentences:
+                starts = three_pass_detect_paragraphs(raw, sidecars.get(f.stem))
+                docs.append(ReviewDocument(f.stem, label, tuple(sentences), starts))
+    return replace_assign_folds(docs, k)
+
+
+def write_tree(root, files):
+    for rel, data in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+
+# Line pieces that stress the parser: \n, \r\n and \r, the breaks NEL and
+# U+2028 that splitlines also knows, whitespace-only runs, invalid and
+# truncated UTF-8, and a BOM.
+LINE_PIECES = [
+    b"word", b"two words", b"cv123", b" ", b"\t", b"\x0c", b"\n", b"\r\n", b"\r",
+    b"\xc2\x85", b"\xe2\x80\xa8", b"\xff", b"\xe2\x80", b"\xef\xbb\xbf", b"\xc3\xa9t\xc3\xa9",
+]
+FILE_NAMES = [
+    "cv000_1.txt", "cv105_2.txt", "cv950_3.txt", "cv999_4", "B.txt", "a.txt", "a.md",
+    "a.", ".hidden", "x.tar.gz", "z10.txt", "z9.txt", "cv12_5.txt",
+]
+file_bytes = st.lists(st.sampled_from(LINE_PIECES), max_size=25).map(b"".join)
+label_dir = st.dictionaries(st.sampled_from(FILE_NAMES), file_bytes, min_size=1, max_size=6)
+
+
+class TestOnePassIngestion:
+    """The one-pass loader equals the three-pass, build-twice loader it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=file_bytes)
+    def test_parser_equals_the_three_pass_parser(self, text):
+        raw = text.decode("utf-8", errors="replace")
+        assert read_sentences(raw) == three_pass_read_sentences(raw)
+        assert detect_paragraphs(raw) == three_pass_detect_paragraphs(raw)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pos=label_dir, neg=label_dir, k=st.sampled_from([2, 3, 10]))
+    def test_random_trees_load_equal(self, pos, neg, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_tree(root, {f"pos/{n}": d for n, d in pos.items()})
+            write_tree(root, {f"neg/{n}": d for n, d in neg.items()})
+            (root / "pos" / "subdir").mkdir()
+            expected = reference_load(root, k)
+            if {d.label for d in expected} != {"positive", "negative"}:
+                with pytest.raises(IngestionError, match="no usable documents"):
+                    load_polarity_dataset(root, k)
+                return
+            assert load_polarity_dataset(root, k) == expected
+
+    def test_crlf_whitespace_lines_and_blank_runs(self, tmp_path):
+        write_tree(tmp_path, {
+            "pos/a.txt": b"\r\n \t\r\n\r\none two\r\nthree\r\n\r\n\x0c\r\nfour\r\n\r\n\r\n",
+            "pos/b.txt": b"one\rtwo\r\rthree  \r\n\n\n\n",
+            "neg/c.txt": b"\n\n\nx y\n\n\n\nz\n   \n",
+        })
+        docs = load_polarity_dataset(tmp_path)
+        assert docs == reference_load(tmp_path)
+        by_id = {d.id: d for d in docs}
+        assert by_id["a"].sentences == ("one two", "three", "four")
+        assert by_id["a"].paragraph_starts == (0, 2)
+        assert by_id["b"].paragraph_starts == (0, 2)
+        assert by_id["c"].paragraph_starts == (0, 1)
+
+    def test_empty_file_before_an_untagged_file(self, tmp_path, caplog):
+        write_tree(tmp_path, {
+            "pos/a.txt": b"\n \r\n",
+            "pos/b.txt": b"kept\n",
+            "pos/c.txt": b"kept too\n",
+            "neg/d.txt": b"",
+            "neg/e.txt": b"kept\n",
+        })
+        with caplog.at_level("WARNING", logger="subjcut.corpus"):
+            docs = load_polarity_dataset(tmp_path, k=2)
+        assert docs == reference_load(tmp_path, k=2)
+        # the ordinal counts only the files kept
+        assert [(d.id, d.fold) for d in docs] == [("b", 0), ("c", 1), ("e", 0)]
+        assert sum("skipping empty file" in r.getMessage() for r in caplog.records) == 2
+
+    def test_cv_tag_at_or_above_k(self, tmp_path):
+        write_tree(tmp_path, {
+            "pos/cv499_1.txt": b"s\n",
+            "pos/cv500_2.txt": b"s\n",
+            "neg/cv700_3.txt": b"s\n",
+            "neg/cv100_4.txt": b"s\n",
+        })
+        docs = load_polarity_dataset(tmp_path, k=5)
+        assert docs == reference_load(tmp_path, k=5)
+        assert [d.fold for d in docs] == [4, 1, 1, 3]
+
+    def test_sidecar_for_some_documents(self, tmp_path):
+        write_tree(tmp_path, {
+            "pos/a.txt": b"s0\ns1\n\ns2\ns3\n",
+            "pos/b.txt": b"s0\n\ns1\ns2\n",
+            "neg/c.txt": b"s0\ns1\ns2\n",
+            "side.tsv": b"a\t0,1,3\nc\t0,2\nmissing\t0,9\n",
+        })
+        side = tmp_path / "side.tsv"
+        docs = load_polarity_dataset(tmp_path, sidecar_path=side)
+        assert docs == reference_load(tmp_path, sidecar_path=side)
+        assert [d.paragraph_starts for d in docs] == [(0, 1, 3), (0, 1), (0, 2)]
+        (tmp_path / "side.tsv").write_bytes(b"b\t0,3\n")
+        with pytest.raises(ConfigurationError, match="out of range"):
+            load_polarity_dataset(tmp_path, sidecar_path=side)
+
+    def test_symlinks_are_listed_as_path_is_file_lists_them(self, tmp_path):
+        write_tree(tmp_path, {"pos/a.txt": b"s\n", "neg/b.txt": b"s\n", "elsewhere/c.txt": b"t\n"})
+        (tmp_path / "pos" / "to_file.txt").symlink_to(tmp_path / "elsewhere" / "c.txt")
+        (tmp_path / "pos" / "to_dir").symlink_to(tmp_path / "elsewhere")
+        (tmp_path / "pos" / "dangling").symlink_to(tmp_path / "absent.txt")
+        (tmp_path / "pos" / "loop").symlink_to(tmp_path / "pos" / "loop")
+        docs = load_polarity_dataset(tmp_path)
+        assert docs == reference_load(tmp_path)
+        assert [d.id for d in docs] == ["a", "to_file", "b"]
+
+    def test_k_below_two_refused_before_any_read(self, tmp_path):
+        # neither the tree nor the sidecar exists: reading either would fail otherwise
+        with pytest.raises(ConfigurationError, match="fold count"):
+            load_polarity_dataset(tmp_path / "absent", k=1, sidecar_path=tmp_path / "absent.tsv")
