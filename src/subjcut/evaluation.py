@@ -10,8 +10,10 @@ and seed reproduce the same bytes.
 
 Each experiment, grid, sweep or paragraph comparison tokenizes the review
 sentences once, into one sentence presence matrix; detector scores and every
-extract's row come from it. Grid and sweep cells whose selections are equal
-share one cross-validation.
+extract's row come from it. A selection is one flag per sentence, in the
+matrix's row order; extract rows, preservation and train digests are read
+from the flags, and ``make_extracts`` alone builds ``Extract`` objects. Grid
+and sweep cells whose flags are equal share one cross-validation.
 
 A cross-validation (of extracts, or of detector sentences) reads all its rows
 once, into per-type class counts and first positions (``type_counts``). Each
@@ -66,16 +68,10 @@ from .extraction import (
     Extract,
     ProximityParams,
     build_extract,
-    complement_indices,
     detect_paragraph_unit,
     document_batches,
     individual_scores,
-    preservation_rate,
-    select_basic,
     select_graph,
-    select_least_n,
-    select_top_n,
-    sentence_groups,
     sentence_matrix,
 )
 from .features import (
@@ -449,24 +445,6 @@ def _fit_predict(
 # The main experiment
 
 
-def _select_for_config(
-    config: ExperimentConfig, doc: ReviewDocument, scores: IndividualScores | None
-) -> tuple[int, ...]:
-    """One document's selection for every extractor but ``graph`` and ``paragraph``."""
-    n_sent = len(doc.sentences)
-    if config.extractor == "full_review":
-        return tuple(range(n_sent))
-    if config.extractor == "basic":
-        return select_basic(scores)
-    if config.extractor == "top_n":
-        return select_top_n(scores, config.n_sentences)
-    if config.extractor == "least_n":
-        return select_least_n(scores, config.n_sentences)
-    if config.extractor == "first_n":
-        return tuple(range(min(config.n_sentences, n_sent)))
-    return tuple(range(max(0, n_sent - config.n_sentences), n_sent))  # last_n
-
-
 def make_extracts(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
@@ -477,10 +455,21 @@ def make_extracts(
     """Produce the per-document extracts an experiment will classify.
 
     ``matrix``, the documents' ``sentence_matrix``, is built when the
-    detector needs it and it is not given.
+    detector needs it and it is not given. This is the one place extracts
+    are built: experiments, grids and sweeps classify the selection's
+    sentence rows without them.
     """
-    selections = _selections(config, documents, detector, scores, matrix)
-    return [build_extract(doc, sel) for doc, sel in zip(documents, selections)]
+    flags = _selections(config, documents, detector, scores, matrix).tolist()
+    first = _first_rows(documents)
+    return [
+        build_extract(doc, itertools.compress(range(b - a), flags[a:b]))
+        for doc, a, b in zip(documents, first, first[1:])
+    ]
+
+
+def _first_rows(documents: Sequence[ReviewDocument]) -> list[int]:
+    """Each document's first row of their ``sentence_matrix``, then the row count."""
+    return np.cumsum([0] + [len(doc.sentences) for doc in documents]).tolist()
 
 
 def _selections(
@@ -489,26 +478,61 @@ def _selections(
     detector: Detector | None,
     scores: Sequence[IndividualScores] | None,
     matrix: PresenceMatrix | None,
-) -> list[tuple[int, ...]]:
-    """Per document, the ascending sentence indices ``make_extracts`` keeps."""
+) -> np.ndarray:
+    """One flag per sentence of ``documents``, in ``sentence_matrix`` row
+    order: whether ``config``'s extract keeps it.
+
+    Given ``scores`` must hold one entry per document, with one score per
+    sentence; anything else is refused with a ``ValueError`` before any
+    selection. The count-limited extractors rank a document's sentences by
+    position, or by class-1 score with ties to the earlier sentence.
+    """
+    if scores is not None:
+        for d, doc in enumerate(documents):
+            given = len(scores[d]) if d < len(scores) else 0
+            if given != len(doc.sentences):
+                raise ValueError(
+                    f"document {doc.id}: {given} scores for {len(doc.sentences)} sentences"
+                )
+        if len(scores) != len(documents):
+            raise ValueError(f"{len(scores)} score lists for {len(documents)} documents")
     if config.extractor in DETECTOR_EXTRACTORS:
         if detector is None:
             raise ValueError(f"extractor {config.extractor!r} requires a trained detector")
         if scores is None and config.extractor != "paragraph":
             scores = score_documents(detector.model, detector.vocab, documents, matrix)
-    if config.extractor == "graph":
-        starts = [doc.paragraph_starts for doc in documents]
-        selections = select_graph(scores, config.proximity, starts)
-    elif config.extractor == "paragraph":
-        selections = detect_paragraph_unit(detector.model, detector.vocab, documents, matrix)
+    first = _first_rows(documents)
+    counts = np.diff(first)
+    document = np.repeat(np.arange(len(documents)), counts)
+    position = np.arange(first[-1]) - np.repeat(first[:-1], counts)
+    n = config.n_sentences
+    if config.extractor == "full_review":
+        keep = np.ones(first[-1], dtype=bool)
+    elif config.extractor == "first_n":
+        keep = position < n
+    elif config.extractor == "last_n":
+        keep = position >= counts[document] - n
+    elif config.extractor in ("graph", "paragraph"):
+        if config.extractor == "graph":
+            starts = [doc.paragraph_starts for doc in documents]
+            selected = select_graph(scores, config.proximity, starts)
+        else:
+            selected = detect_paragraph_unit(detector.model, detector.vocab, documents, matrix)
+        rows = np.fromiter(itertools.chain.from_iterable(selected), np.intp)
+        keep = np.zeros(first[-1], dtype=bool)
+        keep[rows + np.repeat(first[:-1], [len(sel) for sel in selected])] = True
     else:
-        selections = [
-            _select_for_config(config, doc, scores[i] if scores is not None else None)
-            for i, doc in enumerate(documents)
-        ]
-    if config.flipped:
-        selections = [complement_indices(doc, sel) for doc, sel in zip(documents, selections)]
-    return selections
+        class1 = np.concatenate([np.zeros(0)] + [s.class1 for s in scores])
+        if config.extractor == "basic":
+            keep = class1 > np.concatenate([np.zeros(0)] + [s.class2 for s in scores])
+        else:
+            # the order groups the documents as the rows do, so the sentence
+            # at each place of it has the rank of that place's position
+            order = np.lexsort((position, -class1 if config.extractor == "top_n" else class1,
+                                document))
+            keep = np.empty(first[-1], dtype=bool)
+            keep[order] = position < n
+    return ~keep if config.flipped else keep
 
 
 def _train_digests(
@@ -529,21 +553,28 @@ def _train_digests(
 
 
 def _extract_rows(
-    matrix: PresenceMatrix, documents: Sequence[ReviewDocument], extracts: Sequence[Extract]
+    matrix: PresenceMatrix, documents: Sequence[ReviewDocument], keep: np.ndarray
 ) -> PresenceMatrix:
-    """Each extract's row: the join of its selected sentences' rows of ``matrix``."""
-    groups = sentence_groups(documents, [[e.selected] for e in extracts])
-    return join_rows(matrix, ((rows, lengths) for _, rows, lengths in groups))
+    """Each document's extract row: the join of its kept rows of ``matrix``."""
+    rows = np.flatnonzero(keep)
+    # before[d]: how many kept rows lie before document d's first row
+    before = np.searchsorted(rows, _first_rows(documents))
+    counts = [len(doc.sentences) for doc in documents]
+    return join_rows(matrix, (
+        (rows[before[b.start]:before[b.stop]], np.diff(before[b.start:b.stop + 1]))
+        for b in document_batches(counts)
+    ))
 
 
 def _cross_validate(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
-    extracts: Sequence[Extract],
+    keep: np.ndarray,
     extract_rows: PresenceMatrix,
     max_workers: int = 1,
 ) -> tuple[FoldResult, ...]:
-    """The fold results of ``config``'s classifier over the extracts' rows.
+    """The fold results of ``config``'s classifier over the extract rows of
+    the sentences ``keep`` flags.
 
     SVM folds train on ``max_workers`` forked processes while this one takes
     the train digests and preservation; NB folds train here.
@@ -562,19 +593,25 @@ def _cross_validate(
     )
     workers = max_workers if config.classifier == "svm" else 1
     with _forked_map(fit, range(config.folds), workers) as fits:
-        digests = _train_digests(
-            [(doc.id, e.text) for doc, e in zip(documents, extracts)], fold_of, config.folds
-        )
-        preservation = [
-            preservation_rate([extracts[i] for i in np.flatnonzero(fold_of == fold)])
-            for fold in range(config.folds)
+        first, flags = _first_rows(documents), keep.tolist()
+        pairs = [
+            (doc.id, "\n".join(itertools.compress(doc.sentences, flags[a:b])))
+            for doc, a, b in zip(documents, first, first[1:])
         ]
+        digests = _train_digests(pairs, fold_of, config.folds)
+        words = np.fromiter(
+            itertools.chain.from_iterable(doc.sentence_word_counts for doc in documents),
+            dtype=float, count=len(keep),
+        )
+        document = np.repeat(np.arange(len(documents)), np.diff(first))
+        kept = np.bincount(document, weights=words * keep, minlength=len(documents))
+        rates = kept / [doc.word_count for doc in documents]
         return tuple(
             FoldResult(
                 fold=fold,
                 accuracy=int((predicted == labels[test]).sum()) / len(test),
                 n_test=len(test),
-                preservation=preservation[fold],
+                preservation=float(np.mean(rates[test])),
                 train_digest=digests[fold],
             )
             for fold, (test, predicted) in enumerate(fits)
@@ -593,7 +630,7 @@ def run_experiment(
 
     Every review sentence is tokenized once, into ``matrix``, the documents'
     ``sentence_matrix`` (built here when not given); an extract's row is the
-    join of its sentences' rows. For each fold, the vocabulary and the
+    join of its kept sentences' rows. For each fold, the vocabulary and the
     polarity classifier are built from the training folds' extracts only;
     the held-out fold supplies the test extracts. ``scores`` may carry
     precomputed per-sentence detector scores aligned with ``documents``
@@ -604,15 +641,15 @@ def run_experiment(
     workers = _worker_count(max_workers, config.folds)
     if matrix is None:
         matrix = sentence_matrix(documents)
-    extracts = make_extracts(config, documents, detector, scores, matrix)
-    rows = _extract_rows(matrix, documents, extracts)
+    keep = _selections(config, documents, detector, scores, matrix)
+    rows = _extract_rows(matrix, documents, keep)
     # A matrix built here is freed before the folds train, and the rows are
     # copied once it is: left where they were built, above the matrix, they
     # kept its memory from being reused for the folds' arrays, which raised
     # the peak resident memory of a full-review SVM run by about 2 MB.
     del matrix
     rows = PresenceMatrix(rows.types, rows.ids.copy(), rows.offsets)
-    return _report(config, _cross_validate(config, documents, extracts, rows, workers))
+    return _report(config, _cross_validate(config, documents, keep, rows, workers))
 
 
 def _cell_report(
@@ -626,20 +663,17 @@ def _cell_report(
     """``run_experiment`` for a grid or sweep cell, cross-validating once per
     distinct selection.
 
-    Cells whose extracts select the same sentences, under the same classifier
-    settings, have the same fold results. ``done`` maps the key of each
-    selection already cross-validated (a digest of the selections, taken
-    after ``flipped``, and the classifier settings) to its fold results; the
-    extracts are built only for a key not in it. The folds train in this
-    process.
+    Cells that keep the same sentences, under the same classifier settings,
+    have the same fold results. ``done`` maps the key of each selection
+    already cross-validated (a digest of the sentence flags, taken after
+    ``flipped``, and the classifier settings) to its fold results. The folds
+    train in this process.
     """
-    selections = _selections(config, documents, detector, scores, matrix)
-    digest = hashlib.sha256("".join(repr(sel) for sel in selections).encode("ascii"))
-    key = (digest.hexdigest(), config.classifier, config.folds, config.seed, config.min_doc_freq)
+    keep = _selections(config, documents, detector, scores, matrix)
+    digest = hashlib.sha256(keep.tobytes()).hexdigest()
+    key = (digest, config.classifier, config.folds, config.seed, config.min_doc_freq)
     if key not in done:
-        extracts = [build_extract(doc, sel) for doc, sel in zip(documents, selections)]
-        rows = _extract_rows(matrix, documents, extracts)
-        done[key] = _cross_validate(config, documents, extracts, rows)
+        done[key] = _cross_validate(config, documents, keep, _extract_rows(matrix, documents, keep))
     return _report(config, done[key])
 
 

@@ -4,9 +4,12 @@ A detector scores each sentence of a review for subjectivity and selects a
 subset: independently per sentence (basic), jointly via a minimum cut with
 proximity edges (graph), or per paragraph. A batch of reviews gets its
 proximity edges from one band over the distances 1..T that every review
-shares, and its cut network straight from the band's arrays. Positional and
-score-ranked baselines (first/last/top/least N sentences) and the complement
-(objective) extract live here too.
+shares, and its cut network straight from the band's arrays. Paragraph units
+are joins of consecutive sentence rows. Each selection is one tuple of
+sentence indices per document; ``evaluation`` turns them into one flag per
+sentence, where the positional and score-ranked baselines (first/last/top/
+least N sentences) and the complement (objective) extract are array steps.
+An ``Extract`` is a document's kept text and word counts, built for output.
 """
 
 from __future__ import annotations
@@ -241,25 +244,6 @@ def sentence_matrix(documents: Sequence[ReviewDocument]) -> PresenceMatrix:
     return PresenceMatrix.from_runs(type_id, runs)
 
 
-def sentence_groups(
-    documents: Sequence[ReviewDocument], groups: Sequence[Sequence[Sequence[int]]]
-) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
-    """Per batch of documents, their groups of sentences as ``join_rows`` takes them.
-
-    ``groups[d]`` lists document d's groups, each a sequence of its sentence
-    indices. Yields the batch, the groups' rows of the documents'
-    ``sentence_matrix`` one group after another, and each group's length.
-    """
-    counts = [len(doc.sentences) for doc in documents]
-    first = np.cumsum([0] + counts).tolist()
-    for batch in document_batches(counts):
-        rows = np.fromiter(
-            (first[d] + i for d in batch for group in groups[d] for i in group), dtype=np.intp
-        )
-        lengths = np.fromiter((len(group) for d in batch for group in groups[d]), dtype=np.int64)
-        yield batch, rows, lengths
-
-
 def select_graph(
     scores: Sequence[IndividualScores],
     params: ProximityParams,
@@ -291,24 +275,23 @@ def detect_paragraph_unit(
     """Classify whole paragraphs; every sentence inherits its paragraph's label.
 
     A paragraph is scored as the join of its sentences' rows of ``matrix``,
-    the documents' ``sentence_matrix`` (built here when not given). Documents
-    without boundary information are treated as one paragraph, which makes
-    the decision all-or-nothing.
+    the documents' ``sentence_matrix`` (built here when not given): a batch's
+    rows are contiguous, so its paragraphs are consecutive runs of them.
+    Documents without boundary information are treated as one paragraph,
+    which makes the decision all-or-nothing.
     """
     if matrix is None:
         matrix = sentence_matrix(documents)
-    spans = []
-    for doc in documents:
-        starts = list(doc.paragraph_starts)
-        spans.append([range(a, b) for a, b in zip(starts, starts[1:] + [len(doc.sentences)])])
-    selections: list[tuple[int, ...]] = []
-    for batch, rows, lengths in sentence_groups(documents, spans):
+    counts = [len(doc.sentences) for doc in documents]
+    first = np.cumsum([0] + counts).tolist()
+    keep = np.zeros(first[-1], dtype=bool)
+    for batch in document_batches(counts):
+        starts = [first[d] + s for d in batch for s in documents[d].paragraph_starts]
+        lengths = np.diff([*starts, first[batch.stop]])
+        rows = np.arange(first[batch.start], first[batch.stop])
         scores = individual_scores(model, vocab, join_rows(matrix, [(rows, lengths)]))
-        keep = iter((scores.class1 > scores.class2).tolist())
-        selections += [
-            tuple(i for span in spans[d] if next(keep) for i in span) for d in batch
-        ]
-    return selections
+        keep[rows] = np.repeat(scores.class1 > scores.class2, lengths)
+    return [tuple(np.flatnonzero(keep[a:b]).tolist()) for a, b in zip(first, first[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +329,6 @@ def build_extract(doc: ReviewDocument, selected: Iterable[int]) -> Extract:
         words_kept=sum(counts[i] for i in indices),
         words_total=doc.word_count,
     )
-
-
-def complement_indices(doc: ReviewDocument, selected: Iterable[int]) -> tuple[int, ...]:
-    chosen = set(selected)
-    return tuple(i for i in range(len(doc.sentences)) if i not in chosen)
-
-
-def select_top_n(scores: IndividualScores, n: int) -> tuple[int, ...]:
-    """The n sentences with the highest class-1 score, regardless of whether
-    they clear 0.5; ties go to the earlier sentence. Short documents return
-    everything. Output is in document order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    order = sorted(range(len(scores)), key=lambda i: (-scores.class1[i], i))
-    return tuple(sorted(order[:n]))
-
-
-def select_least_n(scores: IndividualScores, n: int) -> tuple[int, ...]:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    order = sorted(range(len(scores)), key=lambda i: (scores.class1[i], i))
-    return tuple(sorted(order[:n]))
 
 
 def preservation_rate(extracts: Sequence[Extract]) -> float:

@@ -157,6 +157,18 @@ def test_criterion_09_determinism_byte_identical_reports(tmp_path):
         )
     assert payloads[0] == payloads[1]
     assert payloads[2] == payloads[3] == payloads[0]
+    # the grid's cells run in this process and on two workers
+    grids = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"grid{threads}"
+        result = runner.invoke(
+            main,
+            ["grid", "--data-root", str(root), "--output-dir", str(out), "--thresholds", "1,2",
+             "--decays", "constant", "--strengths", "0.0,0.5", "--threads", threads],
+        )
+        assert result.exit_code == 0, result.output
+        grids.append(((out / "grid.csv").read_bytes(), (out / "best_report.json").read_bytes()))
+    assert grids[0] == grids[1]
 
 
 def test_criterion_10a_single_document_cut_under_10ms():

@@ -9,23 +9,20 @@ from hypothesis import example, given, settings, strategies as st
 from subjcut.classifiers import IndividualScores
 from subjcut.corpus import ReviewDocument, tokenize
 from subjcut.evaluation import ExperimentConfig, make_extracts
-from subjcut import extraction
+from subjcut import evaluation, extraction
 from subjcut.extraction import (
     DECAY_NAMES,
+    Detector,
     DetectorConfig,
     ProximityParams,
     association_band,
     build_extract,
-    complement_indices,
     detect_paragraph_unit,
     extracts_to_jsonl,
     individual_scores,
     preservation_rate,
     select_basic,
     select_graph,
-    select_least_n,
-    select_top_n,
-    sentence_groups,
     sentence_matrix,
 )
 from subjcut.features import join_rows, presence_matrix
@@ -387,6 +384,17 @@ TRICKY_DOCUMENTS = [
 ]
 
 
+def group_batches(documents, groups):
+    """Per batch of documents, their groups' rows of the ``sentence_matrix``,
+    one group after another, and each group's length: ``join_rows``' input."""
+    counts = [len(doc.sentences) for doc in documents]
+    first = np.cumsum([0] + counts).tolist()
+    for batch in extraction.document_batches(counts):
+        rows = [first[d] + i for d in batch for group in groups[d] for i in group]
+        lengths = [len(group) for d in batch for group in groups[d]]
+        yield np.array(rows, dtype=np.intp), np.array(lengths, dtype=np.int64)
+
+
 def row_tokens(matrix, r):
     return [matrix.types[i] for i in matrix.ids[matrix.offsets[r]:matrix.offsets[r + 1]]]
 
@@ -425,9 +433,7 @@ class TestSentenceMatrix:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(extraction, "CUT_BATCH_SENTENCES", batch)
             matrix = sentence_matrix(documents)
-            joined = join_rows(
-                matrix, ((rows, lengths) for _, rows, lengths in sentence_groups(documents, groups))
-            )
+            joined = join_rows(matrix, group_batches(documents, groups))
         texts = [
             "\n".join(doc.sentences[i] for i in group)
             for doc, doc_groups in zip(documents, groups) for group in doc_groups
@@ -457,28 +463,74 @@ class TestSentenceMatrix:
         assert any(want) and not all(len(w) == 8 for w in want)
 
 
+# The per-document selections ``make_extracts`` replaced with one array step
+# per call, kept as references: ties go to the earlier sentence, a short
+# document keeps everything, and output is in document order.
+
+
+def reference_top_n(scores: IndividualScores, n: int) -> tuple[int, ...]:
+    order = sorted(range(len(scores)), key=lambda i: (-scores.class1[i], i))
+    return tuple(sorted(order[:n]))
+
+
+def reference_least_n(scores: IndividualScores, n: int) -> tuple[int, ...]:
+    order = sorted(range(len(scores)), key=lambda i: (scores.class1[i], i))
+    return tuple(sorted(order[:n]))
+
+
+def reference_complement(doc: ReviewDocument, selected) -> tuple[int, ...]:
+    chosen = set(selected)
+    return tuple(i for i in range(len(doc.sentences)) if i not in chosen)
+
+
+REFERENCES = {
+    "top_n": lambda doc, scores, n: reference_top_n(scores, n),
+    "least_n": lambda doc, scores, n: reference_least_n(scores, n),
+    "first_n": lambda doc, scores, n: tuple(range(min(n, len(doc.sentences)))),
+    "last_n": lambda doc, scores, n: tuple(
+        range(max(0, len(doc.sentences) - n), len(doc.sentences))
+    ),
+    "basic": lambda doc, scores, n: select_basic(scores),
+}
+
+# given scores leave the detector unused; a detector extractor only needs one
+SCORED = Detector(model=None, vocab=None, config=DetectorConfig())
+
+
+def selections(extractor, documents, scores, n=None, flipped=False) -> list[tuple[int, ...]]:
+    config = ExperimentConfig(extractor=extractor, n_sentences=n, flipped=flipped)
+    return [e.selected for e in make_extracts(config, documents, SCORED, scores)]
+
+
+# scores from a few values, so that exact ties (and 0.0 against -0.0) occur
+score_value = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+scored_documents = st.lists(
+    st.lists(st.tuples(score_value, score_value), min_size=1, max_size=8), max_size=6
+)
+
+
 class TestNSentenceExtracts:
     def test_top_n_with_positional_ties(self):
         doc = doc_of(["s0 a", "s1 b", "s2 c", "s3 d"])
-        ex = build_extract(doc, select_top_n(scores_from([0.2, 0.9, 0.9, 0.1]), 2))
-        assert ex.selected == (1, 2)
+        assert selections("top_n", [doc], [scores_from([0.2, 0.9, 0.9, 0.1])], 2) == [(1, 2)]
 
     def test_short_document_returns_everything(self):
         doc = doc_of(["a", "b", "c"])
-        assert build_extract(doc, select_top_n(scores_from([0.5, 0.1, 0.9]), 5)).selected == (
-            0, 1, 2
-        )
+        assert selections("top_n", [doc], [scores_from([0.5, 0.1, 0.9])], 5) == [(0, 1, 2)]
 
     def test_top_1_is_argmax(self):
         doc = doc_of(["a", "b", "c"])
-        assert build_extract(doc, select_top_n(scores_from([0.5, 0.1, 0.9]), 1)).selected == (2,)
+        assert selections("top_n", [doc], [scores_from([0.5, 0.1, 0.9])], 1) == [(2,)]
 
     def test_least_is_top_of_negated(self):
         probs = [0.3, 0.8, 0.1, 0.5, 0.5]
+        doc = doc_of([f"s{i}" for i in range(len(probs))])
         scores = scores_from(probs)
         negated = scores_from([1 - p for p in probs])
         for n in (1, 2, 3, 5):
-            assert select_least_n(scores, n) == select_top_n(negated, n)
+            assert selections("least_n", [doc], [scores], n) == selections(
+                "top_n", [doc], [negated], n
+            )
 
     def test_first_and_last_slices(self):
         doc = doc_of([f"s{i}" for i in range(10)])
@@ -492,13 +544,68 @@ class TestNSentenceExtracts:
         assert selected("first_n", 99) == tuple(range(10))
 
     def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            select_top_n(scores_from([0.5]), 0)
-        with pytest.raises(ValueError):
-            select_least_n(scores_from([0.5]), 0)
         for extractor in ("top_n", "first_n", "last_n", "least_n"):
             with pytest.raises(ValueError):
                 ExperimentConfig(extractor=extractor, n_sentences=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scored_documents,
+        st.sampled_from(sorted(REFERENCES)),
+        st.integers(1, 10),
+        st.booleans(),
+    )
+    @example(
+        documents=[[(0.0, 0.5), (-0.0, 0.5), (0.0, 0.0), (-0.0, -0.0)]],
+        extractor="top_n", n=2, flipped=False,
+    )
+    def test_selections_equal_the_per_document_references(
+        self, documents, extractor, n, flipped
+    ):
+        docs = [
+            doc_of([f"s{i}" for i in range(len(pairs))], doc_id=f"d{k}")
+            for k, pairs in enumerate(documents)
+        ]
+        scores = [IndividualScores(*zip(*pairs)) for pairs in documents]
+        want = [REFERENCES[extractor](doc, s, n) for doc, s in zip(docs, scores)]
+        if flipped:
+            want = [reference_complement(doc, sel) for doc, sel in zip(docs, want)]
+        n_sentences = None if extractor == "basic" else n
+        assert selections(extractor, docs, scores, n_sentences, flipped) == want
+
+
+class TestScoreAlignment:
+    """Scores that do not match the documents' sentences are refused."""
+
+    docs = [doc_of(["a", "b", "c"], doc_id="d0"), doc_of(["x", "y"], doc_id="d1")]
+    aligned = [scores_from([0.9, 0.1, 0.9]), scores_from([0.2, 0.8])]
+
+    @pytest.mark.parametrize("extractor", ["basic", "top_n", "graph"])
+    def test_aligned_scores_are_taken(self, extractor):
+        config = ExperimentConfig(
+            extractor=extractor, n_sentences=1, proximity=ProximityParams()
+        )
+        assert len(make_extracts(config, self.docs, SCORED, self.aligned)) == 2
+
+    @pytest.mark.parametrize("extractor", ["basic", "top_n", "graph"])
+    @pytest.mark.parametrize("scores, match", [
+        ([aligned[0], scores_from([0.2])], "document d1: 1 scores for 2 sentences"),
+        ([aligned[0], scores_from([0.2, 0.8, 0.5])], "document d1: 3 scores for 2 sentences"),
+        ([aligned[0]], "document d1: 0 scores for 2 sentences"),
+        (aligned + [scores_from([0.5])], "3 score lists for 2 documents"),
+    ], ids=["short_entry", "long_entry", "too_few_lists", "too_many_lists"])
+    def test_misaligned_scores_are_refused_before_any_selection(
+        self, monkeypatch, extractor, scores, match
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("selected from misaligned scores")
+
+        monkeypatch.setattr(evaluation, "select_graph", unreachable)
+        config = ExperimentConfig(
+            extractor=extractor, n_sentences=1, proximity=ProximityParams()
+        )
+        with pytest.raises(ValueError, match=match):
+            make_extracts(config, self.docs, SCORED, scores)
 
 
 class TestExtracts:
@@ -516,20 +623,23 @@ class TestExtracts:
 
     def test_objective_is_complement(self):
         doc = doc_of(["a", "b", "c", "d"])
-        assert build_extract(doc, complement_indices(doc, [0, 2])).selected == (1, 3)
+        scores = [scores_from([0.9, 0.1, 0.9, 0.1])]
+        assert selections("basic", [doc], scores) == [(0, 2)]
+        assert selections("basic", [doc], scores, flipped=True) == [(1, 3)]
 
     def test_empty_selection_flips_to_whole_document(self):
         doc = doc_of(["a", "b"])
-        assert build_extract(doc, complement_indices(doc, [])).selected == (0, 1)
+        scores = [scores_from([0.1, 0.1])]
+        assert selections("basic", [doc], scores) == [()]
+        assert selections("basic", [doc], scores, flipped=True) == [(0, 1)]
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)
         doc = doc_of([f"s{i} w" for i in range(12)])
         for _ in range(25):
-            selected = sorted(
-                int(i) for i in rng.choice(12, size=rng.integers(0, 13), replace=False)
-            )
-            comp = complement_indices(doc, selected)
+            scores = [scores_from(rng.choice([0.1, 0.9], size=12))]
+            (selected,) = selections("basic", [doc], scores)
+            (comp,) = selections("basic", [doc], scores, flipped=True)
             assert sorted(set(selected) | set(comp)) == list(range(12))
             assert not set(selected) & set(comp)
 
