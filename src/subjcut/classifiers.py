@@ -7,13 +7,12 @@ of interest (subjective, or positive). The SVM's signed geometric distance
 to the hyperplane is clamped into [0, 1] to produce per-item score pairs for
 the graph construction.
 
-Scoring a row sums a table's entries at the row's active columns (a weight
-vector's, or each class's log-likelihoods). The rows are summed in blocks of
-equal length (``FeatureRows.blocks``): one gather and one ``sum`` over the
-last axis per block. numpy reduces each contiguous last-axis run of L values
-with the same pairwise summation it applies to a 1-d array of L values, so a
-block's sums are the same values added in the same order, in the same tree,
-as the row-at-a-time ``w[idx].sum()``, and equal it to the last bit.
+Scoring sums a table's entries at each row's active columns, for all rows
+in one numpy call per table and in the order the row-at-a-time sums take.
+SVM weights add pairwise: ``np.add.reduce(w[idx])`` is 0.0 plus numpy's
+pairwise sum, and so is ``np.add.reduceat`` over rows led by a column of
+0.0. NB log-likelihoods add left to right from 0.0, as the (2, L) gather's
+``sum(axis=1)`` does, and so does a weighted ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def nb_from_counts(
 def nb_predict_prob(model: NaiveBayesModel, rows: FeatureRows) -> np.ndarray:
     """Posterior probability of class 1 for each row, normalized via log-sum-exp."""
     # an empty row sums to 0 and leaves the prior
-    joint = model.log_prior[:, None] + _row_sums(model.log_likelihood, len(rows), rows.blocks())
+    joint = model.log_prior[:, None] + _sequential_sums(model.log_likelihood, rows)
     return np.exp(joint[1] - np.logaddexp(joint[0], joint[1]))
 
 
@@ -207,24 +206,26 @@ def svm_train(
     row_values = rows.values
     # Q_ii = ||x_i||^2 + 1 for the augmented bias coordinate.
     q_diag = rows.lengths * row_values**2 + 1.0
-    blocks = rows.blocks()
+    gather, starts = _sentinel_gather(rows, rows.n_features)
     # The coordinate loop reads Python floats: the same IEEE doubles as the
     # arrays' entries, without a numpy scalar per access.
     visits = list(zip(rows.rows(), signs.tolist(), row_values.tolist(), q_diag.tolist()))
 
-    w = np.zeros(rows.n_features)
+    w_ext = np.zeros(rows.n_features + 1)  # the weights, then the 0.0 each row sum starts from
+    w = w_ext[:-1]  # not written to: a scatter into a view is slower than into w_ext
     b = 0.0
     alpha = [0.0] * n
     rng = np.random.default_rng(seed)
 
-    # No builtin call per visit: ``ndarray.sum`` reaches ``np.add.reduce`` through a
-    # Python wrapper; each comparison is the one min/max/abs makes, NaN and -0.0 alike.
+    # ``ndarray.sum`` reaches ``np.add.reduce`` through a Python wrapper; each comparison is
+    # the one min/max/abs makes, NaN and -0.0 alike; after ``float`` the visit's arithmetic
+    # rounds as on numpy scalars but runs on Python floats, faster (``.item()`` is slower).
     add_reduce = np.add.reduce
     for _ in range(max_epochs):
         for i in rng.permutation(n).tolist():
             idx, sign, value, q_ii = visits[i]
-            w_idx = w[idx]
-            grad = sign * (value * add_reduce(w_idx) + b) - 1.0
+            w_idx = w_ext[idx]
+            grad = sign * (value * float(add_reduce(w_idx)) + b) - 1.0
             a_old = alpha[i]
             if a_old == 0.0:
                 projected = 0.0 if 0.0 < grad else grad  # min(grad, 0.0)
@@ -239,11 +240,11 @@ def svm_train(
             delta = a_new - a_old
             if delta != 0.0:
                 w_idx += delta * sign * value
-                w[idx] = w_idx
+                w_ext[idx] = w_idx
                 b += delta * sign
                 alpha[i] = a_new
         reg_term = 0.5 * (w @ w + b * b)
-        margins = signs * (b + row_values * _row_sums(w, n, blocks))
+        margins = signs * (b + row_values * _pairwise_sums(w_ext, gather, starts))
         primal = reg_term + c_penalty * np.maximum(0.0, 1.0 - margins).sum()
         dual = np.array(alpha).sum() - reg_term
         if primal - dual <= tol * max(primal, 1.0):
@@ -256,27 +257,41 @@ def svm_train(
         )
 
     return LinearMarginModel(
-        weights=w, bias=float(b), regularization=c_penalty, training_seed=seed
+        weights=w.copy(), bias=float(b), regularization=c_penalty, training_seed=seed
     )
 
 
-def _row_sums(
-    table: np.ndarray, n_rows: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """``table[..., idx].sum(axis=-1)`` for each of ``n_rows`` rows' active columns ``idx``.
+def _check_columns(rows: FeatureRows, width: int) -> None:
+    """Refuse a row with an active column outside [0, width)."""
+    bad = np.flatnonzero((rows.indices < 0) | (rows.indices >= width))
+    if len(bad):
+        row = np.searchsorted(rows.indptr, bad[0], side="right") - 1
+        raise ValueError(f"row {row} has column {rows.indices[bad[0]]}, outside {width} columns")
 
-    ``blocks`` are the rows' ``FeatureRows.blocks``; an empty row sums to 0.
-    The result has the table's leading axes and then one entry per row.
-    """
-    sums = np.zeros(table.shape[:-1] + (n_rows,))
-    for numbers, columns in blocks:
-        sums[..., numbers] = np.add.reduce(table[..., columns], axis=-1)
-    return sums
+
+def _sentinel_gather(rows: FeatureRows, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' columns, each row led by the column ``width``, and each lead's position."""
+    _check_columns(rows, width)
+    leads = rows.indptr[:-1]
+    return np.insert(rows.indices, leads, width), leads + np.arange(len(rows))
+
+
+def _pairwise_sums(w_ext: np.ndarray, gather: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each row's ``np.add.reduce(w[idx])``, given w then 0.0 and the rows' ``_sentinel_gather``."""
+    return np.add.reduceat(np.take(w_ext, gather), starts)  # take: faster than w_ext[gather]
+
+
+def _sequential_sums(table: np.ndarray, rows: FeatureRows) -> np.ndarray:
+    """Each row's ``table[:, idx].sum(axis=1)``, left to right from 0.0, in floats throughout."""
+    _check_columns(rows, table.shape[1])
+    row_of = np.repeat(np.arange(len(rows)), rows.lengths)
+    return np.array([np.bincount(row_of, t[rows.indices], len(rows)) for t in table], dtype=float)
 
 
 def svm_margin(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:
     """The raw margin ``bias + w . x`` of each row; positive means class 1."""
-    return model.bias + rows.values * _row_sums(model.weights, len(rows), rows.blocks())
+    w_ext = np.append(model.weights, 0.0)
+    return model.bias + rows.values * _pairwise_sums(w_ext, *_sentinel_gather(rows, w_ext.size - 1))
 
 
 def svm_decision(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:

@@ -67,7 +67,6 @@ from .extraction import (
     DetectorConfig,
     Extract,
     ProximityParams,
-    build_extract,
     detect_paragraph_unit,
     document_batches,
     individual_scores,
@@ -461,10 +460,7 @@ def make_extracts(
     """
     flags = _selections(config, documents, detector, scores, matrix).tolist()
     first = _first_rows(documents)
-    return [
-        build_extract(doc, itertools.compress(range(b - a), flags[a:b]))
-        for doc, a, b in zip(documents, first, first[1:])
-    ]
+    return [Extract.from_flags(doc, flags[a:b]) for doc, a, b in zip(documents, first, first[1:])]
 
 
 def _first_rows(documents: Sequence[ReviewDocument]) -> list[int]:

@@ -316,19 +316,24 @@ class Extract:
             "words_total": self.words_total,
         }
 
+    @classmethod
+    def from_flags(cls, doc: ReviewDocument, flags: Sequence[bool]) -> "Extract":
+        """The extract of ``doc``'s sentences whose flag is true, one flag per sentence."""
+        return cls(
+            doc_id=doc.id,
+            selected=tuple(itertools.compress(range(len(flags)), flags)),
+            text="\n".join(itertools.compress(doc.sentences, flags)),
+            words_kept=sum(itertools.compress(doc.sentence_word_counts, flags)),
+            words_total=doc.word_count,
+        )
+
 
 def build_extract(doc: ReviewDocument, selected: Iterable[int]) -> Extract:
-    indices = tuple(sorted(set(selected)))
-    if indices and (indices[0] < 0 or indices[-1] >= len(doc.sentences)):
+    """The extract of ``doc``'s sentences ``selected``, in any order, repeats counted once."""
+    indices = set(selected)
+    if indices and (min(indices) < 0 or max(indices) >= len(doc.sentences)):
         raise ValueError(f"selection out of range for document {doc.id}")
-    counts = doc.sentence_word_counts
-    return Extract(
-        doc_id=doc.id,
-        selected=indices,
-        text="\n".join(doc.sentences[i] for i in indices),
-        words_kept=sum(counts[i] for i in indices),
-        words_total=doc.word_count,
-    )
+    return Extract.from_flags(doc, [i in indices for i in range(len(doc.sentences))])
 
 
 def preservation_rate(extracts: Sequence[Extract]) -> float:

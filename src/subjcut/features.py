@@ -316,23 +316,6 @@ class FeatureRows:
         bounds = self.indptr.tolist()
         return [self.indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The nonempty rows grouped by length, shortest first.
-
-        Each block is (row numbers, columns) for the k rows of one length L:
-        the rows in ascending order and their active columns as a (k, L)
-        matrix, row j of it being ``rows()[numbers[j]]``.
-        """
-        lengths = self.lengths
-        order = np.argsort(lengths, kind="stable")
-        widths, starts = np.unique(lengths[order], return_index=True)
-        out = []
-        for width, numbers in zip(widths.tolist(), np.split(order, starts[1:])):
-            if width:
-                positions = self.indptr[numbers, None] + np.arange(width)
-                out.append((numbers, self.indices[positions]))
-        return out
-
 
 def featurize_rows(
     matrix: PresenceMatrix,

@@ -1,5 +1,7 @@
+import functools
 import logging
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,9 @@ from subjcut.classifiers import (
     IndividualScores,
     LinearMarginModel,
     NaiveBayesModel,
-    _row_sums,
+    _pairwise_sums,
+    _sentinel_gather,
+    _sequential_sums,
     TrainingError,
     VocabularyMismatchError,
     load_model,
@@ -392,8 +396,13 @@ def random_table(rng, shape):
     return rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
 
 
+def pairwise_sums(weights, rows):
+    """``_pairwise_sums`` of ``rows`` over ``weights``, as ``svm_margin`` calls it."""
+    return _pairwise_sums(np.append(weights, 0.0), *_sentinel_gather(rows, len(weights)))
+
+
 class TestBlockSums:
-    """Equal-length row blocks sum to the bytes of the row-at-a-time sums.
+    """The one-call row sums give the bytes of the row-at-a-time sums.
 
     Rows reach 600 columns, past numpy's 8-lane unrolling and the 128-value
     leaves of its pairwise summation.
@@ -419,13 +428,13 @@ class TestBlockSums:
         per_row = rows.rows()
 
         want_w = np.array([weights[idx].sum() for idx in per_row], dtype=float)
-        got_w = _row_sums(weights, len(rows), rows.blocks())
+        got_w = pairwise_sums(weights, rows)
         assert got_w.tobytes() == want_w.tobytes()
 
         want_ll = np.zeros((2, len(rows)))
         for r, idx in enumerate(per_row):
             want_ll[:, r] = log_likelihood[:, idx].sum(axis=1)
-        got_ll = _row_sums(log_likelihood, len(rows), rows.blocks())
+        got_ll = _sequential_sums(log_likelihood, rows)
         assert got_ll.tobytes() == want_ll.tobytes()
 
         svm = LinearMarginModel(weights=weights, bias=0.25, regularization=1.0, training_seed=0)
@@ -440,15 +449,71 @@ class TestBlockSums:
         want_p = np.exp(joint[1] - np.logaddexp(joint[0], joint[1]))
         assert nb_predict_prob(nb, rows).tobytes() == want_p.tobytes()
 
-    def test_blocks_group_rows_by_length(self):
-        rng = np.random.default_rng(0)
-        rows = random_rows(rng, [2, 0, 3, 2, 1, 3, 0], 10, normalize=False)
-        blocks = rows.blocks()
-        assert [numbers.tolist() for numbers, _ in blocks] == [[4], [0, 3], [2, 5]]
-        for numbers, columns in blocks:
-            assert columns.shape == (len(numbers), len(rows.rows()[numbers[0]]))
-            for number, row_columns in zip(numbers, columns):
-                assert row_columns.tolist() == rows.rows()[number].tolist()
+
+class TestRowSums:
+    """The one-call row sums equal explicit per-row references in their own
+    orders: pairwise for the SVM weights, left to right from 0.0 for each row
+    of the NB table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(0, 600), max_size=16),
+        n_features=st.sampled_from([0, 601, 2000]),
+    )
+    @example(seed=0, lengths=[], n_features=601)  # no rows
+    @example(seed=1, lengths=[0, 0, 0], n_features=0)  # no columns
+    @example(seed=2, lengths=[7, 8, 9, 127, 128, 129, 0, 1, 600], n_features=601)
+    def test_sums_equal_explicit_references(self, seed, lengths, n_features):
+        if n_features == 0:
+            lengths = [0] * len(lengths)
+        rng = np.random.default_rng(seed)
+        rows = random_rows(rng, lengths, n_features, normalize=False)
+        weights = random_table(rng, n_features)
+        table = random_table(rng, (2, n_features))
+        per_row = rows.rows()
+
+        want_w = np.array([np.add.reduce(weights[idx]) for idx in per_row], dtype=float)
+        assert pairwise_sums(weights, rows).tobytes() == want_w.tobytes()
+
+        want_t = np.zeros((2, len(rows)))
+        for r, idx in enumerate(per_row):
+            for c in range(2):
+                want_t[c, r] = functools.reduce(operator.add, table[c, idx].tolist(), 0.0)
+        assert _sequential_sums(table, rows).tobytes() == want_t.tobytes()
+
+
+class TestOutOfRangeColumns:
+    """A row column outside the table is refused, naming the row; a column
+    equal to the width would otherwise read the 0.0 that each SVM row sum
+    starts from."""
+
+    @staticmethod
+    def rows_with(column):
+        indices = np.array([0, 1, column], dtype=np.intp)
+        indptr = np.array([0, 1, 3], dtype=np.intp)
+        return FeatureRows(indptr=indptr, indices=indices, n_features=3, normalized=True)
+
+    @pytest.mark.parametrize("column", [3, -1])
+    def test_svm_train_refuses(self, column):
+        with pytest.raises(ValueError, match=f"row 1 has column {column}"):
+            svm_train(self.rows_with(column), [0, 1])
+
+    @pytest.mark.parametrize("column", [3, -1])
+    def test_svm_margin_refuses(self, column):
+        model = LinearMarginModel(
+            weights=np.ones(3), bias=0.0, regularization=1.0, training_seed=0
+        )
+        with pytest.raises(ValueError, match=f"row 1 has column {column}"):
+            svm_margin(model, self.rows_with(column))
+
+    @pytest.mark.parametrize("column", [3, -1])
+    def test_nb_predict_prob_refuses(self, column):
+        model = NaiveBayesModel(
+            log_prior=np.log([0.5, 0.5]), log_likelihood=np.zeros((2, 3)), alpha=1.0
+        )
+        with pytest.raises(ValueError, match=f"row 1 has column {column}"):
+            nb_predict_prob(model, self.rows_with(column))
 
 
 def reference_svm_train(rows, labels, regularization, seed, max_epochs=60, tol=1e-3):
@@ -514,6 +579,20 @@ class TestSvmTrainExactness:
         assert model.bias.hex() == b.hex()
 
 
+def length_blocks(rows):
+    """The nonempty rows grouped by length, shortest first, as (row numbers,
+    (k, L) columns) per length: the grouping the SVM's gap check once summed by."""
+    lengths = rows.lengths
+    order = np.argsort(lengths, kind="stable")
+    widths, starts = np.unique(lengths[order], return_index=True)
+    out = []
+    for width, numbers in zip(widths.tolist(), np.split(order, starts[1:])):
+        if width:
+            positions = rows.indptr[numbers, None] + np.arange(width)
+            out.append((numbers, rows.indices[positions]))
+    return out
+
+
 def builtin_loop_svm_train(rows, labels, regularization, seed, max_epochs=60, tol=1e-3):
     """``svm_train``'s coordinate loop as it was with builtin ``min``/``max``/``abs``
     and ``ndarray.sum`` per visit; returns the weights, bias, duals and whether
@@ -522,7 +601,7 @@ def builtin_loop_svm_train(rows, labels, regularization, seed, max_epochs=60, to
     signs = np.where(np.asarray(labels) == 1, 1.0, -1.0)
     row_values = rows.values
     q_diag = rows.lengths * row_values**2 + 1.0
-    blocks = rows.blocks()
+    blocks = length_blocks(rows)
     visits = list(zip(rows.rows(), signs.tolist(), row_values.tolist(), q_diag.tolist()))
     w = np.zeros(rows.n_features)
     b = 0.0

@@ -620,6 +620,16 @@ class TestExtracts:
         doc = doc_of(["a"])
         with pytest.raises(ValueError):
             build_extract(doc, [3])
+        with pytest.raises(ValueError):
+            build_extract(doc, [-1])
+
+    def test_build_extract_sorts_and_dedupes_into_the_flag_extract(self):
+        doc = doc_of(["one two three", "four five", "six", "seven eight"])
+        ex = build_extract(doc, iter([3, 0, 3, 0]))
+        assert ex == extraction.Extract.from_flags(doc, [True, False, False, True])
+        assert ex.selected == (0, 3)
+        assert ex.text == "one two three\nseven eight"
+        assert ex.words_kept == 5
 
     def test_objective_is_complement(self):
         doc = doc_of(["a", "b", "c", "d"])
