@@ -77,7 +77,7 @@ class ReviewDocument:
         """Whitespace-separated words of each sentence, counted once per document."""
         return tuple(len(s.split()) for s in self.sentences)
 
-    @property
+    @cached_property
     def word_count(self) -> int:
         return sum(self.sentence_word_counts)
 

@@ -508,15 +508,11 @@ def _selections(
         keep = position < n
     elif config.extractor == "last_n":
         keep = position >= counts[document] - n
-    elif config.extractor in ("graph", "paragraph"):
-        if config.extractor == "graph":
-            starts = [doc.paragraph_starts for doc in documents]
-            selected = select_graph(scores, config.proximity, starts)
-        else:
-            selected = detect_paragraph_unit(detector.model, detector.vocab, documents, matrix)
-        rows = np.fromiter(itertools.chain.from_iterable(selected), np.intp)
-        keep = np.zeros(first[-1], dtype=bool)
-        keep[rows + np.repeat(first[:-1], [len(sel) for sel in selected])] = True
+    elif config.extractor == "graph":
+        starts = [doc.paragraph_starts for doc in documents]
+        keep = select_graph(scores, config.proximity, starts)
+    elif config.extractor == "paragraph":
+        keep = detect_paragraph_unit(detector.model, detector.vocab, documents, matrix)
     else:
         class1 = np.concatenate([np.zeros(0)] + [s.class1 for s in scores])
         if config.extractor == "basic":

@@ -5,10 +5,10 @@ subset: independently per sentence (basic), jointly via a minimum cut with
 proximity edges (graph), or per paragraph. A batch of reviews gets its
 proximity edges from one band over the distances 1..T that every review
 shares, and its cut network straight from the band's arrays. Paragraph units
-are joins of consecutive sentence rows. Each selection is one tuple of
-sentence indices per document; ``evaluation`` turns them into one flag per
-sentence, where the positional and score-ranked baselines (first/last/top/
-least N sentences) and the complement (objective) extract are array steps.
+are joins of consecutive sentence rows. Each selection is one flag per
+sentence of its documents, as are those ``evaluation`` makes for the
+positional and score-ranked baselines (first/last/top/least N sentences) and
+the complement (objective) extract.
 An ``Extract`` is a document's kept text and word counts, built for output.
 """
 
@@ -40,7 +40,7 @@ from .features import (
     join_rows,
     presence_matrix,
 )
-from .mincut import build_network, min_cut, pair_capacities
+from .mincut import build_network, pair_capacities, source_flags
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
 
@@ -248,22 +248,21 @@ def select_graph(
     scores: Sequence[IndividualScores],
     params: ProximityParams,
     paragraph_starts: Sequence[Sequence[int] | None] | None = None,
-) -> list[tuple[int, ...]]:
-    """Joint labeling of each document's sentences as the minimum cut of its
-    score graph; ``paragraph_starts`` is aligned with ``scores``."""
+) -> np.ndarray:
+    """One flag per sentence of the documents of ``scores``, in order: whether
+    the minimum cut of its document's score graph keeps it (the source side).
+    ``paragraph_starts`` is aligned with ``scores``."""
     if paragraph_starts is None:
         paragraph_starts = [None] * len(scores)
     if len(paragraph_starts) != len(scores):
         raise ValueError("scores and paragraph_starts differ in length")
     counts = [len(s) for s in scores]
-    selections: list[tuple[int, ...]] = []
+    flags = [np.zeros(0, dtype=bool)]
     for batch in document_batches(counts):
         part = slice(batch.start, batch.stop)
         pairs, values = association_band(counts[part], paragraph_starts[part], params)
-        selections += [
-            cut.source_side for cut in min_cut(build_network(scores[part], pairs, values))
-        ]
-    return selections
+        flags.append(source_flags(build_network(scores[part], pairs, values)))
+    return np.concatenate(flags)
 
 
 def detect_paragraph_unit(
@@ -271,8 +270,8 @@ def detect_paragraph_unit(
     vocab: Vocabulary,
     documents: Sequence[ReviewDocument],
     matrix: PresenceMatrix | None = None,
-) -> list[tuple[int, ...]]:
-    """Classify whole paragraphs; every sentence inherits its paragraph's label.
+) -> np.ndarray:
+    """One flag per sentence of ``documents``, in order: its paragraph's label.
 
     A paragraph is scored as the join of its sentences' rows of ``matrix``,
     the documents' ``sentence_matrix`` (built here when not given): a batch's
@@ -291,7 +290,7 @@ def detect_paragraph_unit(
         rows = np.arange(first[batch.start], first[batch.stop])
         scores = individual_scores(model, vocab, join_rows(matrix, [(rows, lengths)]))
         keep[rows] = np.repeat(scores.class1 > scores.class2, lengths)
-    return [tuple(np.flatnonzero(keep[a:b]).tolist()) for a, b in zip(first, first[1:])]
+    return keep
 
 
 # ---------------------------------------------------------------------------

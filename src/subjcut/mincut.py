@@ -4,11 +4,14 @@ Items are partitioned into a source class (class 1) and a sink class by
 minimizing: class-2 scores over items placed in class 1, plus class-1 scores
 over items placed in class 2, plus association scores over split pairs. The
 graph realizes these as capacities, rounded to integers so the max-flow
-computation is exact. Many instances are solved at once: their graphs share
-only the source and the sink, so each instance's cut is unaffected by the
-others; the network is built, and checked, from arrays that hold a whole
-batch. A brute-force enumerator over all subsets serves as the testing
-oracle; it takes one instance's pairs as ``AssociationScores``.
+computation is exact. Each item gets one terminal arc, weighing the
+difference of its rounded scores: that lowers every labeling's cost by the
+same constant, so the minimum cuts are the paper's (Kolmogorov & Zabih, PAMI
+2004). Many instances are solved at once: their graphs share only the source
+and the sink, so each instance's cut is unaffected by the others; the network
+is built, and checked, from arrays that hold a whole batch. ``source_flags``
+solves it, and ``min_cut`` prices each instance's cut for the oracles, such as
+brute-force enumeration over ``AssociationScores``.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ class FlowNetwork:
 
     @property
     def arc_count(self) -> int:
-        """2n terminal arcs plus one per nonzero association edge."""
+        """The paper's 2n terminal arcs plus one per nonzero association edge;
+        the solver is given at most n terminal arcs (see ``source_flags``)."""
         return 2 * self.n + int(np.count_nonzero(self.pair_capacities))
 
 
@@ -174,25 +178,26 @@ class CutResult:
     max_flow_value: int | None = None
 
 
-def min_cut(net: FlowNetwork) -> list[CutResult]:
-    """Compute a minimum-cost source/sink cut of every instance in the network.
+def source_flags(net: FlowNetwork) -> np.ndarray:
+    """The canonical minimum cut of every instance in the network: one flag
+    per item, true for the source side (class 1).
 
-    One max-flow computation solves all instances. Each returned partition is
-    canonical: the source side is the set of items reachable from the source
-    in the final residual graph, i.e. the unique minimum cut with smallest
-    source side, which makes results deterministic when several minimum cuts
-    exist. The cost is recomputed from the raw (unscaled) scores of the
-    partition. The network is not mutated.
+    One max-flow computation solves all instances. An item's terminal arc
+    leaves the source if its rounded class-1 score is the larger, else it
+    enters the sink, with their difference as capacity; a tie gives no arc.
+    The source side is the set of items reachable from the source in the
+    final residual graph, i.e. the unique minimum cut with smallest source
+    side, which makes results deterministic when several minimum cuts exist.
+    The network is not mutated.
     """
-    n, k = net.n, len(net.offsets) - 1
+    n = net.n
     source, sink = n, n + 1
     items = np.arange(n)
+    margin = net.toward_source - net.toward_sink
     u, v = net.pairs.T
-    rows = np.concatenate([np.full(n, source), items, u, v])
-    cols = np.concatenate([items, np.full(n, sink), v, u])
-    caps = np.concatenate(
-        [net.toward_source, net.toward_sink, net.pair_capacities, net.pair_capacities]
-    )
+    rows = np.concatenate([np.where(margin > 0, source, items), u, v])
+    cols = np.concatenate([np.where(margin > 0, items, sink), v, u])
+    caps = np.concatenate([np.abs(margin), net.pair_capacities, net.pair_capacities])
     arcs = caps > 0
     graph = csr_matrix(
         (caps[arcs].astype(np.int32), (rows[arcs], cols[arcs])), shape=(n + 2, n + 2)
@@ -204,33 +209,30 @@ def min_cut(net: FlowNetwork) -> list[CutResult]:
     residual.eliminate_zeros()
     side = np.zeros(n + 2, dtype=bool)
     side[breadth_first_order(residual, source, return_predecessors=False)] = True
-    side = side[:n]
+    return side[:n]
 
-    # each instance's flow value is the flow on its own source arcs
-    lo, hi = flow.indptr[source], flow.indptr[source + 1]
-    from_source = np.zeros(n + 1, dtype=np.int64)
-    from_source[flow.indices[lo:hi] + 1] = flow.data[lo:hi]
-    flow_values = np.diff(np.cumsum(from_source)[net.offsets])
-    # one sequential sum per instance, over its items and then its pairs in
-    # their given order, as partition_cost adds them
-    split = side[u] != side[v]
-    costs = np.bincount(
-        np.concatenate([np.repeat(np.arange(k), np.diff(net.offsets)), net.owners]),
-        weights=np.concatenate([
-            np.where(side, net.class2, net.class1), np.where(split, net.pair_values, 0.0)
-        ]),
-        minlength=k,
-    )
-    chosen = np.flatnonzero(side)
-    bounds = np.searchsorted(chosen, net.offsets)
-    return [
-        CutResult(
-            source_side=tuple((chosen[bounds[j]:bounds[j + 1]] - net.offsets[j]).tolist()),
-            cost=float(costs[j]),
-            max_flow_value=int(flow_values[j]),
-        )
-        for j in range(k)
-    ]
+
+def min_cut(net: FlowNetwork) -> list[CutResult]:
+    """Each instance's canonical minimum cut (``source_flags``), priced.
+
+    The cost adds the partition's raw scores left to right, its items and
+    then its split pairs in their given order, as ``partition_cost`` does.
+    The max-flow value is the partition's integer capacity in the paper's
+    graph, with two terminal arcs per item: by duality, its max-flow value.
+    """
+    side = source_flags(net)
+    split = side[net.pairs[:, 0]] != side[net.pairs[:, 1]]
+    costs = np.where(side, net.class2, net.class1)
+    capacities = np.where(side, net.toward_sink, net.toward_source)
+    results = []
+    for j, (a, b) in enumerate(zip(net.offsets, net.offsets[1:])):
+        cut = split & (net.owners == j)
+        results.append(CutResult(
+            source_side=tuple(np.flatnonzero(side[a:b]).tolist()),
+            cost=float(np.add.accumulate([0.0, *costs[a:b], *net.pair_values[cut]])[-1]),
+            max_flow_value=int(capacities[a:b].sum() + net.pair_capacities[cut].sum()),
+        ))
+    return results
 
 
 def scale_instance(

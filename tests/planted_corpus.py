@@ -6,7 +6,8 @@ words). A detector trained on the synthetic sentence corpus can therefore
 separate the two kinds, and a polarity classifier over the opinion sentences
 can recover the document label, which makes directional pipeline behavior
 testable at toy scale. ``conftest.py`` builds its fixtures from these
-helpers; test modules import them from here.
+helpers; test modules import them from here, and ``per_document``, which
+reads a selection's flags back as one tuple per document.
 """
 
 from __future__ import annotations
@@ -118,3 +119,11 @@ def rows_over(texts, vocab: Vocabulary, normalize: bool = False) -> FeatureRows:
     return featurize_rows(
         matrix, vocab.column_map(matrix.types), vocab.size, np.arange(len(matrix)), normalize
     )
+
+
+def per_document(flags: np.ndarray, lengths) -> list[tuple[int, ...]]:
+    """One flag per sentence of documents of ``lengths`` sentences, one after
+    another, read back as each document's tuple of kept sentence indices."""
+    bounds = np.cumsum([0, *lengths]).tolist()
+    assert flags.dtype == bool and flags.shape == (bounds[-1],)
+    return [tuple(np.flatnonzero(flags[a:b]).tolist()) for a, b in zip(bounds, bounds[1:])]

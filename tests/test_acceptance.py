@@ -46,7 +46,7 @@ from subjcut.mincut import (
     stack_instances,
 )
 
-from planted_corpus import write_polarity_tree, make_sentence_corpus
+from planted_corpus import per_document, write_polarity_tree, make_sentence_corpus
 
 DATA_ROOT = os.environ.get("SUBJCUT_DATA_ROOT")
 requires_data = pytest.mark.skipif(
@@ -114,15 +114,14 @@ def test_criterion_03_zero_association_reduction(synthetic_documents, detector_m
         # pad with random score vectors to cover odd distributions too
         for doc in docs:
             scores = score_documents(model, vocab, [doc])[0]
-            assert select_graph([scores], params, [doc.paragraph_starts]) == [
-                select_basic(scores)
-            ]
+            got = select_graph([scores], params, [doc.paragraph_starts])
+            assert per_document(got, [len(doc.sentences)]) == [select_basic(scores)]
             checked += 1
     while checked < 120:
         n = int(rng.integers(1, 40))
         p = rng.uniform(0, 1, n)
         scores = IndividualScores(class1=p, class2=1.0 - p)
-        assert select_graph([scores], params) == [select_basic(scores)]
+        assert per_document(select_graph([scores], params), [n]) == [select_basic(scores)]
         checked += 1
     assert checked >= 100
 

@@ -35,7 +35,7 @@ from subjcut.mincut import (
     stack_instances,
 )
 
-from planted_corpus import make_objective_sentence, make_subjective_sentence
+from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
 
 
 def scores_from(probs) -> IndividualScores:
@@ -216,7 +216,8 @@ class TestBandEquivalence:
         want = [cut.source_side for cut in min_cut(build_network(*stack_instances(instances)))]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(extraction, "CUT_BATCH_SENTENCES", batch)
-            assert select_graph(scores, params, starts) == want
+            got = select_graph(scores, params, starts)
+            assert per_document(got, [n for n, _ in documents]) == want
 
 
 class TestIndividualScoresFromModels:
@@ -261,7 +262,8 @@ class TestSelection:
         rng = np.random.default_rng(5)
         params = ProximityParams(threshold=3, decay="exponential", strength=0.0)
         documents = [scores_from(rng.uniform(0, 1, int(rng.integers(1, 30)))) for _ in range(100)]
-        assert select_graph(documents, params) == [select_basic(s) for s in documents]
+        got = per_document(select_graph(documents, params), map(len, documents))
+        assert got == [select_basic(s) for s in documents]
 
     def test_huge_strength_forces_uniform_label(self):
         rng = np.random.default_rng(6)
@@ -270,7 +272,7 @@ class TestSelection:
             scores = scores_from(rng.uniform(0, 1, n))
             params = ProximityParams(threshold=n, decay="constant",
                                      strength=float(n * 2 + 1))
-            [selected] = select_graph([scores], params)
+            [selected] = per_document(select_graph([scores], params), [n])
             assert selected in ((), tuple(range(n)))
             # the cheaper uniform labeling wins
             all_cost = scores.class2.sum()
@@ -289,7 +291,8 @@ class TestSelection:
             split_counts = []
             for c in (0.0, 0.2, 0.5, 1.0):
                 params = ProximityParams(threshold=threshold, decay="constant", strength=c)
-                selected = set(select_graph([scores], params)[0])
+                [selected] = per_document(select_graph([scores], params), [n])
+                selected = set(selected)
                 # verify optimality against the oracle while we are here
                 a = AssociationScores(pairs=band_pairs(n, params))
                 [got] = min_cut(build_network([scores], *association_band([n], [None], params)))
@@ -310,9 +313,13 @@ class TestSelection:
         starts = [(0, len(s) // 2) if len(s) > 3 else None for s in documents]
         params = ProximityParams(threshold=2, decay="exponential", strength=0.4,
                                  cross_paragraph_weight=0.5)
-        alone = [select_graph([s], params, [p])[0] for s, p in zip(documents, starts)]
+        alone = [
+            per_document(select_graph([s], params, [p]), [len(s)])[0]
+            for s, p in zip(documents, starts)
+        ]
         monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 25)
-        assert select_graph(documents, params, starts) == alone
+        got = select_graph(documents, params, starts)
+        assert per_document(got, map(len, documents)) == alone
 
 
 class TestDetectorDispatch:
@@ -327,7 +334,8 @@ class TestDetectorDispatch:
         )
         scores = individual_scores(model, vocab, doc.sentences)
         zero = ProximityParams(threshold=3, strength=0.0)
-        assert select_graph([scores], zero, [doc.paragraph_starts]) == [select_basic(scores)]
+        got = select_graph([scores], zero, [doc.paragraph_starts])
+        assert per_document(got, [len(scores)]) == [select_basic(scores)]
 
     def test_config_validation(self):
         assert DetectorConfig(base="svm").base == "svm"
@@ -345,14 +353,14 @@ class TestDetectorDispatch:
             ],
             paragraph_starts=(0, 2),
         )
-        assert detect_paragraph_unit(model, vocab, [doc]) == [(0, 1)]
+        assert per_document(detect_paragraph_unit(model, vocab, [doc]), [4]) == [(0, 1)]
 
     def test_single_paragraph_is_all_or_nothing(self, detector_models):
         model, vocab = detector_models["nb"]
         subj = doc_of(["the film is excellent truly", "simply wonderful performance"])
         obj = doc_of(["a detective returns to the city", "his brother meets a widow"])
-        assert detect_paragraph_unit(model, vocab, [subj]) == [(0, 1)]
-        assert detect_paragraph_unit(model, vocab, [obj]) == [()]
+        assert per_document(detect_paragraph_unit(model, vocab, [subj]), [2]) == [(0, 1)]
+        assert per_document(detect_paragraph_unit(model, vocab, [obj]), [2]) == [()]
 
     def test_singleton_paragraph_matches_sentence_decision(self, detector_models):
         model, vocab = detector_models["nb"]
@@ -360,7 +368,7 @@ class TestDetectorDispatch:
             ["the film is excellent truly", "a detective returns to the city"],
             paragraph_starts=(0, 1),
         )
-        (para,) = detect_paragraph_unit(model, vocab, [doc])
+        (para,) = per_document(detect_paragraph_unit(model, vocab, [doc]), [2])
         sent = select_basic(individual_scores(model, vocab, doc.sentences))
         assert para == sent
 
@@ -459,7 +467,8 @@ class TestSentenceMatrix:
                 for i in span
             ))
         monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
-        assert detect_paragraph_unit(model, vocab, paragraph_documents) == want
+        got = detect_paragraph_unit(model, vocab, paragraph_documents)
+        assert per_document(got, [len(doc.sentences) for doc in paragraph_documents]) == want
         assert any(want) and not all(len(w) == 8 for w in want)
 
 

@@ -6,6 +6,7 @@ from subjcut.classifiers import IndividualScores
 from subjcut.extraction import DECAY_NAMES, ProximityParams, association_band
 from subjcut.mincut import (
     CAPACITY_BOUND,
+    DEFAULT_SCALE,
     AssociationScores,
     CutResult,
     brute_force_min,
@@ -319,6 +320,46 @@ class TestBatch:
         assert len(min_cut(build_network(*stack_instances(instances)))) == 3
 
 
+def labeling_costs(ind, assoc) -> np.ndarray:
+    """The cost of every labeling of a small instance, at the bit mask of its source side."""
+    n = len(ind)
+    return np.array([
+        partition_cost(ind, assoc, [i for i in range(n) if mask >> i & 1]) for mask in range(1 << n)
+    ])
+
+
+@st.composite
+def tied_instances(draw, n_max=8):
+    """Small instances with many minimum labelings: quarter scores and weights,
+    exact ties, ties made by rounding, and pairs that round to no arc."""
+    n = draw(st.integers(1, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    class1 = rng.integers(0, 5, n) / 4
+    class2 = np.where(
+        rng.random(n) < 0.5, tie_after_rounding(rng, class1), rng.integers(0, 5, n) / 4
+    )
+    weights = [0.0, 1e-8, 4e-7, 0.25, 0.5]
+    pairs = {
+        (i, k): float(rng.choice(weights))
+        for i in range(n)
+        for k in range(i + 1, n)
+        if rng.random() < 0.5
+    }
+    return IndividualScores(class1=class1, class2=class2), AssociationScores(pairs=pairs)
+
+
+class TestCanonicity:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(tied_instances(), min_size=1, max_size=4))
+    def test_side_is_the_intersection_of_all_minimum_labelings(self, instances):
+        results = min_cut(build_network(*stack_instances(instances)))
+        for (ind, assoc), got in zip(instances, results):
+            costs = labeling_costs(*scale_instance(ind, assoc))
+            common = np.bitwise_and.reduce(np.flatnonzero(costs == costs.min()))
+            assert got.source_side == tuple(i for i in range(len(ind)) if common >> i & 1)
+            assert got.max_flow_value == costs.min()
+
+
 class TestBruteForce:
     def test_worked_example(self):
         result = brute_force_min(EXAMPLE_IND, EXAMPLE_ASSOC)
@@ -350,30 +391,46 @@ class TestBruteForce:
             brute_force_min(ind, AssociationScores(pairs={}))
 
 
-def banded_min(ind, assoc, reach):
+def banded_min(ind, assoc, reach, held=None):
     """Exact minimum labeling cost when every pair joins items at most ``reach`` apart.
 
     A Viterbi pass left to right over the 2^reach states "labels of the last
     ``reach`` items" (bit d - 1 holds the label of the item d back), so it is
-    O(n * 2^reach) and reaches review lengths that brute force cannot.
+    O(n * 2^reach) and reaches review lengths that brute force cannot. Given
+    ``held``, a list of items, it returns one minimum per item instead, over
+    the labelings that hold that item on the sink side, all in the same pass.
     """
     weights = {}
     for (i, k), value in assoc.pairs.items():
         assert k - i <= reach, "pair beyond the band"
         weights[(k, k - i)] = value
+    variants = np.array([-1] if held is None else held)
     states = np.arange(1 << reach)
     back_labels = (states[:, None] >> np.arange(reach)) & 1
-    cost = np.full(len(states), np.inf)
-    cost[0] = 0.0  # items before the first have no pairs, so their labels are free
+    cost = np.full((len(variants), len(states)), np.inf)
+    cost[:, 0] = 0.0  # items before the first have no pairs, so their labels are free
     for j in range(len(ind)):
         band = np.array([weights.get((j, d), 0.0) for d in range(1, reach + 1)])
-        step = np.full(len(states), np.inf)
+        step = np.full(cost.shape, np.inf)
         # label 1 puts item j on the source side (class 1) and pays its class-2 score
         for label, unary in ((0, ind.class1[j]), (1, ind.class2[j])):
             candidates = cost + unary + (back_labels != label) @ band
-            np.minimum.at(step, ((states << 1) | label) & (len(states) - 1), candidates)
+            if label:
+                candidates[variants == j] = np.inf
+            to = ((states << 1) | label) & (len(states) - 1)
+            np.minimum.at(step, (slice(None), to), candidates)
         cost = step
-    return float(cost.min())
+    mins = cost.min(axis=1)
+    return float(mins[0]) if held is None else mins
+
+
+def tie_after_rounding(rng, class1):
+    """Class-2 scores that round, at the default scale, to what ``class1``
+    rounds to: equal, or off by less than half a unit when ``class1`` is a
+    whole number of units (as a multiple of 1/4 is)."""
+    near = np.abs(class1 + rng.choice([-3e-7, 3e-7], len(class1)))
+    exact = np.rint(class1 * DEFAULT_SCALE) == class1 * DEFAULT_SCALE
+    return np.where(exact & (rng.random(len(class1)) < 0.5), near, class1)
 
 
 @st.composite
@@ -385,11 +442,14 @@ def proximity_instances(draw, n_min, n_max):
     if draw(st.booleans()):
         class1 = np.round(class1 * 4) / 4  # coarse scores make ties common
     class2 = 1.0 - class1 if draw(st.booleans()) else rng.uniform(0, 1, n)
+    if draw(st.booleans()):
+        class2 = np.where(rng.random(n) < 0.5, tie_after_rounding(rng, class1), class2)
     breaks = sorted(set(rng.integers(1, n, draw(st.integers(0, 4))).tolist())) if n > 1 else []
     params = ProximityParams(
         threshold=draw(st.integers(1, 3)),
         decay=draw(st.sampled_from(DECAY_NAMES)),
-        strength=draw(st.floats(0, 2)),
+        # weights below 0.5 / DEFAULT_SCALE round to no arc
+        strength=draw(st.one_of(st.floats(0, 2), st.sampled_from([1e-8, 4e-7]))),
         cross_paragraph_weight=draw(st.floats(0, 1)),
     )
     ind = IndividualScores(class1=class1, class2=class2)
@@ -415,3 +475,16 @@ class TestBandedOracle:
         best = banded_min(*scaled, reach)
         assert got.max_flow_value == best
         assert partition_cost(*scaled, got.source_side) == best
+        # canonical: each item of the side lies on the source side of every
+        # minimum labeling, so holding it on the sink side costs strictly more
+        assert (banded_min(*scaled, reach, held=list(got.source_side)) > best).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(proximity_instances(1, 10))
+    def test_held_items_agree_with_brute_force(self, instance):
+        ind, assoc, reach = instance
+        scaled = scale_instance(ind, assoc)
+        costs = labeling_costs(*scaled)
+        masks = np.arange(len(costs))
+        want = [costs[(masks >> i & 1) == 0].min() for i in range(len(ind))]
+        assert banded_min(*scaled, reach, held=list(range(len(ind)))).tolist() == want
