@@ -17,7 +17,6 @@ from .classifiers import (
     VocabularyMismatchError,
     load_model,
     nb_predict_prob,
-    nb_train,
     save_model,
     svm_decision,
     svm_to_individual,
@@ -29,9 +28,7 @@ from .corpus import (
     IngestionError,
     LabeledSentence,
     ReviewDocument,
-    assign_folds,
     build_manifest,
-    detect_paragraphs,
     load_polarity_dataset,
     load_subjectivity_dataset,
     tokenize,
@@ -62,11 +59,9 @@ from .extraction import (
     Extract,
     ProximityParams,
     association_band,
-    build_extract,
     detect_paragraph_unit,
     individual_scores,
     preservation_rate,
-    select_basic,
     select_graph,
 )
 from .features import EmptyVocabularyError, Vocabulary

@@ -1,11 +1,11 @@
 """The two sentence/document classifiers: Naive Bayes and a linear soft-margin SVM.
 
-Both train on unigram-presence rows (``FeatureRows``), score such rows into
-one array per call, and serve two roles: sentence-level subjectivity
-detection and document-level polarity classification. Class 1 is the class
-of interest (subjective, or positive). The SVM's signed geometric distance
-to the hyperplane is clamped into [0, 1] to produce per-item score pairs for
-the graph construction.
+The SVM trains on unigram-presence rows (``FeatureRows``) and NB on their
+per-class column counts. Both score such rows into one array per call, and
+serve two roles: sentence-level subjectivity detection and document-level
+polarity classification. Class 1 is the class of interest (subjective, or
+positive). The SVM's signed geometric distance to the hyperplane is clamped
+into [0, 1] to produce per-item score pairs for the graph construction.
 
 Scoring sums a table's entries at each row's active columns, for all rows
 in one numpy call per table and in the order the row-at-a-time sums take.
@@ -99,31 +99,15 @@ class NaiveBayesModel:
     vocab_digest: str = ""
 
 
-def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> NaiveBayesModel:
-    """Train NB from presence rows and 0/1 labels.
-
-    The event model is multinomial over the presence features: each active
-    index of a training row counts as one draw for its class, so the counts
-    are the per-class column sums of the rows.
-    """
-    y = np.asarray(labels, dtype=int)
-    if len(rows) != len(y):
-        raise ValueError("rows and labels differ in length")
-    if set(np.unique(y)) != {0, 1}:
-        raise TrainingError("training data must contain both classes")
-    v_size = rows.n_features
-    draws = np.repeat(y, rows.lengths) * v_size + rows.indices
-    counts = np.bincount(draws, minlength=2 * v_size).reshape(2, v_size)
-    return nb_from_counts(counts, np.bincount(y, minlength=2), alpha)
-
-
 def nb_from_counts(
     counts: np.ndarray, class_counts: np.ndarray, alpha: float = 1.0
 ) -> NaiveBayesModel:
     """NB from its counts: ``counts[c, j]`` training rows of class c are active
     at column j, and ``class_counts[c]`` training rows are of class c.
 
-    The counts are integers, so they are the same however they were gathered.
+    The event model is multinomial over the presence features: each active
+    column of a training row counts as one draw for its class. The counts
+    are integers, so they are the same however they were gathered.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -175,6 +159,7 @@ def svm_train(
     seed: int = 0,
     max_epochs: int = 60,
     tol: float = 1e-3,
+    name: str = "",
 ) -> LinearMarginModel:
     """Train a linear L1-loss SVM by dual coordinate descent.
 
@@ -183,7 +168,8 @@ def svm_train(
     seeded random permutations, so training is deterministic given
     (data, regularization, seed). Stops when the relative duality gap drops
     below ``tol`` or after ``max_epochs`` sweeps; stopping at ``max_epochs``
-    logs a warning with the gap left.
+    logs a warning with the gap left, led by ``name`` when one is given (a
+    fold, say), so that the line can be told from other models' lines.
 
     The input rows must be length-normalized (empty rows are allowed and
     interact with the bias only).
@@ -251,9 +237,9 @@ def svm_train(
             break
     else:
         log.warning(
-            "svm_train stopped at max_epochs=%d before converging: relative duality gap "
+            "%ssvm_train stopped at max_epochs=%d before converging: relative duality gap "
             "%.4g > tol %g",
-            max_epochs, (primal - dual) / max(primal, 1.0), tol,
+            f"{name}: " if name else "", max_epochs, (primal - dual) / max(primal, 1.0), tol,
         )
 
     return LinearMarginModel(

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePath
 from typing import Iterable, Sequence
@@ -142,17 +142,6 @@ def read_sentences(raw_text: str) -> list[str]:
     return _parse_lines(raw_text)[0]
 
 
-def detect_paragraphs(raw_text: str, sidecar: Sequence[int] | None = None) -> tuple[int, ...]:
-    """Paragraph start indices for a one-sentence-per-line document.
-
-    A sidecar list of sentence indices wins when supplied; otherwise blank
-    lines mark paragraph breaks; a document without either is one paragraph.
-    Sidecar indices are validated against the number of sentences.
-    """
-    sentences, starts = _parse_lines(raw_text)
-    return starts if sidecar is None else _sidecar_starts(sidecar, len(sentences))
-
-
 def _sidecar_starts(sidecar: Sequence[int], n_sentences: int) -> tuple[int, ...]:
     starts = tuple(int(i) for i in sidecar)
     if not starts or starts[0] != 0:
@@ -177,17 +166,6 @@ def load_sidecar(path: str | Path) -> dict[str, tuple[int, ...]]:
             raise ConfigurationError(f"malformed sidecar line: {line!r}")
         mapping[doc_id.strip()] = tuple(int(x) for x in spec.split(","))
     return mapping
-
-
-def assign_folds(docs: Sequence[ReviewDocument], k: int = 10) -> list[ReviewDocument]:
-    """Assign cross-validation folds.
-
-    Filename stems carrying a ``cvNNN`` tag map to fold ``NNN // 100`` (the
-    standard balanced split of the review corpus); anything else, including
-    synthetic fixtures, falls back to document ordinal mod k.
-    """
-    _check_fold_count(k)
-    return [replace(doc, fold=_fold(doc.id, ordinal, k)) for ordinal, doc in enumerate(docs)]
 
 
 def _check_fold_count(k: int) -> None:
@@ -231,8 +209,12 @@ def load_polarity_dataset(
     """Load the review corpus from ``root/pos`` and ``root/neg``.
 
     One document per file, one sentence per nonblank line, label from the
-    subdirectory. Empty files are skipped with a warning. Folds follow the
-    rule of :func:`assign_folds`, the ordinal counting only the files kept.
+    subdirectory. Empty files are skipped with a warning. Paragraphs start
+    after blank lines, or where the sidecar says for a document it lists.
+    A filename stem carrying a ``cvNNN`` tag maps to fold ``NNN // 100`` (the
+    standard balanced split of the review corpus) when that is below ``k``;
+    any other document, synthetic fixtures included, gets its ordinal mod
+    ``k``, the ordinal counting only the files kept.
     """
     _check_fold_count(k)
     root = Path(root)

@@ -20,6 +20,8 @@ once, into per-type class counts and first positions (``type_counts``). Each
 fold subtracts its held-out rows' counts, an exact integer step, and selects
 its vocabulary from what is left; NB trains from those counts and featurizes
 only the fold's test rows, while the SVM featurizes its training rows too.
+Folds and the detector are fit by one function, ``_fit``: detector training
+is the case with nothing held out.
 
 SVM folds train in parallel: ``run_experiment`` and ``detector_cv_accuracies``
 fork a process pool (``max_workers``, by default the core count capped at the
@@ -308,12 +310,10 @@ def train_detector_model(
     columns, counts = type_counts(matrix, labels, np.zeros_like(labels)).columns(min_doc_freq)
     if not len(columns):
         raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
-    if base == "nb":
-        model = nb_from_counts(counts, np.bincount(labels, minlength=2), alpha=alpha)
-    else:
-        every = np.arange(len(sentences))
-        rows = featurize_rows(matrix, matrix.column_map(columns), len(columns), every, True)
-        model = svm_train(rows, labels, regularization=regularization, seed=seed)
+    model = _fit(
+        matrix, labels, np.arange(len(sentences)), matrix.column_map(columns), len(columns), counts,
+        base, alpha, regularization, seed, "detector",
+    )
     vocab = matrix.vocabulary(columns)
     return replace(model, vocab_digest=vocab.digest()), vocab
 
@@ -401,6 +401,34 @@ def detector_cv_accuracies(
         return [int((predicted == labels[test]).sum()) / len(test) for test, predicted in fits]
 
 
+def _fit(
+    matrix: PresenceMatrix,
+    labels: np.ndarray,
+    train: np.ndarray,
+    column_of: np.ndarray,
+    width: int,
+    counts: np.ndarray | None,
+    base: str,
+    alpha: float,
+    regularization: float,
+    seed: int,
+    name: str,
+) -> NaiveBayesModel | LinearMarginModel:
+    """The one fit of either classifier: a ``base`` model of the rows ``train``
+    of ``matrix``, over a vocabulary of ``width`` columns into which
+    ``column_of`` maps the matrix's type ids (-1 outside it).
+
+    NB trains from ``counts``, the per-class counts of those rows at the
+    vocabulary's columns, without reading a row. The SVM featurizes the rows,
+    which are freed on return, and needs no counts. ``name`` leads the SVM's
+    ``max_epochs`` warning.
+    """
+    if base == "nb":
+        return nb_from_counts(counts, np.bincount(labels[train], minlength=2), alpha)
+    rows = featurize_rows(matrix, column_of, width, train, True)
+    return svm_train(rows, labels[train], regularization, seed, name=name)
+
+
 def _fit_predict(
     matrix: PresenceMatrix,
     labels: np.ndarray,
@@ -413,30 +441,26 @@ def _fit_predict(
     regularization: float = 1.0,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``fold`` and their 0/1 decisions by a model fit on the other rows.
+    """The rows of ``fold`` and their 0/1 decisions by a model ``_fit`` on the other rows.
 
     ``stats`` is the ``type_counts`` of all rows. The vocabulary and NB's
-    counts come from it minus the held-out rows' counts, so NB reads no
-    training row; the SVM featurizes its training rows over that vocabulary.
-    An empty vocabulary leaves the classifier its class prior (NB) or bias
-    sign (SVM).
+    counts come from it minus the held-out rows' counts. An empty vocabulary
+    leaves the classifier its class prior (NB) or bias sign (SVM).
     """
     test = np.flatnonzero(fold_of == fold)
     columns, counts = stats.columns(min_doc_freq, fold, class_counts(matrix, test, labels[test]))
     column_of = matrix.column_map(columns)
-    if base == "nb":
-        train_classes = np.bincount(labels, minlength=2) - np.bincount(labels[test], minlength=2)
-        model = nb_from_counts(counts, train_classes, alpha=alpha)
-        test_rows = featurize_rows(matrix, column_of, len(columns), test)
-        return test, (nb_predict_prob(model, test_rows) > 0.5).astype(int)
-    # the training rows are freed once trained on, before the test rows are built
-    del counts
-    train = np.flatnonzero(fold_of != fold)
-    model = svm_train(
-        featurize_rows(matrix, column_of, len(columns), train, True), labels[train],
-        regularization=regularization, seed=seed,
+    if base == "svm":
+        # the SVM reads rows, not counts: the counts are freed before the
+        # training rows are built, as those are before the test rows
+        counts = None
+    model = _fit(
+        matrix, labels, np.flatnonzero(fold_of != fold), column_of, len(columns), counts, base,
+        alpha, regularization, seed, f"fold {fold}",
     )
-    test_rows = featurize_rows(matrix, column_of, len(columns), test, True)
+    test_rows = featurize_rows(matrix, column_of, len(columns), test, base == "svm")
+    if base == "nb":
+        return test, (nb_predict_prob(model, test_rows) > 0.5).astype(int)
     return test, (svm_margin(model, test_rows) > 0).astype(int)
 
 

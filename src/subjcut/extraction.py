@@ -9,7 +9,8 @@ are joins of consecutive sentence rows. Each selection is one flag per
 sentence of its documents, as are those ``evaluation`` makes for the
 positional and score-ranked baselines (first/last/top/least N sentences) and
 the complement (objective) extract.
-An ``Extract`` is a document's kept text and word counts, built for output.
+An ``Extract`` is a document's kept text and word counts, built for output
+from its flags (``Extract.from_flags``).
 """
 
 from __future__ import annotations
@@ -194,16 +195,6 @@ class Detector:
     config: DetectorConfig
 
 
-def select_basic(scores: IndividualScores) -> tuple[int, ...]:
-    """Independent per-sentence decisions: keep iff class-1 score strictly wins.
-
-    A tie drops the sentence, as the canonical min cut does. Zero-association
-    graph selection compares the scores rounded to 10^-6, so a sentence that
-    wins by less than that rounding is kept here and dropped there.
-    """
-    return tuple(i for i in range(len(scores)) if scores.class1[i] > scores.class2[i])
-
-
 # Documents are tokenized, scored, joined and cut in batches of about this
 # many sentences: one sort, featurization or max-flow solve per batch, with
 # the transient arrays of one batch at a time.
@@ -325,14 +316,6 @@ class Extract:
             words_kept=sum(itertools.compress(doc.sentence_word_counts, flags)),
             words_total=doc.word_count,
         )
-
-
-def build_extract(doc: ReviewDocument, selected: Iterable[int]) -> Extract:
-    """The extract of ``doc``'s sentences ``selected``, in any order, repeats counted once."""
-    indices = set(selected)
-    if indices and (min(indices) < 0 or max(indices) >= len(doc.sentences)):
-        raise ValueError(f"selection out of range for document {doc.id}")
-    return Extract.from_flags(doc, [i in indices for i in range(len(doc.sentences))])
 
 
 def preservation_rate(extracts: Sequence[Extract]) -> float:

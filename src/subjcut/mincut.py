@@ -188,8 +188,12 @@ def source_flags(net: FlowNetwork) -> np.ndarray:
     The source side is the set of items reachable from the source in the
     final residual graph, i.e. the unique minimum cut with smallest source
     side, which makes results deterministic when several minimum cuts exist.
-    The network is not mutated.
+    The network is not mutated. A network without a pair arc, such as a
+    strength-0 one, has no path from source to sink: there the source side
+    is the items whose terminal arc leaves the source, and no graph is built.
     """
+    if not net.pair_capacities.any():
+        return net.toward_source > net.toward_sink
     n = net.n
     source, sink = n, n + 1
     items = np.arange(n)

@@ -33,7 +33,6 @@ from subjcut.extraction import (
     Detector,
     DetectorConfig,
     ProximityParams,
-    select_basic,
     select_graph,
 )
 from subjcut.mincut import (
@@ -47,6 +46,7 @@ from subjcut.mincut import (
 )
 
 from planted_corpus import per_document, write_polarity_tree, make_sentence_corpus
+from references import select_basic
 
 DATA_ROOT = os.environ.get("SUBJCUT_DATA_ROOT")
 requires_data = pytest.mark.skipif(

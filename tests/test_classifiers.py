@@ -20,7 +20,6 @@ from subjcut.classifiers import (
     VocabularyMismatchError,
     load_model,
     nb_predict_prob,
-    nb_train,
     save_model,
     svm_decision,
     svm_margin,
@@ -35,6 +34,7 @@ from planted_corpus import (
     rows_over,
     vocabulary_of,
 )
+from references import nb_train
 
 
 def rows_and_vocab(texts, normalize=False):

@@ -12,9 +12,8 @@ from subjcut.corpus import (
     IngestionError,
     LabeledSentence,
     ReviewDocument,
-    assign_folds,
+    _parse_lines,
     build_manifest,
-    detect_paragraphs,
     load_polarity_dataset,
     load_sidecar,
     load_subjectivity_dataset,
@@ -154,24 +153,20 @@ class TestLoadSubjectivity:
             load_subjectivity_dataset(tmp_path / "missing.txt", plot)
 
 
-class TestAssignFolds:
-    def test_cv_tag_rule(self):
-        docs = [
-            _doc(id="cv000_29590"),
-            _doc(id="cv999_14111"),
-            _doc(id="cv457_18046"),
-        ]
-        folds = [d.fold for d in assign_folds(docs, k=10)]
+class TestFoldRule:
+    def test_cv_tag_rule(self, tmp_path):
+        write_tree(tmp_path, {
+            "pos/cv000_29590.txt": b"s\n",
+            "pos/cv999_14111.txt": b"s\n",
+            "neg/cv457_18046.txt": b"s\n",
+        })
+        folds = [d.fold for d in load_polarity_dataset(tmp_path, k=10)]
         assert folds == [0, 9, 4]
 
-    def test_untagged_round_robin(self):
-        docs = [_doc(id=str(i)) for i in range(20)]
-        folds = [d.fold for d in assign_folds(docs, k=10)]
+    def test_untagged_round_robin(self, tmp_path):
+        write_tree(tmp_path, {f"{'pos' if i < 10 else 'neg'}/{i}.txt": b"s\n" for i in range(20)})
+        folds = [d.fold for d in load_polarity_dataset(tmp_path, k=10)]
         assert folds == list(range(10)) + list(range(10))
-
-    def test_k_below_two_rejected(self):
-        with pytest.raises(ConfigurationError):
-            assign_folds([_doc()], k=1)
 
     def test_folds_partition_documents(self, synthetic_documents):
         per_fold = {}
@@ -182,28 +177,39 @@ class TestAssignFolds:
         assert sorted(all_ids) == sorted(d.id for d in synthetic_documents)
 
 
-class TestDetectParagraphs:
-    def test_blank_line_heuristic(self):
+def loaded_paragraph_starts(root, raw, sidecar=None):
+    """The paragraph starts the loader gives a review of text ``raw``, listed
+    with ``sidecar``'s starts in a sidecar file when they are given."""
+    files = {"pos/d.txt": raw.encode(), "neg/e.txt": b"s\n"}
+    if sidecar is not None:
+        files["side.tsv"] = f"d\t{','.join(map(str, sidecar))}\n".encode()
+    write_tree(root, files)
+    side = root / "side.tsv" if sidecar is not None else None
+    return load_polarity_dataset(root, sidecar_path=side)[0].paragraph_starts
+
+
+class TestParagraphStarts:
+    def test_blank_line_heuristic(self, tmp_path):
         raw = "s0\ns1\n\ns2\ns3\ns4\n"
-        assert detect_paragraphs(raw) == (0, 2)
+        assert loaded_paragraph_starts(tmp_path, raw) == (0, 2)
 
-    def test_no_breaks_single_paragraph(self):
-        assert detect_paragraphs("s0\ns1\ns2\n") == (0,)
+    def test_no_breaks_single_paragraph(self, tmp_path):
+        assert loaded_paragraph_starts(tmp_path, "s0\ns1\ns2\n") == (0,)
 
-    def test_sidecar_passthrough(self):
+    def test_sidecar_passthrough(self, tmp_path):
         raw = "\n".join(f"s{i}" for i in range(10))
-        assert detect_paragraphs(raw, sidecar=[0, 3, 7]) == (0, 3, 7)
+        assert loaded_paragraph_starts(tmp_path, raw, sidecar=[0, 3, 7]) == (0, 3, 7)
 
-    def test_sidecar_out_of_range(self):
+    def test_sidecar_out_of_range(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            detect_paragraphs("s0\ns1\n", sidecar=[0, 5])
+            loaded_paragraph_starts(tmp_path, "s0\ns1\n", sidecar=[0, 5])
 
-    def test_sidecar_must_start_at_zero(self):
+    def test_sidecar_must_start_at_zero(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            detect_paragraphs("s0\ns1\n", sidecar=[1])
+            loaded_paragraph_starts(tmp_path, "s0\ns1\n", sidecar=[1])
 
-    def test_leading_blanks_ignored(self):
-        assert detect_paragraphs("\n\ns0\ns1\n") == (0,)
+    def test_leading_blanks_ignored(self, tmp_path):
+        assert loaded_paragraph_starts(tmp_path, "\n\ns0\ns1\n") == (0,)
 
 
 def test_load_sidecar_parses_and_rejects(tmp_path):
@@ -330,7 +336,7 @@ class TestOnePassIngestion:
     def test_parser_equals_the_three_pass_parser(self, text):
         raw = text.decode("utf-8", errors="replace")
         assert read_sentences(raw) == three_pass_read_sentences(raw)
-        assert detect_paragraphs(raw) == three_pass_detect_paragraphs(raw)
+        assert _parse_lines(raw)[1] == three_pass_detect_paragraphs(raw)
 
     @settings(max_examples=40, deadline=None)
     @given(pos=label_dir, neg=label_dir, k=st.sampled_from([2, 3, 10]))

@@ -1,8 +1,10 @@
 import json
+import logging
 import math
 import multiprocessing
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -568,6 +570,55 @@ class TestTrainDetectorModel:
         for base in ("nb", "svm"):
             with pytest.raises(EmptyVocabularyError):
                 train_detector_model(sentences, base=base, min_doc_freq=2)
+
+
+class TestOneFit:
+    """The detector and every fold are fit by ``_fit``, and an SVM that stops
+    at ``max_epochs`` names its model."""
+
+    # one detector, then a 10-fold run_experiment, then a 3-fold detector_cv_accuracies
+    NAMES = ["detector"] + [f"fold {k}" for k in range(10)] + [f"fold {k}" for k in range(3)]
+
+    def test_models_are_trained_only_through_fit(
+        self, monkeypatch, synthetic_sentences, synthetic_documents
+    ):
+        fitting, names = [], []
+        fit = evaluation._fit
+
+        def traced_fit(*args):
+            names.append(args[-1])
+            fitting.append(True)
+            try:
+                return fit(*args)
+            finally:
+                fitting.pop()
+
+        def only_in_fit(train):
+            def trainer(*args, **kwargs):
+                assert fitting, f"{train.__name__} called outside _fit"
+                return train(*args, **kwargs)
+            return trainer
+
+        monkeypatch.setattr(evaluation, "_fit", traced_fit)
+        monkeypatch.setattr(evaluation, "nb_from_counts", only_in_fit(evaluation.nb_from_counts))
+        monkeypatch.setattr(evaluation, "svm_train", only_in_fit(evaluation.svm_train))
+        for base in ("nb", "svm"):
+            train_detector_model(synthetic_sentences, base=base)
+            run_experiment(ExperimentConfig(classifier=base), synthetic_documents, max_workers=1)
+            detector_cv_accuracies(synthetic_sentences, base=base, folds=3, max_workers=1)
+        assert names == self.NAMES * 2
+
+    def test_max_epochs_warnings_name_the_detector_and_each_fold(
+        self, monkeypatch, caplog, synthetic_sentences, synthetic_documents
+    ):
+        monkeypatch.setattr(evaluation, "svm_train", partial(evaluation.svm_train, max_epochs=1))
+        with caplog.at_level(logging.WARNING, logger="subjcut.classifiers"):
+            train_detector_model(synthetic_sentences, base="svm")
+            run_experiment(ExperimentConfig(classifier="svm"), synthetic_documents, max_workers=1)
+            detector_cv_accuracies(synthetic_sentences, base="svm", folds=3, max_workers=1)
+        messages = [record.getMessage() for record in caplog.records]
+        leads = [m.partition(": svm_train stopped at max_epochs=1 ")[0] for m in messages]
+        assert leads == self.NAMES
 
 
 class TestDetectorCV:

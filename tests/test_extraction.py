@@ -14,14 +14,13 @@ from subjcut.extraction import (
     DECAY_NAMES,
     Detector,
     DetectorConfig,
+    Extract,
     ProximityParams,
     association_band,
-    build_extract,
     detect_paragraph_unit,
     extracts_to_jsonl,
     individual_scores,
     preservation_rate,
-    select_basic,
     select_graph,
     sentence_matrix,
 )
@@ -36,6 +35,7 @@ from subjcut.mincut import (
 )
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
+from references import select_basic
 
 
 def scores_from(probs) -> IndividualScores:
@@ -618,27 +618,13 @@ class TestScoreAlignment:
 
 
 class TestExtracts:
-    def test_build_extract_counts_words(self):
+    def test_from_flags_counts_words(self):
         doc = doc_of(["one two three", "four five", "six"])
-        ex = build_extract(doc, [0, 2])
+        ex = Extract.from_flags(doc, [True, False, True])
+        assert ex.selected == (0, 2)
         assert ex.text == "one two three\nsix"
         assert ex.words_kept == 4
         assert ex.words_total == 6
-
-    def test_selection_out_of_range_rejected(self):
-        doc = doc_of(["a"])
-        with pytest.raises(ValueError):
-            build_extract(doc, [3])
-        with pytest.raises(ValueError):
-            build_extract(doc, [-1])
-
-    def test_build_extract_sorts_and_dedupes_into_the_flag_extract(self):
-        doc = doc_of(["one two three", "four five", "six", "seven eight"])
-        ex = build_extract(doc, iter([3, 0, 3, 0]))
-        assert ex == extraction.Extract.from_flags(doc, [True, False, False, True])
-        assert ex.selected == (0, 3)
-        assert ex.text == "one two three\nseven eight"
-        assert ex.words_kept == 5
 
     def test_objective_is_complement(self):
         doc = doc_of(["a", "b", "c", "d"])
@@ -665,16 +651,16 @@ class TestExtracts:
     def test_extract_text_is_subsequence(self, detector_models, synthetic_documents):
         model, vocab = detector_models["nb"]
         doc = synthetic_documents[0]
-        selected = select_basic(individual_scores(model, vocab, doc.sentences))
-        ex = build_extract(doc, selected)
+        scores = individual_scores(model, vocab, doc.sentences)
+        ex = Extract.from_flags(doc, (scores.class1 > scores.class2).tolist())
         assert list(ex.selected) == sorted(ex.selected)
         for idx, line in zip(ex.selected, ex.text.split("\n") if ex.text else []):
             assert doc.sentences[idx] == line
 
     def test_preservation_rate_bounds(self):
         doc = doc_of(["one two", "three four"])
-        full = build_extract(doc, [0, 1])
-        empty = build_extract(doc, [])
+        full = Extract.from_flags(doc, [True, True])
+        empty = Extract.from_flags(doc, [False, False])
         assert preservation_rate([full, full]) == 1.0
         assert preservation_rate([empty]) == 0.0
         with pytest.raises(ValueError):
@@ -682,7 +668,7 @@ class TestExtracts:
 
     def test_jsonl_round_trip(self):
         doc = doc_of(["one two", "three"])
-        ex = build_extract(doc, [1])
+        ex = Extract.from_flags(doc, [False, True])
         lines = extracts_to_jsonl([ex]).splitlines()
         assert json.loads(lines[0]) == {
             "doc_id": "d",

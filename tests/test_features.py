@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from subjcut.classifiers import TrainingError, nb_from_counts, nb_train
+from subjcut.classifiers import TrainingError, nb_from_counts
 from subjcut import features
 from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
 from subjcut.evaluation import train_detector_model
@@ -19,6 +19,7 @@ from subjcut.features import (
 )
 
 from planted_corpus import rows_over, vocabulary_of
+from references import nb_train
 
 tokens_strategy = st.lists(
     st.sampled_from("good bad film plot great dull the a of scene".split()),

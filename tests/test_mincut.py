@@ -1,9 +1,12 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subjcut import mincut
 from subjcut.classifiers import IndividualScores
-from subjcut.extraction import DECAY_NAMES, ProximityParams, association_band
+from subjcut.extraction import DECAY_NAMES, ProximityParams, association_band, select_graph
 from subjcut.mincut import (
     CAPACITY_BOUND,
     DEFAULT_SCALE,
@@ -328,8 +331,12 @@ def labeling_costs(ind, assoc) -> np.ndarray:
     ])
 
 
+ALL_WEIGHTS = (0.0, 1e-8, 4e-7, 0.25, 0.5)
+NO_ARC_WEIGHTS = (0.0, 1e-8, 4e-7)  # each rounds to 0 at the default scale
+
+
 @st.composite
-def tied_instances(draw, n_max=8):
+def tied_instances(draw, n_max=8, weights=ALL_WEIGHTS):
     """Small instances with many minimum labelings: quarter scores and weights,
     exact ties, ties made by rounding, and pairs that round to no arc."""
     n = draw(st.integers(1, n_max))
@@ -338,7 +345,6 @@ def tied_instances(draw, n_max=8):
     class2 = np.where(
         rng.random(n) < 0.5, tie_after_rounding(rng, class1), rng.integers(0, 5, n) / 4
     )
-    weights = [0.0, 1e-8, 4e-7, 0.25, 0.5]
     pairs = {
         (i, k): float(rng.choice(weights))
         for i in range(n)
@@ -433,8 +439,12 @@ def tie_after_rounding(rng, class1):
     return np.where(exact & (rng.random(len(class1)) < 0.5), near, class1)
 
 
+# weights below 0.5 / DEFAULT_SCALE round to no arc
+ANY_STRENGTH = st.one_of(st.floats(0, 2), st.sampled_from([1e-8, 4e-7]))
+
+
 @st.composite
-def proximity_instances(draw, n_min, n_max):
+def proximity_instances(draw, n_min, n_max, strengths=ANY_STRENGTH):
     """Review-shaped instances: scores, paragraph breaks, and ``association_band`` edges."""
     n = draw(st.integers(n_min, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -448,8 +458,7 @@ def proximity_instances(draw, n_min, n_max):
     params = ProximityParams(
         threshold=draw(st.integers(1, 3)),
         decay=draw(st.sampled_from(DECAY_NAMES)),
-        # weights below 0.5 / DEFAULT_SCALE round to no arc
-        strength=draw(st.one_of(st.floats(0, 2), st.sampled_from([1e-8, 4e-7]))),
+        strength=draw(strengths),
         cross_paragraph_weight=draw(st.floats(0, 1)),
     )
     ind = IndividualScores(class1=class1, class2=class2)
@@ -488,3 +497,67 @@ class TestBandedOracle:
         masks = np.arange(len(costs))
         want = [costs[(masks >> i & 1) == 0].min() for i in range(len(ind))]
         assert banded_min(*scaled, reach, held=list(range(len(ind)))).tolist() == want
+
+
+@contextmanager
+def no_max_flow():
+    """Fail any max-flow computation started inside the block."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("max-flow computed for a network without a pair arc")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mincut, "maximum_flow", unreachable)
+        yield
+
+
+class TestPairFreeNetworks:
+    """A network whose pairs all round to no arc is cut without a max-flow."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(tied_instances(weights=NO_ARC_WEIGHTS), min_size=1, max_size=4))
+    def test_side_is_the_intersection_of_all_minimum_labelings(self, instances):
+        with no_max_flow():
+            results = min_cut(build_network(*stack_instances(instances)))
+        for (ind, assoc), got in zip(instances, results):
+            costs = labeling_costs(*scale_instance(ind, assoc))
+            common = np.bitwise_and.reduce(np.flatnonzero(costs == costs.min()))
+            assert got.source_side == tuple(i for i in range(len(ind)) if common >> i & 1)
+            assert got.max_flow_value == costs.min()
+
+    @settings(max_examples=60, deadline=None)
+    @given(proximity_instances(20, 200, strengths=st.sampled_from([0.0, 1e-8, 4e-7])))
+    def test_cut_is_canonical_at_review_lengths(self, instance):
+        ind, assoc, reach = instance
+        with no_max_flow():
+            got = solve(ind, assoc)
+        scaled = scale_instance(ind, assoc)
+        best = banded_min(*scaled, reach)
+        assert got.max_flow_value == best
+        assert partition_cost(*scaled, got.source_side) == best
+        assert (banded_min(*scaled, reach, held=list(got.source_side)) > best).all()
+
+    def test_a_rounding_tie_is_dropped(self):
+        # class 1 wins by 8e-7, which rounds to a tie at the default scale
+        scores = IndividualScores(class1=[0.5000004, 0.9], class2=[0.4999996, 0.1])
+        params = ProximityParams(threshold=3, decay="exponential", strength=0.0)
+        with no_max_flow():
+            assert select_graph([scores], params).tolist() == [False, True]
+
+    def test_one_pair_arc_runs_the_max_flow(self):
+        calls = []
+        solve_flow = mincut.maximum_flow
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_flow(*args, **kwargs)
+
+        # only the first pair keeps an arc, of capacity 1: it pulls the tied item 1
+        # to the source side, where the rounded scores alone would drop it
+        assoc = AssociationScores(pairs={(0, 1): 1e-6, (1, 2): 4e-7})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mincut, "maximum_flow", counted)
+            got = solve(EXAMPLE_IND, assoc)
+        assert len(calls) == 1
+        assert got.source_side == (0, 1)
+        assert got.max_flow_value == brute_force_min(*scale_instance(EXAMPLE_IND, assoc)).cost
