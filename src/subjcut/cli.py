@@ -134,7 +134,7 @@ def _load_datasets(root: Path):
 @click.option("--base", type=click.Choice(["nb", "svm", "both"]), default="both", show_default=True)
 @click.option("--alpha", default=1.0, show_default=True, help="NB smoothing.")
 @click.option("--regularization", default=1.0, show_default=True, help="SVM penalty C.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--min-doc-freq", default=1, show_default=True)
 def cmd_train_detector(
     data_root, output_dir, base, alpha, regularization, seed, min_doc_freq
@@ -235,7 +235,8 @@ def _config_from_spec(spec_path: str) -> evaluation.ExperimentConfig:
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @data_root_option
 @output_dir_option
-@click.option("--seed", default=None, type=int, help="Override the spec's seed.")
+@click.option("--seed", default=None, type=click.IntRange(min=0),
+              help="Override the spec's seed.")
 @click.option("--threads", default=None, type=click.IntRange(min=1),
               help="Parallel SVM folds; defaults to the core count, capped at the folds.")
 def cmd_run(spec_path, data_root, output_dir, seed, threads) -> None:
@@ -266,7 +267,7 @@ def cmd_run(spec_path, data_root, output_dir, seed, threads) -> None:
 @click.option("--decays", default="constant,exponential,inverse_square", show_default=True)
 @click.option("--strengths", default="", help="Comma floats; default 0.0..1.0 step 0.1.")
 @click.option("--weights", default="1.0", show_default=True, help="Cross-paragraph weights.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--threads", default=None, type=click.IntRange(min=1),
               help="Parallel grid cells; defaults to the core count.")
 def cmd_grid(
@@ -308,7 +309,7 @@ def cmd_grid(
               show_default=True)
 @click.option("--base", type=click.Choice(["nb", "svm"]), default="nb", show_default=True,
               help="Detector base used for scoring sentences.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 def cmd_sweep(data_root, output_dir, methods, n_values, classifier, base, seed) -> None:
     """Accuracy of N-sentence extraction baselines over a range of N."""
     method_list = tuple(methods.split(","))
@@ -362,7 +363,7 @@ WORKED_EXAMPLE_ASSOC = mincut.AssociationScores(
 @main.command("oracle")
 @click.option("--n-max", default=12, show_default=True, type=click.IntRange(min=1))
 @click.option("--trials", default=200, show_default=True, type=click.IntRange(min=0))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 def cmd_oracle(n_max, trials, seed) -> None:
     """Check min_cut against brute-force enumeration on random instances."""
     if trials == 0:

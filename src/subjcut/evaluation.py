@@ -44,6 +44,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -63,14 +64,13 @@ from .classifiers import (
     svm_margin,
     svm_train,
 )
-from .corpus import POSITIVE, SUBJECTIVE, LabeledSentence, ReviewDocument, tokenize
+from .corpus import POSITIVE, SUBJECTIVE, LabeledSentence, ReviewDocument
 from .extraction import (
     Detector,
     DetectorConfig,
     Extract,
     ProximityParams,
     detect_paragraph_unit,
-    document_batches,
     individual_scores,
     select_graph,
     sentence_matrix,
@@ -81,6 +81,7 @@ from .features import (
     TypeCounts,
     Vocabulary,
     class_counts,
+    document_batches,
     featurize_rows,
     join_rows,
     presence_matrix,
@@ -118,6 +119,17 @@ class ExperimentConfig:
     min_doc_freq: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_sentences", "folds", "seed", "min_doc_freq"):
+            value = getattr(self, name)
+            if value is None and name == "n_sentences":  # no N-sentence extractor
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a JSON spec's 2.0 is stored as 2
+        if not isinstance(self.flipped, bool):
+            raise ValueError(f"flipped must be true or false, got {self.flipped!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.extractor not in EXTRACTORS:
             raise ValueError(f"unknown extractor {self.extractor!r}")
         if self.detector_base not in ("nb", "svm"):
@@ -305,8 +317,7 @@ def train_detector_model(
         raise EmptyVocabularyError("no texts supplied")
     if base not in ("nb", "svm"):
         raise ValueError(f"base must be nb or svm, got {base!r}")
-    matrix = presence_matrix(tokenize(s.text) for s in sentences)
-    labels = np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
+    matrix, labels = _sentence_rows(sentences)
     columns, counts = type_counts(matrix, labels, np.zeros_like(labels)).columns(min_doc_freq)
     if not len(columns):
         raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
@@ -316,6 +327,12 @@ def train_detector_model(
     )
     vocab = matrix.vocabulary(columns)
     return replace(model, vocab_digest=vocab.digest()), vocab
+
+
+def _sentence_rows(sentences: Sequence[LabeledSentence]) -> tuple[PresenceMatrix, np.ndarray]:
+    """The presence matrix of ``sentences``, one group each, and their 0/1 labels."""
+    matrix = presence_matrix([((s.text,), (len(s.text.split()),)) for s in sentences])
+    return matrix, np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
 
 
 def make_detector(
@@ -346,9 +363,10 @@ def score_documents(
     """Per-sentence scores for every document, computed once and reused.
 
     The sentences are the rows of ``matrix``, the documents'
-    ``sentence_matrix`` (built here when not given), scored in batches of
-    about ``CUT_BATCH_SENTENCES`` sentences. The batches share the matrix's
-    type table, which is mapped into the vocabulary once.
+    ``sentence_matrix`` (built here when not given), scored in the
+    ``document_batches`` of about ``features.CUT_BATCH_SENTENCES`` sentences
+    each. The batches share the matrix's type table, which is mapped into the
+    vocabulary once.
     """
     if matrix is None:
         matrix = sentence_matrix(documents)
@@ -389,8 +407,7 @@ def detector_cv_accuracies(
     if base not in ("nb", "svm"):
         raise ValueError(f"base must be nb or svm, got {base!r}")
     workers = _worker_count(max_workers, folds)
-    matrix = presence_matrix(tokenize(s.text) for s in sentences)
-    labels = np.array([1 if s.label == SUBJECTIVE else 0 for s in sentences])
+    matrix, labels = _sentence_rows(sentences)
     fold_of = np.arange(len(sentences)) % folds
     fit = partial(
         _fit_predict, matrix, labels, fold_of, type_counts(matrix, labels, fold_of),

@@ -4,8 +4,9 @@ A detector scores each sentence of a review for subjectivity and selects a
 subset: independently per sentence (basic), jointly via a minimum cut with
 proximity edges (graph), or per paragraph. A batch of reviews gets its
 proximity edges from one band over the distances 1..T that every review
-shares, and its cut network straight from the band's arrays. Paragraph units
-are joins of consecutive sentence rows. Each selection is one flag per
+shares, and its cut network straight from the band's arrays. Sentences are
+scored as rows of their documents' ``sentence_matrix``, paragraph units as
+joins of consecutive sentence rows. Each selection is one flag per
 sentence of its documents, as are those ``evaluation`` makes for the
 positional and score-ranked baselines (first/last/top/least N sentences) and
 the complement (objective) extract.
@@ -18,9 +19,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,11 +32,11 @@ from .classifiers import (
     svm_decision,
     svm_to_individual,
 )
-from .corpus import ReviewDocument, tokenize
+from .corpus import ReviewDocument
 from .features import (
     PresenceMatrix,
     Vocabulary,
-    distinct_runs,
+    document_batches,
     featurize_rows,
     join_rows,
     presence_matrix,
@@ -144,26 +144,18 @@ def association_band(
 def individual_scores(
     model: NaiveBayesModel | LinearMarginModel,
     vocab: Vocabulary,
-    sentences: Iterable[str] | PresenceMatrix,
-    column_of: np.ndarray | None = None,
+    matrix: PresenceMatrix,
+    column_of: np.ndarray,
 ) -> IndividualScores:
-    """Per-sentence class preferences from a trained sentence classifier.
+    """Per-row class preferences of ``matrix`` from a trained sentence classifier.
 
     NB yields (posterior, 1 - posterior); the margin classifier's signed
-    distance is clamped into [0, 1] and complemented. The sentences are
-    featurized together, as one presence matrix; a ``PresenceMatrix`` given
-    in their place has every row scored, and ``column_of``, when given, is
-    its ``vocab.column_map(matrix.types)``, so that scoring many row slices
-    of one matrix maps its type table once.
+    distance is clamped into [0, 1] and complemented. ``column_of`` is
+    ``vocab.column_map(matrix.types)``, so that scoring many row slices or
+    joins of one matrix maps its type table once.
     """
     if not isinstance(model, (NaiveBayesModel, LinearMarginModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    if isinstance(sentences, PresenceMatrix):
-        matrix = sentences
-    else:
-        matrix = presence_matrix(tokenize(text) for text in sentences)
-    if column_of is None:
-        column_of = vocab.column_map(matrix.types)
     rows = featurize_rows(
         matrix, column_of, vocab.size, np.arange(len(matrix)),
         normalize=isinstance(model, LinearMarginModel),
@@ -195,44 +187,10 @@ class Detector:
     config: DetectorConfig
 
 
-# Documents are tokenized, scored, joined and cut in batches of about this
-# many sentences: one sort, featurization or max-flow solve per batch, with
-# the transient arrays of one batch at a time.
-CUT_BATCH_SENTENCES = 8192
-
-
-def document_batches(sentence_counts: Sequence[int]) -> Iterator[range]:
-    """Consecutive ranges of documents, each closed once it holds at least
-    ``CUT_BATCH_SENTENCES`` sentences; the last takes what is left."""
-    start, size = 0, 0
-    for end, count in enumerate(sentence_counts, start=1):
-        size += count
-        if size >= CUT_BATCH_SENTENCES or end == len(sentence_counts):
-            yield range(start, end)
-            start, size = end, 0
-
-
 def sentence_matrix(documents: Sequence[ReviewDocument]) -> PresenceMatrix:
-    """The presence matrix of every sentence of ``documents``, in order.
-
-    It equals ``presence_matrix(tokenize(s) for s in sentences)``, type ids
-    included. Each document's sentences are tokenized as one text, since
-    ``tokenize`` of the sentences joined by newlines is the concatenation of
-    their tokens, and cut apart by ``sentence_word_counts``.
-    """
-    type_id: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    runs = []
-    for batch in document_batches([len(doc.sentences) for doc in documents]):
-        tokens = itertools.chain.from_iterable(
-            tokenize("\n".join(documents[i].sentences)) for i in batch
-        )
-        ids = np.fromiter(map(type_id.__getitem__, tokens), dtype=np.int32)
-        lengths = np.fromiter(
-            itertools.chain.from_iterable(documents[i].sentence_word_counts for i in batch),
-            dtype=np.int64,
-        )
-        runs.append(distinct_runs(ids, lengths, len(type_id)))
-    return PresenceMatrix.from_runs(type_id, runs)
+    """The presence matrix of every sentence of ``documents``, in order: one
+    group per document, cut apart by its ``sentence_word_counts``."""
+    return presence_matrix([(doc.sentences, doc.sentence_word_counts) for doc in documents])
 
 
 def select_graph(
@@ -272,6 +230,7 @@ def detect_paragraph_unit(
     """
     if matrix is None:
         matrix = sentence_matrix(documents)
+    column_of = vocab.column_map(matrix.types)
     counts = [len(doc.sentences) for doc in documents]
     first = np.cumsum([0] + counts).tolist()
     keep = np.zeros(first[-1], dtype=bool)
@@ -279,7 +238,7 @@ def detect_paragraph_unit(
         starts = [first[d] + s for d in batch for s in documents[d].paragraph_starts]
         lengths = np.diff([*starts, first[batch.stop]])
         rows = np.arange(first[batch.start], first[batch.stop])
-        scores = individual_scores(model, vocab, join_rows(matrix, [(rows, lengths)]))
+        scores = individual_scores(model, vocab, join_rows(matrix, [(rows, lengths)]), column_of)
         keep[rows] = np.repeat(scores.class1 > scores.class2, lengths)
     return keep
 

@@ -6,7 +6,9 @@ length-normalized for margin classifiers. There is no tf, idf, or n-gram
 machinery here on purpose.
 
 Texts are always featurized many at a time. They are mapped once into a
-``PresenceMatrix``; a vocabulary over its rows is then a selection of its
+``PresenceMatrix`` by ``presence_matrix``, the one path from text to type
+ids, in groups (a review's sentences, or one detector sentence) that are each
+tokenized once; a vocabulary over its rows is then a selection of its
 columns. One pass over the rows (``type_counts``) records each type's
 per-class document counts and first positions; a cross-validation fold's
 vocabulary subtracts the held-out rows' counts (``class_counts``) and selects
@@ -25,12 +27,15 @@ would get, over the same type table.
 from __future__ import annotations
 
 import hashlib
-from array import array
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .corpus import tokenize
 
 
 class EmptyVocabularyError(Exception):
@@ -123,19 +128,36 @@ class PresenceMatrix:
         return cls(types=tuple(types), ids=np.concatenate(ids), offsets=offsets)
 
 
-def presence_matrix(texts: Iterable[Iterable[str]]) -> PresenceMatrix:
-    """Map tokenized texts into one presence matrix, reading one text at a time."""
-    type_id: dict[str, int] = {}
-    ids = array("i")
-    offsets = array("q", [0])
-    for tokens in texts:
-        ids.extend([type_id.setdefault(t, len(type_id)) for t in dict.fromkeys(tokens)])
-        offsets.append(len(ids))
-    return PresenceMatrix(
-        types=tuple(type_id),
-        ids=np.frombuffer(ids, dtype=np.int32),
-        offsets=np.frombuffer(offsets, dtype=np.int64),
-    )
+# Texts are mapped into a presence matrix, and documents scored, joined and
+# cut, in batches of about this many texts: one sort, featurization or
+# max-flow solve per batch, with the transient arrays of one batch at a time.
+CUT_BATCH_SENTENCES = 8192
+
+
+def document_batches(sentence_counts: Sequence[int]) -> Iterator[range]:
+    """Consecutive ranges of documents, each closed once it holds at least
+    ``CUT_BATCH_SENTENCES`` sentences; the last takes what is left."""
+    start, size = 0, 0
+    for end, count in enumerate(sentence_counts, start=1):
+        size += count
+        if size >= CUT_BATCH_SENTENCES or end == len(sentence_counts):
+            yield range(start, end)
+            start, size = end, 0
+
+
+def presence_matrix(groups: Sequence[tuple[Sequence[str], Sequence[int]]]) -> PresenceMatrix:
+    """One row per text of ``groups``, in order. A group is (texts, counts),
+    ``counts[k]`` the whitespace-separated words of ``texts[k]``: its texts are
+    tokenized as one, joined by newlines, and cut into rows by the counts.
+    Each ``document_batches`` batch of groups drops its rows' repeats at once."""
+    type_id: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    runs = []
+    for batch in document_batches([len(texts) for texts, _ in groups]):
+        tokens = itertools.chain.from_iterable(tokenize("\n".join(groups[g][0])) for g in batch)
+        ids = np.fromiter(map(type_id.__getitem__, tokens), dtype=np.int32)
+        lengths = np.fromiter(itertools.chain.from_iterable(groups[g][1] for g in batch), np.int64)
+        runs.append(distinct_runs(ids, lengths, len(type_id)))
+    return PresenceMatrix.from_runs(type_id, runs)
 
 
 def distinct_runs(

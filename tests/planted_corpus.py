@@ -15,13 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
-from subjcut.features import (
-    FeatureRows,
-    Vocabulary,
-    featurize_rows,
-    presence_matrix,
-    type_counts,
-)
+from subjcut.features import FeatureRows, Vocabulary, featurize_rows, type_counts
+
+from references import presence_matrix
 
 OPINION_POSITIVE = [
     "excellent", "wonderful", "gripping", "superb", "delightful",

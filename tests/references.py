@@ -1,18 +1,51 @@
 """Plain reference rules the tests compare the program against.
 
-Neither is called by the program: NB trains from counts (``nb_from_counts``)
-and selections are flags. They state the rules row by row and sentence by
-sentence, as the paper does.
+None is called by the program: NB trains from counts (``nb_from_counts``),
+selections are flags, and texts are mapped into a presence matrix in groups
+(``features.presence_matrix``). They state the rules row by row, sentence by
+sentence and text by text, as the paper does.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from array import array
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from subjcut.classifiers import IndividualScores, NaiveBayesModel, TrainingError, nb_from_counts
-from subjcut.features import FeatureRows
+from subjcut.classifiers import (
+    IndividualScores,
+    LinearMarginModel,
+    NaiveBayesModel,
+    TrainingError,
+    nb_from_counts,
+)
+from subjcut.corpus import tokenize
+from subjcut.extraction import individual_scores
+from subjcut.features import FeatureRows, PresenceMatrix, Vocabulary
+
+
+def presence_matrix(texts: Iterable[Iterable[str]]) -> PresenceMatrix:
+    """Map tokenized texts into one presence matrix, reading one text at a time."""
+    type_id: dict[str, int] = {}
+    ids = array("i")
+    offsets = array("q", [0])
+    for tokens in texts:
+        ids.extend([type_id.setdefault(t, len(type_id)) for t in dict.fromkeys(tokens)])
+        offsets.append(len(ids))
+    return PresenceMatrix(
+        types=tuple(type_id),
+        ids=np.frombuffer(ids, dtype=np.int32),
+        offsets=np.frombuffer(offsets, dtype=np.int64),
+    )
+
+
+def score_texts(
+    model: NaiveBayesModel | LinearMarginModel, vocab: Vocabulary, texts: Iterable[str]
+) -> IndividualScores:
+    """``individual_scores`` of the rows of ``texts``, mapped one text at a time."""
+    matrix = presence_matrix(tokenize(text) for text in texts)
+    return individual_scores(model, vocab, matrix, vocab.column_map(matrix.types))
 
 
 def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> NaiveBayesModel:

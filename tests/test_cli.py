@@ -224,6 +224,44 @@ class TestRun:
         assert "min_doc_freq must be >= 1" in result.output
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"folds": 2.5}, "folds must be an integer, got 2.5"),
+            ({"folds": True}, "folds must be an integer, got True"),
+            ({"classifier": "svm", "seed": 0.5}, "seed must be an integer, got 0.5"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"extractor": "first_n", "n_sentences": 2.5}, "n_sentences must be an integer"),
+            ({"flipped": "no"}, "flipped must be true or false, got 'no'"),
+            ({"min_doc_freq": 1.5}, "min_doc_freq must be an integer, got 1.5"),
+        ],
+    )
+    def test_malformed_spec_is_refused_before_running(
+        self, runner, small_data_root, tmp_path, spec, message
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["run", "--spec", str(path), "--data-root", str(small_data_root),
+             "--output-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "bad experiment spec" in result.output and message in result.output
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "grid", "sweep", "train-detector", "oracle"])
+    def test_negative_seed_flag_is_usage_error(self, runner, small_data_root, tmp_path, command):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"extractor": "full_review"}))
+        args = {"run": ["--spec", str(spec)], "oracle": []}.get(
+            command, ["--data-root", str(small_data_root)]
+        )
+        result = runner.invoke(main, [command, *args, "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "-1 is not in the range" in result.output
+
     @pytest.mark.parametrize("text", ["{not json", "[]", '[["extractor", "basic"]]'])
     def test_spec_that_is_not_a_json_object_is_usage_error(
         self, runner, small_data_root, tmp_path, text

@@ -27,10 +27,12 @@ from subjcut.evaluation import (
     sweep_to_csv,
     train_detector_model,
 )
-from subjcut import evaluation, extraction
+from subjcut import evaluation, extraction, features
 from subjcut.extraction import Detector, DetectorConfig, ProximityParams, individual_scores
 from subjcut.classifiers import IndividualScores, TrainingError
 from subjcut.features import EmptyVocabularyError, Vocabulary
+
+from references import score_texts
 
 
 class TestPairedTTest:
@@ -97,6 +99,16 @@ class TestExperimentConfig:
         assert len(make_extracts(config, synthetic_documents[:3], nb_detector)) == 3
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"extractor": "graph", "proximity": {"threshold": 2.5}})
+
+    def test_integral_float_counts_from_json_spec(self):
+        spec = {"extractor": "first_n", "n_sentences": 2.0, "folds": 5.0, "seed": 1.0,
+                "min_doc_freq": 2.0}
+        config = ExperimentConfig.from_dict(spec)
+        for name in ("n_sentences", "folds", "seed", "min_doc_freq"):
+            assert type(getattr(config, name)) is int and getattr(config, name) == spec[name]
+        assert config.digest() == ExperimentConfig(
+            extractor="first_n", n_sentences=2, folds=5, seed=1, min_doc_freq=2
+        ).digest()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -224,8 +236,8 @@ class TestMakeExtracts:
         self, monkeypatch, synthetic_documents, detector_models, base
     ):
         model, vocab = detector_models[base]
-        alone = [individual_scores(model, vocab, doc.sentences) for doc in synthetic_documents]
-        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        alone = [score_texts(model, vocab, doc.sentences) for doc in synthetic_documents]
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
         batched = score_documents(model, vocab, synthetic_documents)
         assert len(batched) == len(alone)
         for got, want in zip(batched, alone):
@@ -237,7 +249,7 @@ class TestMakeExtracts:
         self, monkeypatch, synthetic_documents, detector_models, base
     ):
         model, vocab = detector_models[base]
-        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 10**9)  # one batch
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 10**9)  # one batch
         whole = score_documents(model, vocab, synthetic_documents)
         calls = []
         column_map = Vocabulary.column_map
@@ -247,9 +259,9 @@ class TestMakeExtracts:
             return column_map(self, types)
 
         monkeypatch.setattr(Vocabulary, "column_map", counted)
-        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
         counts = [len(doc.sentences) for doc in synthetic_documents]
-        assert len(list(extraction.document_batches(counts))) > 1
+        assert len(list(features.document_batches(counts))) > 1
         batched = score_documents(model, vocab, synthetic_documents)
         assert len(calls) == 1
         for got, want in zip(batched, whole, strict=True):
@@ -261,9 +273,9 @@ class TestMakeExtracts:
         self, monkeypatch, synthetic_documents, detector_models, base
     ):
         model, vocab = detector_models[base]
-        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
         counts = [len(doc.sentences) for doc in synthetic_documents]
-        batches = list(extraction.document_batches(counts))
+        batches = list(features.document_batches(counts))
         matrix = extraction.sentence_matrix(synthetic_documents)
         # each document's scores as they were made before: one checked
         # IndividualScores per document, split from its batch's scores
@@ -271,7 +283,7 @@ class TestMakeExtracts:
         want = []
         for batch in batches:
             rows = matrix.row_slice(first[batch.start], first[batch.stop])
-            scores = individual_scores(model, vocab, rows)
+            scores = individual_scores(model, vocab, rows, vocab.column_map(rows.types))
             bounds = np.cumsum([counts[i] for i in batch])[:-1]
             want += map(
                 IndividualScores, np.split(scores.class1, bounds), np.split(scores.class2, bounds)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from subjcut.classifiers import IndividualScores
-from subjcut.corpus import ReviewDocument, tokenize
+from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence, ReviewDocument, tokenize
 from subjcut.evaluation import ExperimentConfig, make_extracts
-from subjcut import evaluation, extraction
+from subjcut import evaluation, extraction, features
 from subjcut.extraction import (
     DECAY_NAMES,
     Detector,
@@ -19,12 +19,11 @@ from subjcut.extraction import (
     association_band,
     detect_paragraph_unit,
     extracts_to_jsonl,
-    individual_scores,
     preservation_rate,
     select_graph,
     sentence_matrix,
 )
-from subjcut.features import join_rows, presence_matrix
+from subjcut.features import join_rows
 from subjcut.mincut import (
     AssociationScores,
     brute_force_min,
@@ -35,7 +34,7 @@ from subjcut.mincut import (
 )
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
-from references import select_basic
+from references import presence_matrix, score_texts, select_basic
 
 
 def scores_from(probs) -> IndividualScores:
@@ -215,7 +214,7 @@ class TestBandEquivalence:
         ]
         want = [cut.source_side for cut in min_cut(build_network(*stack_instances(instances)))]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extraction, "CUT_BATCH_SENTENCES", batch)
+            mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
             got = select_graph(scores, params, starts)
             assert per_document(got, [n for n, _ in documents]) == want
 
@@ -224,18 +223,18 @@ class TestIndividualScoresFromModels:
     def test_nb_scores_are_posteriors(self, detector_models):
         model, vocab = detector_models["nb"]
         texts = ["the film is excellent truly", "a detective returns to the city"]
-        s = individual_scores(model, vocab, texts)
+        s = score_texts(model, vocab, texts)
         assert s.class1[0] > 0.5 > s.class1[1]
         assert np.allclose(s.class1 + s.class2, 1.0)
 
     def test_svm_scores_are_clamped_distances(self, detector_models):
         model, vocab = detector_models["svm"]
-        s = individual_scores(model, vocab, ["the film is excellent truly"])
+        s = score_texts(model, vocab, ["the film is excellent truly"])
         assert 0.0 <= s.class1[0] <= 1.0
 
     def test_identical_sentences_identical_scores(self, detector_models):
         model, vocab = detector_models["nb"]
-        s = individual_scores(model, vocab, ["something else entirely"] * 3)
+        s = score_texts(model, vocab, ["something else entirely"] * 3)
         assert len(set(s.class1.tolist())) == 1
 
 
@@ -317,7 +316,7 @@ class TestSelection:
             per_document(select_graph([s], params, [p]), [len(s)])[0]
             for s, p in zip(documents, starts)
         ]
-        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 25)
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 25)
         got = select_graph(documents, params, starts)
         assert per_document(got, map(len, documents)) == alone
 
@@ -332,7 +331,7 @@ class TestDetectorDispatch:
                 "simply wonderful and moving performance",
             ]
         )
-        scores = individual_scores(model, vocab, doc.sentences)
+        scores = score_texts(model, vocab, doc.sentences)
         zero = ProximityParams(threshold=3, strength=0.0)
         got = select_graph([scores], zero, [doc.paragraph_starts])
         assert per_document(got, [len(scores)]) == [select_basic(scores)]
@@ -369,7 +368,7 @@ class TestDetectorDispatch:
             paragraph_starts=(0, 1),
         )
         (para,) = per_document(detect_paragraph_unit(model, vocab, [doc]), [2])
-        sent = select_basic(individual_scores(model, vocab, doc.sentences))
+        sent = select_basic(score_texts(model, vocab, doc.sentences))
         assert para == sent
 
 
@@ -397,7 +396,7 @@ def group_batches(documents, groups):
     one group after another, and each group's length: ``join_rows``' input."""
     counts = [len(doc.sentences) for doc in documents]
     first = np.cumsum([0] + counts).tolist()
-    for batch in extraction.document_batches(counts):
+    for batch in features.document_batches(counts):
         rows = [first[d] + i for d in batch for group in groups[d] for i in group]
         lengths = [len(group) for d in batch for group in groups[d]]
         yield np.array(rows, dtype=np.intp), np.array(lengths, dtype=np.int64)
@@ -405,6 +404,13 @@ def group_batches(documents, groups):
 
 def row_tokens(matrix, r):
     return [matrix.types[i] for i in matrix.ids[matrix.offsets[r]:matrix.offsets[r + 1]]]
+
+
+def assert_same_matrix(got, want):
+    """Equal presence matrices, type ids and dtypes included."""
+    assert got.types == want.types
+    assert got.ids.tolist() == want.ids.tolist() and got.ids.dtype == np.int32
+    assert got.offsets.tolist() == want.offsets.tolist() and got.offsets.dtype == np.int64
 
 
 class TestSentenceMatrix:
@@ -416,14 +422,26 @@ class TestSentenceMatrix:
     def test_equals_the_per_sentence_matrix(self, documents, batch):
         sentences = [s for doc in documents for s in doc.sentences]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extraction, "CUT_BATCH_SENTENCES", batch)
+            mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
             got = sentence_matrix(documents)
-        want = presence_matrix(tokenize(s) for s in sentences)
-        assert got.types == want.types
-        assert got.ids.tolist() == want.ids.tolist() and got.ids.dtype == np.int32
-        assert got.offsets.tolist() == want.offsets.tolist()
+        assert_same_matrix(got, presence_matrix(tokenize(s) for s in sentences))
         for doc in documents:
             assert list(doc.sentence_word_counts) == [len(tokenize(s)) for s in doc.sentences]
+
+    @given(st.lists(sentence_text, max_size=12), st.integers(1, 8))
+    @example(texts=[s for doc in TRICKY_DOCUMENTS for s in doc.sentences], batch=2)
+    @example(texts=[], batch=1)
+    def test_detector_sentences_equal_the_per_sentence_matrix(self, texts, batch):
+        labels = [k % 2 for k in range(len(texts))]
+        sentences = [
+            LabeledSentence(text=t, label=SUBJECTIVE if y else OBJECTIVE)
+            for t, y in zip(texts, labels)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
+            got, got_labels = evaluation._sentence_rows(sentences)
+        assert_same_matrix(got, presence_matrix(tokenize(t) for t in texts))
+        assert got_labels.tolist() == labels
 
     @given(documents_strategy, st.integers(1, 8), st.data())
     @example(documents=TRICKY_DOCUMENTS, batch=2, data=None)
@@ -439,7 +457,7 @@ class TestSentenceMatrix:
                     max_size=3,
                 )))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extraction, "CUT_BATCH_SENTENCES", batch)
+            mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
             matrix = sentence_matrix(documents)
             joined = join_rows(matrix, group_batches(documents, groups))
         texts = [
@@ -461,14 +479,23 @@ class TestSentenceMatrix:
             starts = list(doc.paragraph_starts) + [len(doc.sentences)]
             spans = [range(a, b) for a, b in zip(starts, starts[1:])]
             texts = [" ".join(doc.sentences[i] for i in span) for span in spans]
-            scores = individual_scores(model, vocab, texts)
+            scores = score_texts(model, vocab, texts)
             want.append(tuple(
                 i for span, keep in zip(spans, scores.class1 > scores.class2) if keep
                 for i in span
             ))
-        monkeypatch.setattr(extraction, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        calls = []
+        column_map = features.Vocabulary.column_map
+
+        def counted(self, types):
+            calls.append(len(types))
+            return column_map(self, types)
+
+        monkeypatch.setattr(features.Vocabulary, "column_map", counted)
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
         got = detect_paragraph_unit(model, vocab, paragraph_documents)
         assert per_document(got, [len(doc.sentences) for doc in paragraph_documents]) == want
+        assert len(calls) == 1  # the batches share one map of the type table
         assert any(want) and not all(len(w) == 8 for w in want)
 
 
@@ -651,7 +678,7 @@ class TestExtracts:
     def test_extract_text_is_subsequence(self, detector_models, synthetic_documents):
         model, vocab = detector_models["nb"]
         doc = synthetic_documents[0]
-        scores = individual_scores(model, vocab, doc.sentences)
+        scores = score_texts(model, vocab, doc.sentences)
         ex = Extract.from_flags(doc, (scores.class1 > scores.class2).tolist())
         assert list(ex.selected) == sorted(ex.selected)
         for idx, line in zip(ex.selected, ex.text.split("\n") if ex.text else []):
@@ -684,7 +711,7 @@ class TestPipelineOnPlantedSignal:
         model, vocab = detector_models["nb"]
         subjective = [make_subjective_sentence(rng, "positive") for _ in range(30)]
         objective = [make_objective_sentence(rng) for _ in range(30)]
-        s = individual_scores(model, vocab, subjective + objective)
+        s = score_texts(model, vocab, subjective + objective)
         predictions = s.class1 > 0.5
         accuracy = (predictions[:30].sum() + (~predictions[30:]).sum()) / 60
         assert accuracy > 0.9

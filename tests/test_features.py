@@ -14,12 +14,11 @@ from subjcut.features import (
     class_counts,
     distinct_runs,
     featurize_rows,
-    presence_matrix,
     type_counts,
 )
 
 from planted_corpus import rows_over, vocabulary_of
-from references import nb_train
+from references import nb_train, presence_matrix
 
 tokens_strategy = st.lists(
     st.sampled_from("good bad film plot great dull the a of scene".split()),
