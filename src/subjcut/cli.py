@@ -352,6 +352,20 @@ def _random_instance(rng: np.random.Generator, n_max: int):
     return ind, mincut.AssociationScores(pairs=pairs)
 
 
+def _random_band(rng: np.random.Generator, n_max: int):
+    """An instance whose pairs join items at most a random reach apart, with its
+    ``(BANDED_REACH_LIMIT, n)`` band; half of them have quarter scores, so ties abound."""
+    n = int(rng.integers(1, n_max + 1))
+    reach = int(rng.integers(1, mincut.BANDED_REACH_LIMIT + 1))
+    scores = rng.uniform(0, 1, (2, n))
+    if rng.random() < 0.5:
+        scores = np.round(scores * 4) / 4
+    weights = rng.uniform(0, 1, (2, mincut.BANDED_REACH_LIMIT, n))
+    distance = np.arange(1, mincut.BANDED_REACH_LIMIT + 1)[:, None]
+    weights[0, (weights[1] < 0.4) | (distance > reach) | (distance >= n - np.arange(n))] = 0.0
+    return IndividualScores(class1=scores[0], class2=scores[1]), weights[0]
+
+
 WORKED_EXAMPLE_IND = IndividualScores(
     class1=np.array([0.8, 0.5, 0.1]), class2=np.array([0.2, 0.5, 0.9])
 )
@@ -361,11 +375,15 @@ WORKED_EXAMPLE_ASSOC = mincut.AssociationScores(
 
 
 @main.command("oracle")
-@click.option("--n-max", default=12, show_default=True, type=click.IntRange(min=1))
+@click.option(
+    "--n-max", default=12, show_default=True,
+    type=click.IntRange(min=1, max=mincut.BRUTE_FORCE_LIMIT),
+)
 @click.option("--trials", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 def cmd_oracle(n_max, trials, seed) -> None:
-    """Check min_cut against brute-force enumeration on random instances."""
+    """Check min_cut against brute-force enumeration on random instances, and
+    the banded solver against max-flow on random banded instances."""
     if trials == 0:
         click.echo("warning: 0 trials requested; vacuous pass", err=True)
         click.echo("oracle: pass (0 trials)")
@@ -391,7 +409,25 @@ def cmd_oracle(n_max, trials, seed) -> None:
             click.echo(f"  min_cut flow={got.max_flow_value} side={got.source_side}", err=True)
             click.echo(f"  brute force cost={int(want.cost)} side={want.source_side}", err=True)
             fail("min_cut disagrees with brute force")
-    click.echo(f"oracle: pass ({trials} trials, n <= {n_max}, worked example cost 1.1)")
+    # the program cuts its bands with banded_flags: both solvers, in one batch each
+    scores, bands = zip(*(_random_band(rng, n_max) for _ in range(trials)))
+    weights = np.concatenate(bands, axis=1)
+    banded = mincut.banded_flags(scores, weights)
+    flow = mincut.source_flags(mincut.build_network(scores, *mincut.band_pairs(weights)))
+    first = np.cumsum([0] + [len(ind) for ind in scores])
+    for trial, (ind, band, a, b) in enumerate(zip(scores, bands, first, first[1:])):
+        if not np.array_equal(banded[a:b], flow[a:b]):
+            click.echo(f"counterexample at banded trial {trial}:", err=True)
+            click.echo(f"  class1={ind.class1.tolist()}", err=True)
+            click.echo(f"  class2={ind.class2.tolist()}", err=True)
+            click.echo(f"  band={band.tolist()}", err=True)
+            click.echo(f"  banded_flags side={np.flatnonzero(banded[a:b]).tolist()}", err=True)
+            click.echo(f"  max-flow side={np.flatnonzero(flow[a:b]).tolist()}", err=True)
+            fail("banded_flags disagrees with max-flow")
+    click.echo(
+        f"oracle: pass ({trials} trials and {trials} banded trials, n <= {n_max},"
+        " worked example cost 1.1)"
+    )
 
 
 @main.command("report")

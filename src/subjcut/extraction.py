@@ -4,7 +4,9 @@ A detector scores each sentence of a review for subjectivity and selects a
 subset: independently per sentence (basic), jointly via a minimum cut with
 proximity edges (graph), or per paragraph. A batch of reviews gets its
 proximity edges from one band over the distances 1..T that every review
-shares, and its cut network straight from the band's arrays. Sentences are
+shares, and is cut straight from the band: by the banded solver while the
+band is narrow, else through a max-flow network built from its pairs
+(``mincut``). Sentences are
 scored as rows of their documents' ``sentence_matrix``, paragraph units as
 joins of consecutive sentence rows. Each selection is one flag per
 sentence of its documents, as are those ``evaluation`` makes for the
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,7 +44,14 @@ from .features import (
     join_rows,
     presence_matrix,
 )
-from .mincut import build_network, pair_capacities, source_flags
+from .mincut import (
+    BANDED_REACH_LIMIT,
+    band_pairs,
+    banded_flags,
+    build_network,
+    pair_capacities,
+    source_flags,
+)
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
 
@@ -73,21 +83,29 @@ class ProximityParams:
     cross_paragraph_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.threshold < 1 or self.threshold != int(self.threshold):
+        # a bool or a non-number is refused, as ExperimentConfig's counts are
+        for name in ("threshold", "strength", "cross_paragraph_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not (1 <= self.threshold < math.inf) or self.threshold % 1:
             raise ValueError(f"threshold must be a positive integer, got {self.threshold}")
         # an integral float, as a JSON spec may give, is stored as the int
         object.__setattr__(self, "threshold", int(self.threshold))
         if self.decay not in DECAY_NAMES:
             raise ValueError(f"decay must be one of {DECAY_NAMES}, got {self.decay!r}")
-        if not (math.isfinite(self.strength) and self.strength >= 0):
+        if not (0 <= self.strength < math.inf):
             raise ValueError(f"strength must be finite and >= 0, got {self.strength}")
-        # every decay is 1 at distance 1, so no pair outweighs the strength:
-        # refuse here, before any work, a strength the cut could not take
-        pair_capacities(np.array([self.strength]))
-        if not (0.0 <= self.cross_paragraph_weight <= 1.0):
+        if not (0 <= self.cross_paragraph_weight <= 1):
             raise ValueError(
                 f"cross_paragraph_weight must be in [0, 1], got {self.cross_paragraph_weight}"
             )
+        # a JSON spec's 1 is stored as 1.0; an int beyond the float range raises OverflowError
+        object.__setattr__(self, "strength", float(self.strength))
+        object.__setattr__(self, "cross_paragraph_weight", float(self.cross_paragraph_weight))
+        # every decay is 1 at distance 1, so no pair outweighs the strength:
+        # refuse here, before any work, a strength the cut could not take
+        pair_capacities(np.array([self.strength]))
 
     def to_dict(self) -> dict:
         return {
@@ -106,25 +124,27 @@ def association_band(
     counts: Sequence[int],
     paragraph_starts: Sequence[Sequence[int] | None],
     params: ProximityParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, 2) association pairs of a batch of documents, in (i, distance)
-    order, and their weights; zero-valued pairs are omitted.
+) -> np.ndarray:
+    """The association weights of a batch of documents as a (reach, sentences)
+    band: entry [d - 1, i] weighs the pair (i, i + d), and reach is the
+    threshold, or less when no document is that long.
 
     The documents' sentences are numbered across the batch, ``counts[d]`` of
     them for document d. Sentences of one document at most the threshold
     apart weigh the decay at their distance times the strength, and the
     cross-paragraph weight more if a start of ``paragraph_starts[d]`` (sorted)
     lies in (i, k]; a document with fewer than two starts is one paragraph.
+    A pair that would leave its document weighs 0.
     """
     counts = np.asarray(counts, dtype=np.int64)
     ends = np.cumsum(counts)
     reach = min(params.threshold, int(counts.max(initial=1)) - 1)
     by_distance = np.array(
         [_decay(params.decay, d) * params.strength for d in range(1, reach + 1)], dtype=float
-    )
+    )[:, None]
     first = np.arange(counts.sum(), dtype=np.int64)
-    second = first[:, None] + np.arange(1, reach + 1)
-    values = np.where(second < np.repeat(ends, counts)[:, None], by_distance, 0.0)
+    second = first + np.arange(1, reach + 1)[:, None]
+    values = np.where(second < np.repeat(ends, counts), by_distance, 0.0)
     breaks = [
         end - n + s
         for end, n, starts in zip(ends.tolist(), counts.tolist(), paragraph_starts)
@@ -134,11 +154,9 @@ def association_band(
     ]
     if breaks:
         opened = np.cumsum(np.bincount(breaks, minlength=len(first)))
-        crossed = opened[np.minimum(second, len(first) - 1)] > opened[:, None]
+        crossed = opened[np.minimum(second, len(first) - 1)] > opened
         values = np.where(crossed, values * params.cross_paragraph_weight, values)
-    keep = values > 0.0
-    pairs = np.stack([np.broadcast_to(first[:, None], keep.shape)[keep], second[keep]], axis=1)
-    return pairs, values[keep]
+    return values
 
 
 def individual_scores(
@@ -200,7 +218,11 @@ def select_graph(
 ) -> np.ndarray:
     """One flag per sentence of the documents of ``scores``, in order: whether
     the minimum cut of its document's score graph keeps it (the source side).
-    ``paragraph_starts`` is aligned with ``scores``."""
+    ``paragraph_starts`` is aligned with ``scores``.
+
+    Each ``document_batches`` batch is cut by ``banded_flags`` when its band
+    reaches at most ``BANDED_REACH_LIMIT`` sentences, else by a max-flow
+    computation (``source_flags``); both give the canonical cut."""
     if paragraph_starts is None:
         paragraph_starts = [None] * len(scores)
     if len(paragraph_starts) != len(scores):
@@ -209,8 +231,11 @@ def select_graph(
     flags = [np.zeros(0, dtype=bool)]
     for batch in document_batches(counts):
         part = slice(batch.start, batch.stop)
-        pairs, values = association_band(counts[part], paragraph_starts[part], params)
-        flags.append(source_flags(build_network(scores[part], pairs, values)))
+        weights = association_band(counts[part], paragraph_starts[part], params)
+        if len(weights) <= BANDED_REACH_LIMIT:
+            flags.append(banded_flags(scores[part], weights))
+        else:
+            flags.append(source_flags(build_network(scores[part], *band_pairs(weights))))
     return np.concatenate(flags)
 
 

@@ -130,7 +130,7 @@ class PresenceMatrix:
 
 # Texts are mapped into a presence matrix, and documents scored, joined and
 # cut, in batches of about this many texts: one sort, featurization or
-# max-flow solve per batch, with the transient arrays of one batch at a time.
+# cut per batch, with the transient arrays of one batch at a time.
 CUT_BATCH_SENTENCES = 8192
 
 

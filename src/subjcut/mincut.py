@@ -3,15 +3,21 @@
 Items are partitioned into a source class (class 1) and a sink class by
 minimizing: class-2 scores over items placed in class 1, plus class-1 scores
 over items placed in class 2, plus association scores over split pairs. The
-graph realizes these as capacities, rounded to integers so the max-flow
-computation is exact. Each item gets one terminal arc, weighing the
-difference of its rounded scores: that lowers every labeling's cost by the
-same constant, so the minimum cuts are the paper's (Kolmogorov & Zabih, PAMI
-2004). Many instances are solved at once: their graphs share only the source
-and the sink, so each instance's cut is unaffected by the others; the network
-is built, and checked, from arrays that hold a whole batch. ``source_flags``
-solves it, and ``min_cut`` prices each instance's cut for the oracles, such as
-brute-force enumeration over ``AssociationScores``.
+graph realizes these as capacities, rounded to integers so the cut is exact.
+Each item gets one terminal arc, weighing the difference of its rounded
+scores: that lowers every labeling's cost by the same constant, so the
+minimum cuts are the paper's (Kolmogorov & Zabih, PAMI 2004). Many instances
+are solved at once: their graphs share only the source and the sink, so each
+instance's cut is unaffected by the others. Every cut computed here is the
+canonical one: the intersection of all minimum labelings' source sides.
+
+Two solvers compute it. ``banded_flags`` takes instances whose pairs join
+items at most a few apart, as the program's proximity bands do, and finds
+each item's min-marginal by a forward and a backward min-sum pass. Any other
+network is built, and checked, by ``build_network`` from arrays that hold a
+whole batch, and ``source_flags`` cuts it with one max-flow computation;
+``min_cut`` prices each instance's cut for the oracles, such as brute-force
+enumeration over ``AssociationScores``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ DEFAULT_SCALE = 10**6
 # scipy's max-flow keeps capacities as int32, and a residual capacity can
 # reach an arc's capacity plus its reverse arc's; that sum must fit
 CAPACITY_BOUND = 2**31 - 1
+# ``banded_flags`` keeps 2**reach labelings per item, so its time and memory
+# double with each step of reach; on review-length batches it is about twice
+# as fast as a max-flow computation at a reach of 6, and no faster at 7
+BANDED_REACH_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -90,9 +100,9 @@ class FlowNetwork:
 
 def _capacities(values: np.ndarray, scale_factor: int, limit: int, what: str) -> np.ndarray:
     scaled = np.rint(values * scale_factor)  # half to even keeps the weights unbiased
-    if len(scaled) and scaled.max() > limit:
+    if scaled.size and scaled.max() > limit:
         raise ValueError(
-            f"{what} {values[scaled.argmax()]} at scale {scale_factor} exceeds the solver's"
+            f"{what} {values.flat[scaled.argmax()]} at scale {scale_factor} exceeds the solver's"
             " bound: an arc's capacities in both directions must sum to at most 2**31 - 1"
         )
     return scaled.astype(np.int64)
@@ -214,6 +224,122 @@ def source_flags(net: FlowNetwork) -> np.ndarray:
     side = np.zeros(n + 2, dtype=bool)
     side[breadth_first_order(residual, source, return_predecessors=False)] = True
     return side[:n]
+
+
+def band_pairs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``build_network``'s pairs and values for a band, whose ``weights[d - 1, i]``
+    weighs the pair (i, i + d): in (i, d) order, zero weights omitted."""
+    keep = weights.T != 0.0
+    first, distance = np.nonzero(keep)
+    return np.stack([first, first + distance + 1], axis=1), weights.T[keep]
+
+
+def banded_flags(
+    scores: Sequence[IndividualScores], weights: np.ndarray, scale_factor: int = DEFAULT_SCALE
+) -> np.ndarray:
+    """The canonical minimum cut of instances whose pairs join items at most
+    ``reach`` apart, without a max-flow: one flag per item, the same as
+    ``source_flags(build_network(scores, *band_pairs(weights), scale_factor))``.
+
+    The items of ``scores`` are numbered in one sequence, and ``weights`` is
+    their (reach, items) band: ``weights[d - 1, i]`` weighs the pair
+    (i, i + d), finite and >= 0, and 0 where i + d lies beyond i's instance.
+    Scores and weights are rounded, and refused, as ``build_network`` does.
+
+    A labeling costs what its cut does in ``source_flags``' graph. A forward
+    and a backward min-sum pass over item positions, all instances at once,
+    keep per instance the least cost of each labeling of the last ``reach``
+    items: the 2**reach states, whose bit k - 1 holds the label of the item
+    k back from the next one (1 on the source side). Their sum at an item is
+    the least cost of the labelings through each state, so an item is on the
+    source side exactly when every labeling with it on the sink side costs
+    more than the minimum: the intersection of all minimum labelings' source
+    sides, which is the side the residual search of ``source_flags`` gives.
+    """
+    if scale_factor < 1:
+        raise ValueError("scale_factor must be >= 1")
+    counts = np.array([len(ind) for ind in scores], dtype=np.int64)
+    n, longest, docs = int(counts.sum()), int(counts.max(initial=0)), len(counts)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] != n:
+        raise ValueError(f"{n} items but a band of shape {weights.shape}")
+    reach = len(weights)
+    instance = np.repeat(np.arange(docs), counts)
+    position = np.arange(n) - (np.cumsum(counts) - counts)[instance]
+    for bad, problem in (
+        ((np.arange(1, reach + 1)[:, None] >= (counts[instance] - position)) & (weights != 0),
+         "spans two instances"),
+        (~(np.isfinite(weights) & (weights >= 0)), "must weigh a finite value >= 0"),
+    ):
+        if bad.any():
+            d, i = np.unravel_index(bad.argmax(), bad.shape)
+            raise ValueError(
+                f"association pair ({i}, {i + d + 1}) of weight {weights[d, i]} {problem}"
+            )
+    if longest * (reach + 1) * CAPACITY_BOUND >= 2**63:
+        raise ValueError(f"an instance of {longest} items at reach {reach} could overflow int64")
+    margin = _capacities(
+        np.concatenate([np.zeros(0)] + [ind.class1 for ind in scores]),
+        scale_factor, CAPACITY_BOUND, "class-1 score",
+    ) - _capacities(
+        np.concatenate([np.zeros(0)] + [ind.class2 for ind in scores]),
+        scale_factor, CAPACITY_BOUND, "class-2 score",
+    )
+    caps = pair_capacities(weights, scale_factor)
+    if not caps.any():
+        return margin > 0
+
+    # one column per item, position by position; at each position the
+    # instances that reach it come first, longest first
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty(docs, dtype=np.int64)
+    rank[order] = np.arange(docs)
+    active = docs - np.cumsum(np.bincount(counts, minlength=longest))[:longest]
+    first = np.concatenate([[0], np.cumsum(active)])
+    column = first[position] + rank[instance]
+    # entering[k - 1, c]: the capacity joining item c to the item k back
+    entering = np.zeros((reach, n), dtype=np.int64)
+    for k in range(1, reach + 1):
+        entering[k - 1, column[k:]] = caps[k - 1, :-k]  # 0 across instances
+    gain = np.zeros(n, dtype=np.int64)
+    gain[column] = margin
+    # sink[s, c]: what item c costs on the sink side after state s; on the
+    # source side it costs ``either[c] - sink[s, c]``
+    states, half = 1 << reach, 1 << reach - 1
+    sink = np.empty((states, n), dtype=np.int64)
+    np.maximum(gain, 0, out=sink[0])
+    for k in range(reach):
+        np.add(sink[:1 << k], entering[k], out=sink[1 << k:2 << k])
+    either = entering.sum(axis=0) + np.abs(gain)
+
+    # a state's new label enters at bit 0 and its oldest (bit reach - 1) leaves:
+    # viewed as (oldest, rest), the next state is (rest, new label)
+    forward = np.empty((states, n), dtype=np.int64)
+    best = np.zeros((states, docs), dtype=np.int64)
+    for j in range(longest):
+        here, m = slice(first[j], first[j + 1]), active[j]
+        to_sink = (best[:, :m] + sink[:, here]).reshape(2, half, m)
+        to_source = (best[:, :m] - sink[:, here]).reshape(2, half, m)
+        best = forward[:, here]
+        np.minimum(to_sink[0], to_sink[1], out=best[0::2])
+        np.minimum(to_source[0], to_source[1], out=best[1::2])
+        best[1::2] += either[here]
+    # held_out[s, c]: the least cost of the labelings through state s with
+    # item c on the sink side (s even), counting the items after c
+    held_out = np.empty((half, n), dtype=np.int64)
+    after = np.zeros((states, docs), dtype=np.int64)  # 0 beyond an instance's end
+    for j in range(longest - 1, -1, -1):
+        here, m = slice(first[j], first[j + 1]), active[j]
+        held_out[:, here] = after[0::2, :m]
+        step = sink[:, here].reshape(2, half, m)
+        after[:, :m] = np.minimum(
+            step + after[0::2, :m], after[1::2, :m] + either[here] - step
+        ).reshape(states, m)
+    held_out += forward[0::2]
+    optimum = np.zeros(docs, dtype=np.int64)
+    ends = counts > 0
+    optimum[ends] = forward[:, first[counts[ends] - 1] + rank[ends]].min(axis=0)
+    return held_out.min(axis=0)[column] > optimum[instance]
 
 
 def min_cut(net: FlowNetwork) -> list[CutResult]:

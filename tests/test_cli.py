@@ -251,6 +251,33 @@ class TestRun:
         assert "bad experiment spec" in result.output and message in result.output
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "proximity, message",
+        [
+            ({"strength": True}, "strength must be a number, got True"),
+            ({"threshold": True, "strength": 0.5}, "threshold must be a number, got True"),
+            ({"strength": 0.5, "cross_paragraph_weight": False},
+             "cross_paragraph_weight must be a number, got False"),
+            ({"threshold": "3"}, "threshold must be a number, got '3'"),
+            ({"strength": "0.5"}, "strength must be a number, got '0.5'"),
+            ({"threshold": float("inf")}, "threshold must be a positive integer, got inf"),
+        ],
+    )
+    def test_malformed_proximity_is_refused_before_running(
+        self, runner, small_data_root, tmp_path, proximity, message
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"extractor": "graph", "proximity": proximity}))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["run", "--spec", str(path), "--data-root", str(small_data_root),
+             "--output-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "bad experiment spec" in result.output and message in result.output
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["run", "grid", "sweep", "train-detector", "oracle"])
     def test_negative_seed_flag_is_usage_error(self, runner, small_data_root, tmp_path, command):
         spec = tmp_path / "spec.json"
@@ -393,8 +420,23 @@ class TestOracle:
     def test_default_fixture_and_trials_pass(self, runner):
         result = runner.invoke(main, ["oracle", "--trials", "40"])
         assert result.exit_code == 0
-        assert "pass" in result.output
+        assert "pass (40 trials and 40 banded trials" in result.output
         assert "cost 1.1" in result.output
+
+    def test_banded_disagreement_prints_a_counterexample(self, runner, monkeypatch):
+        solve = subjcut.mincut.banded_flags
+        monkeypatch.setattr(subjcut.mincut, "banded_flags", lambda *args: ~solve(*args))
+        result = runner.invoke(main, ["oracle", "--trials", "5"])
+        assert result.exit_code == 1
+        assert "counterexample at banded trial 0:" in result.output
+        assert "band=" in result.output and "max-flow side=" in result.output
+        assert "banded_flags disagrees with max-flow" in result.output
+        assert "pass" not in result.output
+
+    def test_n_max_beyond_brute_force_is_usage_error(self, runner):
+        result = runner.invoke(main, ["oracle", "--n-max", "21", "--trials", "5"])
+        assert result.exit_code == 2
+        assert "21 is not in the range 1<=x<=20" in result.output
 
     def test_zero_trials_vacuous_with_warning(self, runner):
         result = runner.invoke(main, ["oracle", "--trials", "0"])

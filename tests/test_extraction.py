@@ -26,6 +26,7 @@ from subjcut.extraction import (
 from subjcut.features import join_rows
 from subjcut.mincut import (
     AssociationScores,
+    band_pairs,
     brute_force_min,
     build_network,
     min_cut,
@@ -42,9 +43,9 @@ def scores_from(probs) -> IndividualScores:
     return IndividualScores(class1=p, class2=1.0 - p)
 
 
-def band_pairs(num_sentences, params, paragraph_starts=None) -> dict:
+def band_dict(num_sentences, params, paragraph_starts=None) -> dict:
     """One document's ``association_band`` as a dict from pair to weight."""
-    pairs, values = association_band([num_sentences], [paragraph_starts], params)
+    pairs, values = band_pairs(association_band([num_sentences], [paragraph_starts], params))
     return dict(zip(map(tuple, pairs.tolist()), values.tolist()))
 
 
@@ -69,11 +70,26 @@ class TestProximityParams:
             {"cross_paragraph_weight": 1.5},
             {"cross_paragraph_weight": -0.1},
             {"threshold": 2.5},
+            {"threshold": float("inf")},
+            {"threshold": float("nan")},
+            {"threshold": "2"},
+            {"threshold": True},
+            {"strength": True},
+            {"strength": "0.5"},
+            {"strength": None},
+            {"cross_paragraph_weight": False},
         ],
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             ProximityParams(**kw)
+
+    def test_numbers_stored_as_their_kind(self):
+        params = ProximityParams(threshold=np.int64(2), strength=1, cross_paragraph_weight=0)
+        assert params.to_dict() == {
+            "threshold": 2, "decay": "constant", "strength": 1.0, "cross_paragraph_weight": 0.0
+        }
+        assert [type(v) for v in params.to_dict().values()] == [int, str, float, float]
 
     def test_strength_beyond_the_solver_bound_rejected(self):
         # the strongest pair weighs the strength; at scale 10^6 it must round
@@ -86,45 +102,45 @@ class TestProximityParams:
     def test_integral_float_threshold_stored_as_int(self):
         params = ProximityParams(threshold=2.0, strength=0.5)
         assert params.threshold == 2 and type(params.threshold) is int
-        assert len(band_pairs(4, params)) == 5
+        assert len(band_dict(4, params)) == 5
 
 
 class TestAssocScores:
     def test_within_threshold(self):
-        a = band_pairs(6, ProximityParams(threshold=3, decay="constant", strength=0.5))
+        a = band_dict(6, ProximityParams(threshold=3, decay="constant", strength=0.5))
         assert a.get((1, 2), 0.0) == pytest.approx(0.5)
         assert a.get((1, 4), 0.0) == pytest.approx(0.5)
         assert a.get((1, 5), 0.0) == 0.0
 
     def test_exponential_decay_value(self):
-        a = band_pairs(4, ProximityParams(threshold=3, decay="exponential", strength=1.0))
+        a = band_dict(4, ProximityParams(threshold=3, decay="exponential", strength=1.0))
         assert a.get((0, 2), 0.0) == pytest.approx(math.exp(-1))
         assert a.get((0, 1), 0.0) == pytest.approx(1.0)  # e^(1-1)
 
     def test_inverse_square_decay_value(self):
-        a = band_pairs(4, ProximityParams(threshold=3, decay="inverse_square", strength=1.0))
+        a = band_dict(4, ProximityParams(threshold=3, decay="inverse_square", strength=1.0))
         assert a.get((0, 3), 0.0) == pytest.approx(1 / 9)
 
     def test_cross_paragraph_attenuation(self):
         params = ProximityParams(threshold=2, decay="constant", strength=1.0,
                                  cross_paragraph_weight=0.3)
-        a = band_pairs(4, params, paragraph_starts=(0, 2))
+        a = band_dict(4, params, paragraph_starts=(0, 2))
         assert a.get((0, 1), 0.0) == pytest.approx(1.0)  # same paragraph
         assert a.get((1, 2), 0.0) == pytest.approx(0.3)  # crosses the break
         assert a.get((2, 3), 0.0) == pytest.approx(1.0)
 
     def test_weight_one_ignores_paragraphs(self):
         params = ProximityParams(threshold=2, decay="constant", strength=0.7)
-        with_breaks = band_pairs(5, params, paragraph_starts=(0, 2))
-        without = band_pairs(5, params)
+        with_breaks = band_dict(5, params, paragraph_starts=(0, 2))
+        without = band_dict(5, params)
         assert with_breaks == without
 
     def test_zero_strength_empty(self):
-        assert len(band_pairs(8, ProximityParams(threshold=3, strength=0.0))) == 0
+        assert len(band_dict(8, ProximityParams(threshold=3, strength=0.0))) == 0
 
     def test_nonnegative_and_bounded_distance(self):
         params = ProximityParams(threshold=2, decay="inverse_square", strength=0.9)
-        a = band_pairs(10, params)
+        a = band_dict(10, params)
         for (i, k), value in a.items():
             assert k - i <= 2
             assert value >= 0
@@ -189,9 +205,9 @@ class TestBandEquivalence:
     @example([(6, (0, 3))], ProximityParams(threshold=3, strength=0.5, cross_paragraph_weight=1.0))
     @example([(6, (3,))], ProximityParams(threshold=3, strength=0.5, cross_paragraph_weight=0.0))
     def test_band_equals_the_dict_loop(self, documents, params):
-        pairs, values = association_band(
+        pairs, values = band_pairs(association_band(
             [n for n, _ in documents], [starts for _, starts in documents], params
-        )
+        ))
         want_pairs, want_values, first = [], [], 0
         for n, starts in documents:
             reference = reference_assoc(n, params, starts)
@@ -217,6 +233,28 @@ class TestBandEquivalence:
             mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
             got = select_graph(scores, params, starts)
             assert per_document(got, [n for n, _ in documents]) == want
+
+
+class TestBandedRoute:
+    @pytest.mark.parametrize("base", ["nb", "svm"])
+    def test_selections_equal_the_max_flow_route(
+        self, base, request, synthetic_documents, paragraph_documents
+    ):
+        # the default grid's thresholds and decays, a spread of strengths, and
+        # cross-paragraph weights on the reviews that have paragraphs
+        detector = request.getfixturevalue(f"{base}_detector")
+        for documents, weights in ((synthetic_documents, (1.0,)),
+                                   (paragraph_documents, (0.0, 0.5, 1.0))):
+            scores = evaluation.score_documents(detector.model, detector.vocab, documents)
+            starts = [doc.paragraph_starts for doc in documents]
+            grid = evaluation.GridSpec(
+                strengths=(0.0, 0.1, 0.3, 0.6, 1.0), cross_paragraph_weights=weights
+            )
+            for params in grid.cells():
+                got = select_graph(scores, params, starts)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(extraction, "BANDED_REACH_LIMIT", -1)
+                    assert got.tolist() == select_graph(scores, params, starts).tolist()
 
 
 class TestIndividualScoresFromModels:
@@ -293,8 +331,9 @@ class TestSelection:
                 [selected] = per_document(select_graph([scores], params), [n])
                 selected = set(selected)
                 # verify optimality against the oracle while we are here
-                a = AssociationScores(pairs=band_pairs(n, params))
-                [got] = min_cut(build_network([scores], *association_band([n], [None], params)))
+                a = AssociationScores(pairs=band_dict(n, params))
+                band = association_band([n], [None], params)
+                [got] = min_cut(build_network([scores], *band_pairs(band)))
                 want = brute_force_min(*scale_instance(scores, a))
                 assert got.max_flow_value == int(want.cost)
                 split = sum(

@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subjcut import mincut
+from subjcut import extraction, mincut
 from subjcut.classifiers import IndividualScores
 from subjcut.extraction import DECAY_NAMES, ProximityParams, association_band, select_graph
 from subjcut.mincut import (
+    BANDED_REACH_LIMIT,
     CAPACITY_BOUND,
     DEFAULT_SCALE,
     AssociationScores,
     CutResult,
+    band_pairs,
+    banded_flags,
     brute_force_min,
     build_network,
     min_cut,
+    pair_capacities,
     partition_cost,
     scale_instance,
+    source_flags,
     stack_instances,
 )
 
@@ -462,7 +467,7 @@ def proximity_instances(draw, n_min, n_max, strengths=ANY_STRENGTH):
         cross_paragraph_weight=draw(st.floats(0, 1)),
     )
     ind = IndividualScores(class1=class1, class2=class2)
-    pairs, values = association_band([n], [[0] + breaks], params)
+    pairs, values = band_pairs(association_band([n], [[0] + breaks], params))
     assoc = AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
     return ind, assoc, params.threshold
 
@@ -504,7 +509,7 @@ def no_max_flow():
     """Fail any max-flow computation started inside the block."""
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("max-flow computed for a network without a pair arc")
+        raise AssertionError("max-flow computed where none was expected")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mincut, "maximum_flow", unreachable)
@@ -561,3 +566,196 @@ class TestPairFreeNetworks:
         assert len(calls) == 1
         assert got.source_side == (0, 1)
         assert got.max_flow_value == brute_force_min(*scale_instance(EXAMPLE_IND, assoc)).cost
+
+
+@st.composite
+def banded_batches(draw, n_min=30, n_max=45, docs=st.integers(1, 4), strengths=ANY_STRENGTH):
+    """Review-shaped batches and their ``association_band``, at thresholds up to
+    ``BANDED_REACH_LIMIT``: coarse scores with exact ties, ties made by rounding,
+    paragraph breaks with cross-paragraph weight 0 among others, and strengths
+    whose pairs round to no arc."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = [draw(st.integers(n_min, n_max)) for _ in range(draw(docs))]
+    scores, starts = [], []
+    for n in counts:
+        class1 = rng.uniform(0, 1, n)
+        if rng.random() < 0.5:
+            class1 = np.round(class1 * 4) / 4
+        class2 = 1.0 - class1 if rng.random() < 0.5 else rng.uniform(0, 1, n)
+        if rng.random() < 0.5:
+            class2 = np.where(rng.random(n) < 0.5, tie_after_rounding(rng, class1), class2)
+        scores.append(IndividualScores(class1=class1, class2=class2))
+        breaks = rng.integers(1, n, rng.integers(0, 5)).tolist() if n > 1 else []
+        starts.append([0] + sorted(set(breaks)))
+    params = ProximityParams(
+        threshold=draw(st.integers(1, BANDED_REACH_LIMIT)),
+        decay=draw(st.sampled_from(DECAY_NAMES)),
+        strength=draw(strengths),
+        cross_paragraph_weight=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)),
+    )
+    return scores, association_band(counts, starts, params)
+
+
+def flow_flags(scores, band, scale_factor=DEFAULT_SCALE):
+    """The max-flow route's cut of a band."""
+    return source_flags(build_network(scores, *band_pairs(band), scale_factor))
+
+
+def band_assoc(band):
+    """One instance's band as ``AssociationScores``."""
+    pairs, values = band_pairs(band)
+    return AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
+
+
+def intersection_of_minimum_labelings(costs, n) -> tuple[int, ...]:
+    """The items on the source side of every minimum labeling of ``costs``
+    (``labeling_costs``' layout) of n items."""
+    common = np.bitwise_and.reduce(np.flatnonzero(costs == costs.min()))
+    return tuple(i for i in range(n) if common >> i & 1)
+
+
+def enumerated_costs(ind, band) -> np.ndarray:
+    """Every labeling's integer cost at the default scale, at the bit mask of
+    its source side: the exhaustive oracle in numpy, for up to 20 items."""
+    n = len(ind)
+    side = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    class1, class2 = (np.rint(c * DEFAULT_SCALE).astype(np.int64) for c in (ind.class1, ind.class2))
+    costs = np.where(side, class2, class1).sum(axis=1)
+    for (i, k), value in band_assoc(band).pairs.items():
+        costs += int(np.rint(value * DEFAULT_SCALE)) * (side[:, i] != side[:, k])
+    return costs
+
+
+class TestBandedFlags:
+    """``banded_flags`` against the max-flow route and the exhaustive oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(banded_batches())
+    def test_equals_max_flow_at_review_lengths(self, batch):
+        scores, band = batch
+        assert banded_flags(scores, band).tolist() == flow_flags(scores, band).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(banded_batches(strengths=st.sampled_from([0.0, 1e-8, 4e-7])))
+    def test_pair_free_batches_equal_max_flow(self, batch):
+        scores, band = batch
+        assert not pair_capacities(band).any()
+        assert banded_flags(scores, band).tolist() == flow_flags(scores, band).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(banded_batches(1, 12, docs=st.just(1)))
+    def test_agrees_with_brute_force(self, batch):
+        [ind], band = batch
+        scaled = scale_instance(ind, band_assoc(band))
+        side = tuple(np.flatnonzero(banded_flags([ind], band)).tolist())
+        assert partition_cost(*scaled, side) == brute_force_min(*scaled).cost
+        assert side == intersection_of_minimum_labelings(labeling_costs(*scaled), len(ind))
+
+    @pytest.mark.parametrize("threshold", [1, 3, BANDED_REACH_LIMIT])
+    def test_canonical_at_twenty_items(self, threshold):
+        # brute_force_min prices each of the 2^20 labelings in Python; the
+        # numpy enumeration reaches its 20-item limit in about a second
+        rng = np.random.default_rng(threshold)
+        class1 = np.round(rng.uniform(0, 1, 20) * 4) / 4
+        ind = IndividualScores(class1=class1, class2=tie_after_rounding(rng, class1))
+        params = ProximityParams(threshold=threshold, decay="inverse_square", strength=0.1)
+        band = association_band([20], [[0, 7, 13]], params)
+        costs = enumerated_costs(ind, band)
+        side = tuple(np.flatnonzero(banded_flags([ind], band)).tolist())
+        assert side == intersection_of_minimum_labelings(costs, 20)
+        assert costs.min() == min_cut(build_network([ind], *band_pairs(band)))[0].max_flow_value
+
+    @settings(max_examples=40, deadline=None)
+    @given(banded_batches(0, 45, docs=st.integers(2, 6)))
+    def test_batch_equals_each_instance_alone(self, batch):
+        scores, band = batch
+        got = banded_flags(scores, band)
+        first = np.cumsum([0] + [len(ind) for ind in scores])
+        for ind, a, b in zip(scores, first, first[1:]):
+            assert got[a:b].tolist() == banded_flags([ind], band[:, a:b]).tolist()
+
+    @pytest.mark.parametrize("threshold", [4, 5, 9])
+    def test_threshold_at_or_beyond_the_review_length(self, threshold):
+        rng = np.random.default_rng(threshold)
+        scores = [IndividualScores(class1=p, class2=1 - p) for p in rng.uniform(0, 1, (2, 5))]
+        params = ProximityParams(threshold=threshold, decay="exponential", strength=0.4)
+        band = association_band([5, 5], [None, None], params)
+        assert band.shape == (min(threshold, 4), 10)  # every pair of a review is in the band
+        want = flow_flags(scores, band).tolist()
+        assert banded_flags(scores, band).tolist() == want
+        # rows for distances no review reaches are all 0, and change nothing
+        wide = np.vstack([band, np.zeros((3, 10))])
+        assert banded_flags(scores, wide).tolist() == want
+
+    def test_capacities_at_the_refusal_bounds(self):
+        big, half = float(CAPACITY_BOUND), float(CAPACITY_BOUND // 2)
+        ind = IndividualScores(
+            class1=np.array([big, 0.0, big, 0.0]), class2=np.array([0.0, big, big - 1, 0.0])
+        )
+        band = np.array([[half, half, half, 0.0], [half, half, 0.0, 0.0]])
+        assert banded_flags([ind], band, 1).tolist() == flow_flags([ind], band, 1).tolist()
+        over = IndividualScores(class1=ind.class1 + [1, 0, 0, 0], class2=ind.class2)
+        heavier = band + [[1, 0, 0, 0], [0, 0, 0, 0]]
+        for scores, weights in (([over], band), ([ind], heavier)):
+            with pytest.raises(ValueError, match=r"2\*\*31 - 1") as refused:
+                banded_flags(scores, weights, 1)
+            with pytest.raises(ValueError) as built:
+                flow_flags(scores, weights, 1)
+            assert str(refused.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "item, weight, problem",
+        [(1, -0.5, "must weigh a finite value >= 0"), (0, float("nan"), "must weigh a finite"),
+         (1, float("inf"), "must weigh a finite"), (2, 0.5, "spans two instances"),
+         (2, float("nan"), "spans two instances")],
+    )
+    def test_bad_band_refused_as_build_network_refuses(self, item, weight, problem):
+        # item 2 is its instance's last, so its distance-1 pair leaves it
+        band = np.zeros((1, 6))
+        band[0, item] = weight
+        with pytest.raises(ValueError, match=problem) as refused:
+            banded_flags([EXAMPLE_IND, EXAMPLE_IND], band)
+        with pytest.raises(ValueError) as built:
+            flow_flags([EXAMPLE_IND, EXAMPLE_IND], band)
+        assert str(refused.value) == str(built.value)
+
+    def test_band_of_the_wrong_width_refused(self):
+        with pytest.raises(ValueError, match=r"3 items but a band of shape \(1, 4\)"):
+            banded_flags([EXAMPLE_IND], np.zeros((1, 4)))
+
+    def test_sums_that_could_overflow_refused(self, monkeypatch):
+        monkeypatch.setattr(mincut, "CAPACITY_BOUND", 2**61)
+        with pytest.raises(ValueError, match="could overflow int64"):
+            banded_flags([EXAMPLE_IND], np.zeros((1, 3)))
+
+
+class TestRoute:
+    """``select_graph`` cuts a batch with ``banded_flags`` up to the reach limit."""
+
+    def test_reach_at_the_limit_takes_the_banded_solver(self):
+        p = np.random.default_rng(3).uniform(0, 1, BANDED_REACH_LIMIT + 5)
+        params = ProximityParams(threshold=BANDED_REACH_LIMIT, strength=0.3)
+        with no_max_flow():
+            select_graph([IndividualScores(class1=p, class2=1 - p)], params)
+
+    @pytest.mark.parametrize("n, solver", [(BANDED_REACH_LIMIT + 1, "banded"), (40, "max-flow")])
+    def test_reach_beyond_the_limit_takes_max_flow(self, n, solver):
+        # the reach is min(T, longest review - 1), so a short review stays banded
+        p = np.random.default_rng(n).uniform(0, 1, n)
+        scores = IndividualScores(class1=p, class2=1 - p)
+        params = ProximityParams(threshold=BANDED_REACH_LIMIT + 1, strength=0.3)
+        calls = []
+
+        def counted(name, solve):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(extraction, "banded_flags", counted("banded", extraction.banded_flags))
+            patch.setattr(mincut, "maximum_flow", counted("max-flow", mincut.maximum_flow))
+            got = select_graph([scores], params)
+        assert calls == [solver]
+        band = association_band([n], [None], params)
+        assert got.tolist() == flow_flags([scores], band).tolist()
