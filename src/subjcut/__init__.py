@@ -68,13 +68,10 @@ from .features import EmptyVocabularyError, Vocabulary
 from .mincut import (
     AssociationScores,
     CutResult,
-    FlowNetwork,
     brute_force_min,
-    build_network,
-    min_cut,
+    cut_band,
     partition_cost,
     scale_instance,
-    stack_instances,
 )
 
 __version__ = "0.1.0"

@@ -109,8 +109,8 @@ def nb_from_counts(
     column of a training row counts as one draw for its class. The counts
     are integers, so they are the same however they were gathered.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
     if len(class_counts) != 2 or min(class_counts) < 1:
         raise TrainingError("training data must contain both classes")
     counts = np.asarray(counts).astype(float)
@@ -174,8 +174,8 @@ def svm_train(
     The input rows must be length-normalized (empty rows are allowed and
     interact with the bias only).
     """
-    if regularization <= 0:
-        raise ValueError(f"regularization must be > 0, got {regularization}")
+    if not 0 < regularization < np.inf:
+        raise ValueError(f"regularization must be > 0 and finite, got {regularization}")
     if max_epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
     y = np.asarray(labels, dtype=int)
@@ -337,10 +337,19 @@ def save_model(model: NaiveBayesModel | LinearMarginModel, path: str | Path) -> 
 def load_model(
     path: str | Path, vocab: Vocabulary | None = None
 ) -> NaiveBayesModel | LinearMarginModel:
-    """Load a serialized model, refusing one trained on a different vocabulary."""
+    """Load a serialized model, refusing one trained on a different vocabulary
+    and a file that is not a model (``ValueError``, naming the path)."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a model is a JSON object, got {type(payload).__name__}")
     if payload.get("format") != FORMAT_TAG:
         raise ValueError(f"{path}: unknown model format {payload.get('format')!r}")
+    missing = [
+        key for key in ("kind", "vocab_digest", "hyperparameters", "parameters")
+        if key not in payload
+    ]
+    if missing:
+        raise ValueError(f"{path}: model lacks {', '.join(missing)}")
     if vocab is not None and payload["vocab_digest"] != vocab.digest():
         raise VocabularyMismatchError(
             f"{path}: model was trained on a different vocabulary"

@@ -341,37 +341,37 @@ def cmd_sweep(data_root, output_dir, methods, n_values, classifier, base, seed) 
     click.echo(f"wrote {len(results)} sweep cells to {out / 'sweep.csv'}")
 
 
-def _random_instance(rng: np.random.Generator, n_max: int):
-    n = int(rng.integers(1, n_max + 1))
-    ind = IndividualScores(class1=rng.uniform(0, 1, n), class2=rng.uniform(0, 1, n))
-    pairs = {}
-    for i in range(n):
-        for k in range(i + 1, n):
-            if rng.random() < 0.4:
-                pairs[(i, k)] = float(rng.uniform(0, 1))
-    return ind, mincut.AssociationScores(pairs=pairs)
-
-
 def _random_band(rng: np.random.Generator, n_max: int):
-    """An instance whose pairs join items at most a random reach apart, with its
-    ``(BANDED_REACH_LIMIT, n)`` band; half of them have quarter scores, so ties abound."""
+    """An instance of up to ``n_max`` items as its band, of a random reach from
+    1 to n - 1; half of them have quarter scores, so ties abound."""
     n = int(rng.integers(1, n_max + 1))
-    reach = int(rng.integers(1, mincut.BANDED_REACH_LIMIT + 1))
+    reach = int(rng.integers(1, max(n - 1, 1) + 1))
     scores = rng.uniform(0, 1, (2, n))
     if rng.random() < 0.5:
         scores = np.round(scores * 4) / 4
-    weights = rng.uniform(0, 1, (2, mincut.BANDED_REACH_LIMIT, n))
-    distance = np.arange(1, mincut.BANDED_REACH_LIMIT + 1)[:, None]
-    weights[0, (weights[1] < 0.4) | (distance > reach) | (distance >= n - np.arange(n))] = 0.0
+    weights = rng.uniform(0, 1, (2, reach, n))
+    distance = np.arange(1, reach + 1)[:, None]
+    weights[0, (weights[1] < 0.4) | (distance >= n - np.arange(n))] = 0.0
     return IndividualScores(class1=scores[0], class2=scores[1]), weights[0]
+
+
+def _band_assoc(band: np.ndarray) -> mincut.AssociationScores:
+    pairs, values = mincut.band_pairs(band)
+    return mincut.AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
+
+
+def _both_routes(ind: IndividualScores, band: np.ndarray) -> list[tuple[int, ...]]:
+    """The source sides of ``ind`` cut as ``band`` and as ``band`` widened with
+    zero rows past ``BANDED_REACH_LIMIT``, which only max-flow cuts."""
+    wide = np.vstack([band, np.zeros((mincut.BANDED_REACH_LIMIT + 1, len(ind)))])
+    return [tuple(np.flatnonzero(mincut.cut_band([ind], w)).tolist()) for w in (band, wide)]
 
 
 WORKED_EXAMPLE_IND = IndividualScores(
     class1=np.array([0.8, 0.5, 0.1]), class2=np.array([0.2, 0.5, 0.9])
 )
-WORKED_EXAMPLE_ASSOC = mincut.AssociationScores(
-    pairs={(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.2}
-)
+# the pairs (0, 1), (1, 2) at distance 1 and (0, 2) at distance 2
+WORKED_EXAMPLE_BAND = np.array([[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
 
 
 @main.command("oracle")
@@ -382,51 +382,39 @@ WORKED_EXAMPLE_ASSOC = mincut.AssociationScores(
 @click.option("--trials", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 def cmd_oracle(n_max, trials, seed) -> None:
-    """Check min_cut against brute-force enumeration on random instances, and
-    the banded solver against max-flow on random banded instances."""
+    """Check cut_band against brute-force enumeration on random banded
+    instances, each cut by the banded solver where its band is narrow and by
+    max-flow once widened."""
     if trials == 0:
         click.echo("warning: 0 trials requested; vacuous pass", err=True)
         click.echo("oracle: pass (0 trials)")
         return
-    # the worked 3-item example is always included, and solved with the trials
     rng = np.random.default_rng(seed)
-    instances = [_random_instance(rng, n_max) for _ in range(trials)]
-    fixture, *cuts = mincut.min_cut(
-        mincut.build_network(
-            *mincut.stack_instances([(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_ASSOC)] + instances)
-        )
-    )
-    if fixture.source_side != (0, 1) or abs(fixture.cost - 1.1) > 1e-9:
-        fail(f"worked example failed: side={fixture.source_side} cost={fixture.cost}")
-    for trial, ((ind, assoc), got) in enumerate(zip(instances, cuts)):
+    for trial in range(trials):
+        ind, band = _random_band(rng, n_max)
+        scaled = mincut.scale_instance(ind, _band_assoc(band))
         # compare at the scaled-integer level, where equality is exact
-        want = mincut.brute_force_min(*mincut.scale_instance(ind, assoc))
-        if got.max_flow_value != int(want.cost):
+        want = mincut.brute_force_min(*scaled)
+        sides = _both_routes(ind, band)
+        costs = [mincut.partition_cost(*scaled, side) for side in sides]
+        if costs != [want.cost] * 2 or sides[0] != sides[1]:
             click.echo(f"counterexample at trial {trial}:", err=True)
             click.echo(f"  class1={ind.class1.tolist()}", err=True)
             click.echo(f"  class2={ind.class2.tolist()}", err=True)
-            click.echo(f"  assoc={dict(assoc.pairs)}", err=True)
-            click.echo(f"  min_cut flow={got.max_flow_value} side={got.source_side}", err=True)
-            click.echo(f"  brute force cost={int(want.cost)} side={want.source_side}", err=True)
-            fail("min_cut disagrees with brute force")
-    # the program cuts its bands with banded_flags: both solvers, in one batch each
-    scores, bands = zip(*(_random_band(rng, n_max) for _ in range(trials)))
-    weights = np.concatenate(bands, axis=1)
-    banded = mincut.banded_flags(scores, weights)
-    flow = mincut.source_flags(mincut.build_network(scores, *mincut.band_pairs(weights)))
-    first = np.cumsum([0] + [len(ind) for ind in scores])
-    for trial, (ind, band, a, b) in enumerate(zip(scores, bands, first, first[1:])):
-        if not np.array_equal(banded[a:b], flow[a:b]):
-            click.echo(f"counterexample at banded trial {trial}:", err=True)
-            click.echo(f"  class1={ind.class1.tolist()}", err=True)
-            click.echo(f"  class2={ind.class2.tolist()}", err=True)
             click.echo(f"  band={band.tolist()}", err=True)
-            click.echo(f"  banded_flags side={np.flatnonzero(banded[a:b]).tolist()}", err=True)
-            click.echo(f"  max-flow side={np.flatnonzero(flow[a:b]).tolist()}", err=True)
-            fail("banded_flags disagrees with max-flow")
+            for name, side, cost in zip(("cut", "widened cut"), sides, costs):
+                click.echo(f"  {name} cost={int(cost)} side={side}", err=True)
+            click.echo(f"  brute force cost={int(want.cost)} side={want.source_side}", err=True)
+            fail("cut_band disagrees with brute force")
+    sides = _both_routes(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_BAND)
+    costs = [
+        mincut.partition_cost(WORKED_EXAMPLE_IND, _band_assoc(WORKED_EXAMPLE_BAND), side)
+        for side in sides
+    ]
+    if sides != [(0, 1)] * 2 or max(abs(cost - 1.1) for cost in costs) > 1e-9:
+        fail(f"worked example failed: sides={sides} costs={costs}")
     click.echo(
-        f"oracle: pass ({trials} trials and {trials} banded trials, n <= {n_max},"
-        " worked example cost 1.1)"
+        f"oracle: pass ({trials} trials on both routes, n <= {n_max}, worked example cost 1.1)"
     )
 
 

@@ -4,10 +4,8 @@ A detector scores each sentence of a review for subjectivity and selects a
 subset: independently per sentence (basic), jointly via a minimum cut with
 proximity edges (graph), or per paragraph. A batch of reviews gets its
 proximity edges from one band over the distances 1..T that every review
-shares, and is cut straight from the band: by the banded solver while the
-band is narrow, else through a max-flow network built from its pairs
-(``mincut``). Sentences are
-scored as rows of their documents' ``sentence_matrix``, paragraph units as
+shares, and is cut straight from the band (``mincut.cut_band``). Sentences
+are scored as rows of their documents' ``sentence_matrix``, paragraph units as
 joins of consecutive sentence rows. Each selection is one flag per
 sentence of its documents, as are those ``evaluation`` makes for the
 positional and score-ranked baselines (first/last/top/least N sentences) and
@@ -44,14 +42,7 @@ from .features import (
     join_rows,
     presence_matrix,
 )
-from .mincut import (
-    BANDED_REACH_LIMIT,
-    band_pairs,
-    banded_flags,
-    build_network,
-    pair_capacities,
-    source_flags,
-)
+from .mincut import cut_band, pair_capacities
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
 
@@ -220,9 +211,8 @@ def select_graph(
     the minimum cut of its document's score graph keeps it (the source side).
     ``paragraph_starts`` is aligned with ``scores``.
 
-    Each ``document_batches`` batch is cut by ``banded_flags`` when its band
-    reaches at most ``BANDED_REACH_LIMIT`` sentences, else by a max-flow
-    computation (``source_flags``); both give the canonical cut."""
+    Each ``document_batches`` batch is cut from its ``association_band`` by
+    ``cut_band``, which gives the canonical cut."""
     if paragraph_starts is None:
         paragraph_starts = [None] * len(scores)
     if len(paragraph_starts) != len(scores):
@@ -232,10 +222,7 @@ def select_graph(
     for batch in document_batches(counts):
         part = slice(batch.start, batch.stop)
         weights = association_band(counts[part], paragraph_starts[part], params)
-        if len(weights) <= BANDED_REACH_LIMIT:
-            flags.append(banded_flags(scores[part], weights))
-        else:
-            flags.append(source_flags(build_network(scores[part], *band_pairs(weights))))
+        flags.append(cut_band(scores[part], weights))
     return np.concatenate(flags)
 
 

@@ -38,11 +38,9 @@ from subjcut.extraction import (
 from subjcut.mincut import (
     AssociationScores,
     brute_force_min,
-    build_network,
-    min_cut,
+    cut_band,
     partition_cost,
     scale_instance,
-    stack_instances,
 )
 
 from planted_corpus import per_document, write_polarity_tree, make_sentence_corpus
@@ -59,6 +57,8 @@ WORKED_IND = IndividualScores(
     class1=np.array([0.8, 0.5, 0.1]), class2=np.array([0.2, 0.5, 0.9])
 )
 WORKED_ASSOC = AssociationScores(pairs={(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.2})
+# the same pairs as a band: (0, 1) and (1, 2) at distance 1, (0, 2) at distance 2
+WORKED_BAND = np.array([[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
 WORKED_TABLE = {
     (0, 1): 1.1,
     (): 1.4,
@@ -76,9 +76,9 @@ WORKED_TABLE = {
 
 def test_criterion_01_worked_example_oracle():
     start = time.perf_counter()
-    [result] = min_cut(build_network(*stack_instances([(WORKED_IND, WORKED_ASSOC)])))
-    assert result.source_side == (0, 1)
-    assert result.cost == pytest.approx(1.1, abs=1e-12)
+    side = tuple(np.flatnonzero(cut_band([WORKED_IND], WORKED_BAND)).tolist())
+    assert side == (0, 1)
+    assert partition_cost(WORKED_IND, WORKED_ASSOC, side) == pytest.approx(1.1, abs=1e-12)
     for side, expected in WORKED_TABLE.items():
         assert partition_cost(WORKED_IND, WORKED_ASSOC, side) == pytest.approx(
             expected, abs=1e-12
@@ -93,14 +93,14 @@ def test_criterion_02_mincut_exactness_200_random_instances():
         n = int(rng.integers(1, 13))
         ind = IndividualScores(class1=rng.uniform(0, 1, n), class2=rng.uniform(0, 1, n))
         pairs = {}
+        band = np.zeros((max(n - 1, 0), n))  # any instance is a band of reach n - 1
         for i in range(n):
             for k in range(i + 1, n):
                 if rng.random() < 0.4:
-                    pairs[(i, k)] = float(rng.uniform(0, 1))
-        assoc = AssociationScores(pairs=pairs)
-        [got] = min_cut(build_network(*stack_instances([(ind, assoc)])))
-        want = brute_force_min(*scale_instance(ind, assoc))
-        assert got.max_flow_value == int(want.cost), (ind, assoc)
+                    pairs[(i, k)] = band[k - i - 1, i] = float(rng.uniform(0, 1))
+        scaled = scale_instance(ind, AssociationScores(pairs=pairs))
+        side = np.flatnonzero(cut_band([ind], band)).tolist()
+        assert partition_cost(*scaled, side) == brute_force_min(*scaled).cost, (ind, pairs)
     assert time.perf_counter() - start < 30.0
 
 

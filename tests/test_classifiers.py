@@ -1,7 +1,9 @@
 import functools
+import json
 import logging
 import math
 import operator
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +127,12 @@ class TestNaiveBayes:
         with pytest.raises(ValueError):
             nb_train(rows, [1, 0], alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        rows, _ = rows_and_vocab([["good"], ["bad"]])
+        with pytest.raises(ValueError, match="alpha must be > 0 and finite"):
+            nb_train(rows, [1, 0], alpha=alpha)
+
     def test_training_is_deterministic(self, tmp_path):
         rows, _ = rows_and_vocab([["good"], ["bad"]])
         first, second = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -224,6 +232,12 @@ class TestLinearMargin:
         rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
         with pytest.raises(ValueError):
             svm_train(rows, SEPARABLE_LABELS, max_epochs=0)
+
+    @pytest.mark.parametrize("regularization", [math.nan, math.inf])
+    def test_nonfinite_regularization_rejected(self, regularization):
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        with pytest.raises(ValueError, match="regularization must be > 0 and finite"):
+            svm_train(rows, SEPARABLE_LABELS, regularization=regularization)
 
     def test_decision_is_geometric_distance(self, separable_svm):
         model, vocab, _, _ = separable_svm
@@ -376,6 +390,20 @@ class TestSerialization:
         other_vocab = vocabulary_of([["entirely"], ["different"]])
         with pytest.raises(VocabularyMismatchError):
             load_model(path, other_vocab)
+
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [([1, 2], "a model is a JSON object, got list"),
+         ({"format": "subjcut-model/1"}, "model lacks kind, vocab_digest, hyperparameters"),
+         ({"format": "subjcut-model/1", "kind": "nb", "vocab_digest": "x", "parameters": {}},
+          "model lacks hyperparameters")],
+    )
+    def test_malformed_file_refused(self, tiny_nb, tmp_path, payload, problem):
+        _, vocab = tiny_nb
+        path = tmp_path / "nb.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+            load_model(path, vocab)
 
 
 def random_rows(rng, lengths, n_features, normalize):

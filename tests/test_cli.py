@@ -76,6 +76,8 @@ class TestTrainAndExtract:
             (["--alpha", "0", "--base", "nb"], "alpha must be > 0"),
             (["--regularization", "0", "--base", "svm"], "regularization must be > 0"),
             (["--regularization", "0"], "regularization must be > 0"),
+            (["--alpha", "nan", "--base", "nb"], "alpha must be > 0 and finite, got nan"),
+            (["--regularization", "nan"], "regularization must be > 0 and finite, got nan"),
         ],
     )
     def test_invalid_hyperparameters_are_usage_errors(
@@ -145,6 +147,30 @@ class TestTrainAndExtract:
         )
         assert result.exit_code == 2, result.output
         assert "different vocabulary" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [('{"format": "subjcut-model/1"}', "model lacks kind, vocab_digest"),
+         ("[1, 2]", "a model is a JSON object, got list")],
+    )
+    def test_malformed_model_file_is_usage_error(
+        self, runner, small_data_root, tmp_path, payload, problem
+    ):
+        out = tmp_path / "out"
+        runner.invoke(
+            main,
+            ["train-detector", "--data-root", str(small_data_root),
+             "--output-dir", str(out), "--base", "nb"],
+        )
+        (out / "detector_nb.json").write_text(payload, encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["extract", "--data-root", str(small_data_root), "--model-dir", str(out),
+             "--output-dir", str(out), "--base", "nb"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "detector_nb.json" in result.output and problem in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_invalid_proximity_flag_is_usage_error(self, runner, small_data_root, tmp_path):
@@ -420,17 +446,27 @@ class TestOracle:
     def test_default_fixture_and_trials_pass(self, runner):
         result = runner.invoke(main, ["oracle", "--trials", "40"])
         assert result.exit_code == 0
-        assert "pass (40 trials and 40 banded trials" in result.output
+        assert "pass (40 trials on both routes" in result.output
         assert "cost 1.1" in result.output
 
     def test_banded_disagreement_prints_a_counterexample(self, runner, monkeypatch):
-        solve = subjcut.mincut.banded_flags
-        monkeypatch.setattr(subjcut.mincut, "banded_flags", lambda *args: ~solve(*args))
+        solve = subjcut.mincut._min_marginals
+        monkeypatch.setattr(subjcut.mincut, "_min_marginals", lambda *args: ~solve(*args))
         result = runner.invoke(main, ["oracle", "--trials", "5"])
         assert result.exit_code == 1
-        assert "counterexample at banded trial 0:" in result.output
-        assert "band=" in result.output and "max-flow side=" in result.output
-        assert "banded_flags disagrees with max-flow" in result.output
+        assert "counterexample at trial " in result.output
+        assert "band=" in result.output and "widened cut cost=" in result.output
+        assert "cut_band disagrees with brute force" in result.output
+        assert "pass" not in result.output
+
+    def test_max_flow_disagreement_prints_a_counterexample(self, runner, monkeypatch):
+        solve = subjcut.mincut._source_side
+        monkeypatch.setattr(subjcut.mincut, "_source_side", lambda *args: ~solve(*args))
+        result = runner.invoke(main, ["oracle", "--trials", "5"])
+        assert result.exit_code == 1
+        assert "counterexample at trial " in result.output
+        assert "brute force cost=" in result.output
+        assert "cut_band disagrees with brute force" in result.output
         assert "pass" not in result.output
 
     def test_n_max_beyond_brute_force_is_usage_error(self, runner):

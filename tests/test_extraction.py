@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from subjcut.classifiers import IndividualScores
 from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence, ReviewDocument, tokenize
 from subjcut.evaluation import ExperimentConfig, make_extracts
-from subjcut import evaluation, extraction, features
+from subjcut import evaluation, extraction, features, mincut
 from subjcut.extraction import (
     DECAY_NAMES,
     Detector,
@@ -28,10 +28,9 @@ from subjcut.mincut import (
     AssociationScores,
     band_pairs,
     brute_force_min,
-    build_network,
-    min_cut,
+    cut_band,
+    partition_cost,
     scale_instance,
-    stack_instances,
 )
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
@@ -224,11 +223,12 @@ class TestBandEquivalence:
         rng = np.random.default_rng(len(documents))
         scores = [scores_from(rng.uniform(0, 1, n)) for n, _ in documents]
         starts = [s for _, s in documents]
-        instances = [
-            (ind, AssociationScores(pairs=reference_assoc(len(ind), params, p)))
-            for ind, p in zip(scores, starts)
-        ]
-        want = [cut.source_side for cut in min_cut(build_network(*stack_instances(instances)))]
+        want = []
+        for ind, p in zip(scores, starts):  # each cut alone, as its band of reach n - 1
+            band = np.zeros((len(ind) - 1, len(ind)))
+            for (i, k), value in reference_assoc(len(ind), params, p).items():
+                band[k - i - 1, i] = value
+            want.append(tuple(np.flatnonzero(cut_band([ind], band)).tolist()))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
             got = select_graph(scores, params, starts)
@@ -253,7 +253,7 @@ class TestBandedRoute:
             for params in grid.cells():
                 got = select_graph(scores, params, starts)
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(extraction, "BANDED_REACH_LIMIT", -1)
+                    patch.setattr(mincut, "BANDED_REACH_LIMIT", -1)
                     assert got.tolist() == select_graph(scores, params, starts).tolist()
 
 
@@ -289,11 +289,9 @@ class TestSelection:
     def test_graph_keeps_pulled_neighbor(self):
         # worked 3-item configuration: the strong 0-1 edge drags item 1 along
         scores = scores_from([0.8, 0.5, 0.1])
-        params = ProximityParams(threshold=2, decay="constant", strength=1.0)
-        # build the exact association pattern by hand via mincut primitives
-        assoc = AssociationScores(pairs={(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.2})
-        [result] = min_cut(build_network(*stack_instances([(scores, assoc)])))
-        assert result.source_side == (0, 1)
+        # the pairs (0, 1) and (1, 2) at distance 1, (0, 2) at distance 2, by hand
+        band = np.array([[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
+        assert cut_band([scores], band).tolist() == [True, True, False]
 
     def test_zero_strength_equals_basic(self):
         rng = np.random.default_rng(5)
@@ -331,11 +329,8 @@ class TestSelection:
                 [selected] = per_document(select_graph([scores], params), [n])
                 selected = set(selected)
                 # verify optimality against the oracle while we are here
-                a = AssociationScores(pairs=band_dict(n, params))
-                band = association_band([n], [None], params)
-                [got] = min_cut(build_network([scores], *band_pairs(band)))
-                want = brute_force_min(*scale_instance(scores, a))
-                assert got.max_flow_value == int(want.cost)
+                scaled = scale_instance(scores, AssociationScores(pairs=band_dict(n, params)))
+                assert partition_cost(*scaled, selected) == brute_force_min(*scaled).cost
                 split = sum(
                     1
                     for i in range(n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subjcut import extraction, mincut
+from subjcut import mincut
 from subjcut.classifiers import IndividualScores
 from subjcut.extraction import DECAY_NAMES, ProximityParams, association_band, select_graph
 from subjcut.mincut import (
@@ -14,15 +14,11 @@ from subjcut.mincut import (
     AssociationScores,
     CutResult,
     band_pairs,
-    banded_flags,
     brute_force_min,
-    build_network,
-    min_cut,
+    cut_band,
     pair_capacities,
     partition_cost,
     scale_instance,
-    source_flags,
-    stack_instances,
 )
 
 # the three-item worked example: strong pull between items 0 and 1
@@ -53,9 +49,57 @@ def random_instance(rng, n_max=12, assoc_density=0.4):
     return ind, AssociationScores(pairs=pairs)
 
 
-def solve(ind, assoc, scale_factor=10**6):
-    """Cut one instance on its own."""
-    return min_cut(build_network(*stack_instances([(ind, assoc)]), scale_factor))[0]
+def band_of(ind, assoc) -> np.ndarray:
+    """An instance's pairs as its band of reach n - 1."""
+    band = np.zeros((max(len(ind) - 1, 0), len(ind)))
+    for (i, k), value in assoc.pairs.items():
+        band[k - i - 1, i] = value
+    return band
+
+
+def stacked_band(instances) -> np.ndarray:
+    """The band of a batch of instances: each one's ``band_of``, widened with
+    zero rows to the widest."""
+    bands = [band_of(ind, assoc) for ind, assoc in instances]
+    reach = max((len(band) for band in bands), default=0)
+    return np.hstack([np.zeros((reach, 0))] + [
+        np.vstack([band, np.zeros((reach - len(band), band.shape[1]))]) for band in bands
+    ])
+
+
+def widened(band) -> np.ndarray:
+    """``band`` with zero rows past ``BANDED_REACH_LIMIT``: the same instances,
+    which only the max-flow route cuts."""
+    return np.vstack([band, np.zeros((BANDED_REACH_LIMIT + 1, band.shape[1]))])
+
+
+def cut_both_ways(scores, band, scale_factor=DEFAULT_SCALE) -> np.ndarray:
+    """``cut_band``'s flags for ``band``, checked equal to those of ``widened(band)``."""
+    got = cut_band(scores, band, scale_factor)
+    assert got.tolist() == cut_band(scores, widened(band), scale_factor).tolist()
+    return got
+
+
+def band_assoc(band) -> AssociationScores:
+    """One instance's band as ``AssociationScores``."""
+    pairs, values = band_pairs(band)
+    return AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
+
+
+def side_of(flags) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(flags).tolist())
+
+
+def solve(ind, assoc, scale_factor=DEFAULT_SCALE):
+    """Cut one instance on its own, as its ``band_of`` on both routes: its
+    source side, priced over the raw scores."""
+    side = side_of(cut_both_ways([ind], band_of(ind, assoc), scale_factor))
+    return CutResult(source_side=side, cost=partition_cost(ind, assoc, side))
+
+
+def scaled_cost(ind, assoc, side, scale_factor=DEFAULT_SCALE):
+    """The integer cost of ``side`` in the rounded instance the cut is made on."""
+    return partition_cost(*scale_instance(ind, assoc, scale_factor), side)
 
 
 class TestPartitionCost:
@@ -71,79 +115,81 @@ class TestPartitionCost:
 
 
 class TestAssociationScores:
-    """An instance's pairs are checked where they become a network."""
+    """An instance's pairs are checked where they become a band's cut."""
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="must weigh a finite value >= 0"):
             solve(EXAMPLE_IND, AssociationScores(pairs={(0, 1): -0.5}))
-
-    def test_rejects_bad_ordering(self):
-        with pytest.raises(ValueError, match="0 <= i < k"):
-            solve(EXAMPLE_IND, AssociationScores(pairs={(1, 0): 0.5}))
 
     def test_pair_beyond_its_instance_rejected(self):
         instances = [
             (EXAMPLE_IND, AssociationScores(pairs={(2, 3): 0.5})), (EXAMPLE_IND, EXAMPLE_ASSOC)
         ]
         with pytest.raises(ValueError, match="spans two instances"):
-            build_network(*stack_instances(instances))
+            cut_band([EXAMPLE_IND, EXAMPLE_IND], stacked_band(instances))
 
 
 class TestBuildNetwork:
+    """The band ``cut_band`` is given: its shape, its pairs, and its rounding."""
+
     def test_worked_example_structure(self):
-        net = build_network(*stack_instances([(EXAMPLE_IND, EXAMPLE_ASSOC)]))
-        # 3 source arcs + 3 sink arcs + 3 association edges
-        assert net.n == 3
-        assert net.arc_count == 9
+        # (0, 1) and (1, 2) at distance 1, (0, 2) at distance 2, listed in (i, d) order
+        band = band_of(EXAMPLE_IND, EXAMPLE_ASSOC)
+        assert band.tolist() == [[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]]
+        pairs, values = band_pairs(band)
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert values.tolist() == [1.0, 0.1, 0.2]
 
     def test_minimal_graph(self):
         ind = IndividualScores(class1=np.array([0.7]), class2=np.array([0.3]))
-        net = build_network([ind], [], [])
-        assert net.arc_count == 2
+        assert cut_band([ind], np.zeros((0, 1))).tolist() == [True]
 
     def test_zero_associations_omitted(self):
         ind = IndividualScores(class1=np.array([0.7, 0.2]), class2=np.array([0.3, 0.8]))
-        net = build_network([ind], [(0, 1)], [0.0])
-        assert net.arc_count == 4
+        with no_max_flow():
+            assert cut_both_ways([ind], np.array([[0.0, 0.0]])).tolist() == [True, False]
 
     def test_negative_scores_rejected(self):
         with pytest.raises(ValueError):
             IndividualScores(class1=np.array([-0.1]), class2=np.array([0.3]))
 
     def test_out_of_range_pair_rejected(self):
+        # a band over five items for an instance of one
         ind = IndividualScores(class1=np.array([0.7]), class2=np.array([0.3]))
-        with pytest.raises(ValueError, match="out of range for n=1"):
-            build_network([ind], [(0, 5)], [0.2])
-
-    @pytest.mark.parametrize("pair", [(1, 0), (1, 1), (-1, 1)])
-    def test_bad_ordering_rejected(self, pair):
-        with pytest.raises(ValueError, match="0 <= i < k"):
-            build_network([EXAMPLE_IND], [(0, 1), pair], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"1 items but a band of shape \(1, 5\)"):
+            cut_band([ind], np.zeros((1, 5)))
 
     def test_pair_spanning_two_instances_rejected(self):
         # items 0-2 are the first instance, 3-5 the second
-        scores = [EXAMPLE_IND, EXAMPLE_IND]
-        with pytest.raises(ValueError, match=r"\(2, 3\) of weight 0.5 spans two instances"):
-            build_network(scores, np.array([[0, 1], [2, 3]]), np.array([0.5, 0.5]))
+        band = np.array([[0.5, 0.0, 0.5, 0.0, 0.0, 0.0]])
+        for weights in (band, widened(band)):
+            with pytest.raises(ValueError, match=r"\(2, 3\) of weight 0.5 spans two instances"):
+                cut_band([EXAMPLE_IND, EXAMPLE_IND], weights)
 
     def test_pair_beside_an_empty_instance_is_accepted(self):
         empty = IndividualScores(class1=np.array([]), class2=np.array([]))
-        net = build_network([empty, EXAMPLE_IND, empty], np.array([[0, 2]]), np.array([0.5]))
-        assert net.owners.tolist() == [1]
+        band = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])  # the pair (0, 2)
+        assert side_of(cut_both_ways([empty, EXAMPLE_IND, empty], band)) == (0,)
 
     @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
     def test_bad_weight_rejected(self, value):
-        with pytest.raises(ValueError, match="must weigh a finite value >= 0"):
-            build_network([EXAMPLE_IND], [(0, 1), (1, 2)], [0.5, value])
+        band = np.array([[0.5, value, 0.0]])
+        for weights in (band, widened(band)):
+            with pytest.raises(ValueError, match="must weigh a finite value >= 0"):
+                cut_band([EXAMPLE_IND], weights)
 
     def test_values_must_match_pairs(self):
-        with pytest.raises(ValueError, match="2 association pairs"):
-            build_network([EXAMPLE_IND], [(0, 1), (1, 2)], [0.5])
+        with pytest.raises(ValueError, match=r"3 items but a band of shape \(2,\)"):
+            cut_band([EXAMPLE_IND], np.array([0.5, 0.5]))
 
     def test_capacities_are_scaled_integers(self):
-        net = build_network(*stack_instances([(EXAMPLE_IND, EXAMPLE_ASSOC)]), scale_factor=10)
-        caps = np.concatenate([net.toward_source, net.toward_sink, net.pair_capacities])
-        assert sorted(caps.tolist()) == [1, 1, 2, 2, 5, 5, 8, 9, 10]
+        # at scale 1, 0.5 rounds to 0 (half to even) and the pairs (0, 2) and
+        # (1, 2) to no arc; each cut is canonical in its rounded instance
+        band = band_of(EXAMPLE_IND, EXAMPLE_ASSOC)
+        for scale_factor in (1, 10, 100):
+            costs = labeling_costs(*scale_instance(EXAMPLE_IND, EXAMPLE_ASSOC, scale_factor))
+            side = side_of(cut_both_ways([EXAMPLE_IND], band, scale_factor))
+            assert side == intersection_of_minimum_labelings(costs, 3)
 
 
 class TestCapacityBound:
@@ -151,7 +197,7 @@ class TestCapacityBound:
         # at 10^6 this overflowed a 64-bit cast and cut the wrong side
         ind = IndividualScores(class1=np.array([1e20]), class2=np.array([0.9]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            build_network([ind], [], [])
+            cut_band([ind], np.zeros((0, 1)))
 
     def test_terminal_capacity_at_the_bound_accepted(self):
         ind = IndividualScores(
@@ -159,36 +205,38 @@ class TestCapacityBound:
         )
         result = solve(ind, AssociationScores(pairs={}), scale_factor=1)
         assert result.source_side == (0,)
-        assert result.max_flow_value == CAPACITY_BOUND - 1
+        assert result.cost == CAPACITY_BOUND - 1
 
     def test_terminal_capacity_above_the_bound_refused(self):
         ind = IndividualScores(class1=np.array([CAPACITY_BOUND + 1.0]), class2=np.array([0.0]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            build_network([ind], [], [], scale_factor=1)
+            cut_band([ind], np.zeros((0, 1)), scale_factor=1)
 
     def test_association_at_half_the_bound_accepted(self):
         # both directions of an association arc together reach the bound
         weight = CAPACITY_BOUND // 2
         big = float(CAPACITY_BOUND)
         ind = IndividualScores(class1=np.array([big, 0.0]), class2=np.array([0.0, big]))
-        [result] = min_cut(build_network([ind], [(0, 1)], [float(weight)], scale_factor=1))
+        result = solve(ind, AssociationScores(pairs={(0, 1): float(weight)}), scale_factor=1)
         assert result.source_side == (0,)
-        assert result.max_flow_value == weight
+        assert result.cost == weight
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            build_network([ind], [(0, 1)], [weight + 1.0], scale_factor=1)
+            cut_band([ind], np.array([[weight + 1.0, 0.0]]), scale_factor=1)
 
     def test_large_association_weight_refused(self):
         ind = IndividualScores(class1=np.array([0.5, 0.5]), class2=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            build_network([ind], [(0, 1)], [2148.0])
+            cut_band([ind], np.array([[2148.0, 0.0]]))
 
 
 class TestMinCut:
+    """One instance cut as its band of reach n - 1, on both routes."""
+
     def test_worked_example(self):
         result = solve(EXAMPLE_IND, EXAMPLE_ASSOC)
         assert result.source_side == (0, 1)
         assert result.cost == pytest.approx(1.1, abs=1e-12)
-        assert result.max_flow_value == 1_100_000
+        assert scaled_cost(EXAMPLE_IND, EXAMPLE_ASSOC, result.source_side) == 1_100_000
 
     def test_zero_association_reduces_to_argmax(self):
         ind = IndividualScores(
@@ -209,23 +257,7 @@ class TestMinCut:
             ind, assoc = random_instance(rng)
             got = solve(ind, assoc)
             want = brute_force_min(*scale_instance(ind, assoc))
-            assert got.max_flow_value == int(want.cost)
-
-    def test_flow_value_tracks_cost_within_rounding(self):
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            ind, assoc = random_instance(rng)
-            net = build_network(*stack_instances([(ind, assoc)]))
-            [result] = min_cut(net)
-            assert abs(result.cost * net.scale_factor - result.max_flow_value) <= len(ind)
-
-    def test_cost_matches_recomputed_partition_cost(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            ind, assoc = random_instance(rng)
-            result = solve(ind, assoc)
-            recomputed = partition_cost(ind, assoc, result.source_side)
-            assert result.cost == pytest.approx(recomputed, abs=1e-6)
+            assert scaled_cost(ind, assoc, got.source_side) == want.cost
 
     def test_no_partition_beats_the_cut(self):
         rng = np.random.default_rng(10)
@@ -272,8 +304,12 @@ class TestMinCut:
                 assert scaled.cost == pytest.approx(base.cost * factor, rel=1e-9)
 
     def test_repeated_solves_are_stable(self):
-        net = build_network(*stack_instances([(EXAMPLE_IND, EXAMPLE_ASSOC)]))
-        assert min_cut(net) == min_cut(net)
+        band = band_of(EXAMPLE_IND, EXAMPLE_ASSOC)
+        for weights in (band, widened(band)):
+            before = weights.copy()
+            assert cut_band([EXAMPLE_IND], weights).tolist() == [True, True, False]
+            assert cut_band([EXAMPLE_IND], weights).tolist() == [True, True, False]
+            assert np.array_equal(weights, before)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,7 +333,7 @@ class TestMinCut:
         assoc = AssociationScores(pairs=pairs)
         got = solve(ind, assoc)
         want = brute_force_min(*scale_instance(ind, assoc))
-        assert got.max_flow_value == int(want.cost)
+        assert scaled_cost(ind, assoc, got.source_side) == want.cost
 
 
 class TestBatch:
@@ -310,22 +346,17 @@ class TestBatch:
         instances = [random_instance(rng, n_max=14) for _ in range(40)]
         instances[5:5] = [empty]
         instances[20:20] = [single, empty]
-        results = min_cut(build_network(*stack_instances(instances)))
-        assert len(results) == len(instances)
-        for (ind, assoc), got in zip(instances, results):
-            alone = solve(ind, assoc)
-            assert got.source_side == alone.source_side
-            assert got.max_flow_value == alone.max_flow_value
-            assert got.cost == alone.cost == partition_cost(ind, assoc, got.source_side)
+        flags = cut_band([ind for ind, _ in instances], stacked_band(instances))
+        first = np.cumsum([0] + [len(ind) for ind, _ in instances])
+        for (ind, assoc), a, b in zip(instances, first, first[1:]):
+            side = side_of(flags[a:b])
+            assert side == solve(ind, assoc).source_side
             want = brute_force_min(*scale_instance(ind, assoc))
-            assert got.max_flow_value == int(want.cost)
+            assert scaled_cost(ind, assoc, side) == want.cost
 
     def test_empty_batch(self):
-        assert min_cut(build_network([], np.zeros((0, 2), np.int64), np.zeros(0))) == []
-
-    def test_accepts_a_generator(self):
-        instances = (random_instance(np.random.default_rng(s), n_max=5) for s in range(3))
-        assert len(min_cut(build_network(*stack_instances(instances)))) == 3
+        assert cut_band([], np.zeros((0, 0))).tolist() == []
+        assert cut_band([], np.zeros((BANDED_REACH_LIMIT + 1, 0))).tolist() == []
 
 
 def labeling_costs(ind, assoc) -> np.ndarray:
@@ -334,6 +365,13 @@ def labeling_costs(ind, assoc) -> np.ndarray:
     return np.array([
         partition_cost(ind, assoc, [i for i in range(n) if mask >> i & 1]) for mask in range(1 << n)
     ])
+
+
+def intersection_of_minimum_labelings(costs, n) -> tuple[int, ...]:
+    """The items on the source side of every minimum labeling of ``costs``
+    (``labeling_costs``' layout) of n items."""
+    common = np.bitwise_and.reduce(np.flatnonzero(costs == costs.min()))
+    return tuple(i for i in range(n) if common >> i & 1)
 
 
 ALL_WEIGHTS = (0.0, 1e-8, 4e-7, 0.25, 0.5)
@@ -359,16 +397,20 @@ def tied_instances(draw, n_max=8, weights=ALL_WEIGHTS):
     return IndividualScores(class1=class1, class2=class2), AssociationScores(pairs=pairs)
 
 
+def assert_canonical(instances, flags):
+    """Each instance's cut is the intersection of its minimum labelings."""
+    first = np.cumsum([0] + [len(ind) for ind, _ in instances])
+    for (ind, assoc), a, b in zip(instances, first, first[1:]):
+        costs = labeling_costs(*scale_instance(ind, assoc))
+        assert side_of(flags[a:b]) == intersection_of_minimum_labelings(costs, len(ind))
+
+
 class TestCanonicity:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(tied_instances(), min_size=1, max_size=4))
     def test_side_is_the_intersection_of_all_minimum_labelings(self, instances):
-        results = min_cut(build_network(*stack_instances(instances)))
-        for (ind, assoc), got in zip(instances, results):
-            costs = labeling_costs(*scale_instance(ind, assoc))
-            common = np.bitwise_and.reduce(np.flatnonzero(costs == costs.min()))
-            assert got.source_side == tuple(i for i in range(len(ind)) if common >> i & 1)
-            assert got.max_flow_value == costs.min()
+        flags = cut_both_ways([ind for ind, _ in instances], stacked_band(instances))
+        assert_canonical(instances, flags)
 
 
 class TestBruteForce:
@@ -466,38 +508,35 @@ def proximity_instances(draw, n_min, n_max, strengths=ANY_STRENGTH):
         strength=draw(strengths),
         cross_paragraph_weight=draw(st.floats(0, 1)),
     )
-    ind = IndividualScores(class1=class1, class2=class2)
-    pairs, values = band_pairs(association_band([n], [[0] + breaks], params))
-    assoc = AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
-    return ind, assoc, params.threshold
+    band = association_band([n], [[0] + breaks], params)
+    return IndividualScores(class1=class1, class2=class2), band, params.threshold
 
 
 class TestBandedOracle:
     @settings(max_examples=60, deadline=None)
     @given(proximity_instances(1, 12))
     def test_oracle_agrees_with_brute_force(self, instance):
-        ind, assoc, reach = instance
-        scaled = scale_instance(ind, assoc)
+        ind, band, reach = instance
+        scaled = scale_instance(ind, band_assoc(band))
         assert banded_min(*scaled, reach) == brute_force_min(*scaled).cost
 
     @settings(max_examples=60, deadline=None)
     @given(proximity_instances(20, 200))
     def test_min_cut_is_optimal_at_review_lengths(self, instance):
-        ind, assoc, reach = instance
-        got = solve(ind, assoc)
-        scaled = scale_instance(ind, assoc)
+        ind, band, reach = instance
+        side = side_of(cut_both_ways([ind], band))
+        scaled = scale_instance(ind, band_assoc(band))
         best = banded_min(*scaled, reach)
-        assert got.max_flow_value == best
-        assert partition_cost(*scaled, got.source_side) == best
+        assert partition_cost(*scaled, side) == best
         # canonical: each item of the side lies on the source side of every
         # minimum labeling, so holding it on the sink side costs strictly more
-        assert (banded_min(*scaled, reach, held=list(got.source_side)) > best).all()
+        assert (banded_min(*scaled, reach, held=list(side)) > best).all()
 
     @settings(max_examples=60, deadline=None)
     @given(proximity_instances(1, 10))
     def test_held_items_agree_with_brute_force(self, instance):
-        ind, assoc, reach = instance
-        scaled = scale_instance(ind, assoc)
+        ind, band, reach = instance
+        scaled = scale_instance(ind, band_assoc(band))
         costs = labeling_costs(*scaled)
         masks = np.arange(len(costs))
         want = [costs[(masks >> i & 1) == 0].min() for i in range(len(ind))]
@@ -517,30 +556,25 @@ def no_max_flow():
 
 
 class TestPairFreeNetworks:
-    """A network whose pairs all round to no arc is cut without a max-flow."""
+    """A band whose pairs all round to no arc is cut without a max-flow."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(tied_instances(weights=NO_ARC_WEIGHTS), min_size=1, max_size=4))
     def test_side_is_the_intersection_of_all_minimum_labelings(self, instances):
         with no_max_flow():
-            results = min_cut(build_network(*stack_instances(instances)))
-        for (ind, assoc), got in zip(instances, results):
-            costs = labeling_costs(*scale_instance(ind, assoc))
-            common = np.bitwise_and.reduce(np.flatnonzero(costs == costs.min()))
-            assert got.source_side == tuple(i for i in range(len(ind)) if common >> i & 1)
-            assert got.max_flow_value == costs.min()
+            flags = cut_both_ways([ind for ind, _ in instances], stacked_band(instances))
+        assert_canonical(instances, flags)
 
     @settings(max_examples=60, deadline=None)
     @given(proximity_instances(20, 200, strengths=st.sampled_from([0.0, 1e-8, 4e-7])))
     def test_cut_is_canonical_at_review_lengths(self, instance):
-        ind, assoc, reach = instance
+        ind, band, reach = instance
         with no_max_flow():
-            got = solve(ind, assoc)
-        scaled = scale_instance(ind, assoc)
+            side = side_of(cut_both_ways([ind], band))
+        scaled = scale_instance(ind, band_assoc(band))
         best = banded_min(*scaled, reach)
-        assert got.max_flow_value == best
-        assert partition_cost(*scaled, got.source_side) == best
-        assert (banded_min(*scaled, reach, held=list(got.source_side)) > best).all()
+        assert partition_cost(*scaled, side) == best
+        assert (banded_min(*scaled, reach, held=list(side)) > best).all()
 
     def test_a_rounding_tie_is_dropped(self):
         # class 1 wins by 8e-7, which rounds to a tie at the default scale
@@ -562,10 +596,12 @@ class TestPairFreeNetworks:
         assoc = AssociationScores(pairs={(0, 1): 1e-6, (1, 2): 4e-7})
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mincut, "maximum_flow", counted)
-            got = solve(EXAMPLE_IND, assoc)
+            side = side_of(cut_band([EXAMPLE_IND], widened(band_of(EXAMPLE_IND, assoc))))
         assert len(calls) == 1
-        assert got.source_side == (0, 1)
-        assert got.max_flow_value == brute_force_min(*scale_instance(EXAMPLE_IND, assoc)).cost
+        assert side == (0, 1)
+        assert scaled_cost(EXAMPLE_IND, assoc, side) == brute_force_min(
+            *scale_instance(EXAMPLE_IND, assoc)
+        ).cost
 
 
 @st.composite
@@ -596,24 +632,6 @@ def banded_batches(draw, n_min=30, n_max=45, docs=st.integers(1, 4), strengths=A
     return scores, association_band(counts, starts, params)
 
 
-def flow_flags(scores, band, scale_factor=DEFAULT_SCALE):
-    """The max-flow route's cut of a band."""
-    return source_flags(build_network(scores, *band_pairs(band), scale_factor))
-
-
-def band_assoc(band):
-    """One instance's band as ``AssociationScores``."""
-    pairs, values = band_pairs(band)
-    return AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
-
-
-def intersection_of_minimum_labelings(costs, n) -> tuple[int, ...]:
-    """The items on the source side of every minimum labeling of ``costs``
-    (``labeling_costs``' layout) of n items."""
-    common = np.bitwise_and.reduce(np.flatnonzero(costs == costs.min()))
-    return tuple(i for i in range(n) if common >> i & 1)
-
-
 def enumerated_costs(ind, band) -> np.ndarray:
     """Every labeling's integer cost at the default scale, at the bit mask of
     its source side: the exhaustive oracle in numpy, for up to 20 items."""
@@ -627,52 +645,53 @@ def enumerated_costs(ind, band) -> np.ndarray:
 
 
 class TestBandedFlags:
-    """``banded_flags`` against the max-flow route and the exhaustive oracles."""
+    """``cut_band`` on narrow bands, against its max-flow route and the exhaustive oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(banded_batches())
     def test_equals_max_flow_at_review_lengths(self, batch):
         scores, band = batch
-        assert banded_flags(scores, band).tolist() == flow_flags(scores, band).tolist()
+        assert cut_band(scores, band).tolist() == cut_band(scores, widened(band)).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(banded_batches(strengths=st.sampled_from([0.0, 1e-8, 4e-7])))
     def test_pair_free_batches_equal_max_flow(self, batch):
         scores, band = batch
         assert not pair_capacities(band).any()
-        assert banded_flags(scores, band).tolist() == flow_flags(scores, band).tolist()
+        assert cut_band(scores, band).tolist() == cut_band(scores, widened(band)).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(banded_batches(1, 12, docs=st.just(1)))
     def test_agrees_with_brute_force(self, batch):
         [ind], band = batch
         scaled = scale_instance(ind, band_assoc(band))
-        side = tuple(np.flatnonzero(banded_flags([ind], band)).tolist())
+        side = side_of(cut_both_ways([ind], band))
         assert partition_cost(*scaled, side) == brute_force_min(*scaled).cost
         assert side == intersection_of_minimum_labelings(labeling_costs(*scaled), len(ind))
 
-    @pytest.mark.parametrize("threshold", [1, 3, BANDED_REACH_LIMIT])
+    @pytest.mark.parametrize("threshold", [1, 3, BANDED_REACH_LIMIT, BANDED_REACH_LIMIT + 1, 19])
     def test_canonical_at_twenty_items(self, threshold):
         # brute_force_min prices each of the 2^20 labelings in Python; the
-        # numpy enumeration reaches its 20-item limit in about a second
+        # numpy enumeration reaches its 20-item limit in about a second.
+        # Beyond BANDED_REACH_LIMIT the band itself takes the max-flow route
         rng = np.random.default_rng(threshold)
         class1 = np.round(rng.uniform(0, 1, 20) * 4) / 4
         ind = IndividualScores(class1=class1, class2=tie_after_rounding(rng, class1))
         params = ProximityParams(threshold=threshold, decay="inverse_square", strength=0.1)
         band = association_band([20], [[0, 7, 13]], params)
         costs = enumerated_costs(ind, band)
-        side = tuple(np.flatnonzero(banded_flags([ind], band)).tolist())
+        side = side_of(cut_both_ways([ind], band))
         assert side == intersection_of_minimum_labelings(costs, 20)
-        assert costs.min() == min_cut(build_network([ind], *band_pairs(band)))[0].max_flow_value
+        assert partition_cost(*scale_instance(ind, band_assoc(band)), side) == costs.min()
 
     @settings(max_examples=40, deadline=None)
     @given(banded_batches(0, 45, docs=st.integers(2, 6)))
     def test_batch_equals_each_instance_alone(self, batch):
         scores, band = batch
-        got = banded_flags(scores, band)
+        got = cut_both_ways(scores, band)
         first = np.cumsum([0] + [len(ind) for ind in scores])
         for ind, a, b in zip(scores, first, first[1:]):
-            assert got[a:b].tolist() == banded_flags([ind], band[:, a:b]).tolist()
+            assert got[a:b].tolist() == cut_both_ways([ind], band[:, a:b]).tolist()
 
     @pytest.mark.parametrize("threshold", [4, 5, 9])
     def test_threshold_at_or_beyond_the_review_length(self, threshold):
@@ -681,11 +700,11 @@ class TestBandedFlags:
         params = ProximityParams(threshold=threshold, decay="exponential", strength=0.4)
         band = association_band([5, 5], [None, None], params)
         assert band.shape == (min(threshold, 4), 10)  # every pair of a review is in the band
-        want = flow_flags(scores, band).tolist()
-        assert banded_flags(scores, band).tolist() == want
+        want = cut_band(scores, widened(band)).tolist()
+        assert cut_band(scores, band).tolist() == want
         # rows for distances no review reaches are all 0, and change nothing
-        wide = np.vstack([band, np.zeros((3, 10))])
-        assert banded_flags(scores, wide).tolist() == want
+        wide = np.vstack([band, np.zeros((BANDED_REACH_LIMIT - len(band), 10))])
+        assert cut_band(scores, wide).tolist() == want
 
     def test_capacities_at_the_refusal_bounds(self):
         big, half = float(CAPACITY_BOUND), float(CAPACITY_BOUND // 2)
@@ -693,15 +712,15 @@ class TestBandedFlags:
             class1=np.array([big, 0.0, big, 0.0]), class2=np.array([0.0, big, big - 1, 0.0])
         )
         band = np.array([[half, half, half, 0.0], [half, half, 0.0, 0.0]])
-        assert banded_flags([ind], band, 1).tolist() == flow_flags([ind], band, 1).tolist()
+        assert cut_band([ind], band, 1).tolist() == cut_band([ind], widened(band), 1).tolist()
         over = IndividualScores(class1=ind.class1 + [1, 0, 0, 0], class2=ind.class2)
         heavier = band + [[1, 0, 0, 0], [0, 0, 0, 0]]
         for scores, weights in (([over], band), ([ind], heavier)):
             with pytest.raises(ValueError, match=r"2\*\*31 - 1") as refused:
-                banded_flags(scores, weights, 1)
-            with pytest.raises(ValueError) as built:
-                flow_flags(scores, weights, 1)
-            assert str(refused.value) == str(built.value)
+                cut_band(scores, weights, 1)
+            with pytest.raises(ValueError) as widened_refused:
+                cut_band(scores, widened(weights), 1)
+            assert str(refused.value) == str(widened_refused.value)
 
     @pytest.mark.parametrize(
         "item, weight, problem",
@@ -710,27 +729,30 @@ class TestBandedFlags:
          (2, float("nan"), "spans two instances")],
     )
     def test_bad_band_refused_as_build_network_refuses(self, item, weight, problem):
-        # item 2 is its instance's last, so its distance-1 pair leaves it
+        # item 2 is its instance's last, so its distance-1 pair leaves it; the
+        # band is refused alike on both routes
         band = np.zeros((1, 6))
         band[0, item] = weight
         with pytest.raises(ValueError, match=problem) as refused:
-            banded_flags([EXAMPLE_IND, EXAMPLE_IND], band)
-        with pytest.raises(ValueError) as built:
-            flow_flags([EXAMPLE_IND, EXAMPLE_IND], band)
-        assert str(refused.value) == str(built.value)
+            cut_band([EXAMPLE_IND, EXAMPLE_IND], band)
+        with pytest.raises(ValueError) as widened_refused:
+            cut_band([EXAMPLE_IND, EXAMPLE_IND], widened(band))
+        assert str(refused.value) == str(widened_refused.value)
 
     def test_band_of_the_wrong_width_refused(self):
         with pytest.raises(ValueError, match=r"3 items but a band of shape \(1, 4\)"):
-            banded_flags([EXAMPLE_IND], np.zeros((1, 4)))
+            cut_band([EXAMPLE_IND], np.zeros((1, 4)))
 
     def test_sums_that_could_overflow_refused(self, monkeypatch):
         monkeypatch.setattr(mincut, "CAPACITY_BOUND", 2**61)
         with pytest.raises(ValueError, match="could overflow int64"):
-            banded_flags([EXAMPLE_IND], np.zeros((1, 3)))
+            cut_band([EXAMPLE_IND], np.zeros((1, 3)))
+        # only the banded solver sums capacities in int64
+        assert cut_band([EXAMPLE_IND], widened(np.zeros((1, 3)))).tolist() == [True, False, False]
 
 
 class TestRoute:
-    """``select_graph`` cuts a batch with ``banded_flags`` up to the reach limit."""
+    """``cut_band`` takes the banded solver up to the reach limit, max-flow beyond it."""
 
     def test_reach_at_the_limit_takes_the_banded_solver(self):
         p = np.random.default_rng(3).uniform(0, 1, BANDED_REACH_LIMIT + 5)
@@ -753,9 +775,9 @@ class TestRoute:
             return wrapper
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(extraction, "banded_flags", counted("banded", extraction.banded_flags))
+            patch.setattr(mincut, "_min_marginals", counted("banded", mincut._min_marginals))
             patch.setattr(mincut, "maximum_flow", counted("max-flow", mincut.maximum_flow))
             got = select_graph([scores], params)
         assert calls == [solver]
         band = association_band([n], [None], params)
-        assert got.tolist() == flow_flags([scores], band).tolist()
+        assert got.tolist() == cut_band([scores], widened(band)).tolist()
