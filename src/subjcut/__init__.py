@@ -39,7 +39,6 @@ from .evaluation import (
     FoldResult,
     GridSearchResult,
     GridSpec,
-    ParagraphComparison,
     TTestResult,
     add_comparison,
     detector_cv_accuracies,
@@ -48,7 +47,6 @@ from .evaluation import (
     make_extracts,
     n_sentence_sweep,
     paired_t_test,
-    paragraph_comparison,
     run_experiment,
     score_documents,
     train_detector_model,

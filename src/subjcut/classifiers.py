@@ -354,20 +354,23 @@ def load_model(
         raise VocabularyMismatchError(
             f"{path}: model was trained on a different vocabulary"
         )
-    params = payload["parameters"]
-    if payload["kind"] == "nb":
-        return NaiveBayesModel(
-            log_prior=np.asarray(params["log_prior"]),
-            log_likelihood=np.asarray(params["log_likelihood"]),
-            alpha=payload["hyperparameters"]["alpha"],
-            vocab_digest=payload["vocab_digest"],
-        )
-    if payload["kind"] == "svm":
-        return LinearMarginModel(
-            weights=np.asarray(params["weights"]),
-            bias=params["bias"],
-            regularization=payload["hyperparameters"]["regularization"],
-            training_seed=payload["hyperparameters"]["seed"],
-            vocab_digest=payload["vocab_digest"],
-        )
+    params, hyper = payload["parameters"], payload["hyperparameters"]
+    try:
+        if payload["kind"] == "nb":
+            return NaiveBayesModel(
+                log_prior=np.asarray(params["log_prior"]),
+                log_likelihood=np.asarray(params["log_likelihood"]),
+                alpha=hyper["alpha"],
+                vocab_digest=payload["vocab_digest"],
+            )
+        if payload["kind"] == "svm":
+            return LinearMarginModel(
+                weights=np.asarray(params["weights"]),
+                bias=params["bias"],
+                regularization=hyper["regularization"],
+                training_seed=hyper["seed"],
+                vocab_digest=payload["vocab_digest"],
+            )
+    except KeyError as missing:
+        raise ValueError(f"{path}: model lacks {missing.args[0]}") from None
     raise ValueError(f"{path}: unknown model kind {payload['kind']!r}")

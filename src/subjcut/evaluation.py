@@ -8,12 +8,13 @@ fold's training inputs are digested into the report so leakage is auditable.
 Reports carry no timestamps and serialize canonically: the same configuration
 and seed reproduce the same bytes.
 
-Each experiment, grid, sweep or paragraph comparison tokenizes the review
-sentences once, into one sentence presence matrix; detector scores and every
-extract's row come from it. A selection is one flag per sentence, in the
-matrix's row order; extract rows, preservation and train digests are read
-from the flags, and ``make_extracts`` alone builds ``Extract`` objects. Grid
-and sweep cells whose flags are equal share one cross-validation.
+Each experiment, grid or sweep tokenizes the review sentences once, into one
+sentence presence matrix; detector scores and every extract's row come from
+it. A selection is one flag per sentence, in the matrix's row order; extract
+rows, preservation and train digests are read from the flags, and
+``make_extracts`` alone builds ``Extract`` objects. Grid and sweep cells run
+through one runner, ``_cell_reports``, and cells whose flags are equal share
+one cross-validation.
 
 A cross-validation (of extracts, or of detector sentences) reads all its rows
 once, into per-type class counts and first positions (``type_counts``). Each
@@ -685,6 +686,30 @@ def run_experiment(
     return _report(config, _cross_validate(config, documents, keep, rows, workers))
 
 
+def _cell_reports(
+    configs: Sequence[ExperimentConfig],
+    documents: Sequence[ReviewDocument],
+    detector: Detector,
+    max_workers: int,
+) -> list[ExperimentReport]:
+    """The ``_cell_report`` of each of ``configs``, in their order: the one
+    runner of grid and sweep cells.
+
+    The sentence matrix and per-sentence detector scores are computed once
+    and shared by every cell. With ``max_workers`` above 1 the cells run on
+    that many forked processes; each process keeps its own ``done`` dict, so
+    it reuses the fold results of the cells it ran.
+    """
+    matrix = sentence_matrix(documents)
+    scores = score_documents(detector.model, detector.vocab, documents, matrix)
+    cell = partial(
+        _cell_report, documents=list(documents), detector=detector, scores=scores,
+        matrix=matrix, done={},
+    )
+    with _forked_map(cell, configs, max_workers) as reports:
+        return list(reports)
+
+
 def _cell_report(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
@@ -812,45 +837,31 @@ class GridSearchResult:
         return rows_to_csv(rows)
 
 
-def _grid_cell(base_config, documents, detector, scores, matrix, done, params) -> ExperimentReport:
-    config = replace(base_config, extractor="graph", proximity=params)
-    return _cell_report(config, documents, detector, scores, matrix, done)
-
-
 def grid_search(
     base_config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
     detector: Detector,
     grid: GridSpec | None = None,
     max_workers: int = 1,
-    matrix: PresenceMatrix | None = None,
 ) -> GridSearchResult:
     """Evaluate every proximity setting; return all cells and the single best.
 
     Selection follows the protocol of reporting the best single setting by
     mean accuracy over all folds (an oracle-style choice, flagged as such in
     downstream reporting). Ties break toward the earlier cell in grid order.
-    The sentence matrix (built here when not given) and per-sentence detector
-    scores are computed once and shared by every cell, and a cell whose
-    selections equal an earlier cell's reuses its fold results. With
-    ``max_workers`` above 1 the cells run on that many forked processes,
-    each reusing the cells it ran; fewer than 1 is refused with a
-    ``ValueError``.
+    The cells run through ``_cell_reports``, on ``max_workers`` forked
+    processes; fewer than 1 is refused with a ``ValueError``.
     """
     cells = (grid or GridSpec()).cells()
+    configs = [replace(base_config, extractor="graph", proximity=params) for params in cells]
     workers = _worker_count(max_workers, len(cells))
-    if matrix is None:
-        matrix = sentence_matrix(documents)
-    scores = score_documents(detector.model, detector.vocab, documents, matrix)
-    cell = partial(_grid_cell, base_config, list(documents), detector, scores, matrix, {})
-    with _forked_map(cell, cells, workers) as reports:
-        reports = list(reports)
-    best = max(zip(cells, reports), key=lambda pair: pair[1].mean_accuracy)[1]
+    reports = _cell_reports(configs, documents, detector, workers)
+    best = max(reports, key=lambda report: report.mean_accuracy)
     return GridSearchResult(best=best, cells=tuple(zip(cells, reports)))
 
 
 # ---------------------------------------------------------------------------
-# N-sentence sweep and paragraph comparison
+# N-sentence sweep
 
 
 def n_sentence_sweep(
@@ -863,30 +874,20 @@ def n_sentence_sweep(
 ) -> dict[tuple[str, int, str], ExperimentReport]:
     """Accuracy of each length-limited extraction method at each N.
 
-    As in ``grid_search``, the sentence matrix and scores are shared, and a
-    cell whose selections equal an earlier cell's, with the same classifier,
-    reuses its fold results (at large N, every method keeps whole reviews).
+    The cells run through ``_cell_reports``, in this process; at large N
+    every method keeps whole reviews, so most cells reuse fold results.
     """
     for m in methods:
         if m not in N_EXTRACTORS:
             raise ValueError(f"unknown sweep method {m!r}")
     if any(n < 1 for n in n_values):
         raise ValueError(f"sweep N values must be >= 1, got {tuple(n_values)}")
-    base = base_config or ExperimentConfig()
-    matrix = sentence_matrix(documents)
-    scores = score_documents(detector.model, detector.vocab, documents, matrix)
-    out, done = {}, {}
-    for method in methods:
-        for n in n_values:
-            for clf in classifiers:
-                config = replace(
-                    base, extractor=method, n_sentences=n, classifier=clf,
-                    detector_base=detector.config.base,
-                )
-                out[(method, n, clf)] = _cell_report(
-                    config, documents, detector, scores, matrix, done
-                )
-    return out
+    base = replace(base_config or ExperimentConfig(), detector_base=detector.config.base)
+    cells = list(itertools.product(methods, n_values, classifiers))
+    configs = [
+        replace(base, extractor=method, n_sentences=n, classifier=clf) for method, n, clf in cells
+    ]
+    return dict(zip(cells, _cell_reports(configs, documents, detector, 1)))
 
 
 def sweep_to_csv(results: dict[tuple[str, int, str], ExperimentReport]) -> str:
@@ -903,48 +904,3 @@ def rows_to_csv(rows: Sequence[tuple]) -> str:
     writer.writerow(SWEEP_CSV_FIELDS)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class ParagraphComparison:
-    """Graph detector with paragraph attenuation vs paragraph-unit detection."""
-
-    graph_best: dict[str, ExperimentReport]  # keyed by polarity classifier
-    paragraph_unit: dict[str, ExperimentReport]
-    tests: dict[str, TTestResult]
-
-
-def paragraph_comparison(
-    documents: Sequence[ReviewDocument],
-    detector: Detector,
-    grid: GridSpec | None = None,
-    classifiers: Sequence[str] = ("nb", "svm"),
-    base_config: ExperimentConfig | None = None,
-    max_workers: int = 1,
-) -> ParagraphComparison:
-    """Compare the two ways of using paragraph boundaries, per classifier.
-
-    The graph side searches the proximity grid (including the cross-paragraph
-    weights); the baseline runs the same classifier base with paragraphs as
-    the unit of labeling. ``max_workers`` goes to both.
-    """
-    _worker_count(max_workers, 1)
-    grid = grid or GridSpec(cross_paragraph_weights=(0.0, 0.25, 0.5, 0.75, 1.0))
-    base = base_config or ExperimentConfig()
-    base = replace(base, detector_base=detector.config.base)
-    matrix = sentence_matrix(documents)
-    graph_best, paragraph_unit, tests = {}, {}, {}
-    for clf in classifiers:
-        clf_base = replace(base, classifier=clf)
-        result = grid_search(
-            clf_base, documents, detector, grid, max_workers=max_workers, matrix=matrix
-        )
-        graph_best[clf] = result.best
-        unit_config = replace(clf_base, extractor="paragraph")
-        paragraph_unit[clf] = run_experiment(
-            unit_config, documents, detector, matrix=matrix, max_workers=max_workers
-        )
-        tests[clf] = paired_t_test(
-            graph_best[clf].fold_accuracies(), paragraph_unit[clf].fold_accuracies()
-        )
-    return ParagraphComparison(graph_best=graph_best, paragraph_unit=paragraph_unit, tests=tests)

@@ -125,9 +125,11 @@ def cut_band(
     reach = len(weights)
     instance = np.repeat(np.arange(docs), counts)
     position = np.arange(n) - (np.cumsum(counts) - counts)[instance]
+    distance = np.arange(1, reach + 1)[:, None]
+    leaves = (distance >= (counts[instance] - position)) & (weights != 0)
     for bad, problem in (
-        ((np.arange(1, reach + 1)[:, None] >= (counts[instance] - position)) & (weights != 0),
-         "spans two instances"),
+        (leaves & (distance + np.arange(n) >= n), f"runs past the last item, {n - 1}"),
+        (leaves, "spans two instances"),
         (~(np.isfinite(weights) & (weights >= 0)), "must weigh a finite value >= 0"),
     ):
         if bad.any():

@@ -396,12 +396,20 @@ class TestSerialization:
         [([1, 2], "a model is a JSON object, got list"),
          ({"format": "subjcut-model/1"}, "model lacks kind, vocab_digest, hyperparameters"),
          ({"format": "subjcut-model/1", "kind": "nb", "vocab_digest": "x", "parameters": {}},
-          "model lacks hyperparameters")],
+          "model lacks hyperparameters"),
+         ({"format": "subjcut-model/1", "kind": "nb", "vocab_digest": "DIGEST",
+           "hyperparameters": {"alpha": 1.0}, "parameters": {}},
+          "model lacks log_prior"),
+         ({"format": "subjcut-model/1", "kind": "svm", "vocab_digest": "DIGEST",
+           "hyperparameters": {"regularization": 1.0}, "parameters": {"weights": [], "bias": 0}},
+          "model lacks seed")],
     )
     def test_malformed_file_refused(self, tiny_nb, tmp_path, payload, problem):
+        # "DIGEST" stands for the vocabulary's digest, so the file gets past
+        # the vocabulary check to its inner keys
         _, vocab = tiny_nb
         path = tmp_path / "nb.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(json.dumps(payload).replace("DIGEST", vocab.digest()), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
             load_model(path, vocab)
 

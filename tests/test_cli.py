@@ -152,18 +152,29 @@ class TestTrainAndExtract:
     @pytest.mark.parametrize(
         "payload, problem",
         [('{"format": "subjcut-model/1"}', "model lacks kind, vocab_digest"),
-         ("[1, 2]", "a model is a JSON object, got list")],
+         ("[1, 2]", "a model is a JSON object, got list"),
+         ('{"format": "subjcut-model/1", "kind": "nb", "vocab_digest": "DIGEST",'
+          ' "hyperparameters": {"alpha": 1.0}, "parameters": {}}',
+          "model lacks log_prior"),
+         ('{"format": "subjcut-model/1", "kind": "svm", "vocab_digest": "DIGEST",'
+          ' "hyperparameters": {"regularization": 1.0},'
+          ' "parameters": {"weights": [], "bias": 0}}',
+          "model lacks seed")],
     )
     def test_malformed_model_file_is_usage_error(
         self, runner, small_data_root, tmp_path, payload, problem
     ):
+        # "DIGEST" stands for the trained detector's vocabulary digest, so the
+        # file gets past the vocabulary check to its inner keys
         out = tmp_path / "out"
         runner.invoke(
             main,
             ["train-detector", "--data-root", str(small_data_root),
              "--output-dir", str(out), "--base", "nb"],
         )
-        (out / "detector_nb.json").write_text(payload, encoding="utf-8")
+        model_file = out / "detector_nb.json"
+        digest = json.loads(model_file.read_text(encoding="utf-8"))["vocab_digest"]
+        model_file.write_text(payload.replace("DIGEST", digest), encoding="utf-8")
         result = runner.invoke(
             main,
             ["extract", "--data-root", str(small_data_root), "--model-dir", str(out),

@@ -20,7 +20,6 @@ from subjcut.evaluation import (
     make_extracts,
     n_sentence_sweep,
     paired_t_test,
-    paragraph_comparison,
     rows_to_csv,
     run_experiment,
     score_documents,
@@ -520,9 +519,6 @@ class TestWorkerPool:
         base = ExperimentConfig(extractor="graph", proximity=ProximityParams(strength=0.0))
         calls = [
             lambda: grid_search(base, synthetic_documents, nb_detector, grid, max_workers=workers),
-            lambda: paragraph_comparison(
-                synthetic_documents, nb_detector, grid, max_workers=workers
-            ),
             lambda: run_experiment(ExperimentConfig(), synthetic_documents, max_workers=workers),
             lambda: detector_cv_accuracies(synthetic_sentences, max_workers=workers),
         ]
@@ -684,18 +680,6 @@ class TestParagraphComparison:
         stripped = [replace(d, paragraph_starts=(0,)) for d in paragraph_documents]
         without = run_experiment(config, stripped, svm_detector)
         assert with_breaks.fold_accuracies() == without.fold_accuracies()
-
-    def test_comparison_produces_reports_and_tests(self, paragraph_documents, svm_detector):
-        grid = GridSpec(
-            thresholds=(2,), decays=("constant",), strengths=(0.05,),
-            cross_paragraph_weights=(0.5, 1.0),
-        )
-        comparison = paragraph_comparison(
-            paragraph_documents, svm_detector, grid, classifiers=("nb",)
-        )
-        assert set(comparison.graph_best) == {"nb"}
-        assert comparison.paragraph_unit["nb"].config["extractor"] == "paragraph"
-        assert -math.inf <= comparison.tests["nb"].t <= math.inf
 
     def test_rows_to_csv_escapes_nothing_needed(self):
         text = rows_to_csv([("top_n", 5, "nb", 0, 0.9, 0.5)])

@@ -726,11 +726,11 @@ class TestBandedFlags:
         "item, weight, problem",
         [(1, -0.5, "must weigh a finite value >= 0"), (0, float("nan"), "must weigh a finite"),
          (1, float("inf"), "must weigh a finite"), (2, 0.5, "spans two instances"),
-         (2, float("nan"), "spans two instances")],
+         (2, float("nan"), "spans two instances"), (5, 0.2, "runs past the last item, 5")],
     )
     def test_bad_band_refused_as_build_network_refuses(self, item, weight, problem):
-        # item 2 is its instance's last, so its distance-1 pair leaves it; the
-        # band is refused alike on both routes
+        # item 2 is its instance's last, so its distance-1 pair leaves it, and
+        # item 5's runs past every item; the band is refused alike on both routes
         band = np.zeros((1, 6))
         band[0, item] = weight
         with pytest.raises(ValueError, match=problem) as refused:
