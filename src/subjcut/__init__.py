@@ -63,13 +63,6 @@ from .extraction import (
     select_graph,
 )
 from .features import EmptyVocabularyError, Vocabulary
-from .mincut import (
-    AssociationScores,
-    CutResult,
-    brute_force_min,
-    cut_band,
-    partition_cost,
-    scale_instance,
-)
+from .mincut import cut_band
 
 __version__ = "0.1.0"

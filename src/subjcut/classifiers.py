@@ -306,31 +306,33 @@ def svm_to_individual(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Serialization
 
 
+# each kind's model class and, per attribute, where the file keeps it: its
+# table, its key, and the shape of an array (V wide: the vocabulary's size)
+# or None for a number
+MODEL_FIELDS = {
+    "nb": (NaiveBayesModel, {
+        "log_prior": ("parameters", "log_prior", (2,)),
+        "log_likelihood": ("parameters", "log_likelihood", (2, "V")),
+        "alpha": ("hyperparameters", "alpha", None),
+    }),
+    "svm": (LinearMarginModel, {
+        "bias": ("parameters", "bias", None),
+        "regularization": ("hyperparameters", "regularization", None),
+        "training_seed": ("hyperparameters", "seed", None),
+        "weights": ("parameters", "weights", ("V",)),
+    }),
+}
+
+
 def save_model(model: NaiveBayesModel | LinearMarginModel, path: str | Path) -> None:
-    if isinstance(model, NaiveBayesModel):
-        payload = {
-            "format": FORMAT_TAG,
-            "kind": "nb",
-            "vocab_digest": model.vocab_digest,
-            "hyperparameters": {"alpha": model.alpha},
-            "parameters": {
-                "log_prior": model.log_prior.tolist(),
-                "log_likelihood": model.log_likelihood.tolist(),
-            },
-        }
-    elif isinstance(model, LinearMarginModel):
-        payload = {
-            "format": FORMAT_TAG,
-            "kind": "svm",
-            "vocab_digest": model.vocab_digest,
-            "hyperparameters": {
-                "regularization": model.regularization,
-                "seed": model.training_seed,
-            },
-            "parameters": {"weights": model.weights.tolist(), "bias": model.bias},
-        }
-    else:
+    kinds = [kind for kind, (cls, _) in MODEL_FIELDS.items() if isinstance(model, cls)]
+    if not kinds:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    payload = {"format": FORMAT_TAG, "kind": kinds[0], "vocab_digest": model.vocab_digest,
+               "hyperparameters": {}, "parameters": {}}
+    for attribute, (table, key, shape) in MODEL_FIELDS[kinds[0]][1].items():
+        value = getattr(model, attribute)
+        payload[table][key] = value.tolist() if shape else value
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
@@ -338,7 +340,9 @@ def load_model(
     path: str | Path, vocab: Vocabulary | None = None
 ) -> NaiveBayesModel | LinearMarginModel:
     """Load a serialized model, refusing one trained on a different vocabulary
-    and a file that is not a model (``ValueError``, naming the path)."""
+    and a file that is not a model (``ValueError``, naming the path and the
+    key): one whose arrays are not of its ``MODEL_FIELDS`` shapes or whose
+    numbers are not numbers."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model is a JSON object, got {type(payload).__name__}")
@@ -354,23 +358,25 @@ def load_model(
         raise VocabularyMismatchError(
             f"{path}: model was trained on a different vocabulary"
         )
-    params, hyper = payload["parameters"], payload["hyperparameters"]
-    try:
-        if payload["kind"] == "nb":
-            return NaiveBayesModel(
-                log_prior=np.asarray(params["log_prior"]),
-                log_likelihood=np.asarray(params["log_likelihood"]),
-                alpha=hyper["alpha"],
-                vocab_digest=payload["vocab_digest"],
-            )
-        if payload["kind"] == "svm":
-            return LinearMarginModel(
-                weights=np.asarray(params["weights"]),
-                bias=params["bias"],
-                regularization=hyper["regularization"],
-                training_seed=hyper["seed"],
-                vocab_digest=payload["vocab_digest"],
-            )
-    except KeyError as missing:
-        raise ValueError(f"{path}: model lacks {missing.args[0]}") from None
-    raise ValueError(f"{path}: unknown model kind {payload['kind']!r}")
+    if payload["kind"] not in tuple(MODEL_FIELDS):
+        raise ValueError(f"{path}: unknown model kind {payload['kind']!r}")
+    model_class, fields = MODEL_FIELDS[payload["kind"]]
+    values = {}
+    for attribute, (table, key, shape) in fields.items():
+        if not isinstance(payload[table], dict):
+            raise ValueError(f"{path}: model's {table} is not an object")
+        if key not in payload[table]:
+            raise ValueError(f"{path}: model lacks {key}")
+        want = tuple(vocab.size if d == "V" and vocab is not None else d for d in shape or ())
+        try:
+            value = np.asarray(payload[table][key])
+        except ValueError:  # a ragged list
+            value = np.zeros(0, dtype=object)
+        if value.dtype.kind not in "iuf" or value.ndim != len(want) or any(
+            d not in ("V", got) for d, got in zip(want, value.shape)
+        ):
+            dims = ", ".join(map(str, want)) + "," * (len(want) == 1)
+            what = f"a ({dims}) float array" if shape else "a number"
+            raise ValueError(f"{path}: model's {key} is not {what}")
+        values[attribute] = value.astype(float) if shape else payload[table][key]
+    return model_class(vocab_digest=payload["vocab_digest"], **values)

@@ -355,11 +355,6 @@ def _random_band(rng: np.random.Generator, n_max: int):
     return IndividualScores(class1=scores[0], class2=scores[1]), weights[0]
 
 
-def _band_assoc(band: np.ndarray) -> mincut.AssociationScores:
-    pairs, values = mincut.band_pairs(band)
-    return mincut.AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
-
-
 def _both_routes(ind: IndividualScores, band: np.ndarray) -> list[tuple[int, ...]]:
     """The source sides of ``ind`` cut as ``band`` and as ``band`` widened with
     zero rows past ``BANDED_REACH_LIMIT``, which only max-flow cuts."""
@@ -376,7 +371,7 @@ WORKED_EXAMPLE_BAND = np.array([[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
 
 @main.command("oracle")
 @click.option(
-    "--n-max", default=12, show_default=True,
+    "--n-max", default=mincut.BRUTE_FORCE_LIMIT, show_default=True,
     type=click.IntRange(min=1, max=mincut.BRUTE_FORCE_LIMIT),
 )
 @click.option("--trials", default=200, show_default=True, type=click.IntRange(min=0))
@@ -392,7 +387,7 @@ def cmd_oracle(n_max, trials, seed) -> None:
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         ind, band = _random_band(rng, n_max)
-        scaled = mincut.scale_instance(ind, _band_assoc(band))
+        scaled = mincut.scale_instance(ind, mincut.AssociationScores.from_band(band))
         # compare at the scaled-integer level, where equality is exact
         want = mincut.brute_force_min(*scaled)
         sides = _both_routes(ind, band)
@@ -407,10 +402,8 @@ def cmd_oracle(n_max, trials, seed) -> None:
             click.echo(f"  brute force cost={int(want.cost)} side={want.source_side}", err=True)
             fail("cut_band disagrees with brute force")
     sides = _both_routes(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_BAND)
-    costs = [
-        mincut.partition_cost(WORKED_EXAMPLE_IND, _band_assoc(WORKED_EXAMPLE_BAND), side)
-        for side in sides
-    ]
+    assoc = mincut.AssociationScores.from_band(WORKED_EXAMPLE_BAND)
+    costs = [mincut.partition_cost(WORKED_EXAMPLE_IND, assoc, side) for side in sides]
     if sides != [(0, 1)] * 2 or max(abs(cost - 1.1) for cost in costs) > 1e-9:
         fail(f"worked example failed: sides={sides} costs={costs}")
     click.echo(

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePath
 from typing import Iterable, Sequence
@@ -263,14 +263,7 @@ class CorpusManifest:
     skipped: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        payload = {
-            "positive_count": self.positive_count,
-            "negative_count": self.negative_count,
-            "subjective_count": self.subjective_count,
-            "objective_count": self.objective_count,
-            "checksums": dict(sorted(self.checksums.items())),
-            "skipped": sorted(self.skipped),
-        }
+        payload = {**asdict(self), "skipped": sorted(self.skipped)}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

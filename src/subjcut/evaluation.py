@@ -89,17 +89,8 @@ from .features import (
     type_counts,
 )
 
-EXTRACTORS = (
-    "full_review",
-    "basic",
-    "graph",
-    "paragraph",
-    "top_n",
-    "first_n",
-    "last_n",
-    "least_n",
-)
 N_EXTRACTORS = ("top_n", "first_n", "last_n", "least_n")
+EXTRACTORS = ("full_review", "basic", "graph", "paragraph") + N_EXTRACTORS
 DETECTOR_EXTRACTORS = ("basic", "graph", "paragraph", "top_n", "least_n")
 
 SWEEP_CSV_FIELDS = ("method", "N", "classifier", "fold", "accuracy", "preservation")
@@ -169,15 +160,6 @@ class FoldResult:
     preservation: float
     train_digest: str
 
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "accuracy": self.accuracy,
-            "n_test": self.n_test,
-            "preservation": self.preservation,
-            "train_digest": self.train_digest,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -194,15 +176,7 @@ class ExperimentReport:
         return [f.accuracy for f in self.folds]
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "config_digest": self.config_digest,
-            "folds": [f.to_dict() for f in self.folds],
-            "mean_accuracy": self.mean_accuracy,
-            "mean_preservation": self.mean_preservation,
-            "comparisons": list(self.comparisons),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":

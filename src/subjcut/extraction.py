@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,12 +99,7 @@ class ProximityParams:
         pair_capacities(np.array([self.strength]))
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "decay": self.decay,
-            "strength": self.strength,
-            "cross_paragraph_weight": self.cross_paragraph_weight,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProximityParams":

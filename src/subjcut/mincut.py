@@ -15,8 +15,8 @@ canonical one: the intersection of all minimum labelings' source sides.
 weights by item and distance, as the program's proximity edges come; any
 instance of n items is a band of reach n - 1. A narrow band is cut by each
 item's min-marginal from a forward and a backward min-sum pass, a wider one
-by one max-flow computation. The oracles, such as brute-force enumeration
-over ``AssociationScores``, check both.
+by one max-flow computation. The oracles check both: ``brute_force_min``
+takes the minimum of ``labeling_costs``, every labeling's cost at once.
 """
 
 from __future__ import annotations
@@ -44,23 +44,46 @@ BANDED_REACH_LIMIT = 6
 @dataclass(frozen=True)
 class AssociationScores:
     """One instance's symmetric pairwise scores, stored once per unordered pair
-    (i < k), as the oracles take them; ``band_pairs`` gives a band's."""
+    (i < k), as the oracles take them."""
 
     pairs: Mapping[tuple[int, int], float]
+
+    @classmethod
+    def from_band(cls, weights: np.ndarray) -> AssociationScores:
+        """The pairs of one instance's band, as ``band_pairs`` lists them."""
+        pairs, values = band_pairs(weights)
+        return cls(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
 
 
 def partition_cost(
     ind: IndividualScores, assoc: AssociationScores, source_side: Iterable[int]
 ) -> float:
     """Cost of assigning ``source_side`` to class 1 and the rest to class 2."""
-    chosen = set(source_side)
-    cost = 0.0
-    for i in range(len(ind)):
-        cost += ind.class2[i] if i in chosen else ind.class1[i]
+    n = len(ind)
+    side = np.fromiter(source_side, dtype=np.int64)
+    outside = side[(side < 0) | (side >= n)]
+    if outside.size:
+        raise ValueError(f"source side item {outside[0]} lies outside [0, {n})")
+    flags = np.zeros((n, 1), dtype=bool)
+    flags[side] = True
+    return float(_costs(ind, assoc, flags)[0])
+
+
+def _costs(ind: IndividualScores, assoc: AssociationScores, sides: np.ndarray) -> np.ndarray:
+    """The cost of each labeling, a column of the (items, labelings) flags
+    ``sides``, true on its source side: the item terms in index order, then
+    the split pairs' in ``assoc.pairs`` order, one float addition each."""
+    costs = np.zeros(sides.shape[1])
+    for i, on_source in enumerate(sides):
+        costs += np.where(on_source, ind.class2[i], ind.class1[i])
     for (i, k), value in assoc.pairs.items():
-        if (i in chosen) != (k in chosen):
-            cost += value
-    return cost
+        if not (0 <= i < k < len(ind) and math.isfinite(value)):
+            raise ValueError(
+                f"association pair ({i}, {k}) of weight {value} must join items"
+                f" 0 <= i < k < {len(ind)} and be finite"
+            )
+        np.add(costs, value, out=costs, where=sides[i] != sides[k])
+    return costs
 
 
 def _capacities(values: np.ndarray, scale_factor: int, limit: int, what: str) -> np.ndarray:
@@ -281,21 +304,38 @@ def scale_instance(
 
 
 BRUTE_FORCE_LIMIT = 20
+ENUMERATION_CHUNK = 1 << 16
+
+
+def labeling_costs(ind: IndividualScores, assoc: AssociationScores) -> np.ndarray:
+    """The cost of every labeling of an instance of up to ``BRUTE_FORCE_LIMIT``
+    items, at the bit mask of its source side: the float ``partition_cost``
+    gives, priced ``ENUMERATION_CHUNK`` labelings at a time."""
+    n = len(ind)
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force refused: n={n} exceeds {BRUTE_FORCE_LIMIT}")
+    costs, items = np.empty(1 << n), np.arange(n)[:, None]
+    for start in range(0, 1 << n, ENUMERATION_CHUNK):
+        masks = np.arange(start, min(start + ENUMERATION_CHUNK, 1 << n))
+        costs[start:start + len(masks)] = _costs(ind, assoc, masks >> items & 1 == 1)
+    return costs
 
 
 def brute_force_min(ind: IndividualScores, assoc: AssociationScores) -> CutResult:
-    """Exhaustive minimum over all 2^n partitions; the oracle for ``cut_band``.
+    """Exhaustive minimum over all 2^n partitions, priced by ``labeling_costs``;
+    the oracle for ``cut_band``.
 
     Ties break toward the lexicographically smallest sorted index tuple.
     Refuses instances with more than 20 items.
     """
-    n = len(ind)
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force refused: n={n} exceeds {BRUTE_FORCE_LIMIT}")
-    best = CutResult(source_side=(), cost=math.inf)
-    for mask in range(1 << n):
-        side = tuple(i for i in range(n) if mask >> i & 1)
-        cost = partition_cost(ind, assoc, side)
-        if cost < best.cost or (cost == best.cost and side < best.source_side):
-            best = CutResult(source_side=side, cost=cost)
-    return best
+    costs = labeling_costs(ind, assoc)
+    ties, side = np.flatnonzero(costs == costs.min()), 0
+    # every tied mask holds the bits of ``side`` and, past its last, only
+    # later ones: ``side`` itself is the least tuple, else the least next item
+    while ties[0] != side:
+        rest = ties ^ side
+        lowest = rest & -rest
+        ties = ties[lowest == lowest.min()]
+        side |= int(lowest.min())
+    items = tuple(i for i in range(len(ind)) if side >> i & 1)
+    return CutResult(source_side=items, cost=float(costs[side]))

@@ -1,9 +1,10 @@
 """Plain reference rules the tests compare the program against.
 
 None is called by the program: NB trains from counts (``nb_from_counts``),
-selections are flags, and texts are mapped into a presence matrix in groups
-(``features.presence_matrix``). They state the rules row by row, sentence by
-sentence and text by text, as the paper does.
+selections are flags, texts are mapped into a presence matrix in groups
+(``features.presence_matrix``), and the oracle prices all labelings at once
+(``mincut.labeling_costs``). They state the rules row by row, sentence by
+sentence, text by text and labeling by labeling, as the paper does.
 """
 
 from __future__ import annotations
@@ -74,3 +75,20 @@ def select_basic(scores: IndividualScores) -> tuple[int, ...]:
     wins by less than that rounding is kept here and dropped there.
     """
     return tuple(i for i in range(len(scores)) if scores.class1[i] > scores.class2[i])
+
+
+def loop_labeling_costs(ind: IndividualScores, assoc) -> np.ndarray:
+    """Every labeling's cost at the bit mask of its source side, one labeling
+    at a time: each item's score for the class it is not in, in index order, then
+    the weight of each pair the labeling splits, in ``assoc.pairs`` order."""
+    n = len(ind)
+    costs = []
+    for mask in range(1 << n):
+        cost = 0.0
+        for i in range(n):
+            cost += ind.class2[i] if mask >> i & 1 else ind.class1[i]
+        for (i, k), value in assoc.pairs.items():
+            if (mask >> i & 1) != (mask >> k & 1):
+                cost += value
+        costs.append(cost)
+    return np.array(costs, dtype=float)

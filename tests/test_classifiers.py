@@ -402,7 +402,14 @@ class TestSerialization:
           "model lacks log_prior"),
          ({"format": "subjcut-model/1", "kind": "svm", "vocab_digest": "DIGEST",
            "hyperparameters": {"regularization": 1.0}, "parameters": {"weights": [], "bias": 0}},
-          "model lacks seed")],
+          "model lacks seed"),
+         ({"format": "subjcut-model/1", "kind": "nb", "vocab_digest": "DIGEST",
+           "hyperparameters": {"alpha": 1.0}, "parameters": []},
+          "model's parameters is not an object"),
+         ({"format": "subjcut-model/1", "kind": "nb", "vocab_digest": "DIGEST",
+           "hyperparameters": {"alpha": 1.0},
+           "parameters": {"log_prior": [-0.7, -0.7], "log_likelihood": "abc"}},
+          "model's log_likelihood is not a (2, 2) float array")],
     )
     def test_malformed_file_refused(self, tiny_nb, tmp_path, payload, problem):
         # "DIGEST" stands for the vocabulary's digest, so the file gets past
@@ -412,6 +419,59 @@ class TestSerialization:
         path.write_text(json.dumps(payload).replace("DIGEST", vocab.digest()), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
             load_model(path, vocab)
+
+    @pytest.mark.parametrize(
+        "kind, table, key, value, problem",
+        [("nb", None, "parameters", [], "model's parameters is not an object"),
+         ("svm", None, "hyperparameters", 5, "model's hyperparameters is not an object"),
+         ("nb", "parameters", "log_prior", [0.0, 0.0, 0.0], "log_prior is not a (2,) float array"),
+         ("nb", "parameters", "log_prior", ["0", "0"], "log_prior is not a (2,) float array"),
+         ("nb", "parameters", "log_prior", [True, False], "log_prior is not a (2,) float array"),
+         ("nb", "parameters", "log_likelihood", "abc",
+          "log_likelihood is not a (2, V) float array"),
+         ("nb", "parameters", "log_likelihood", [[0.5], [0.5, 0.5]],
+          "log_likelihood is not a (2, V) float array"),
+         ("nb", "parameters", "log_likelihood", [0.5, 0.5],
+          "log_likelihood is not a (2, V) float array"),
+         ("nb", "hyperparameters", "alpha", "1", "model's alpha is not a number"),
+         ("svm", "parameters", "weights", [[0.5]], "model's weights is not a (V,) float array"),
+         ("svm", "parameters", "bias", True, "model's bias is not a number"),
+         ("svm", "hyperparameters", "regularization", None, "regularization is not a number"),
+         ("svm", "hyperparameters", "seed", [1], "model's seed is not a number")],
+    )
+    @pytest.mark.parametrize("with_vocab", [True, False])
+    def test_field_of_the_wrong_type_or_shape_refused(
+        self, tiny_nb, separable_svm, tmp_path, kind, table, key, value, problem, with_vocab
+    ):
+        model, vocab = tiny_nb if kind == "nb" else separable_svm[:2]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        (payload if table is None else payload[table])[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        if with_vocab:  # V is the vocabulary's size
+            problem = problem.replace("V", str(vocab.size))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(problem)):
+            load_model(path, vocab if with_vocab else None)
+
+    def test_arrays_must_be_as_wide_as_the_vocabulary(self, tiny_nb, separable_svm, tmp_path):
+        for model, vocab, key in ((*tiny_nb, "log_likelihood"), (*separable_svm[:2], "weights")):
+            path = tmp_path / f"{key}.json"
+            save_model(replace(model, **{key: getattr(model, key)[..., :-1]}), path)
+            assert load_model(path).vocab_digest == vocab.digest()  # any width without one
+            with pytest.raises(ValueError, match=re.escape(f"{path}: model's {key} is not a (")):
+                load_model(path, vocab)
+
+    def test_loaded_arrays_are_float(self, tiny_nb, tmp_path):
+        model, vocab = tiny_nb
+        path = tmp_path / "nb.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["parameters"]["log_prior"] = [0, -1]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_model(path, vocab)
+        assert loaded.log_prior.dtype == np.float64 and loaded.log_prior.tolist() == [0.0, -1.0]
+        assert loaded.log_likelihood.tobytes() == model.log_likelihood.tobytes()
 
 
 def random_rows(rng, lengths, n_features, normalize):

@@ -159,7 +159,14 @@ class TestTrainAndExtract:
          ('{"format": "subjcut-model/1", "kind": "svm", "vocab_digest": "DIGEST",'
           ' "hyperparameters": {"regularization": 1.0},'
           ' "parameters": {"weights": [], "bias": 0}}',
-          "model lacks seed")],
+          "model lacks seed"),
+         ('{"format": "subjcut-model/1", "kind": "nb", "vocab_digest": "DIGEST",'
+          ' "hyperparameters": {"alpha": 1.0}, "parameters": []}',
+          "model's parameters is not an object"),
+         ('{"format": "subjcut-model/1", "kind": "nb", "vocab_digest": "DIGEST",'
+          ' "hyperparameters": {"alpha": 1.0},'
+          ' "parameters": {"log_prior": [-0.7, -0.7], "log_likelihood": "abc"}}',
+          "model's log_likelihood is not a (2, ")],
     )
     def test_malformed_model_file_is_usage_error(
         self, runner, small_data_root, tmp_path, payload, problem

@@ -42,12 +42,6 @@ def scores_from(probs) -> IndividualScores:
     return IndividualScores(class1=p, class2=1.0 - p)
 
 
-def band_dict(num_sentences, params, paragraph_starts=None) -> dict:
-    """One document's ``association_band`` as a dict from pair to weight."""
-    pairs, values = band_pairs(association_band([num_sentences], [paragraph_starts], params))
-    return dict(zip(map(tuple, pairs.tolist()), values.tolist()))
-
-
 def doc_of(sentences, paragraph_starts=(0,), label="positive", doc_id="d") -> ReviewDocument:
     return ReviewDocument(
         id=doc_id, label=label, sentences=tuple(sentences), paragraph_starts=paragraph_starts
@@ -101,45 +95,49 @@ class TestProximityParams:
     def test_integral_float_threshold_stored_as_int(self):
         params = ProximityParams(threshold=2.0, strength=0.5)
         assert params.threshold == 2 and type(params.threshold) is int
-        assert len(band_dict(4, params)) == 5
+        assert len(AssociationScores.from_band(association_band([4], [None], params)).pairs) == 5
 
 
 class TestAssocScores:
     def test_within_threshold(self):
-        a = band_dict(6, ProximityParams(threshold=3, decay="constant", strength=0.5))
+        params = ProximityParams(threshold=3, decay="constant", strength=0.5)
+        a = AssociationScores.from_band(association_band([6], [None], params)).pairs
         assert a.get((1, 2), 0.0) == pytest.approx(0.5)
         assert a.get((1, 4), 0.0) == pytest.approx(0.5)
         assert a.get((1, 5), 0.0) == 0.0
 
     def test_exponential_decay_value(self):
-        a = band_dict(4, ProximityParams(threshold=3, decay="exponential", strength=1.0))
+        params = ProximityParams(threshold=3, decay="exponential", strength=1.0)
+        a = AssociationScores.from_band(association_band([4], [None], params)).pairs
         assert a.get((0, 2), 0.0) == pytest.approx(math.exp(-1))
         assert a.get((0, 1), 0.0) == pytest.approx(1.0)  # e^(1-1)
 
     def test_inverse_square_decay_value(self):
-        a = band_dict(4, ProximityParams(threshold=3, decay="inverse_square", strength=1.0))
+        params = ProximityParams(threshold=3, decay="inverse_square", strength=1.0)
+        a = AssociationScores.from_band(association_band([4], [None], params)).pairs
         assert a.get((0, 3), 0.0) == pytest.approx(1 / 9)
 
     def test_cross_paragraph_attenuation(self):
         params = ProximityParams(threshold=2, decay="constant", strength=1.0,
                                  cross_paragraph_weight=0.3)
-        a = band_dict(4, params, paragraph_starts=(0, 2))
+        a = AssociationScores.from_band(association_band([4], [(0, 2)], params)).pairs
         assert a.get((0, 1), 0.0) == pytest.approx(1.0)  # same paragraph
         assert a.get((1, 2), 0.0) == pytest.approx(0.3)  # crosses the break
         assert a.get((2, 3), 0.0) == pytest.approx(1.0)
 
     def test_weight_one_ignores_paragraphs(self):
         params = ProximityParams(threshold=2, decay="constant", strength=0.7)
-        with_breaks = band_dict(5, params, paragraph_starts=(0, 2))
-        without = band_dict(5, params)
+        with_breaks = AssociationScores.from_band(association_band([5], [(0, 2)], params)).pairs
+        without = AssociationScores.from_band(association_band([5], [None], params)).pairs
         assert with_breaks == without
 
     def test_zero_strength_empty(self):
-        assert len(band_dict(8, ProximityParams(threshold=3, strength=0.0))) == 0
+        params = ProximityParams(threshold=3, strength=0.0)
+        assert len(AssociationScores.from_band(association_band([8], [None], params)).pairs) == 0
 
     def test_nonnegative_and_bounded_distance(self):
         params = ProximityParams(threshold=2, decay="inverse_square", strength=0.9)
-        a = band_dict(10, params)
+        a = AssociationScores.from_band(association_band([10], [None], params)).pairs
         for (i, k), value in a.items():
             assert k - i <= 2
             assert value >= 0
@@ -329,7 +327,8 @@ class TestSelection:
                 [selected] = per_document(select_graph([scores], params), [n])
                 selected = set(selected)
                 # verify optimality against the oracle while we are here
-                scaled = scale_instance(scores, AssociationScores(pairs=band_dict(n, params)))
+                band = association_band([n], [None], params)
+                scaled = scale_instance(scores, AssociationScores.from_band(band))
                 assert partition_cost(*scaled, selected) == brute_force_min(*scaled).cost
                 split = sum(
                     1

@@ -1,3 +1,4 @@
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,10 +17,13 @@ from subjcut.mincut import (
     band_pairs,
     brute_force_min,
     cut_band,
+    labeling_costs,
     pair_capacities,
     partition_cost,
     scale_instance,
 )
+
+from references import loop_labeling_costs
 
 # the three-item worked example: strong pull between items 0 and 1
 EXAMPLE_IND = IndividualScores(
@@ -78,12 +82,6 @@ def cut_both_ways(scores, band, scale_factor=DEFAULT_SCALE) -> np.ndarray:
     got = cut_band(scores, band, scale_factor)
     assert got.tolist() == cut_band(scores, widened(band), scale_factor).tolist()
     return got
-
-
-def band_assoc(band) -> AssociationScores:
-    """One instance's band as ``AssociationScores``."""
-    pairs, values = band_pairs(band)
-    return AssociationScores(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
 
 
 def side_of(flags) -> tuple[int, ...]:
@@ -359,14 +357,6 @@ class TestBatch:
         assert cut_band([], np.zeros((BANDED_REACH_LIMIT + 1, 0))).tolist() == []
 
 
-def labeling_costs(ind, assoc) -> np.ndarray:
-    """The cost of every labeling of a small instance, at the bit mask of its source side."""
-    n = len(ind)
-    return np.array([
-        partition_cost(ind, assoc, [i for i in range(n) if mask >> i & 1]) for mask in range(1 << n)
-    ])
-
-
 def intersection_of_minimum_labelings(costs, n) -> tuple[int, ...]:
     """The items on the source side of every minimum labeling of ``costs``
     (``labeling_costs``' layout) of n items."""
@@ -443,6 +433,111 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_min(ind, AssociationScores(pairs={}))
 
+    @pytest.mark.parametrize("forced", [(), (3,), (3, 7), (0, 11)])
+    def test_lexicographic_tie_break_at_twelve_items(self, forced):
+        # the forced items cost 0 on the source side and 1 off it, every
+        # other item 0.5 either way: the 2^(12 - len(forced)) labelings that
+        # hold the forced items tie. A tuple is less than its extensions and
+        # (0, 1) < (0, 3), so the least runs from 0 to the last forced item
+        class1, class2 = np.full(12, 0.5), np.full(12, 0.5)
+        class1[list(forced)], class2[list(forced)] = 1.0, 0.0
+        ind = IndividualScores(class1=class1, class2=class2)
+        result = brute_force_min(ind, AssociationScores(pairs={}))
+        least = tuple(range(max(forced, default=-1) + 1))
+        assert result == CutResult(source_side=least, cost=0.5 * (12 - len(forced)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_instances(n_max=12))
+    def test_tie_break_is_the_least_sorted_tuple(self, instance):
+        costs = labeling_costs(*instance)
+        tied = np.flatnonzero(costs == costs.min())
+        n = len(instance[0])
+        want = min(tuple(i for i in range(n) if mask >> i & 1) for mask in tied.tolist())
+        assert brute_force_min(*instance) == CutResult(source_side=want, cost=costs.min())
+
+
+@st.composite
+def spread_instances(draw, n_max=8):
+    """Instances whose scores and weights span twelve orders of magnitude, so
+    that adding the same terms in another order changes the sums' last bits;
+    a third of the pairs weigh 0, and the pairs come in shuffled order."""
+    n = draw(st.integers(0, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    class1, class2 = rng.uniform(0, 1, (2, n)) * 10.0 ** rng.uniform(-6, 6, (2, n))
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n) if rng.random() < 0.6]
+    rng.shuffle(pairs)
+    weights = rng.uniform(0, 1, len(pairs)) * 10.0 ** rng.uniform(-6, 6, len(pairs))
+    weights[rng.random(len(pairs)) < 1 / 3] = 0.0
+    return IndividualScores(class1=class1, class2=class2), AssociationScores(
+        pairs={tuple(pair): float(w) for pair, w in zip(pairs, weights)}
+    )
+
+
+class TestLabelingCosts:
+    """``labeling_costs`` gives, bit for bit, the costs a plain loop over each
+    labeling adds up, and ``partition_cost`` prices one labeling alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(spread_instances(), tied_instances()), st.booleans(), st.data())
+    def test_equals_the_plain_loop_bit_for_bit(self, instance, scaled, data):
+        if scaled:
+            instance = scale_instance(*instance)
+        costs = labeling_costs(*instance)
+        assert costs.dtype == np.float64
+        assert costs.tobytes() == loop_labeling_costs(*instance).tobytes()
+        n = len(instance[0])
+        for mask in data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8)):
+            side = [i for i in range(n) if mask >> i & 1]
+            assert np.float64(partition_cost(*instance, side)).tobytes() == costs[mask].tobytes()
+
+    def test_worked_example_table(self):
+        costs = labeling_costs(EXAMPLE_IND, EXAMPLE_ASSOC)
+        for side, expected in EXAMPLE_TABLE.items():
+            assert costs[sum(1 << i for i in side)] == pytest.approx(expected, abs=1e-12)
+
+    def test_chunks_cover_every_labeling(self, monkeypatch):
+        # 2^7 labelings in chunks of 2^3 give the bytes of one chunk
+        rng = np.random.default_rng(5)
+        ind = IndividualScores(class1=rng.uniform(0, 1, 7), class2=rng.uniform(0, 1, 7))
+        assoc = AssociationScores(pairs={(i, i + 2): float(rng.uniform(0, 1)) for i in range(5)})
+        whole = labeling_costs(ind, assoc)
+        monkeypatch.setattr(mincut, "ENUMERATION_CHUNK", 8)
+        assert labeling_costs(ind, assoc).tobytes() == whole.tobytes()
+
+    def test_refuses_large_instances(self):
+        ind = IndividualScores(class1=np.ones(21), class2=np.zeros(21))
+        with pytest.raises(ValueError, match="n=21 exceeds 20"):
+            labeling_costs(ind, AssociationScores(pairs={}))
+
+
+class TestOracleRefusals:
+    """The oracles refuse what they cannot price, naming the offender."""
+
+    @pytest.mark.parametrize("pair", [(2, 3), (0, 5), (-1, 1), (1, 1), (2, 1)])
+    def test_pair_outside_the_instance_refused(self, pair):
+        assoc = AssociationScores(pairs={(0, 1): 0.5, pair: 0.25})
+        for price in (labeling_costs, brute_force_min, lambda *a: partition_cost(*a, (0,))):
+            refusal = re.escape(f"association pair {pair} of weight 0.25")
+            with pytest.raises(ValueError, match=refusal):
+                price(EXAMPLE_IND, assoc)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_refused(self, weight):
+        assoc = AssociationScores(pairs={(0, 2): weight})
+        for price in (labeling_costs, lambda *a: partition_cost(*a, ())):
+            with pytest.raises(ValueError, match=re.escape(f"(0, 2) of weight {weight} must")):
+                price(EXAMPLE_IND, assoc)
+
+    @pytest.mark.parametrize("item", [3, 7, -1])
+    def test_side_item_outside_the_instance_refused(self, item):
+        with pytest.raises(ValueError, match=re.escape(f"source side item {item} lies outside")):
+            partition_cost(EXAMPLE_IND, EXAMPLE_ASSOC, (0, item))
+
+    def test_negative_finite_weight_is_priced(self):
+        assoc = AssociationScores(pairs={(0, 1): -0.5})
+        assert partition_cost(EXAMPLE_IND, assoc, (0,)) == pytest.approx(0.8 - 0.5, abs=1e-12)
+        assert labeling_costs(EXAMPLE_IND, assoc)[0b001] == partition_cost(EXAMPLE_IND, assoc, (0,))
+
 
 def banded_min(ind, assoc, reach, held=None):
     """Exact minimum labeling cost when every pair joins items at most ``reach`` apart.
@@ -517,7 +612,7 @@ class TestBandedOracle:
     @given(proximity_instances(1, 12))
     def test_oracle_agrees_with_brute_force(self, instance):
         ind, band, reach = instance
-        scaled = scale_instance(ind, band_assoc(band))
+        scaled = scale_instance(ind, AssociationScores.from_band(band))
         assert banded_min(*scaled, reach) == brute_force_min(*scaled).cost
 
     @settings(max_examples=60, deadline=None)
@@ -525,7 +620,7 @@ class TestBandedOracle:
     def test_min_cut_is_optimal_at_review_lengths(self, instance):
         ind, band, reach = instance
         side = side_of(cut_both_ways([ind], band))
-        scaled = scale_instance(ind, band_assoc(band))
+        scaled = scale_instance(ind, AssociationScores.from_band(band))
         best = banded_min(*scaled, reach)
         assert partition_cost(*scaled, side) == best
         # canonical: each item of the side lies on the source side of every
@@ -536,7 +631,7 @@ class TestBandedOracle:
     @given(proximity_instances(1, 10))
     def test_held_items_agree_with_brute_force(self, instance):
         ind, band, reach = instance
-        scaled = scale_instance(ind, band_assoc(band))
+        scaled = scale_instance(ind, AssociationScores.from_band(band))
         costs = labeling_costs(*scaled)
         masks = np.arange(len(costs))
         want = [costs[(masks >> i & 1) == 0].min() for i in range(len(ind))]
@@ -571,7 +666,7 @@ class TestPairFreeNetworks:
         ind, band, reach = instance
         with no_max_flow():
             side = side_of(cut_both_ways([ind], band))
-        scaled = scale_instance(ind, band_assoc(band))
+        scaled = scale_instance(ind, AssociationScores.from_band(band))
         best = banded_min(*scaled, reach)
         assert partition_cost(*scaled, side) == best
         assert (banded_min(*scaled, reach, held=list(side)) > best).all()
@@ -632,18 +727,6 @@ def banded_batches(draw, n_min=30, n_max=45, docs=st.integers(1, 4), strengths=A
     return scores, association_band(counts, starts, params)
 
 
-def enumerated_costs(ind, band) -> np.ndarray:
-    """Every labeling's integer cost at the default scale, at the bit mask of
-    its source side: the exhaustive oracle in numpy, for up to 20 items."""
-    n = len(ind)
-    side = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
-    class1, class2 = (np.rint(c * DEFAULT_SCALE).astype(np.int64) for c in (ind.class1, ind.class2))
-    costs = np.where(side, class2, class1).sum(axis=1)
-    for (i, k), value in band_assoc(band).pairs.items():
-        costs += int(np.rint(value * DEFAULT_SCALE)) * (side[:, i] != side[:, k])
-    return costs
-
-
 class TestBandedFlags:
     """``cut_band`` on narrow bands, against its max-flow route and the exhaustive oracles."""
 
@@ -664,25 +747,25 @@ class TestBandedFlags:
     @given(banded_batches(1, 12, docs=st.just(1)))
     def test_agrees_with_brute_force(self, batch):
         [ind], band = batch
-        scaled = scale_instance(ind, band_assoc(band))
+        scaled = scale_instance(ind, AssociationScores.from_band(band))
         side = side_of(cut_both_ways([ind], band))
         assert partition_cost(*scaled, side) == brute_force_min(*scaled).cost
         assert side == intersection_of_minimum_labelings(labeling_costs(*scaled), len(ind))
 
     @pytest.mark.parametrize("threshold", [1, 3, BANDED_REACH_LIMIT, BANDED_REACH_LIMIT + 1, 19])
     def test_canonical_at_twenty_items(self, threshold):
-        # brute_force_min prices each of the 2^20 labelings in Python; the
-        # numpy enumeration reaches its 20-item limit in about a second.
-        # Beyond BANDED_REACH_LIMIT the band itself takes the max-flow route
+        # all 2^20 labelings, at brute force's limit; beyond
+        # BANDED_REACH_LIMIT the band itself takes the max-flow route
         rng = np.random.default_rng(threshold)
         class1 = np.round(rng.uniform(0, 1, 20) * 4) / 4
         ind = IndividualScores(class1=class1, class2=tie_after_rounding(rng, class1))
         params = ProximityParams(threshold=threshold, decay="inverse_square", strength=0.1)
         band = association_band([20], [[0, 7, 13]], params)
-        costs = enumerated_costs(ind, band)
+        scaled = scale_instance(ind, AssociationScores.from_band(band))
+        costs = labeling_costs(*scaled)
         side = side_of(cut_both_ways([ind], band))
         assert side == intersection_of_minimum_labelings(costs, 20)
-        assert partition_cost(*scale_instance(ind, band_assoc(band)), side) == costs.min()
+        assert partition_cost(*scaled, side) == costs.min()
 
     @settings(max_examples=40, deadline=None)
     @given(banded_batches(0, 45, docs=st.integers(2, 6)))
