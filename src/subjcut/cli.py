@@ -359,7 +359,8 @@ def _both_routes(ind: IndividualScores, band: np.ndarray) -> list[tuple[int, ...
     """The source sides of ``ind`` cut as ``band`` and as ``band`` widened with
     zero rows past ``BANDED_REACH_LIMIT``, which only max-flow cuts."""
     wide = np.vstack([band, np.zeros((mincut.BANDED_REACH_LIMIT + 1, len(ind)))])
-    return [tuple(np.flatnonzero(mincut.cut_band([ind], w)).tolist()) for w in (band, wide)]
+    sides = (mincut.cut_band(ind, [len(ind)], w) for w in (band, wide))
+    return [tuple(np.flatnonzero(side).tolist()) for side in sides]
 
 
 WORKED_EXAMPLE_IND = IndividualScores(

@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise ValueError(f"extractor {self.extractor} requires n_sentences >= 1")
         if self.extractor == "graph" and self.proximity is None:
             raise ValueError("graph extractor requires proximity parameters")
+        if not isinstance(self.proximity, (ProximityParams, type(None))):
+            raise ValueError(f"proximity must be ProximityParams, got {self.proximity!r}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.min_doc_freq < 1:
@@ -335,25 +337,39 @@ def score_documents(
     documents: Sequence[ReviewDocument],
     matrix: PresenceMatrix | None = None,
 ) -> list[IndividualScores]:
-    """Per-sentence scores for every document, computed once and reused.
+    """Per-sentence scores for every document, computed once and reused:
+    ``_sentence_scores``, split into one entry per document."""
+    first = _first_rows(documents)
+    return _sentence_scores(model, vocab, documents, matrix).split(first[1:-1]) if documents else []
 
-    The sentences are the rows of ``matrix``, the documents'
-    ``sentence_matrix`` (built here when not given), scored in the
+
+def _sentence_scores(
+    model: NaiveBayesModel | LinearMarginModel, vocab: Vocabulary,
+    documents: Sequence[ReviewDocument], matrix: PresenceMatrix | None,
+) -> IndividualScores:
+    """The scores of the rows of ``matrix``, the documents' ``sentence_matrix``
+    (built here when not given), as one array. They are scored in the
     ``document_batches`` of about ``features.CUT_BATCH_SENTENCES`` sentences
-    each. The batches share the matrix's type table, which is mapped into the
-    vocabulary once.
+    each, which share one map of the matrix's type table into the vocabulary.
     """
     if matrix is None:
         matrix = sentence_matrix(documents)
     column_of = vocab.column_map(matrix.types)
-    counts = [len(doc.sentences) for doc in documents]
-    first = np.cumsum([0] + counts).tolist()
-    out: list[IndividualScores] = []
-    for batch in document_batches(counts):
-        rows = matrix.row_slice(first[batch.start], first[batch.stop])
-        scores = individual_scores(model, vocab, rows, column_of)
-        out += scores.split(np.cumsum([counts[i] for i in batch])[:-1])
-    return out
+    first = _first_rows(documents)
+    return _joined([
+        individual_scores(model, vocab, matrix.row_slice(first[b.start], first[b.stop]), column_of)
+        for b in document_batches(np.diff(first))
+    ])
+
+
+def _joined(parts: Sequence[IndividualScores]) -> IndividualScores:
+    """``parts``, one after another, as one array. Each part was checked when
+    it was made, so, as with ``IndividualScores.split``, the whole is not."""
+    whole = object.__new__(IndividualScores)
+    for name in ("class1", "class2"):
+        values = np.concatenate([np.zeros(0)] + [getattr(part, name) for part in parts])
+        object.__setattr__(whole, name, values)
+    return whole
 
 
 def detector_cv_accuracies(
@@ -469,11 +485,13 @@ def make_extracts(
 ) -> list[Extract]:
     """Produce the per-document extracts an experiment will classify.
 
+    ``scores``, when given, holds one entry per document (``_given_scores``).
     ``matrix``, the documents' ``sentence_matrix``, is built when the
     detector needs it and it is not given. This is the one place extracts
     are built: experiments, grids and sweeps classify the selection's
     sentence rows without them.
     """
+    scores = _given_scores(documents, scores)
     flags = _selections(config, documents, detector, scores, matrix).tolist()
     first = _first_rows(documents)
     return [Extract.from_flags(doc, flags[a:b]) for doc, a, b in zip(documents, first, first[1:])]
@@ -484,35 +502,41 @@ def _first_rows(documents: Sequence[ReviewDocument]) -> list[int]:
     return np.cumsum([0] + [len(doc.sentences) for doc in documents]).tolist()
 
 
+def _given_scores(
+    documents: Sequence[ReviewDocument], scores: Sequence[IndividualScores] | None
+) -> IndividualScores | None:
+    """The per-document ``scores`` given to a public entry point, as one array;
+    refused with a ``ValueError`` unless each document has one per sentence."""
+    if scores is None:
+        return None
+    for d, doc in enumerate(documents):
+        n, given = len(doc.sentences), len(scores[d]) if d < len(scores) else 0
+        if given != n:
+            raise ValueError(f"document {doc.id}: {given} scores for {n} sentences")
+    if len(scores) != len(documents):
+        raise ValueError(f"{len(scores)} score lists for {len(documents)} documents")
+    return _joined(scores)
+
+
 def _selections(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
     detector: Detector | None,
-    scores: Sequence[IndividualScores] | None,
+    scores: IndividualScores | None,
     matrix: PresenceMatrix | None,
 ) -> np.ndarray:
     """One flag per sentence of ``documents``, in ``sentence_matrix`` row
     order: whether ``config``'s extract keeps it.
 
-    Given ``scores`` must hold one entry per document, with one score per
-    sentence; anything else is refused with a ``ValueError`` before any
-    selection. The count-limited extractors rank a document's sentences by
-    position, or by class-1 score with ties to the earlier sentence.
+    ``scores``, when given, holds one score per sentence, in the same order.
+    The count-limited extractors rank a document's sentences by position, or
+    by class-1 score with ties to the earlier sentence.
     """
-    if scores is not None:
-        for d, doc in enumerate(documents):
-            given = len(scores[d]) if d < len(scores) else 0
-            if given != len(doc.sentences):
-                raise ValueError(
-                    f"document {doc.id}: {given} scores for {len(doc.sentences)} sentences"
-                )
-        if len(scores) != len(documents):
-            raise ValueError(f"{len(scores)} score lists for {len(documents)} documents")
     if config.extractor in DETECTOR_EXTRACTORS:
         if detector is None:
             raise ValueError(f"extractor {config.extractor!r} requires a trained detector")
         if scores is None and config.extractor != "paragraph":
-            scores = score_documents(detector.model, detector.vocab, documents, matrix)
+            scores = _sentence_scores(detector.model, detector.vocab, documents, matrix)
     first = _first_rows(documents)
     counts = np.diff(first)
     document = np.repeat(np.arange(len(documents)), counts)
@@ -526,20 +550,18 @@ def _selections(
         keep = position >= counts[document] - n
     elif config.extractor == "graph":
         starts = [doc.paragraph_starts for doc in documents]
-        keep = select_graph(scores, config.proximity, starts)
+        keep = select_graph(scores, counts, config.proximity, starts)
     elif config.extractor == "paragraph":
         keep = detect_paragraph_unit(detector.model, detector.vocab, documents, matrix)
+    elif config.extractor == "basic":
+        keep = scores.class1 > scores.class2
     else:
-        class1 = np.concatenate([np.zeros(0)] + [s.class1 for s in scores])
-        if config.extractor == "basic":
-            keep = class1 > np.concatenate([np.zeros(0)] + [s.class2 for s in scores])
-        else:
-            # the order groups the documents as the rows do, so the sentence
-            # at each place of it has the rank of that place's position
-            order = np.lexsort((position, -class1 if config.extractor == "top_n" else class1,
-                                document))
-            keep = np.empty(first[-1], dtype=bool)
-            keep[order] = position < n
+        # the order groups the documents as the rows do, so the sentence
+        # at each place of it has the rank of that place's position
+        rank = -scores.class1 if config.extractor == "top_n" else scores.class1
+        order = np.lexsort((position, rank, document))
+        keep = np.empty(first[-1], dtype=bool)
+        keep[order] = position < n
     return ~keep if config.flipped else keep
 
 
@@ -641,12 +663,13 @@ def run_experiment(
     join of its kept sentences' rows. For each fold, the vocabulary and the
     polarity classifier are built from the training folds' extracts only;
     the held-out fold supplies the test extracts. ``scores`` may carry
-    precomputed per-sentence detector scores aligned with ``documents``
-    (grid search reuses them across cells). SVM folds train on
-    ``max_workers`` forked processes, by default the core count capped at
-    the number of folds; fewer than one is refused with a ``ValueError``.
+    precomputed per-sentence detector scores, one entry per document
+    (``_given_scores``). SVM folds train on ``max_workers`` forked processes,
+    by default the core count capped at the number of folds; fewer than one
+    is refused with a ``ValueError``.
     """
     workers = _worker_count(max_workers, config.folds)
+    scores = _given_scores(documents, scores)
     if matrix is None:
         matrix = sentence_matrix(documents)
     keep = _selections(config, documents, detector, scores, matrix)
@@ -669,13 +692,13 @@ def _cell_reports(
     """The ``_cell_report`` of each of ``configs``, in their order: the one
     runner of grid and sweep cells.
 
-    The sentence matrix and per-sentence detector scores are computed once
-    and shared by every cell. With ``max_workers`` above 1 the cells run on
-    that many forked processes; each process keeps its own ``done`` dict, so
-    it reuses the fold results of the cells it ran.
+    The sentence matrix and the one array of its rows' detector scores are
+    computed once and shared by every cell. With ``max_workers`` above 1 the
+    cells run on that many forked processes; each process keeps its own
+    ``done`` dict, so it reuses the fold results of the cells it ran.
     """
     matrix = sentence_matrix(documents)
-    scores = score_documents(detector.model, detector.vocab, documents, matrix)
+    scores = _sentence_scores(detector.model, detector.vocab, documents, matrix)
     cell = partial(
         _cell_report, documents=list(documents), detector=detector, scores=scores,
         matrix=matrix, done={},
@@ -688,7 +711,7 @@ def _cell_report(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
     detector: Detector | None,
-    scores: Sequence[IndividualScores] | None,
+    scores: IndividualScores | None,
     matrix: PresenceMatrix,
     done: dict,
 ) -> ExperimentReport:

@@ -198,27 +198,32 @@ def sentence_matrix(documents: Sequence[ReviewDocument]) -> PresenceMatrix:
 
 
 def select_graph(
-    scores: Sequence[IndividualScores],
+    scores: IndividualScores,
+    counts: Sequence[int],
     params: ProximityParams,
     paragraph_starts: Sequence[Sequence[int] | None] | None = None,
 ) -> np.ndarray:
-    """One flag per sentence of the documents of ``scores``, in order: whether
-    the minimum cut of its document's score graph keeps it (the source side).
-    ``paragraph_starts`` is aligned with ``scores``.
+    """One flag per item of ``scores``, the sentences of documents of
+    ``counts[d]`` sentences each, in order: whether the minimum cut of its
+    document's score graph keeps it (the source side). ``paragraph_starts``
+    is aligned with ``counts``.
 
     Each ``document_batches`` batch is cut from its ``association_band`` by
     ``cut_band``, which gives the canonical cut."""
     if paragraph_starts is None:
-        paragraph_starts = [None] * len(scores)
-    if len(paragraph_starts) != len(scores):
-        raise ValueError("scores and paragraph_starts differ in length")
-    counts = [len(s) for s in scores]
-    flags = [np.zeros(0, dtype=bool)]
+        paragraph_starts = [None] * len(counts)
+    if len(paragraph_starts) != len(counts):
+        raise ValueError("counts and paragraph_starts differ in length")
+    first = np.cumsum([0, *counts]).tolist()
+    if first[-1] != len(scores):
+        raise ValueError(f"{len(scores)} scores for {first[-1]} sentences")
+    keep = np.zeros(first[-1], dtype=bool)
     for batch in document_batches(counts):
-        part = slice(batch.start, batch.stop)
+        part, rows = slice(batch.start, batch.stop), slice(first[batch.start], first[batch.stop])
         weights = association_band(counts[part], paragraph_starts[part], params)
-        flags.append(cut_band(scores[part], weights))
-    return np.concatenate(flags)
+        batch_scores = IndividualScores(scores.class1[rows], scores.class2[rows])
+        keep[rows] = cut_band(batch_scores, counts[part], weights)
+    return keep
 
 
 def detect_paragraph_unit(

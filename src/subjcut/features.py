@@ -71,9 +71,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """The vocabulary ``save`` wrote: one ``token<TAB>index`` line per
+        token. A bad line is refused with the path and its line number."""
         mapping: dict[str, int] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            token, _, index = line.rpartition("\t")
+        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+            token, tab, index = line.rpartition("\t")
+            for bad, problem in ((not tab, "no tab"), (not token, "an empty token"),
+                                 (token in mapping, f"token {token!r} repeated"),
+                                 (not (index.isascii() and index.isdigit()),
+                                  f"index {index!r} is not an integer >= 0")):
+                if bad:
+                    raise ValueError(f"{path}: line {number}: {problem}")
             mapping[token] = int(index)
         got = sorted(mapping.values())
         if got != list(range(len(mapping))):

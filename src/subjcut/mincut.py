@@ -11,12 +11,13 @@ are solved at once: their graphs share only the source and the sink, so each
 instance's cut is unaffected by the others. Every cut computed here is the
 canonical one: the intersection of all minimum labelings' source sides.
 
-``cut_band`` is the one cut. It takes the instances' pairs as a band,
-weights by item and distance, as the program's proximity edges come; any
-instance of n items is a band of reach n - 1. A narrow band is cut by each
-item's min-marginal from a forward and a backward min-sum pass, a wider one
-by one max-flow computation. The oracles check both: ``brute_force_min``
-takes the minimum of ``labeling_costs``, every labeling's cost at once.
+``cut_band`` is the one cut. It takes the instances' scores as one array
+with each instance's item count, and their pairs as a band, weights by item
+and distance, as the program's proximity edges come; any instance of n items
+is a band of reach n - 1. A narrow band is cut by each item's min-marginal
+from a forward and a backward min-sum pass, a wider one by one max-flow
+computation. The oracles check both: ``brute_force_min`` takes the minimum
+of ``labeling_costs``, every labeling's cost at once.
 """
 
 from __future__ import annotations
@@ -119,18 +120,20 @@ def band_pairs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cut_band(
-    scores: Sequence[IndividualScores], weights: np.ndarray, scale_factor: int = DEFAULT_SCALE
+    scores: IndividualScores, counts: Sequence[int], weights: np.ndarray,
+    scale_factor: int = DEFAULT_SCALE,
 ) -> np.ndarray:
     """The canonical minimum cut of every instance: one flag per item, true
     for the source side (class 1).
 
     The items of ``scores`` are numbered in one sequence, instance after
-    instance, and ``weights`` is their (reach, items) band: ``weights[d - 1, i]``
-    weighs the pair (i, i + d), finite and >= 0, and 0 where i + d lies
-    beyond i's instance. Any instance of n items is a band of reach n - 1.
-    Real-valued scores and weights are rounded to integers at
-    ``scale_factor`` so the cut is exact; a capacity beyond the solver's
-    int32 bound is refused.
+    instance, ``counts[k]`` of them for instance k; counts that are not
+    integers >= 0 or do not sum to the items are refused. ``weights`` is
+    their (reach, items) band: ``weights[d - 1, i]`` weighs the pair
+    (i, i + d), finite and >= 0, and 0 where i + d lies beyond i's
+    instance. Any instance of n items is a band of reach n - 1. Real-valued
+    scores and weights are rounded to integers at ``scale_factor`` so the
+    cut is exact; a capacity beyond the solver's int32 bound is refused.
 
     A band without a pair arc, such as a strength-0 one, needs no graph: the
     source side is the items whose rounded class-1 score is the larger. Else
@@ -140,8 +143,13 @@ def cut_band(
     """
     if scale_factor < 1:
         raise ValueError("scale_factor must be >= 1")
-    counts = np.array([len(ind) for ind in scores], dtype=np.int64)
-    n, longest, docs = int(counts.sum()), int(counts.max(initial=0)), len(counts)
+    counts = np.asarray(counts)
+    if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
+        raise ValueError(f"instance counts must be integers >= 0, got {counts.tolist()}")
+    counts = counts.astype(np.int64)
+    n, longest, docs = len(scores), int(counts.max(initial=0)), len(counts)
+    if counts.sum() != n:
+        raise ValueError(f"instance counts sum to {counts.sum()}, not to the {n} items")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[1] != n:
         raise ValueError(f"{n} items but a band of shape {weights.shape}")
@@ -163,12 +171,9 @@ def cut_band(
     banded = reach <= BANDED_REACH_LIMIT
     if banded and longest * (reach + 1) * CAPACITY_BOUND >= 2**63:
         raise ValueError(f"an instance of {longest} items at reach {reach} could overflow int64")
-    margin = _capacities(
-        np.concatenate([np.zeros(0)] + [ind.class1 for ind in scores]),
-        scale_factor, CAPACITY_BOUND, "class-1 score",
-    ) - _capacities(
-        np.concatenate([np.zeros(0)] + [ind.class2 for ind in scores]),
-        scale_factor, CAPACITY_BOUND, "class-2 score",
+    margin = (
+        _capacities(scores.class1, scale_factor, CAPACITY_BOUND, "class-1 score")
+        - _capacities(scores.class2, scale_factor, CAPACITY_BOUND, "class-2 score")
     )
     caps = pair_capacities(weights, scale_factor)
     if not caps.any():

@@ -5,6 +5,8 @@ selections are flags, texts are mapped into a presence matrix in groups
 (``features.presence_matrix``), and the oracle prices all labelings at once
 (``mincut.labeling_costs``). They state the rules row by row, sentence by
 sentence, text by text and labeling by labeling, as the paper does.
+``joined`` turns per-instance scores into the one array and counts that
+``cut_band`` and ``select_graph`` take.
 """
 
 from __future__ import annotations
@@ -92,3 +94,12 @@ def loop_labeling_costs(ind: IndividualScores, assoc) -> np.ndarray:
                 cost += value
         costs.append(cost)
     return np.array(costs, dtype=float)
+
+
+def joined(scores: Sequence[IndividualScores]) -> tuple[IndividualScores, list[int]]:
+    """Per-instance scores as one array over all their items, and each
+    instance's item count."""
+    return IndividualScores(
+        class1=np.concatenate([np.zeros(0)] + [s.class1 for s in scores]),
+        class2=np.concatenate([np.zeros(0)] + [s.class2 for s in scores]),
+    ), [len(s) for s in scores]

@@ -76,7 +76,7 @@ WORKED_TABLE = {
 
 def test_criterion_01_worked_example_oracle():
     start = time.perf_counter()
-    side = tuple(np.flatnonzero(cut_band([WORKED_IND], WORKED_BAND)).tolist())
+    side = tuple(np.flatnonzero(cut_band(WORKED_IND, [len(WORKED_IND)], WORKED_BAND)).tolist())
     assert side == (0, 1)
     assert partition_cost(WORKED_IND, WORKED_ASSOC, side) == pytest.approx(1.1, abs=1e-12)
     for side, expected in WORKED_TABLE.items():
@@ -99,7 +99,7 @@ def test_criterion_02_mincut_exactness_200_random_instances():
                 if rng.random() < 0.4:
                     pairs[(i, k)] = band[k - i - 1, i] = float(rng.uniform(0, 1))
         scaled = scale_instance(ind, AssociationScores(pairs=pairs))
-        side = np.flatnonzero(cut_band([ind], band)).tolist()
+        side = np.flatnonzero(cut_band(ind, [len(ind)], band)).tolist()
         assert partition_cost(*scaled, side) == brute_force_min(*scaled).cost, (ind, pairs)
     assert time.perf_counter() - start < 30.0
 
@@ -114,14 +114,14 @@ def test_criterion_03_zero_association_reduction(synthetic_documents, detector_m
         # pad with random score vectors to cover odd distributions too
         for doc in docs:
             scores = score_documents(model, vocab, [doc])[0]
-            got = select_graph([scores], params, [doc.paragraph_starts])
+            got = select_graph(scores, [len(scores)], params, [doc.paragraph_starts])
             assert per_document(got, [len(doc.sentences)]) == [select_basic(scores)]
             checked += 1
     while checked < 120:
         n = int(rng.integers(1, 40))
         p = rng.uniform(0, 1, n)
         scores = IndividualScores(class1=p, class2=1.0 - p)
-        assert per_document(select_graph([scores], params), [n]) == [select_basic(scores)]
+        assert per_document(select_graph(scores, [n], params), [n]) == [select_basic(scores)]
         checked += 1
     assert checked >= 100
 
@@ -176,9 +176,9 @@ def test_criterion_10a_single_document_cut_under_10ms():
     p = rng.uniform(0, 1, n)
     scores = IndividualScores(class1=p, class2=1.0 - p)
     params = ProximityParams(threshold=3, decay="exponential", strength=0.5)
-    select_graph([scores], params)  # warm up
+    select_graph(scores, [len(scores)], params)  # warm up
     best = min(
-        _timed(lambda: select_graph([scores], params)) for _ in range(5)
+        _timed(lambda: select_graph(scores, [len(scores)], params)) for _ in range(5)
     )
     assert best < 0.010, f"cut of a 200-sentence document took {best * 1e3:.2f} ms"
 

@@ -149,6 +149,26 @@ class TestTrainAndExtract:
         assert "different vocabulary" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    def test_malformed_vocabulary_is_usage_error(self, runner, small_data_root, tmp_path):
+        out = tmp_path / "out"
+        runner.invoke(
+            main,
+            ["train-detector", "--data-root", str(small_data_root),
+             "--output-dir", str(out), "--base", "nb"],
+        )
+        vocab_file = out / "detector_vocab.tsv"
+        with vocab_file.open("a", encoding="utf-8") as f:
+            f.write("zzzunseen\tx\n")
+        size = len(vocab_file.read_text(encoding="utf-8").splitlines())
+        result = runner.invoke(
+            main,
+            ["extract", "--data-root", str(small_data_root), "--model-dir", str(out),
+             "--output-dir", str(out), "--base", "nb"],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"line {size}: index 'x' is not an integer >= 0" in result.output
+        assert "detector_vocab.tsv" in result.output
+
     @pytest.mark.parametrize(
         "payload, problem",
         [('{"format": "subjcut-model/1"}', "model lacks kind, vocab_digest"),
@@ -278,6 +298,9 @@ class TestRun:
             ({"extractor": "first_n", "n_sentences": 2.5}, "n_sentences must be an integer"),
             ({"flipped": "no"}, "flipped must be true or false, got 'no'"),
             ({"min_doc_freq": 1.5}, "min_doc_freq must be an integer, got 1.5"),
+            ({"extractor": "graph", "proximity": {}}, "proximity must be ProximityParams, got {}"),
+            ({"extractor": "graph", "proximity": 0}, "proximity must be ProximityParams, got 0"),
+            ({"extractor": "graph", "proximity": []}, "proximity must be ProximityParams, got []"),
         ],
     )
     def test_malformed_spec_is_refused_before_running(

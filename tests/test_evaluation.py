@@ -302,11 +302,21 @@ class TestMakeExtracts:
             assert g.class1.tobytes() == w.class1.tobytes()
             assert g.class2.tobytes() == w.class2.tobytes()
 
-    def test_scores_shortcut_matches_fresh_scoring(self, synthetic_documents, nb_detector):
-        config = ExperimentConfig(extractor="basic")
-        scores = score_documents(nb_detector.model, nb_detector.vocab, synthetic_documents)
-        with_scores = make_extracts(config, synthetic_documents, nb_detector, scores)
-        without = make_extracts(config, synthetic_documents, nb_detector)
+    @pytest.mark.parametrize("base", ["nb", "svm"])
+    @pytest.mark.parametrize("extractor", ["basic", "graph", "top_n", "least_n"])
+    def test_scores_shortcut_matches_fresh_scoring(
+        self, request, synthetic_documents, base, extractor
+    ):
+        # a per-document list given to make_extracts selects as the one array
+        # scored inside the call does
+        detector = request.getfixturevalue(f"{base}_detector")
+        config = ExperimentConfig(
+            extractor=extractor, detector_base=base, n_sentences=2,
+            proximity=ProximityParams(threshold=2, decay="exponential", strength=0.3),
+        )
+        scores = score_documents(detector.model, detector.vocab, synthetic_documents)
+        with_scores = make_extracts(config, synthetic_documents, detector, scores)
+        without = make_extracts(config, synthetic_documents, detector)
         assert with_scores == without
 
 

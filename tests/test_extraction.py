@@ -34,7 +34,7 @@ from subjcut.mincut import (
 )
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
-from references import presence_matrix, score_texts, select_basic
+from references import joined, presence_matrix, score_texts, select_basic
 
 
 def scores_from(probs) -> IndividualScores:
@@ -226,10 +226,10 @@ class TestBandEquivalence:
             band = np.zeros((len(ind) - 1, len(ind)))
             for (i, k), value in reference_assoc(len(ind), params, p).items():
                 band[k - i - 1, i] = value
-            want.append(tuple(np.flatnonzero(cut_band([ind], band)).tolist()))
+            want.append(tuple(np.flatnonzero(cut_band(ind, [len(ind)], band)).tolist()))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
-            got = select_graph(scores, params, starts)
+            got = select_graph(*joined(scores), params, starts)
             assert per_document(got, [n for n, _ in documents]) == want
 
 
@@ -249,10 +249,10 @@ class TestBandedRoute:
                 strengths=(0.0, 0.1, 0.3, 0.6, 1.0), cross_paragraph_weights=weights
             )
             for params in grid.cells():
-                got = select_graph(scores, params, starts)
+                got = select_graph(*joined(scores), params, starts)
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(mincut, "BANDED_REACH_LIMIT", -1)
-                    assert got.tolist() == select_graph(scores, params, starts).tolist()
+                    assert got.tolist() == select_graph(*joined(scores), params, starts).tolist()
 
 
 class TestIndividualScoresFromModels:
@@ -289,14 +289,23 @@ class TestSelection:
         scores = scores_from([0.8, 0.5, 0.1])
         # the pairs (0, 1) and (1, 2) at distance 1, (0, 2) at distance 2, by hand
         band = np.array([[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
-        assert cut_band([scores], band).tolist() == [True, True, False]
+        assert cut_band(scores, [len(scores)], band).tolist() == [True, True, False]
 
     def test_zero_strength_equals_basic(self):
         rng = np.random.default_rng(5)
         params = ProximityParams(threshold=3, decay="exponential", strength=0.0)
         documents = [scores_from(rng.uniform(0, 1, int(rng.integers(1, 30)))) for _ in range(100)]
-        got = per_document(select_graph(documents, params), map(len, documents))
+        got = per_document(select_graph(*joined(documents), params), map(len, documents))
         assert got == [select_basic(s) for s in documents]
+
+    def test_scores_counts_and_starts_must_align(self):
+        scores = scores_from([0.9, 0.3, 0.6, 0.2])
+        params = ProximityParams(threshold=2, strength=0.3)
+        for counts in ([3], [2, 1], [5]):
+            with pytest.raises(ValueError, match=f"4 scores for {sum(counts)} sentences"):
+                select_graph(scores, counts, params)
+        with pytest.raises(ValueError, match="counts and paragraph_starts differ in length"):
+            select_graph(scores, [4], params, [None, None])
 
     def test_huge_strength_forces_uniform_label(self):
         rng = np.random.default_rng(6)
@@ -305,7 +314,7 @@ class TestSelection:
             scores = scores_from(rng.uniform(0, 1, n))
             params = ProximityParams(threshold=n, decay="constant",
                                      strength=float(n * 2 + 1))
-            [selected] = per_document(select_graph([scores], params), [n])
+            [selected] = per_document(select_graph(scores, [len(scores)], params), [n])
             assert selected in ((), tuple(range(n)))
             # the cheaper uniform labeling wins
             all_cost = scores.class2.sum()
@@ -324,7 +333,7 @@ class TestSelection:
             split_counts = []
             for c in (0.0, 0.2, 0.5, 1.0):
                 params = ProximityParams(threshold=threshold, decay="constant", strength=c)
-                [selected] = per_document(select_graph([scores], params), [n])
+                [selected] = per_document(select_graph(scores, [len(scores)], params), [n])
                 selected = set(selected)
                 # verify optimality against the oracle while we are here
                 band = association_band([n], [None], params)
@@ -346,11 +355,11 @@ class TestSelection:
         params = ProximityParams(threshold=2, decay="exponential", strength=0.4,
                                  cross_paragraph_weight=0.5)
         alone = [
-            per_document(select_graph([s], params, [p]), [len(s)])[0]
+            per_document(select_graph(s, [len(s)], params, [p]), [len(s)])[0]
             for s, p in zip(documents, starts)
         ]
         monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 25)
-        got = select_graph(documents, params, starts)
+        got = select_graph(*joined(documents), params, starts)
         assert per_document(got, map(len, documents)) == alone
 
 
@@ -366,7 +375,7 @@ class TestDetectorDispatch:
         )
         scores = score_texts(model, vocab, doc.sentences)
         zero = ProximityParams(threshold=3, strength=0.0)
-        got = select_graph([scores], zero, [doc.paragraph_starts])
+        got = select_graph(scores, [len(scores)], zero, [doc.paragraph_starts])
         assert per_document(got, [len(scores)]) == [select_basic(scores)]
 
     def test_config_validation(self):

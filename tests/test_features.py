@@ -328,3 +328,16 @@ class TestSerialization:
         path.write_text("good\t0\nfilm\t2\n")
         with pytest.raises(ValueError):
             Vocabulary.load(path)
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [("film\tx", "index 'x' is not an integer >= 0"), ("film", "no tab"),
+         ("good\t1", "token 'good' repeated"), ("\t1", "an empty token")],
+        ids=["bad_index", "no_tab", "repeated_token", "empty_token"],
+    )
+    def test_load_names_the_file_and_line_of_a_bad_entry(self, tmp_path, line, problem):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"good\t0\n{line}\nbad\t2\n")
+        with pytest.raises(ValueError) as refused:
+            Vocabulary.load(path)
+        assert str(refused.value) == f"{path}: line 2: {problem}"

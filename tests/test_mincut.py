@@ -23,7 +23,7 @@ from subjcut.mincut import (
     scale_instance,
 )
 
-from references import loop_labeling_costs
+from references import joined, loop_labeling_costs
 
 # the three-item worked example: strong pull between items 0 and 1
 EXAMPLE_IND = IndividualScores(
@@ -79,8 +79,8 @@ def widened(band) -> np.ndarray:
 
 def cut_both_ways(scores, band, scale_factor=DEFAULT_SCALE) -> np.ndarray:
     """``cut_band``'s flags for ``band``, checked equal to those of ``widened(band)``."""
-    got = cut_band(scores, band, scale_factor)
-    assert got.tolist() == cut_band(scores, widened(band), scale_factor).tolist()
+    got = cut_band(*joined(scores), band, scale_factor)
+    assert got.tolist() == cut_band(*joined(scores), widened(band), scale_factor).tolist()
     return got
 
 
@@ -124,7 +124,7 @@ class TestAssociationScores:
             (EXAMPLE_IND, AssociationScores(pairs={(2, 3): 0.5})), (EXAMPLE_IND, EXAMPLE_ASSOC)
         ]
         with pytest.raises(ValueError, match="spans two instances"):
-            cut_band([EXAMPLE_IND, EXAMPLE_IND], stacked_band(instances))
+            cut_band(*joined([EXAMPLE_IND, EXAMPLE_IND]), stacked_band(instances))
 
 
 class TestBuildNetwork:
@@ -140,7 +140,7 @@ class TestBuildNetwork:
 
     def test_minimal_graph(self):
         ind = IndividualScores(class1=np.array([0.7]), class2=np.array([0.3]))
-        assert cut_band([ind], np.zeros((0, 1))).tolist() == [True]
+        assert cut_band(ind, [len(ind)], np.zeros((0, 1))).tolist() == [True]
 
     def test_zero_associations_omitted(self):
         ind = IndividualScores(class1=np.array([0.7, 0.2]), class2=np.array([0.3, 0.8]))
@@ -155,14 +155,14 @@ class TestBuildNetwork:
         # a band over five items for an instance of one
         ind = IndividualScores(class1=np.array([0.7]), class2=np.array([0.3]))
         with pytest.raises(ValueError, match=r"1 items but a band of shape \(1, 5\)"):
-            cut_band([ind], np.zeros((1, 5)))
+            cut_band(ind, [len(ind)], np.zeros((1, 5)))
 
     def test_pair_spanning_two_instances_rejected(self):
         # items 0-2 are the first instance, 3-5 the second
         band = np.array([[0.5, 0.0, 0.5, 0.0, 0.0, 0.0]])
         for weights in (band, widened(band)):
             with pytest.raises(ValueError, match=r"\(2, 3\) of weight 0.5 spans two instances"):
-                cut_band([EXAMPLE_IND, EXAMPLE_IND], weights)
+                cut_band(*joined([EXAMPLE_IND, EXAMPLE_IND]), weights)
 
     def test_pair_beside_an_empty_instance_is_accepted(self):
         empty = IndividualScores(class1=np.array([]), class2=np.array([]))
@@ -174,11 +174,11 @@ class TestBuildNetwork:
         band = np.array([[0.5, value, 0.0]])
         for weights in (band, widened(band)):
             with pytest.raises(ValueError, match="must weigh a finite value >= 0"):
-                cut_band([EXAMPLE_IND], weights)
+                cut_band(EXAMPLE_IND, [3], weights)
 
     def test_values_must_match_pairs(self):
         with pytest.raises(ValueError, match=r"3 items but a band of shape \(2,\)"):
-            cut_band([EXAMPLE_IND], np.array([0.5, 0.5]))
+            cut_band(EXAMPLE_IND, [3], np.array([0.5, 0.5]))
 
     def test_capacities_are_scaled_integers(self):
         # at scale 1, 0.5 rounds to 0 (half to even) and the pairs (0, 2) and
@@ -195,7 +195,7 @@ class TestCapacityBound:
         # at 10^6 this overflowed a 64-bit cast and cut the wrong side
         ind = IndividualScores(class1=np.array([1e20]), class2=np.array([0.9]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            cut_band([ind], np.zeros((0, 1)))
+            cut_band(ind, [len(ind)], np.zeros((0, 1)))
 
     def test_terminal_capacity_at_the_bound_accepted(self):
         ind = IndividualScores(
@@ -208,7 +208,7 @@ class TestCapacityBound:
     def test_terminal_capacity_above_the_bound_refused(self):
         ind = IndividualScores(class1=np.array([CAPACITY_BOUND + 1.0]), class2=np.array([0.0]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            cut_band([ind], np.zeros((0, 1)), scale_factor=1)
+            cut_band(ind, [len(ind)], np.zeros((0, 1)), scale_factor=1)
 
     def test_association_at_half_the_bound_accepted(self):
         # both directions of an association arc together reach the bound
@@ -219,12 +219,12 @@ class TestCapacityBound:
         assert result.source_side == (0,)
         assert result.cost == weight
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            cut_band([ind], np.array([[weight + 1.0, 0.0]]), scale_factor=1)
+            cut_band(ind, [len(ind)], np.array([[weight + 1.0, 0.0]]), scale_factor=1)
 
     def test_large_association_weight_refused(self):
         ind = IndividualScores(class1=np.array([0.5, 0.5]), class2=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            cut_band([ind], np.array([[2148.0, 0.0]]))
+            cut_band(ind, [len(ind)], np.array([[2148.0, 0.0]]))
 
 
 class TestMinCut:
@@ -305,8 +305,8 @@ class TestMinCut:
         band = band_of(EXAMPLE_IND, EXAMPLE_ASSOC)
         for weights in (band, widened(band)):
             before = weights.copy()
-            assert cut_band([EXAMPLE_IND], weights).tolist() == [True, True, False]
-            assert cut_band([EXAMPLE_IND], weights).tolist() == [True, True, False]
+            assert cut_band(EXAMPLE_IND, [3], weights).tolist() == [True, True, False]
+            assert cut_band(EXAMPLE_IND, [3], weights).tolist() == [True, True, False]
             assert np.array_equal(weights, before)
 
     @settings(max_examples=60, deadline=None)
@@ -344,7 +344,7 @@ class TestBatch:
         instances = [random_instance(rng, n_max=14) for _ in range(40)]
         instances[5:5] = [empty]
         instances[20:20] = [single, empty]
-        flags = cut_band([ind for ind, _ in instances], stacked_band(instances))
+        flags = cut_band(*joined([ind for ind, _ in instances]), stacked_band(instances))
         first = np.cumsum([0] + [len(ind) for ind, _ in instances])
         for (ind, assoc), a, b in zip(instances, first, first[1:]):
             side = side_of(flags[a:b])
@@ -353,8 +353,8 @@ class TestBatch:
             assert scaled_cost(ind, assoc, side) == want.cost
 
     def test_empty_batch(self):
-        assert cut_band([], np.zeros((0, 0))).tolist() == []
-        assert cut_band([], np.zeros((BANDED_REACH_LIMIT + 1, 0))).tolist() == []
+        assert cut_band(*joined([]), np.zeros((0, 0))).tolist() == []
+        assert cut_band(*joined([]), np.zeros((BANDED_REACH_LIMIT + 1, 0))).tolist() == []
 
 
 def intersection_of_minimum_labelings(costs, n) -> tuple[int, ...]:
@@ -676,7 +676,7 @@ class TestPairFreeNetworks:
         scores = IndividualScores(class1=[0.5000004, 0.9], class2=[0.4999996, 0.1])
         params = ProximityParams(threshold=3, decay="exponential", strength=0.0)
         with no_max_flow():
-            assert select_graph([scores], params).tolist() == [False, True]
+            assert select_graph(scores, [len(scores)], params).tolist() == [False, True]
 
     def test_one_pair_arc_runs_the_max_flow(self):
         calls = []
@@ -691,7 +691,7 @@ class TestPairFreeNetworks:
         assoc = AssociationScores(pairs={(0, 1): 1e-6, (1, 2): 4e-7})
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mincut, "maximum_flow", counted)
-            side = side_of(cut_band([EXAMPLE_IND], widened(band_of(EXAMPLE_IND, assoc))))
+            side = side_of(cut_band(EXAMPLE_IND, [3], widened(band_of(EXAMPLE_IND, assoc))))
         assert len(calls) == 1
         assert side == (0, 1)
         assert scaled_cost(EXAMPLE_IND, assoc, side) == brute_force_min(
@@ -734,14 +734,16 @@ class TestBandedFlags:
     @given(banded_batches())
     def test_equals_max_flow_at_review_lengths(self, batch):
         scores, band = batch
-        assert cut_band(scores, band).tolist() == cut_band(scores, widened(band)).tolist()
+        one, counts = joined(scores)
+        assert cut_band(one, counts, band).tolist() == cut_band(one, counts, widened(band)).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(banded_batches(strengths=st.sampled_from([0.0, 1e-8, 4e-7])))
     def test_pair_free_batches_equal_max_flow(self, batch):
         scores, band = batch
         assert not pair_capacities(band).any()
-        assert cut_band(scores, band).tolist() == cut_band(scores, widened(band)).tolist()
+        one, counts = joined(scores)
+        assert cut_band(one, counts, band).tolist() == cut_band(one, counts, widened(band)).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(banded_batches(1, 12, docs=st.just(1)))
@@ -783,11 +785,11 @@ class TestBandedFlags:
         params = ProximityParams(threshold=threshold, decay="exponential", strength=0.4)
         band = association_band([5, 5], [None, None], params)
         assert band.shape == (min(threshold, 4), 10)  # every pair of a review is in the band
-        want = cut_band(scores, widened(band)).tolist()
-        assert cut_band(scores, band).tolist() == want
+        want = cut_band(*joined(scores), widened(band)).tolist()
+        assert cut_band(*joined(scores), band).tolist() == want
         # rows for distances no review reaches are all 0, and change nothing
         wide = np.vstack([band, np.zeros((BANDED_REACH_LIMIT - len(band), 10))])
-        assert cut_band(scores, wide).tolist() == want
+        assert cut_band(*joined(scores), wide).tolist() == want
 
     def test_capacities_at_the_refusal_bounds(self):
         big, half = float(CAPACITY_BOUND), float(CAPACITY_BOUND // 2)
@@ -795,43 +797,53 @@ class TestBandedFlags:
             class1=np.array([big, 0.0, big, 0.0]), class2=np.array([0.0, big, big - 1, 0.0])
         )
         band = np.array([[half, half, half, 0.0], [half, half, 0.0, 0.0]])
-        assert cut_band([ind], band, 1).tolist() == cut_band([ind], widened(band), 1).tolist()
+        assert cut_band(ind, [4], band, 1).tolist() == cut_band(ind, [4], widened(band), 1).tolist()
         over = IndividualScores(class1=ind.class1 + [1, 0, 0, 0], class2=ind.class2)
         heavier = band + [[1, 0, 0, 0], [0, 0, 0, 0]]
         for scores, weights in (([over], band), ([ind], heavier)):
             with pytest.raises(ValueError, match=r"2\*\*31 - 1") as refused:
-                cut_band(scores, weights, 1)
+                cut_band(*joined(scores), weights, 1)
             with pytest.raises(ValueError) as widened_refused:
-                cut_band(scores, widened(weights), 1)
+                cut_band(*joined(scores), widened(weights), 1)
             assert str(refused.value) == str(widened_refused.value)
 
     @pytest.mark.parametrize(
-        "item, weight, problem",
-        [(1, -0.5, "must weigh a finite value >= 0"), (0, float("nan"), "must weigh a finite"),
-         (1, float("inf"), "must weigh a finite"), (2, 0.5, "spans two instances"),
-         (2, float("nan"), "spans two instances"), (5, 0.2, "runs past the last item, 5")],
+        "item, weight, counts, problem",
+        [(1, -0.5, [3, 3], "must weigh a finite value >= 0"),
+         (0, float("nan"), [3, 3], "must weigh a finite"),
+         (1, float("inf"), [3, 3], "must weigh a finite"),
+         (2, 0.5, [3, 3], "spans two instances"),
+         (2, float("nan"), [3, 3], "spans two instances"),
+         (5, 0.2, [3, 3], "runs past the last item, 5"),
+         (0, 0.0, [-1, 7], r"instance counts must be integers >= 0, got \[-1, 7\]"),
+         (0, 0.0, [1.5, 4.5], r"instance counts must be integers >= 0, got \[1.5, 4.5\]"),
+         (0, 0.0, [3, 2], "instance counts sum to 5, not to the 6 items"),
+         (0, 0.0, [3, 4], "instance counts sum to 7, not to the 6 items")],
     )
-    def test_bad_band_refused_as_build_network_refuses(self, item, weight, problem):
+    def test_bad_band_refused_as_build_network_refuses(self, item, weight, counts, problem):
         # item 2 is its instance's last, so its distance-1 pair leaves it, and
-        # item 5's runs past every item; the band is refused alike on both routes
+        # item 5's runs past every item; the band is refused alike on both routes,
+        # as are counts that are negative or do not sum to the six items
+        scores, _ = joined([EXAMPLE_IND, EXAMPLE_IND])
         band = np.zeros((1, 6))
         band[0, item] = weight
         with pytest.raises(ValueError, match=problem) as refused:
-            cut_band([EXAMPLE_IND, EXAMPLE_IND], band)
+            cut_band(scores, counts, band)
         with pytest.raises(ValueError) as widened_refused:
-            cut_band([EXAMPLE_IND, EXAMPLE_IND], widened(band))
+            cut_band(scores, counts, widened(band))
         assert str(refused.value) == str(widened_refused.value)
 
     def test_band_of_the_wrong_width_refused(self):
         with pytest.raises(ValueError, match=r"3 items but a band of shape \(1, 4\)"):
-            cut_band([EXAMPLE_IND], np.zeros((1, 4)))
+            cut_band(EXAMPLE_IND, [3], np.zeros((1, 4)))
 
     def test_sums_that_could_overflow_refused(self, monkeypatch):
         monkeypatch.setattr(mincut, "CAPACITY_BOUND", 2**61)
         with pytest.raises(ValueError, match="could overflow int64"):
-            cut_band([EXAMPLE_IND], np.zeros((1, 3)))
+            cut_band(EXAMPLE_IND, [3], np.zeros((1, 3)))
         # only the banded solver sums capacities in int64
-        assert cut_band([EXAMPLE_IND], widened(np.zeros((1, 3)))).tolist() == [True, False, False]
+        flags = cut_band(EXAMPLE_IND, [3], widened(np.zeros((1, 3))))
+        assert flags.tolist() == [True, False, False]
 
 
 class TestRoute:
@@ -841,7 +853,7 @@ class TestRoute:
         p = np.random.default_rng(3).uniform(0, 1, BANDED_REACH_LIMIT + 5)
         params = ProximityParams(threshold=BANDED_REACH_LIMIT, strength=0.3)
         with no_max_flow():
-            select_graph([IndividualScores(class1=p, class2=1 - p)], params)
+            select_graph(IndividualScores(class1=p, class2=1 - p), [len(p)], params)
 
     @pytest.mark.parametrize("n, solver", [(BANDED_REACH_LIMIT + 1, "banded"), (40, "max-flow")])
     def test_reach_beyond_the_limit_takes_max_flow(self, n, solver):
@@ -860,7 +872,7 @@ class TestRoute:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mincut, "_min_marginals", counted("banded", mincut._min_marginals))
             patch.setattr(mincut, "maximum_flow", counted("max-flow", mincut.maximum_flow))
-            got = select_graph([scores], params)
+            got = select_graph(scores, [len(scores)], params)
         assert calls == [solver]
         band = association_band([n], [None], params)
-        assert got.tolist() == cut_band([scores], widened(band)).tolist()
+        assert got.tolist() == cut_band(scores, [len(scores)], widened(band)).tolist()
