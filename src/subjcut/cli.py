@@ -9,7 +9,6 @@ experiment failure, 2 usage error.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +30,7 @@ EXPECTED_COUNTS = {
 
 QUOTE_NAMES = ("quote.tok.gt9.5000", "subjective.txt")
 PLOT_NAMES = ("plot.tok.gt9.5000", "objective.txt")
+REVIEW_FOLDS = 10  # the folds the reviews are loaded into
 
 
 def fail(message: str, code: int = 1) -> None:
@@ -122,7 +122,7 @@ def _load_datasets(root: Path):
     try:
         pol_root = resolve_polarity_root(root)
         quote, plot = resolve_subjectivity_files(root)
-        documents = corpus.load_polarity_dataset(pol_root)
+        documents = corpus.load_polarity_dataset(pol_root, REVIEW_FOLDS)
         return documents, corpus.load_subjectivity_dataset(quote, plot)
     except corpus.IngestionError as exc:
         raise click.UsageError(str(exc))
@@ -224,11 +224,16 @@ def _config_from_spec(spec_path: str) -> evaluation.ExperimentConfig:
             f"bad experiment spec: a JSON object is required, got {type(spec).__name__}"
         )
     try:
-        return evaluation.ExperimentConfig.from_dict(spec)
+        config = evaluation.ExperimentConfig.from_dict(spec)
     except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
         raise click.UsageError(
             f"bad experiment spec ({exc}); valid extractors: {', '.join(evaluation.EXTRACTORS)}"
         )
+    if config.folds != REVIEW_FOLDS:
+        raise click.UsageError(
+            f"bad experiment spec: folds must be the reviews' {REVIEW_FOLDS}, got {config.folds}"
+        )
+    return config
 
 
 @main.command("run")
@@ -269,7 +274,7 @@ def cmd_run(spec_path, data_root, output_dir, seed, threads) -> None:
 @click.option("--weights", default="1.0", show_default=True, help="Cross-paragraph weights.")
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--threads", default=None, type=click.IntRange(min=1),
-              help="Parallel grid cells; defaults to the core count.")
+              help="Parallel grid cells; defaults to the core count, capped at the cells.")
 def cmd_grid(
     data_root, output_dir, base, classifier, thresholds, decays, strengths, weights, seed, threads
 ) -> None:
@@ -291,8 +296,7 @@ def cmd_grid(
         extractor="graph", detector_base=base, classifier=classifier, seed=seed,
         proximity=ProximityParams(strength=0.0),
     )
-    workers = threads if threads else (os.cpu_count() or 1)
-    result = evaluation.grid_search(base_config, documents, detector, grid, max_workers=workers)
+    result = evaluation.grid_search(base_config, documents, detector, grid, max_workers=threads)
     (out / "grid.csv").write_text(result.to_csv(), encoding="utf-8")
     (out / "best_report.json").write_text(result.best.to_json(), encoding="utf-8")
     click.echo(f"best mean accuracy {result.best.mean_accuracy:.4f} "

@@ -335,25 +335,24 @@ def score_documents(
     model: NaiveBayesModel | LinearMarginModel,
     vocab: Vocabulary,
     documents: Sequence[ReviewDocument],
-    matrix: PresenceMatrix | None = None,
 ) -> list[IndividualScores]:
-    """Per-sentence scores for every document, computed once and reused:
-    ``_sentence_scores``, split into one entry per document."""
-    first = _first_rows(documents)
-    return _sentence_scores(model, vocab, documents, matrix).split(first[1:-1]) if documents else []
+    """Per-sentence scores for every document, computed once and reused: the
+    ``_sentence_scores`` of their ``sentence_matrix``, split per document."""
+    if not documents:
+        return []
+    scores = _sentence_scores(model, vocab, documents, sentence_matrix(documents))
+    return scores.split(_first_rows(documents)[1:-1])
 
 
 def _sentence_scores(
     model: NaiveBayesModel | LinearMarginModel, vocab: Vocabulary,
-    documents: Sequence[ReviewDocument], matrix: PresenceMatrix | None,
+    documents: Sequence[ReviewDocument], matrix: PresenceMatrix,
 ) -> IndividualScores:
-    """The scores of the rows of ``matrix``, the documents' ``sentence_matrix``
-    (built here when not given), as one array. They are scored in the
-    ``document_batches`` of about ``features.CUT_BATCH_SENTENCES`` sentences
-    each, which share one map of the matrix's type table into the vocabulary.
+    """The scores of the rows of ``matrix``, the documents' ``sentence_matrix``,
+    as one array. They are scored in the ``document_batches`` of about
+    ``features.CUT_BATCH_SENTENCES`` sentences each, which share one map of
+    the matrix's type table into the vocabulary.
     """
-    if matrix is None:
-        matrix = sentence_matrix(documents)
     column_of = vocab.column_map(matrix.types)
     first = _first_rows(documents)
     return _joined([
@@ -481,18 +480,23 @@ def make_extracts(
     documents: Sequence[ReviewDocument],
     detector: Detector | None = None,
     scores: Sequence[IndividualScores] | None = None,
-    matrix: PresenceMatrix | None = None,
 ) -> list[Extract]:
     """Produce the per-document extracts an experiment will classify.
 
-    ``scores``, when given, holds one entry per document (``_given_scores``).
-    ``matrix``, the documents' ``sentence_matrix``, is built when the
-    detector needs it and it is not given. This is the one place extracts
-    are built: experiments, grids and sweeps classify the selection's
-    sentence rows without them.
+    ``scores``, when given, holds one entry per document, of one score per
+    sentence, or is refused with a ``ValueError``. This is the one place
+    extracts are built: experiments, grids and sweeps classify the
+    selection's sentence rows without them.
     """
-    scores = _given_scores(documents, scores)
-    flags = _selections(config, documents, detector, scores, matrix).tolist()
+    if scores is not None:
+        for d, doc in enumerate(documents):
+            n, given = len(doc.sentences), len(scores[d]) if d < len(scores) else 0
+            if given != n:
+                raise ValueError(f"document {doc.id}: {given} scores for {n} sentences")
+        if len(scores) != len(documents):
+            raise ValueError(f"{len(scores)} score lists for {len(documents)} documents")
+        scores = _joined(scores)
+    flags = _selections(config, documents, detector, scores).tolist()
     first = _first_rows(documents)
     return [Extract.from_flags(doc, flags[a:b]) for doc, a, b in zip(documents, first, first[1:])]
 
@@ -502,39 +506,27 @@ def _first_rows(documents: Sequence[ReviewDocument]) -> list[int]:
     return np.cumsum([0] + [len(doc.sentences) for doc in documents]).tolist()
 
 
-def _given_scores(
-    documents: Sequence[ReviewDocument], scores: Sequence[IndividualScores] | None
-) -> IndividualScores | None:
-    """The per-document ``scores`` given to a public entry point, as one array;
-    refused with a ``ValueError`` unless each document has one per sentence."""
-    if scores is None:
-        return None
-    for d, doc in enumerate(documents):
-        n, given = len(doc.sentences), len(scores[d]) if d < len(scores) else 0
-        if given != n:
-            raise ValueError(f"document {doc.id}: {given} scores for {n} sentences")
-    if len(scores) != len(documents):
-        raise ValueError(f"{len(scores)} score lists for {len(documents)} documents")
-    return _joined(scores)
-
-
 def _selections(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
     detector: Detector | None,
     scores: IndividualScores | None,
-    matrix: PresenceMatrix | None,
+    matrix: PresenceMatrix | None = None,
 ) -> np.ndarray:
     """One flag per sentence of ``documents``, in ``sentence_matrix`` row
     order: whether ``config``'s extract keeps it.
 
     ``scores``, when given, holds one score per sentence, in the same order.
-    The count-limited extractors rank a document's sentences by position, or
-    by class-1 score with ties to the earlier sentence.
+    ``matrix``, the documents' ``sentence_matrix``, is built here only when
+    the detector must score or cut paragraphs and it is not given. The
+    count-limited extractors rank a document's sentences by position, or by
+    class-1 score with ties to the earlier sentence.
     """
     if config.extractor in DETECTOR_EXTRACTORS:
         if detector is None:
             raise ValueError(f"extractor {config.extractor!r} requires a trained detector")
+        if matrix is None and (scores is None or config.extractor == "paragraph"):
+            matrix = sentence_matrix(documents)
         if scores is None and config.extractor != "paragraph":
             scores = _sentence_scores(detector.model, detector.vocab, documents, matrix)
     first = _first_rows(documents)
@@ -652,29 +644,23 @@ def run_experiment(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
     detector: Detector | None = None,
-    scores: Sequence[IndividualScores] | None = None,
-    matrix: PresenceMatrix | None = None,
     max_workers: int | None = None,
 ) -> ExperimentReport:
     """Cross-validated polarity accuracy of a classifier over extracts.
 
-    Every review sentence is tokenized once, into ``matrix``, the documents'
-    ``sentence_matrix`` (built here when not given); an extract's row is the
-    join of its kept sentences' rows. For each fold, the vocabulary and the
-    polarity classifier are built from the training folds' extracts only;
-    the held-out fold supplies the test extracts. ``scores`` may carry
-    precomputed per-sentence detector scores, one entry per document
-    (``_given_scores``). SVM folds train on ``max_workers`` forked processes,
-    by default the core count capped at the number of folds; fewer than one
-    is refused with a ``ValueError``.
+    Every review sentence is tokenized once, into the documents'
+    ``sentence_matrix``; an extract's row is the join of its kept sentences'
+    rows. For each fold, the vocabulary and the polarity classifier are built
+    from the training folds' extracts only; the held-out fold supplies the
+    test extracts. SVM folds train on ``max_workers`` forked processes, by
+    default the core count capped at the number of folds; fewer than one is
+    refused with a ``ValueError``.
     """
     workers = _worker_count(max_workers, config.folds)
-    scores = _given_scores(documents, scores)
-    if matrix is None:
-        matrix = sentence_matrix(documents)
-    keep = _selections(config, documents, detector, scores, matrix)
+    matrix = sentence_matrix(documents)
+    keep = _selections(config, documents, detector, None, matrix)
     rows = _extract_rows(matrix, documents, keep)
-    # A matrix built here is freed before the folds train, and the rows are
+    # The matrix is freed before the folds train, and the rows are
     # copied once it is: left where they were built, above the matrix, they
     # kept its memory from being reused for the folds' arrays, which raised
     # the peak resident memory of a full-review SVM run by about 2 MB.
@@ -839,7 +825,7 @@ def grid_search(
     documents: Sequence[ReviewDocument],
     detector: Detector,
     grid: GridSpec | None = None,
-    max_workers: int = 1,
+    max_workers: int | None = None,
 ) -> GridSearchResult:
     """Evaluate every proximity setting; return all cells and the single best.
 
@@ -847,7 +833,8 @@ def grid_search(
     mean accuracy over all folds (an oracle-style choice, flagged as such in
     downstream reporting). Ties break toward the earlier cell in grid order.
     The cells run through ``_cell_reports``, on ``max_workers`` forked
-    processes; fewer than 1 is refused with a ``ValueError``.
+    processes, by default the core count capped at the number of cells;
+    fewer than 1 is refused with a ``ValueError``.
     """
     cells = (grid or GridSpec()).cells()
     configs = [replace(base_config, extractor="graph", proximity=params) for params in cells]

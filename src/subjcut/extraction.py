@@ -42,7 +42,7 @@ from .features import (
     join_rows,
     presence_matrix,
 )
-from .mincut import cut_band, pair_capacities
+from .mincut import cut_band, instance_counts, pair_capacities
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
 
@@ -206,10 +206,12 @@ def select_graph(
     """One flag per item of ``scores``, the sentences of documents of
     ``counts[d]`` sentences each, in order: whether the minimum cut of its
     document's score graph keeps it (the source side). ``paragraph_starts``
-    is aligned with ``counts``.
+    is aligned with ``counts``; counts are refused as ``cut_band`` refuses
+    them.
 
     Each ``document_batches`` batch is cut from its ``association_band`` by
     ``cut_band``, which gives the canonical cut."""
+    counts = instance_counts(counts)
     if paragraph_starts is None:
         paragraph_starts = [None] * len(counts)
     if len(paragraph_starts) != len(counts):
@@ -230,18 +232,16 @@ def detect_paragraph_unit(
     model: NaiveBayesModel | LinearMarginModel,
     vocab: Vocabulary,
     documents: Sequence[ReviewDocument],
-    matrix: PresenceMatrix | None = None,
+    matrix: PresenceMatrix,
 ) -> np.ndarray:
     """One flag per sentence of ``documents``, in order: its paragraph's label.
 
     A paragraph is scored as the join of its sentences' rows of ``matrix``,
-    the documents' ``sentence_matrix`` (built here when not given): a batch's
-    rows are contiguous, so its paragraphs are consecutive runs of them.
-    Documents without boundary information are treated as one paragraph,
-    which makes the decision all-or-nothing.
+    the documents' ``sentence_matrix``: a batch's rows are contiguous, so its
+    paragraphs are consecutive runs of them. Documents without boundary
+    information are treated as one paragraph, which makes the decision
+    all-or-nothing.
     """
-    if matrix is None:
-        matrix = sentence_matrix(documents)
     column_of = vocab.column_map(matrix.types)
     counts = [len(doc.sentences) for doc in documents]
     first = np.cumsum([0] + counts).tolist()

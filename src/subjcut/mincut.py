@@ -119,6 +119,14 @@ def band_pairs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([first, first + distance + 1], axis=1), weights.T[keep]
 
 
+def instance_counts(counts: Sequence[int]) -> np.ndarray:
+    """``counts`` as int64, refused with a ``ValueError`` unless integers >= 0."""
+    counts = np.asarray(counts)
+    if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
+        raise ValueError(f"instance counts must be integers >= 0, got {counts.tolist()}")
+    return counts.astype(np.int64)
+
+
 def cut_band(
     scores: IndividualScores, counts: Sequence[int], weights: np.ndarray,
     scale_factor: int = DEFAULT_SCALE,
@@ -143,10 +151,7 @@ def cut_band(
     """
     if scale_factor < 1:
         raise ValueError("scale_factor must be >= 1")
-    counts = np.asarray(counts)
-    if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
-        raise ValueError(f"instance counts must be integers >= 0, got {counts.tolist()}")
-    counts = counts.astype(np.int64)
+    counts = instance_counts(counts)
     n, longest, docs = len(scores), int(counts.max(initial=0)), len(counts)
     if counts.sum() != n:
         raise ValueError(f"instance counts sum to {counts.sum()}, not to the {n} items")

@@ -211,39 +211,31 @@ def real_nb_detector(real_data):
 
 
 @pytest.fixture(scope="session")
-def real_nb_scores(real_data, real_nb_detector):
-    documents, _ = real_data
-    return score_documents(real_nb_detector.model, real_nb_detector.vocab, documents)
-
-
-@pytest.fixture(scope="session")
-def real_reports(real_data, real_nb_detector, real_nb_scores):
+def real_reports(real_data, real_nb_detector):
     """The handful of experiment reports shared by criteria 5-7."""
     documents, _ = real_data
-    detector, scores = real_nb_detector, real_nb_scores
+    detector = real_nb_detector
     reports = {}
     t0 = time.perf_counter()
     reports["full_nb"] = run_experiment(ExperimentConfig(classifier="nb"), documents)
     reports["basic_nb_nb"] = run_experiment(
-        ExperimentConfig(extractor="basic", classifier="nb"), documents, detector, scores
+        ExperimentConfig(extractor="basic", classifier="nb"), documents, detector
     )
     reports["pipeline_seconds"] = time.perf_counter() - t0
     reports["full_svm"] = run_experiment(ExperimentConfig(classifier="svm"), documents)
     reports["basic_nb_svm"] = run_experiment(
-        ExperimentConfig(extractor="basic", classifier="svm"), documents, detector, scores
+        ExperimentConfig(extractor="basic", classifier="svm"), documents, detector
     )
     for clf in ("nb", "svm"):
         reports[f"flipped_nb_{clf}"] = run_experiment(
             ExperimentConfig(extractor="basic", classifier=clf, flipped=True),
             documents,
             detector,
-            scores,
         )
     reports["top5_nb"] = run_experiment(
         ExperimentConfig(extractor="top_n", n_sentences=5, classifier="nb"),
         documents,
         detector,
-        scores,
     )
     return reports
 
@@ -296,13 +288,13 @@ def test_criterion_07_compression(real_reports):
 
 
 @requires_data
-def test_criterion_08_sweep_shape(real_data, real_nb_detector, real_nb_scores):
+def test_criterion_08_sweep_shape(real_data, real_nb_detector):
     documents, _ = real_data
     accuracies = {}
     for method in ("top_n", "first_n", "least_n"):
         for n in (1, 5, 10, 15, 20, 30, 40):
             config = ExperimentConfig(extractor=method, n_sentences=n, classifier="nb")
-            report = run_experiment(config, documents, real_nb_detector, real_nb_scores)
+            report = run_experiment(config, documents, real_nb_detector)
             accuracies[(method, n)] = report.mean_accuracy
     for n in (1, 5, 10, 15, 20, 30, 40):
         print(

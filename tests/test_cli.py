@@ -301,6 +301,8 @@ class TestRun:
             ({"extractor": "graph", "proximity": {}}, "proximity must be ProximityParams, got {}"),
             ({"extractor": "graph", "proximity": 0}, "proximity must be ProximityParams, got 0"),
             ({"extractor": "graph", "proximity": []}, "proximity must be ProximityParams, got []"),
+            ({"folds": 5}, "folds must be the reviews' 10, got 5"),
+            ({"folds": 20}, "folds must be the reviews' 10, got 20"),
         ],
     )
     def test_malformed_spec_is_refused_before_running(

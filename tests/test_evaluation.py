@@ -295,7 +295,7 @@ class TestMakeExtracts:
             post_init(self)
 
         monkeypatch.setattr(IndividualScores, "__post_init__", counted)
-        got = score_documents(model, vocab, synthetic_documents, matrix)
+        got = score_documents(model, vocab, synthetic_documents)
         assert len(checks) == len(batches) > 1
         for g, w in zip(got, want, strict=True):
             assert type(g) is IndividualScores
@@ -305,18 +305,23 @@ class TestMakeExtracts:
     @pytest.mark.parametrize("base", ["nb", "svm"])
     @pytest.mark.parametrize("extractor", ["basic", "graph", "top_n", "least_n"])
     def test_scores_shortcut_matches_fresh_scoring(
-        self, request, synthetic_documents, base, extractor
+        self, monkeypatch, request, synthetic_documents, base, extractor
     ):
         # a per-document list given to make_extracts selects as the one array
-        # scored inside the call does
+        # scored inside the call does, and the call tokenizes nothing
         detector = request.getfixturevalue(f"{base}_detector")
         config = ExperimentConfig(
             extractor=extractor, detector_base=base, n_sentences=2,
             proximity=ProximityParams(threshold=2, decay="exponential", strength=0.3),
         )
         scores = score_documents(detector.model, detector.vocab, synthetic_documents)
-        with_scores = make_extracts(config, synthetic_documents, detector, scores)
         without = make_extracts(config, synthetic_documents, detector)
+
+        def refused(documents):
+            raise AssertionError("sentence_matrix called")
+
+        monkeypatch.setattr(evaluation, "sentence_matrix", refused)
+        with_scores = make_extracts(config, synthetic_documents, detector, scores)
         assert with_scores == without
 
 
@@ -441,7 +446,8 @@ class TestCellReuse:
         distinct = distinct_selections(configs, synthetic_documents, nb_detector)
         assert distinct < len(configs)  # the two strength-0 cells select alike
         calls = count_fits(monkeypatch)
-        result = grid_search(base, synthetic_documents, nb_detector, grid)
+        # fits in a forked worker would not be counted here
+        result = grid_search(base, synthetic_documents, nb_detector, grid, max_workers=1)
         assert len(calls) == distinct * base.folds
         for config, (params, report) in zip(configs, result.cells):
             assert report.config["proximity"] == params.to_dict()

@@ -37,6 +37,10 @@ from planted_corpus import make_objective_sentence, make_subjective_sentence, pe
 from references import joined, presence_matrix, score_texts, select_basic
 
 
+def paragraph_flags(model, vocab, documents) -> np.ndarray:
+    return detect_paragraph_unit(model, vocab, documents, sentence_matrix(documents))
+
+
 def scores_from(probs) -> IndividualScores:
     p = np.asarray(probs, dtype=float)
     return IndividualScores(class1=p, class2=1.0 - p)
@@ -306,6 +310,10 @@ class TestSelection:
                 select_graph(scores, counts, params)
         with pytest.raises(ValueError, match="counts and paragraph_starts differ in length"):
             select_graph(scores, [4], params, [None, None])
+        # refused as cut_band refuses them, before any band is built
+        for counts in ([-1, 4], [1.5, 1.5]):
+            with pytest.raises(ValueError, match="instance counts must be integers >= 0"):
+                select_graph(scores_from([0.8, 0.5, 0.1]), counts, params)
 
     def test_huge_strength_forces_uniform_label(self):
         rng = np.random.default_rng(6)
@@ -394,14 +402,14 @@ class TestDetectorDispatch:
             ],
             paragraph_starts=(0, 2),
         )
-        assert per_document(detect_paragraph_unit(model, vocab, [doc]), [4]) == [(0, 1)]
+        assert per_document(paragraph_flags(model, vocab, [doc]), [4]) == [(0, 1)]
 
     def test_single_paragraph_is_all_or_nothing(self, detector_models):
         model, vocab = detector_models["nb"]
         subj = doc_of(["the film is excellent truly", "simply wonderful performance"])
         obj = doc_of(["a detective returns to the city", "his brother meets a widow"])
-        assert per_document(detect_paragraph_unit(model, vocab, [subj]), [2]) == [(0, 1)]
-        assert per_document(detect_paragraph_unit(model, vocab, [obj]), [2]) == [()]
+        assert per_document(paragraph_flags(model, vocab, [subj]), [2]) == [(0, 1)]
+        assert per_document(paragraph_flags(model, vocab, [obj]), [2]) == [()]
 
     def test_singleton_paragraph_matches_sentence_decision(self, detector_models):
         model, vocab = detector_models["nb"]
@@ -409,7 +417,7 @@ class TestDetectorDispatch:
             ["the film is excellent truly", "a detective returns to the city"],
             paragraph_starts=(0, 1),
         )
-        (para,) = per_document(detect_paragraph_unit(model, vocab, [doc]), [2])
+        (para,) = per_document(paragraph_flags(model, vocab, [doc]), [2])
         sent = select_basic(score_texts(model, vocab, doc.sentences))
         assert para == sent
 
@@ -535,7 +543,7 @@ class TestSentenceMatrix:
 
         monkeypatch.setattr(features.Vocabulary, "column_map", counted)
         monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
-        got = detect_paragraph_unit(model, vocab, paragraph_documents)
+        got = paragraph_flags(model, vocab, paragraph_documents)
         assert per_document(got, [len(doc.sentences) for doc in paragraph_documents]) == want
         assert len(calls) == 1  # the batches share one map of the type table
         assert any(want) and not all(len(w) == 8 for w in want)
