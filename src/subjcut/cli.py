@@ -81,7 +81,10 @@ output_dir_option = click.option(
 
 def _ensure_outdir(path: str) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot create --output-dir: {exc}")
     return out
 
 
@@ -198,7 +201,7 @@ def cmd_extract(
         )
         vocab = Vocabulary.load(Path(model_dir) / "detector_vocab.tsv")
         model = load_model(Path(model_dir) / f"detector_{base}.json", vocab)
-    except (corpus.IngestionError, FileNotFoundError, ValueError, VocabularyMismatchError) as exc:
+    except (corpus.IngestionError, OSError, ValueError, VocabularyMismatchError) as exc:
         raise click.UsageError(str(exc))
     detector = Detector(model=model, vocab=vocab, config=DetectorConfig(base=base))
     extracts = evaluation.make_extracts(config, documents, detector)

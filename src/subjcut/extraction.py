@@ -42,7 +42,7 @@ from .features import (
     join_rows,
     presence_matrix,
 )
-from .mincut import cut_band, instance_counts, pair_capacities
+from .mincut import cut_band, instance_counts, integer_instance
 
 DECAY_NAMES = ("constant", "exponential", "inverse_square")
 
@@ -96,7 +96,7 @@ class ProximityParams:
         object.__setattr__(self, "cross_paragraph_weight", float(self.cross_paragraph_weight))
         # every decay is 1 at distance 1, so no pair outweighs the strength:
         # refuse here, before any work, a strength the cut could not take
-        pair_capacities(np.array([self.strength]))
+        integer_instance(IndividualScores(class1=[], class2=[]), [self.strength])
 
     def to_dict(self) -> dict:
         return asdict(self)

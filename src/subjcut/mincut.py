@@ -3,13 +3,15 @@
 Items are partitioned into a source class (class 1) and a sink class by
 minimizing: class-2 scores over items placed in class 1, plus class-1 scores
 over items placed in class 2, plus association scores over split pairs. The
-graph realizes these as capacities, rounded to integers so the cut is exact.
-Each item gets one terminal arc, weighing the difference of its rounded
-scores: that lowers every labeling's cost by the same constant, so the
-minimum cuts are the paper's (Kolmogorov & Zabih, PAMI 2004). Many instances
-are solved at once: their graphs share only the source and the sink, so each
-instance's cut is unaffected by the others. Every cut computed here is the
-canonical one: the intersection of all minimum labelings' source sides.
+graph realizes these as capacities, rounded to integers at the fixed ``SCALE``
+so the cut is exact, by ``integer_instance`` alone: the oracles'
+``scale_instance`` rounds, and refuses, as ``cut_band`` does. Each item gets
+one terminal arc, weighing the difference of its rounded scores: that lowers
+every labeling's cost by the same constant, so the minimum cuts are the
+paper's (Kolmogorov & Zabih, PAMI 2004). Many instances are solved at once:
+their graphs share only the source and the sink, so each instance's cut is
+unaffected by the others. Every cut computed here is the canonical one: the
+intersection of all minimum labelings' source sides.
 
 ``cut_band`` is the one cut. It takes the instances' scores as one array
 with each instance's item count, and their pairs as a band, weights by item
@@ -32,7 +34,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .classifiers import IndividualScores
 
-DEFAULT_SCALE = 10**6
+SCALE = 10**6
 # scipy's max-flow keeps capacities as int32, and a residual capacity can
 # reach an arc's capacity plus its reverse arc's; that sum must fit
 CAPACITY_BOUND = 2**31 - 1
@@ -87,20 +89,25 @@ def _costs(ind: IndividualScores, assoc: AssociationScores, sides: np.ndarray) -
     return costs
 
 
-def _capacities(values: np.ndarray, scale_factor: int, limit: int, what: str) -> np.ndarray:
-    scaled = np.rint(values * scale_factor)  # half to even keeps the weights unbiased
-    if scaled.size and scaled.max() > limit:
-        raise ValueError(
-            f"{what} {values.flat[scaled.argmax()]} at scale {scale_factor} exceeds the solver's"
-            " bound: an arc's capacities in both directions must sum to at most 2**31 - 1"
-        )
-    return scaled.astype(np.int64)
-
-
-def pair_capacities(values: np.ndarray, scale_factor: int = DEFAULT_SCALE) -> np.ndarray:
-    """Integer capacities of association weights; both directions of an
-    association arc carry one, so a weight beyond half the bound is refused."""
-    return _capacities(values, scale_factor, CAPACITY_BOUND // 2, "association weight")
+def integer_instance(scores: IndividualScores, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """An instance's class-1 scores, class-2 scores and pair capacities as int64 at
+    ``SCALE``, rounded half to even, which keeps them unbiased. A NaN is refused, as is a
+    size above ``CAPACITY_BOUND``, or above half of it for a pair, whose arc runs both ways."""
+    rounded = []
+    for values, limit, what in (
+        (scores.class1, CAPACITY_BOUND, "class-1 score"),
+        (scores.class2, CAPACITY_BOUND, "class-2 score"),
+        (np.asarray(weights, dtype=np.float64), CAPACITY_BOUND // 2, "association weight"),
+    ):
+        scaled = np.rint(values * SCALE)
+        if scaled.size and not -limit <= scaled.min() <= scaled.max() <= limit:
+            worst = values.flat[np.abs(scaled).argmax()]  # the first NaN, if any
+            raise ValueError(
+                f"{what} {worst} at scale {SCALE} exceeds the solver's"
+                " bound: an arc's capacities in both directions must sum to at most 2**31 - 1"
+            )
+        rounded.append(scaled.astype(np.int64))
+    return tuple(rounded)
 
 
 @dataclass(frozen=True)
@@ -127,10 +134,7 @@ def instance_counts(counts: Sequence[int]) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def cut_band(
-    scores: IndividualScores, counts: Sequence[int], weights: np.ndarray,
-    scale_factor: int = DEFAULT_SCALE,
-) -> np.ndarray:
+def cut_band(scores: IndividualScores, counts: Sequence[int], weights: np.ndarray) -> np.ndarray:
     """The canonical minimum cut of every instance: one flag per item, true
     for the source side (class 1).
 
@@ -140,8 +144,8 @@ def cut_band(
     their (reach, items) band: ``weights[d - 1, i]`` weighs the pair
     (i, i + d), finite and >= 0, and 0 where i + d lies beyond i's
     instance. Any instance of n items is a band of reach n - 1. Real-valued
-    scores and weights are rounded to integers at ``scale_factor`` so the
-    cut is exact; a capacity beyond the solver's int32 bound is refused.
+    scores and weights are rounded by ``integer_instance`` so the cut is
+    exact; a capacity beyond the solver's int32 bound is refused.
 
     A band without a pair arc, such as a strength-0 one, needs no graph: the
     source side is the items whose rounded class-1 score is the larger. Else
@@ -149,8 +153,6 @@ def cut_band(
     min-marginals (``_min_marginals``), a wider one by one max-flow
     computation (``_source_side``); both give the canonical cut.
     """
-    if scale_factor < 1:
-        raise ValueError("scale_factor must be >= 1")
     counts = instance_counts(counts)
     n, longest, docs = len(scores), int(counts.max(initial=0)), len(counts)
     if counts.sum() != n:
@@ -176,11 +178,8 @@ def cut_band(
     banded = reach <= BANDED_REACH_LIMIT
     if banded and longest * (reach + 1) * CAPACITY_BOUND >= 2**63:
         raise ValueError(f"an instance of {longest} items at reach {reach} could overflow int64")
-    margin = (
-        _capacities(scores.class1, scale_factor, CAPACITY_BOUND, "class-1 score")
-        - _capacities(scores.class2, scale_factor, CAPACITY_BOUND, "class-2 score")
-    )
-    caps = pair_capacities(weights, scale_factor)
+    class1, class2, caps = integer_instance(scores, weights)
+    margin = class1 - class2
     if not caps.any():
         return margin > 0
     if banded:
@@ -297,20 +296,14 @@ def _min_marginals(
 
 
 def scale_instance(
-    ind: IndividualScores,
-    assoc: AssociationScores,
-    scale_factor: int = DEFAULT_SCALE,
+    ind: IndividualScores, assoc: AssociationScores
 ) -> tuple[IndividualScores, AssociationScores]:
-    """Integer-scaled copy of an instance, mirroring ``cut_band``'s rounding.
-
-    Brute-forcing the scaled copy gives costs directly comparable to those
-    of a cut's side in it, with no float tolerance involved.
-    """
-    s_ind = IndividualScores(
-        class1=np.rint(ind.class1 * scale_factor), class2=np.rint(ind.class2 * scale_factor)
-    )
-    s_pairs = {key: np.rint(value * scale_factor) for key, value in assoc.pairs.items()}
-    return s_ind, AssociationScores(pairs={k: float(v) for k, v in s_pairs.items() if v})
+    """The integer copy (``integer_instance``) of an instance that ``cut_band`` cuts, pairs
+    of capacity 0 dropped: brute-forcing it gives costs exactly comparable to a cut's side."""
+    weights = np.fromiter(assoc.pairs.values(), dtype=np.float64, count=len(assoc.pairs))
+    class1, class2, caps = integer_instance(ind, weights)
+    pairs = {key: float(cap) for key, cap in zip(assoc.pairs, caps.tolist()) if cap}
+    return IndividualScores(class1=class1, class2=class2), AssociationScores(pairs=pairs)
 
 
 BRUTE_FORCE_LIMIT = 20

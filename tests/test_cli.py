@@ -245,6 +245,51 @@ class TestTrainAndExtract:
         assert "2**31 - 1" in result.output
         assert not (out / "extracts.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "vocab, problem",
+        [(None, "Not a directory"), ("dir", "Is a directory")],
+    )
+    def test_unreadable_model_dir_is_usage_error(
+        self, runner, small_data_root, tmp_path, vocab, problem
+    ):
+        # a --model-dir that is a file, or whose vocabulary path is a directory
+        model_dir = tmp_path / "models"
+        if vocab is None:
+            model_dir.write_text("")
+        else:
+            (model_dir / "detector_vocab.tsv").mkdir(parents=True)
+        result = runner.invoke(
+            main,
+            ["extract", "--data-root", str(small_data_root), "--model-dir", str(model_dir),
+             "--output-dir", str(tmp_path / "out"), "--base", "nb"],
+        )
+        assert result.exit_code == 2, result.output
+        assert problem in result.output and "detector_vocab.tsv" in result.output
+        assert not (tmp_path / "out" / "extracts.jsonl").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize(
+    "command", ["verify-data", "train-detector", "extract", "run", "grid", "sweep"]
+)
+def test_output_dir_that_cannot_be_made_is_usage_error(
+    runner, small_data_root, tmp_path, command, below
+):
+    # --output-dir names an existing file, or a directory below one
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"extractor": "full_review"}))
+    args = ["--spec", str(spec)] if command == "run" else []
+    result = runner.invoke(
+        main,
+        [command, *args, "--data-root", str(small_data_root),
+         "--output-dir", str(taken / below)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "cannot create --output-dir" in result.output and str(taken) in result.output
+    assert taken.read_text() == "kept"
+
 
 class TestRun:
     def test_run_writes_identical_reports(self, runner, small_data_root, tmp_path):

@@ -11,14 +11,14 @@ from subjcut.extraction import DECAY_NAMES, ProximityParams, association_band, s
 from subjcut.mincut import (
     BANDED_REACH_LIMIT,
     CAPACITY_BOUND,
-    DEFAULT_SCALE,
+    SCALE,
     AssociationScores,
     CutResult,
     band_pairs,
     brute_force_min,
     cut_band,
+    integer_instance,
     labeling_costs,
-    pair_capacities,
     partition_cost,
     scale_instance,
 )
@@ -77,10 +77,10 @@ def widened(band) -> np.ndarray:
     return np.vstack([band, np.zeros((BANDED_REACH_LIMIT + 1, band.shape[1]))])
 
 
-def cut_both_ways(scores, band, scale_factor=DEFAULT_SCALE) -> np.ndarray:
+def cut_both_ways(scores, band) -> np.ndarray:
     """``cut_band``'s flags for ``band``, checked equal to those of ``widened(band)``."""
-    got = cut_band(*joined(scores), band, scale_factor)
-    assert got.tolist() == cut_band(*joined(scores), widened(band), scale_factor).tolist()
+    got = cut_band(*joined(scores), band)
+    assert got.tolist() == cut_band(*joined(scores), widened(band)).tolist()
     return got
 
 
@@ -88,16 +88,21 @@ def side_of(flags) -> tuple[int, ...]:
     return tuple(np.flatnonzero(flags).tolist())
 
 
-def solve(ind, assoc, scale_factor=DEFAULT_SCALE):
+def solve(ind, assoc):
     """Cut one instance on its own, as its ``band_of`` on both routes: its
     source side, priced over the raw scores."""
-    side = side_of(cut_both_ways([ind], band_of(ind, assoc), scale_factor))
+    side = side_of(cut_both_ways([ind], band_of(ind, assoc)))
     return CutResult(source_side=side, cost=partition_cost(ind, assoc, side))
 
 
-def scaled_cost(ind, assoc, side, scale_factor=DEFAULT_SCALE):
+def scaled_cost(ind, assoc, side):
     """The integer cost of ``side`` in the rounded instance the cut is made on."""
-    return partition_cost(*scale_instance(ind, assoc, scale_factor), side)
+    return partition_cost(*scale_instance(ind, assoc), side)
+
+
+def units(values) -> np.ndarray:
+    """Values that ``integer_instance`` rounds back to the integers ``values``."""
+    return np.asarray(values, dtype=np.float64) / SCALE
 
 
 class TestPartitionCost:
@@ -181,13 +186,67 @@ class TestBuildNetwork:
             cut_band(EXAMPLE_IND, [3], np.array([0.5, 0.5]))
 
     def test_capacities_are_scaled_integers(self):
-        # at scale 1, 0.5 rounds to 0 (half to even) and the pairs (0, 2) and
-        # (1, 2) to no arc; each cut is canonical in its rounded instance
-        band = band_of(EXAMPLE_IND, EXAMPLE_ASSOC)
-        for scale_factor in (1, 10, 100):
-            costs = labeling_costs(*scale_instance(EXAMPLE_IND, EXAMPLE_ASSOC, scale_factor))
-            side = side_of(cut_both_ways([EXAMPLE_IND], band, scale_factor))
+        # the worked example shrunk to s units: at s = 1, 0.5 rounds to 0 (half
+        # to even) and the pairs (0, 2) and (1, 2) to no arc; each cut is
+        # canonical in its rounded instance
+        for s in (1, 10, 100):
+            ind = IndividualScores(
+                class1=units(EXAMPLE_IND.class1 * s), class2=units(EXAMPLE_IND.class2 * s)
+            )
+            assoc = AssociationScores(
+                pairs={key: float(units(value * s)) for key, value in EXAMPLE_ASSOC.pairs.items()}
+            )
+            costs = labeling_costs(*scale_instance(ind, assoc))
+            side = side_of(cut_both_ways([ind], band_of(ind, assoc)))
             assert side == intersection_of_minimum_labelings(costs, 3)
+
+
+class TestIntegerInstance:
+    """The one rounding of scores and weights, for the cut and the oracles."""
+
+    def test_units_at_the_bounds_scale_back_exactly(self):
+        ints = [CAPACITY_BOUND - 1, CAPACITY_BOUND]
+        halves = [CAPACITY_BOUND // 2 - 1, CAPACITY_BOUND // 2]
+        ind = IndividualScores(class1=units(ints), class2=units(ints[::-1]))
+        class1, class2, caps = integer_instance(ind, units(halves))
+        assert (class1.tolist(), class2.tolist(), caps.tolist()) == (ints, ints[::-1], halves)
+        assert class1.dtype == class2.dtype == caps.dtype == np.int64
+        # the values the bound tests refuse lie one unit past each bound
+        for over in (CAPACITY_BOUND + 1, CAPACITY_BOUND // 2 + 1):
+            assert float(units(over)) * SCALE == over
+
+    def test_rounds_half_to_even(self):
+        values = units([0.5, 1.5, 2.5, 0.4, 0.6])
+        ind = IndividualScores(class1=values, class2=values)
+        assert [part.tolist() for part in integer_instance(ind, values)] == [[0, 2, 2, 0, 1]] * 3
+
+    def test_no_arc_weights_round_to_zero(self):
+        # the weights of NO_ARC_WEIGHTS, and ANY_STRENGTH's small strengths, give no arc
+        empty = IndividualScores(class1=[], class2=[])
+        for weights in (NO_ARC_WEIGHTS, [1e-8, 4e-7], units([0.5])):
+            assert integer_instance(empty, weights)[2].tolist() == [0] * len(weights)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_weight_that_is_not_a_number_or_infinite_refused(self, value):
+        empty = IndividualScores(class1=[], class2=[])
+        with pytest.raises(ValueError, match=f"association weight {value} at scale"):
+            integer_instance(empty, [0.5, value])
+
+    @pytest.mark.parametrize(
+        "ind, weight, what",
+        [(IndividualScores(class1=[1e20, 0.5], class2=[0.9, 0.5]), 0.5, "class-1 score 1e+20"),
+         (IndividualScores(class1=[0.1, 0.5], class2=[0.9, 1e20]), 0.5, "class-2 score 1e+20"),
+         (EXAMPLE_IND, float(units(CAPACITY_BOUND // 2 + 1)), "association weight 1073.741824")],
+    )
+    def test_scale_instance_refuses_what_cut_band_refuses(self, ind, weight, what):
+        n = len(ind)
+        band = np.zeros((n - 1, n))
+        band[0, 0] = weight
+        with pytest.raises(ValueError, match=re.escape(f"{what} at scale {SCALE}")) as cut:
+            cut_band(ind, [n], band)
+        with pytest.raises(ValueError) as scaled:
+            scale_instance(ind, AssociationScores.from_band(band))
+        assert str(scaled.value) == str(cut.value)
 
 
 class TestCapacityBound:
@@ -198,28 +257,27 @@ class TestCapacityBound:
             cut_band(ind, [len(ind)], np.zeros((0, 1)))
 
     def test_terminal_capacity_at_the_bound_accepted(self):
-        ind = IndividualScores(
-            class1=np.array([float(CAPACITY_BOUND)]), class2=np.array([CAPACITY_BOUND - 1.0])
-        )
-        result = solve(ind, AssociationScores(pairs={}), scale_factor=1)
+        ind = IndividualScores(class1=units([CAPACITY_BOUND]), class2=units([CAPACITY_BOUND - 1]))
+        assoc = AssociationScores(pairs={})
+        result = solve(ind, assoc)
         assert result.source_side == (0,)
-        assert result.cost == CAPACITY_BOUND - 1
+        assert scaled_cost(ind, assoc, result.source_side) == CAPACITY_BOUND - 1
 
     def test_terminal_capacity_above_the_bound_refused(self):
-        ind = IndividualScores(class1=np.array([CAPACITY_BOUND + 1.0]), class2=np.array([0.0]))
+        ind = IndividualScores(class1=units([CAPACITY_BOUND + 1]), class2=np.array([0.0]))
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            cut_band(ind, [len(ind)], np.zeros((0, 1)), scale_factor=1)
+            cut_band(ind, [len(ind)], np.zeros((0, 1)))
 
     def test_association_at_half_the_bound_accepted(self):
         # both directions of an association arc together reach the bound
         weight = CAPACITY_BOUND // 2
-        big = float(CAPACITY_BOUND)
-        ind = IndividualScores(class1=np.array([big, 0.0]), class2=np.array([0.0, big]))
-        result = solve(ind, AssociationScores(pairs={(0, 1): float(weight)}), scale_factor=1)
+        ind = IndividualScores(class1=units([CAPACITY_BOUND, 0]), class2=units([0, CAPACITY_BOUND]))
+        assoc = AssociationScores(pairs={(0, 1): float(units(weight))})
+        result = solve(ind, assoc)
         assert result.source_side == (0,)
-        assert result.cost == weight
+        assert scaled_cost(ind, assoc, result.source_side) == weight
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
-            cut_band(ind, [len(ind)], np.array([[weight + 1.0, 0.0]]), scale_factor=1)
+            cut_band(ind, [len(ind)], np.array([units([weight + 1, 0])]))
 
     def test_large_association_weight_refused(self):
         ind = IndividualScores(class1=np.array([0.5, 0.5]), class2=np.array([0.5, 0.5]))
@@ -365,7 +423,7 @@ def intersection_of_minimum_labelings(costs, n) -> tuple[int, ...]:
 
 
 ALL_WEIGHTS = (0.0, 1e-8, 4e-7, 0.25, 0.5)
-NO_ARC_WEIGHTS = (0.0, 1e-8, 4e-7)  # each rounds to 0 at the default scale
+NO_ARC_WEIGHTS = (0.0, 1e-8, 4e-7)  # each rounds to 0 (``test_no_arc_weights_round_to_zero``)
 
 
 @st.composite
@@ -457,16 +515,17 @@ class TestBruteForce:
 
 
 @st.composite
-def spread_instances(draw, n_max=8):
-    """Instances whose scores and weights span twelve orders of magnitude, so
-    that adding the same terms in another order changes the sums' last bits;
-    a third of the pairs weigh 0, and the pairs come in shuffled order."""
+def spread_instances(draw, n_max=8, top=6):
+    """Instances whose scores and weights span 6 + ``top`` orders of magnitude,
+    below 10**top, so that adding the same terms in another order changes the
+    sums' last bits; a third of the pairs weigh 0, and the pairs come in
+    shuffled order."""
     n = draw(st.integers(0, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    class1, class2 = rng.uniform(0, 1, (2, n)) * 10.0 ** rng.uniform(-6, 6, (2, n))
+    class1, class2 = rng.uniform(0, 1, (2, n)) * 10.0 ** rng.uniform(-6, top, (2, n))
     pairs = [(i, k) for i in range(n) for k in range(i + 1, n) if rng.random() < 0.6]
     rng.shuffle(pairs)
-    weights = rng.uniform(0, 1, len(pairs)) * 10.0 ** rng.uniform(-6, 6, len(pairs))
+    weights = rng.uniform(0, 1, len(pairs)) * 10.0 ** rng.uniform(-6, top, len(pairs))
     weights[rng.random(len(pairs)) < 1 / 3] = 0.0
     return IndividualScores(class1=class1, class2=class2), AssociationScores(
         pairs={tuple(pair): float(w) for pair, w in zip(pairs, weights)}
@@ -478,8 +537,12 @@ class TestLabelingCosts:
     labeling adds up, and ``partition_cost`` prices one labeling alike."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(spread_instances(), tied_instances()), st.booleans(), st.data())
-    def test_equals_the_plain_loop_bit_for_bit(self, instance, scaled, data):
+    @given(st.booleans(), st.data())
+    def test_equals_the_plain_loop_bit_for_bit(self, scaled, data):
+        # a scaled instance is the cut's integer copy, which holds no value
+        # beyond the solver's bound: its spread values stay below 10**3
+        spread = spread_instances(top=3 if scaled else 6)
+        instance = data.draw(st.one_of(spread, tied_instances()))
         if scaled:
             instance = scale_instance(*instance)
         costs = labeling_costs(*instance)
@@ -577,11 +640,12 @@ def tie_after_rounding(rng, class1):
     rounds to: equal, or off by less than half a unit when ``class1`` is a
     whole number of units (as a multiple of 1/4 is)."""
     near = np.abs(class1 + rng.choice([-3e-7, 3e-7], len(class1)))
-    exact = np.rint(class1 * DEFAULT_SCALE) == class1 * DEFAULT_SCALE
+    rounded, _, _ = integer_instance(IndividualScores(class1=class1, class2=class1), [])
+    exact = rounded == class1 * SCALE
     return np.where(exact & (rng.random(len(class1)) < 0.5), near, class1)
 
 
-# weights below 0.5 / DEFAULT_SCALE round to no arc
+# weights below 0.5 / SCALE round to no arc (``test_no_arc_weights_round_to_zero``)
 ANY_STRENGTH = st.one_of(st.floats(0, 2), st.sampled_from([1e-8, 4e-7]))
 
 
@@ -741,8 +805,8 @@ class TestBandedFlags:
     @given(banded_batches(strengths=st.sampled_from([0.0, 1e-8, 4e-7])))
     def test_pair_free_batches_equal_max_flow(self, batch):
         scores, band = batch
-        assert not pair_capacities(band).any()
         one, counts = joined(scores)
+        assert not integer_instance(one, band)[2].any()
         assert cut_band(one, counts, band).tolist() == cut_band(one, counts, widened(band)).tolist()
 
     @settings(max_examples=60, deadline=None)
@@ -792,19 +856,19 @@ class TestBandedFlags:
         assert cut_band(*joined(scores), wide).tolist() == want
 
     def test_capacities_at_the_refusal_bounds(self):
-        big, half = float(CAPACITY_BOUND), float(CAPACITY_BOUND // 2)
-        ind = IndividualScores(
-            class1=np.array([big, 0.0, big, 0.0]), class2=np.array([0.0, big, big - 1, 0.0])
-        )
-        band = np.array([[half, half, half, 0.0], [half, half, 0.0, 0.0]])
-        assert cut_band(ind, [4], band, 1).tolist() == cut_band(ind, [4], widened(band), 1).tolist()
-        over = IndividualScores(class1=ind.class1 + [1, 0, 0, 0], class2=ind.class2)
-        heavier = band + [[1, 0, 0, 0], [0, 0, 0, 0]]
+        big, half = CAPACITY_BOUND, CAPACITY_BOUND // 2
+        class1, class2 = np.array([big, 0, big, 0]), np.array([0, big, big - 1, 0])
+        ind = IndividualScores(class1=units(class1), class2=units(class2))
+        halves = np.array([[half, half, half, 0], [half, half, 0, 0]])
+        band = units(halves)
+        assert cut_band(ind, [4], band).tolist() == cut_band(ind, [4], widened(band)).tolist()
+        over = IndividualScores(class1=units(class1 + [1, 0, 0, 0]), class2=ind.class2)
+        heavier = units(halves + [[1, 0, 0, 0], [0, 0, 0, 0]])
         for scores, weights in (([over], band), ([ind], heavier)):
             with pytest.raises(ValueError, match=r"2\*\*31 - 1") as refused:
-                cut_band(*joined(scores), weights, 1)
+                cut_band(*joined(scores), weights)
             with pytest.raises(ValueError) as widened_refused:
-                cut_band(*joined(scores), widened(weights), 1)
+                cut_band(*joined(scores), widened(weights))
             assert str(refused.value) == str(widened_refused.value)
 
     @pytest.mark.parametrize(
