@@ -9,7 +9,6 @@ ten-fold cross-validation.
 """
 
 from .classifiers import (
-    DegenerateModelError,
     IndividualScores,
     LinearMarginModel,
     NaiveBayesModel,
@@ -18,7 +17,7 @@ from .classifiers import (
     load_model,
     nb_predict_prob,
     save_model,
-    svm_decision,
+    svm_margin,
     svm_to_individual,
     svm_train,
 )

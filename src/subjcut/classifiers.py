@@ -4,8 +4,8 @@ The SVM trains on unigram-presence rows (``FeatureRows``) and NB on their
 per-class column counts. Both score such rows into one array per call, and
 serve two roles: sentence-level subjectivity detection and document-level
 polarity classification. Class 1 is the class of interest (subjective, or
-positive). The SVM's signed geometric distance to the hyperplane is clamped
-into [0, 1] to produce per-item score pairs for the graph construction.
+positive). The SVM's signed margin ``w . x + b`` is clamped into [0, 1] to
+produce per-item score pairs for the graph construction.
 
 Scoring sums a table's entries at each row's active columns, for all rows
 in one numpy call per table and in the order the row-at-a-time sums take.
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -35,10 +34,6 @@ FORMAT_TAG = "subjcut-model/1"
 
 class TrainingError(Exception):
     """Training data cannot produce a usable model (e.g. one class only)."""
-
-
-class DegenerateModelError(Exception):
-    """A model whose decision function is undefined (zero weight vector)."""
 
 
 class VocabularyMismatchError(Exception):
@@ -145,11 +140,6 @@ class LinearMarginModel:
     regularization: float
     training_seed: int
     vocab_digest: str = ""
-
-    @cached_property
-    def weight_norm(self) -> float:
-        """Euclidean norm of the weights, computed once per model."""
-        return float(np.linalg.norm(self.weights))
 
 
 def svm_train(
@@ -280,19 +270,13 @@ def svm_margin(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:
     return model.bias + rows.values * _pairwise_sums(w_ext, *_sentinel_gather(rows, w_ext.size - 1))
 
 
-def svm_decision(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:
-    """Signed geometric distance of each row from the hyperplane; positive means class 1."""
-    norm = model.weight_norm
-    if norm == 0.0:
-        raise DegenerateModelError("zero weight vector has no decision boundary")
-    return svm_margin(model, rows) / norm
-
-
 def svm_to_individual(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp signed distances into class-1 preferences in [0, 1].
+    """Clamp signed margins into class-1 preferences in [0, 1].
 
     Piecewise linear: 1 above +2, 0 below -2, (2 + d) / 4 between; the
-    complements are returned as the class-2 preferences.
+    complements are returned as the class-2 preferences. This is Pang & Lee's
+    (ACL 2004) map of an SVM's output d, which SVMlight writes on the scale of
+    the margin ``w . x + b`` (Joachims 1999), as ``svm_margin`` returns it.
     """
     d = np.asarray(d, dtype=float)
     bad = np.flatnonzero(~np.isfinite(d))

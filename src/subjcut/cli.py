@@ -144,7 +144,6 @@ def cmd_train_detector(
 ) -> None:
     """Train subjectivity detector model(s) on the sentence corpus."""
     root = _data_root(data_root)
-    out = _ensure_outdir(output_dir)
     try:
         quote, plot = resolve_subjectivity_files(root)
         sentences = corpus.load_subjectivity_dataset(quote, plot)
@@ -161,6 +160,7 @@ def cmd_train_detector(
         ]
     except (ValueError, EmptyVocabularyError) as exc:
         raise click.UsageError(str(exc))
+    out = _ensure_outdir(output_dir)
     for b, (model, vocab) in zip(bases, trained):
         vocab.save(out / "detector_vocab.tsv")
         save_model(model, out / f"detector_{b}.json")
@@ -189,7 +189,6 @@ def cmd_extract(
 ) -> None:
     """Write extracts (JSONL plus a mirrored text tree) for every review."""
     root = _data_root(data_root)
-    out = _ensure_outdir(output_dir)
     try:
         pol_root = resolve_polarity_root(root)
         documents = corpus.load_polarity_dataset(pol_root)
@@ -203,6 +202,7 @@ def cmd_extract(
         model = load_model(Path(model_dir) / f"detector_{base}.json", vocab)
     except (corpus.IngestionError, OSError, ValueError, VocabularyMismatchError) as exc:
         raise click.UsageError(str(exc))
+    out = _ensure_outdir(output_dir)
     detector = Detector(model=model, vocab=vocab, config=DetectorConfig(base=base))
     extracts = evaluation.make_extracts(config, documents, detector)
     (out / "extracts.jsonl").write_text(
@@ -250,11 +250,11 @@ def _config_from_spec(spec_path: str) -> evaluation.ExperimentConfig:
 def cmd_run(spec_path, data_root, output_dir, seed, threads) -> None:
     """Run one experiment from a JSON spec file; write report.json and report.txt."""
     root = _data_root(data_root)
-    out = _ensure_outdir(output_dir)
     config = _config_from_spec(spec_path)
     if seed is not None:
         config = replace(config, seed=seed)
     documents, sentences = _load_datasets(root)
+    out = _ensure_outdir(output_dir)
     detector = None
     if config.extractor in evaluation.DETECTOR_EXTRACTORS:
         detector = evaluation.make_detector(
@@ -292,8 +292,8 @@ def cmd_grid(
     except ValueError as exc:
         raise click.UsageError(f"bad grid axes: {exc}")
     root = _data_root(data_root)
-    out = _ensure_outdir(output_dir)
     documents, sentences = _load_datasets(root)
+    out = _ensure_outdir(output_dir)
     detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     base_config = evaluation.ExperimentConfig(
         extractor="graph", detector_base=base, classifier=classifier, seed=seed,
@@ -332,8 +332,8 @@ def cmd_sweep(data_root, output_dir, methods, n_values, classifier, base, seed) 
     if min(n_list) < 1:
         raise click.UsageError(f"--n-values must all be >= 1, got {n_values!r}")
     root = _data_root(data_root)
-    out = _ensure_outdir(output_dir)
     documents, sentences = _load_datasets(root)
+    out = _ensure_outdir(output_dir)
     detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     classifiers = ("nb", "svm") if classifier == "both" else (classifier,)
     results = evaluation.n_sentence_sweep(

@@ -525,6 +525,11 @@ def _selections(
     if config.extractor in DETECTOR_EXTRACTORS:
         if detector is None:
             raise ValueError(f"extractor {config.extractor!r} requires a trained detector")
+        if detector.config.base != config.detector_base:
+            raise ValueError(
+                f"detector base {detector.config.base!r} differs from the config's "
+                f"detector_base {config.detector_base!r}"
+            )
         if matrix is None and (scores is None or config.extractor == "paragraph"):
             matrix = sentence_matrix(documents)
         if scores is None and config.extractor != "paragraph":

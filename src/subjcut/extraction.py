@@ -30,7 +30,7 @@ from .classifiers import (
     LinearMarginModel,
     NaiveBayesModel,
     nb_predict_prob,
-    svm_decision,
+    svm_margin,
     svm_to_individual,
 )
 from .corpus import ReviewDocument
@@ -153,8 +153,8 @@ def individual_scores(
 ) -> IndividualScores:
     """Per-row class preferences of ``matrix`` from a trained sentence classifier.
 
-    NB yields (posterior, 1 - posterior); the margin classifier's signed
-    distance is clamped into [0, 1] and complemented. ``column_of`` is
+    NB yields (posterior, 1 - posterior); the SVM's signed margin
+    ``w . x + b`` is clamped into [0, 1] and complemented. ``column_of`` is
     ``vocab.column_map(matrix.types)``, so that scoring many row slices or
     joins of one matrix maps its type table once.
     """
@@ -167,7 +167,7 @@ def individual_scores(
     if isinstance(model, NaiveBayesModel):
         c1 = nb_predict_prob(model, rows)
     else:
-        c1, _ = svm_to_individual(svm_decision(model, rows))
+        c1, _ = svm_to_individual(svm_margin(model, rows))
     return IndividualScores(class1=c1, class2=1.0 - c1)
 
 

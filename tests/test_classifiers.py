@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from subjcut.classifiers import (
-    DegenerateModelError,
     IndividualScores,
     LinearMarginModel,
     NaiveBayesModel,
@@ -23,7 +22,6 @@ from subjcut.classifiers import (
     load_model,
     nb_predict_prob,
     save_model,
-    svm_decision,
     svm_margin,
     svm_to_individual,
     svm_train,
@@ -179,7 +177,7 @@ def separable_svm():
 class TestLinearMargin:
     def test_separable_training_accuracy(self, separable_svm):
         model, _, rows, labels = separable_svm
-        assert ((svm_decision(model, rows) > 0) == (np.array(labels) == 1)).all()
+        assert ((svm_margin(model, rows) > 0) == (np.array(labels) == 1)).all()
 
     def test_deterministic_given_seed(self, separable_svm):
         model, _, _, labels = separable_svm
@@ -239,25 +237,12 @@ class TestLinearMargin:
         with pytest.raises(ValueError, match="regularization must be > 0 and finite"):
             svm_train(rows, SEPARABLE_LABELS, regularization=regularization)
 
-    def test_decision_is_geometric_distance(self, separable_svm):
+    def test_margin_is_bias_plus_weighted_sum(self, separable_svm):
         model, vocab, _, _ = separable_svm
-        vec = rows_over([["a"]], vocab, normalize=True)
-        doubled = LinearMarginModel(
-            weights=model.weights * 2,
-            bias=model.bias * 2,
-            regularization=model.regularization,
-            training_seed=model.training_seed,
-        )
-        assert svm_decision(doubled, vec) == pytest.approx(svm_decision(model, vec))
-
-    def test_weight_norm_is_the_euclidean_norm(self, separable_svm):
-        model, vocab, _, _ = separable_svm
-        assert model.weight_norm == float(np.linalg.norm(model.weights))
         vec = rows_over([["a", "b"]], vocab, normalize=True)
         [idx], [value] = vec.rows(), vec.values
         raw = model.bias + value * model.weights[idx].sum()
         assert svm_margin(model, vec).tolist() == [raw]
-        assert svm_decision(model, vec).tolist() == [raw / np.linalg.norm(model.weights)]
 
     @given(st.lists(st.lists(st.sampled_from("abcdz"), max_size=5), max_size=8))
     def test_rows_match_the_per_row_formula(self, texts):
@@ -266,10 +251,9 @@ class TestLinearMargin:
         rows = rows_over(texts, vocab, normalize=True)
         want = [  # one row at a time, exactly
             float(model.bias + (value * model.weights[idx].sum() if len(idx) else 0.0))
-            / model.weight_norm
             for idx, value in zip(rows.rows(), rows.values.tolist())
         ]
-        assert svm_decision(model, rows).tolist() == want
+        assert svm_margin(model, rows).tolist() == want
 
     def test_point_on_hyperplane_scores_zero(self):
         model = LinearMarginModel(
@@ -277,18 +261,18 @@ class TestLinearMargin:
         )
         vocab = vocabulary_of([["a", "b"]])
         vec = rows_over([["a", "b"]], vocab, normalize=True)  # w.x = 0
-        assert svm_decision(model, vec) == pytest.approx([0.0])
+        assert svm_margin(model, vec) == pytest.approx([0.0])
 
-    def test_zero_weights_degenerate(self):
+    def test_zero_weights_score_every_row_as_the_bias(self):
         model = LinearMarginModel(
-            weights=np.zeros(2), bias=1.0, regularization=1.0, training_seed=0
+            weights=np.zeros(2), bias=0.25, regularization=1.0, training_seed=0
         )
         vocab = vocabulary_of([["a", "b"]])
-        with pytest.raises(DegenerateModelError):
-            svm_decision(model, rows_over([["a"]], vocab, normalize=True))
+        rows = rows_over([["a"], ["a", "b"], []], vocab, normalize=True)
+        assert svm_margin(model, rows).tolist() == [0.25, 0.25, 0.25]
 
 
-class TestDistanceClamp:
+class TestMarginClamp:
     @pytest.mark.parametrize(
         "d,expected",
         [(3.0, 1.0), (0.0, 0.5), (-2.0, 0.0), (1.0, 0.75), (2.0, 1.0), (-3.0, 0.0)],
@@ -381,7 +365,7 @@ class TestSerialization:
         path = tmp_path / "svm.json"
         save_model(model, path)
         again = load_model(path, vocab)
-        assert svm_decision(again, rows) == pytest.approx(svm_decision(model, rows))
+        assert svm_margin(again, rows) == pytest.approx(svm_margin(model, rows))
 
     def test_vocabulary_mismatch_refused(self, tiny_nb, tmp_path):
         model, _ = tiny_nb

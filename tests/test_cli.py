@@ -268,19 +268,40 @@ class TestTrainAndExtract:
         assert not (tmp_path / "out" / "extracts.jsonl").exists()
 
 
+OUTPUT_COMMANDS = ["verify-data", "train-detector", "extract", "run", "grid", "sweep"]
+
+
+def command_inputs(runner, command, data_root, tmp_path) -> list[str]:
+    """The options besides the data root and output directory that ``command``
+    needs: a spec for ``run``, and for ``extract`` a model directory, trained
+    on ``data_root`` when one is given."""
+    if command == "run":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"extractor": "full_review"}))
+        return ["--spec", str(spec)]
+    if command == "extract":
+        models = tmp_path / "models"
+        if data_root is not None:
+            result = runner.invoke(
+                main,
+                ["train-detector", "--data-root", str(data_root),
+                 "--output-dir", str(models), "--base", "nb"],
+            )
+            assert result.exit_code == 0, result.output
+        return ["--model-dir", str(models)]
+    return []
+
+
 @pytest.mark.parametrize("below", ["", "sub"])
-@pytest.mark.parametrize(
-    "command", ["verify-data", "train-detector", "extract", "run", "grid", "sweep"]
-)
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
 def test_output_dir_that_cannot_be_made_is_usage_error(
     runner, small_data_root, tmp_path, command, below
 ):
-    # --output-dir names an existing file, or a directory below one
+    # --output-dir names an existing file, or a directory below one; the
+    # inputs are good, since a command checks them before it makes the directory
     taken = tmp_path / "taken"
     taken.write_text("kept")
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"extractor": "full_review"}))
-    args = ["--spec", str(spec)] if command == "run" else []
+    args = command_inputs(runner, command, small_data_root, tmp_path)
     result = runner.invoke(
         main,
         [command, *args, "--data-root", str(small_data_root),
@@ -289,6 +310,21 @@ def test_output_dir_that_cannot_be_made_is_usage_error(
     assert result.exit_code == 2, result.output
     assert "cannot create --output-dir" in result.output and str(taken) in result.output
     assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_refused_command_makes_no_output_dir(runner, tmp_path, command):
+    # a data root with neither reviews nor sentence files
+    empty_root = tmp_path / "empty"
+    empty_root.mkdir()
+    args = command_inputs(runner, command, None, tmp_path)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [command, *args, "--data-root", str(empty_root), "--output-dir", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "under" in result.output and str(empty_root) in result.output
+    assert not out.exists()
 
 
 class TestRun:

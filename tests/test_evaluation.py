@@ -31,6 +31,7 @@ from subjcut.extraction import Detector, DetectorConfig, ProximityParams, indivi
 from subjcut.classifiers import IndividualScores, TrainingError
 from subjcut.features import EmptyVocabularyError, Vocabulary
 
+from planted_corpus import OPINION_NEGATIVE, OPINION_POSITIVE
 from references import score_texts
 
 
@@ -173,6 +174,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(extractor="basic"), synthetic_documents)
 
+    def test_detector_of_another_base_refused(self, synthetic_documents, svm_detector):
+        # the config says nb, so a report from the SVM detector would say nb
+        config = ExperimentConfig(extractor="basic", detector_base="nb")
+        match = "detector base 'svm' differs from the config's detector_base 'nb'"
+        with pytest.raises(ValueError, match=match):
+            run_experiment(config, synthetic_documents, svm_detector)
+        with pytest.raises(ValueError, match=match):
+            make_extracts(config, synthetic_documents, svm_detector)
+        grid = GridSpec(thresholds=(1,), decays=("constant",), strengths=(0.0,))
+        with pytest.raises(ValueError, match=match):
+            grid_search(config, synthetic_documents, svm_detector, grid, max_workers=1)
+
     def test_unassigned_folds_rejected(self, synthetic_documents):
         docs = [replace(d, fold=-1) for d in synthetic_documents]
         with pytest.raises(ValueError):
@@ -219,7 +232,32 @@ class TestComparisons:
         assert comp["p"] <= 1.0
 
 
+def planted_sentence_accuracy(config, documents, detector) -> float:
+    """The share of ``documents``' sentences that ``config``'s extract keeps
+    exactly when they were planted subjective: when they hold an opinion word."""
+    opinion = set(OPINION_POSITIVE) | set(OPINION_NEGATIVE)
+    hits = []
+    for doc, extract in zip(documents, make_extracts(config, documents, detector)):
+        for i, sentence in enumerate(doc.sentences):
+            hits.append((i in extract.selected) == bool(opinion & set(sentence.split())))
+    return float(np.mean(hits))
+
+
 class TestMakeExtracts:
+    @pytest.mark.parametrize("base", ["nb", "svm"])
+    def test_graph_cut_keeps_the_planted_truth_as_well_as_basic(
+        self, synthetic_documents, request, base
+    ):
+        detector = request.getfixturevalue(f"{base}_detector")
+        basic = ExperimentConfig(extractor="basic", detector_base=base)
+        graph = replace(
+            basic, extractor="graph",
+            proximity=ProximityParams(threshold=1, decay="constant", strength=0.1),
+        )
+        assert planted_sentence_accuracy(graph, synthetic_documents, detector) >= (
+            planted_sentence_accuracy(basic, synthetic_documents, detector)
+        )
+
     def test_top_n_extracts_respect_n(self, synthetic_documents, nb_detector):
         config = ExperimentConfig(extractor="top_n", n_sentences=2)
         extracts = make_extracts(config, synthetic_documents, nb_detector)
@@ -684,8 +722,9 @@ class TestDetectorCV:
 
 
 class TestParagraphComparison:
-    # the toy SVM detector's geometric margins are ~0.2 wide, so association
-    # strengths in these tests stay below that scale to keep cuts non-trivial
+    # the toy SVM detector's class-1 scores span about 0.15 to 0.78, so
+    # association strengths in these tests stay well below that scale to keep
+    # cuts non-trivial
     def test_weight_one_matches_plain_graph(self, paragraph_documents, svm_detector):
         params = ProximityParams(threshold=2, decay="constant", strength=0.05,
                                  cross_paragraph_weight=1.0)

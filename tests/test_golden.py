@@ -102,10 +102,10 @@ REPORT_DIGESTS = {
     "graph-nb-nb-flipped": "2da85f9f19de88bbb5a4219d513c4a7ac4dff950c7e1f652ba0bb48dd7dcc6bc",
     "graph-nb-svm": "5d7433fdd300e8c59c49ba87ba2e26b4510e3b8b941b2be423b80a37cb4c63d5",
     "graph-nb-svm-flipped": "2d4d0f493f29184218b58c2d8fa5b51176c8d0cb3d7d2b75216110b92de79622",
-    "graph-svm-nb": "de55021ab8e8fec0d4b6379a45959e2e8635824a7e0d78e17cb92c1318734410",
-    "graph-svm-nb-flipped": "824a35c168344126c8c5855d768f6791011973ee9abea2a9ff3b467969c657d2",
-    "graph-svm-svm": "5e1f2ff8212dd173c40b700a7c79a19d39b8bee1efcb3295bb802d008c0a6792",
-    "graph-svm-svm-flipped": "5eeb0226fdb464b7a3a8bcc4f5e648f9fbd27fe1aad87e26c94551935e96e651",
+    "graph-svm-nb": "5abec55a8ed330f89748792ec33ff7a9be8d1663d085d0ab46f4d764c4254b57",
+    "graph-svm-nb-flipped": "0cfef970c72200191c324d26ee7d2e2a53992b62c30fa643130a75465b1e5822",
+    "graph-svm-svm": "3dc0af48eb830841dc6eca4f02a3a51c7b1be10c49353cb17470ab230e05cde2",
+    "graph-svm-svm-flipped": "5aff1e626db73b2d9187e83a2629fecd272a1aaaf2b484548fefc3635ddbba88",
     "last_n-nb": "36c8ce8f9f1c586af201ff557f236af4aee283d981164e2d25bf976d03b81e3f",
     "last_n-nb-flipped": "07589f5c3e2458b8c5390efaddd53cb2c05883504053a3ea22ba30078de5383a",
     "last_n-svm": "7872815da9b3ad45c1a9559dfadc9ae68428bf27416eaa515e985cea03a7a1a9",
