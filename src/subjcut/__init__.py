@@ -22,7 +22,6 @@ from .classifiers import (
     svm_train,
 )
 from .corpus import (
-    ConfigurationError,
     CorpusManifest,
     IngestionError,
     LabeledSentence,
@@ -48,7 +47,6 @@ from .evaluation import (
     paired_t_test,
     run_experiment,
     score_documents,
-    train_detector_model,
 )
 from .extraction import (
     Detector,

@@ -17,7 +17,9 @@ import click
 import numpy as np
 
 from . import corpus, evaluation, extraction, mincut
-from .classifiers import IndividualScores, VocabularyMismatchError, load_model, save_model
+from .classifiers import (
+    IndividualScores, TrainingError, VocabularyMismatchError, load_model, save_model,
+)
 from .extraction import Detector, DetectorConfig, ProximityParams
 from .features import EmptyVocabularyError, Vocabulary
 
@@ -131,6 +133,15 @@ def _load_datasets(root: Path):
         raise click.UsageError(str(exc))
 
 
+def _train_detector(sentences, base: str, **options) -> Detector:
+    """A detector of ``base`` trained on ``sentences``; a corpus or setting it
+    cannot be trained on is a usage error."""
+    try:
+        return evaluation.make_detector(sentences, DetectorConfig(base=base), **options)
+    except (ValueError, TrainingError, EmptyVocabularyError) as exc:
+        raise click.UsageError(str(exc))
+
+
 @main.command("train-detector")
 @data_root_option
 @output_dir_option
@@ -149,21 +160,18 @@ def cmd_train_detector(
         sentences = corpus.load_subjectivity_dataset(quote, plot)
     except corpus.IngestionError as exc:
         raise click.UsageError(str(exc))
-    bases = ["nb", "svm"] if base == "both" else [base]
-    try:  # every model is trained before any is written
-        trained = [
-            evaluation.train_detector_model(
-                sentences, base=b, alpha=alpha, regularization=regularization,
-                seed=seed, min_doc_freq=min_doc_freq,
-            )
-            for b in bases
-        ]
-    except (ValueError, EmptyVocabularyError) as exc:
-        raise click.UsageError(str(exc))
+    detectors = [  # every detector is trained before any is written
+        _train_detector(
+            sentences, b, alpha=alpha, regularization=regularization,
+            seed=seed, min_doc_freq=min_doc_freq,
+        )
+        for b in (["nb", "svm"] if base == "both" else [base])
+    ]
     out = _ensure_outdir(output_dir)
-    for b, (model, vocab) in zip(bases, trained):
-        vocab.save(out / "detector_vocab.tsv")
-        save_model(model, out / f"detector_{b}.json")
+    for detector in detectors:
+        b = detector.config.base
+        detector.vocab.save(out / "detector_vocab.tsv")
+        save_model(detector.model, out / f"detector_{b}.json")
         click.echo(f"trained {b} detector on {len(sentences)} sentences -> detector_{b}.json")
 
 
@@ -254,12 +262,10 @@ def cmd_run(spec_path, data_root, output_dir, seed, threads) -> None:
     if seed is not None:
         config = replace(config, seed=seed)
     documents, sentences = _load_datasets(root)
-    out = _ensure_outdir(output_dir)
     detector = None
     if config.extractor in evaluation.DETECTOR_EXTRACTORS:
-        detector = evaluation.make_detector(
-            sentences, DetectorConfig(base=config.detector_base), seed=config.seed
-        )
+        detector = _train_detector(sentences, config.detector_base, seed=config.seed)
+    out = _ensure_outdir(output_dir)
     report = evaluation.run_experiment(config, documents, detector, max_workers=threads)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.render_text(), encoding="utf-8")
@@ -293,8 +299,8 @@ def cmd_grid(
         raise click.UsageError(f"bad grid axes: {exc}")
     root = _data_root(data_root)
     documents, sentences = _load_datasets(root)
+    detector = _train_detector(sentences, base, seed=seed)
     out = _ensure_outdir(output_dir)
-    detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     base_config = evaluation.ExperimentConfig(
         extractor="graph", detector_base=base, classifier=classifier, seed=seed,
         proximity=ProximityParams(strength=0.0),
@@ -333,8 +339,8 @@ def cmd_sweep(data_root, output_dir, methods, n_values, classifier, base, seed) 
         raise click.UsageError(f"--n-values must all be >= 1, got {n_values!r}")
     root = _data_root(data_root)
     documents, sentences = _load_datasets(root)
+    detector = _train_detector(sentences, base, seed=seed)
     out = _ensure_outdir(output_dir)
-    detector = evaluation.make_detector(sentences, DetectorConfig(base=base), seed=seed)
     classifiers = ("nb", "svm") if classifier == "both" else (classifier,)
     results = evaluation.n_sentence_sweep(
         documents,

@@ -17,7 +17,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePath
-from typing import Iterable, Sequence
+from typing import Iterable
 
 log = logging.getLogger(__name__)
 
@@ -31,10 +31,6 @@ _CV_TAG = re.compile(r"^cv(\d{3})")
 
 class IngestionError(Exception):
     """A dataset directory or file could not be ingested."""
-
-
-class ConfigurationError(Exception):
-    """An invalid run configuration (bad fold count, bad sidecar, ...)."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -81,29 +77,6 @@ class ReviewDocument:
     def word_count(self) -> int:
         return sum(self.sentence_word_counts)
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "sentences": list(self.sentences),
-            "paragraph_starts": list(self.paragraph_starts),
-            "fold": self.fold,
-            "word_count": self.word_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReviewDocument":
-        doc = cls(
-            id=d["id"],
-            label=d["label"],
-            sentences=tuple(d["sentences"]),
-            paragraph_starts=tuple(d["paragraph_starts"]),
-            fold=d["fold"],
-        )
-        if "word_count" in d and d["word_count"] != doc.word_count:
-            raise ValueError(f"document {doc.id}: stored word_count mismatch")
-        return doc
-
 
 @dataclass(frozen=True)
 class LabeledSentence:
@@ -142,37 +115,6 @@ def read_sentences(raw_text: str) -> list[str]:
     return _parse_lines(raw_text)[0]
 
 
-def _sidecar_starts(sidecar: Sequence[int], n_sentences: int) -> tuple[int, ...]:
-    starts = tuple(int(i) for i in sidecar)
-    if not starts or starts[0] != 0:
-        raise ConfigurationError("sidecar paragraph starts must begin with 0")
-    if any(b <= a for a, b in zip(starts, starts[1:])):
-        raise ConfigurationError("sidecar paragraph starts must be strictly increasing")
-    if starts[-1] >= max(n_sentences, 1):
-        raise ConfigurationError(
-            f"sidecar paragraph start {starts[-1]} out of range for {n_sentences} sentences"
-        )
-    return starts
-
-
-def load_sidecar(path: str | Path) -> dict[str, tuple[int, ...]]:
-    """Parse a paragraph sidecar file: ``docid<TAB>comma-separated indices``."""
-    mapping: dict[str, tuple[int, ...]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        doc_id, _, spec = line.partition("\t")
-        if not spec:
-            raise ConfigurationError(f"malformed sidecar line: {line!r}")
-        mapping[doc_id.strip()] = tuple(int(x) for x in spec.split(","))
-    return mapping
-
-
-def _check_fold_count(k: int) -> None:
-    if k < 2:
-        raise ConfigurationError(f"fold count must be >= 2, got {k}")
-
-
 def _fold(doc_id: str, ordinal: int, k: int) -> int:
     """The fold of the ``ordinal``-th document: its ``cvNNN`` tag if below k, else ordinal mod k."""
     m = _CV_TAG.match(doc_id)
@@ -195,41 +137,41 @@ def _iter_label_dirs(root: Path) -> Iterable[tuple[str, Path, list[tuple[str, st
         yield label, d, files
 
 
-def _read_text(path: str | Path) -> str:
+def _decode(data: bytes) -> str:
     # no newline translation: splitlines breaks at \r\n, \r and \n alike
-    with open(path, "rb") as fh:
-        return fh.read().decode("utf-8", errors="replace")
+    return data.decode("utf-8", errors="replace")
 
 
-def load_polarity_dataset(
-    root: str | Path,
-    k: int = 10,
-    sidecar_path: str | Path | None = None,
-) -> list[ReviewDocument]:
+def load_polarity_dataset(root: str | Path, k: int = 10) -> list[ReviewDocument]:
     """Load the review corpus from ``root/pos`` and ``root/neg``.
 
     One document per file, one sentence per nonblank line, label from the
-    subdirectory. Empty files are skipped with a warning. Paragraphs start
-    after blank lines, or where the sidecar says for a document it lists.
+    subdirectory, id from the filename stem; two files of one subdirectory
+    with the same stem are refused. Empty files are skipped with a warning.
+    Paragraphs start after blank lines.
     A filename stem carrying a ``cvNNN`` tag maps to fold ``NNN // 100`` (the
     standard balanced split of the review corpus) when that is below ``k``;
     any other document, synthetic fixtures included, gets its ordinal mod
     ``k``, the ordinal counting only the files kept.
     """
-    _check_fold_count(k)
-    root = Path(root)
-    sidecars = load_sidecar(sidecar_path) if sidecar_path else {}
+    if k < 2:
+        raise ValueError(f"fold count must be >= 2, got {k}")
     docs: list[ReviewDocument] = []
-    for label, d, files in _iter_label_dirs(root):
+    for label, d, files in _iter_label_dirs(Path(root)):
         n_before = len(docs)
+        paths_by_stem: dict[str, str] = {}
         for name, path in files:
-            sentences, starts = _parse_lines(_read_text(path))
+            stem = PurePath(name).stem
+            if stem in paths_by_stem:
+                raise IngestionError(
+                    f"{paths_by_stem[stem]} and {path} have the same review id {stem!r}"
+                )
+            paths_by_stem[stem] = path
+            with open(path, "rb") as fh:
+                sentences, starts = _parse_lines(_decode(fh.read()))
             if not sentences:
                 log.warning("skipping empty file %s", path)
                 continue
-            stem = PurePath(name).stem
-            if stem in sidecars:
-                starts = _sidecar_starts(sidecars[stem], len(sentences))
             fold = _fold(stem, len(docs), k)
             docs.append(ReviewDocument(stem, label, tuple(sentences), starts, fold))
         if len(docs) == n_before:
@@ -244,7 +186,7 @@ def load_subjectivity_dataset(
     out: list[LabeledSentence] = []
     for path, label in ((Path(quote_file), SUBJECTIVE), (Path(plot_file), OBJECTIVE)):
         try:
-            raw = _read_text(path)
+            raw = _decode(path.read_bytes())
         except OSError as exc:
             raise IngestionError(f"cannot read {path}: {exc}") from exc
         out.extend(LabeledSentence(text=s, label=label) for s in read_sentences(raw))
@@ -267,38 +209,34 @@ class CorpusManifest:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _digest_and_sentences(path: str | Path) -> tuple[str, list[str]]:
+    """A file's SHA-256 digest and its sentences, from one read."""
+    data = Path(path).read_bytes()
+    return hashlib.sha256(data).hexdigest(), read_sentences(_decode(data))
 
 
 def build_manifest(
-    polarity_root: str | Path | None = None,
-    quote_file: str | Path | None = None,
-    plot_file: str | Path | None = None,
+    polarity_root: str | Path, quote_file: str | Path, plot_file: str | Path
 ) -> CorpusManifest:
     """Scan dataset files and record counts, digests, and skipped empties.
 
     Deterministic for a fixed tree: rescanning yields byte-identical JSON.
     """
     manifest = CorpusManifest()
-    if polarity_root is not None:
-        root = Path(polarity_root)
-        for label, d, files in _iter_label_dirs(root):
-            for name, path in files:
-                rel = f"{d.name}/{name}"
-                manifest.checksums[rel] = _sha256(path)
-                if not read_sentences(_read_text(path)):
-                    manifest.skipped = manifest.skipped + (rel,)
-                elif label == POSITIVE:
-                    manifest.positive_count += 1
-                else:
-                    manifest.negative_count += 1
+    for label, d, files in _iter_label_dirs(Path(polarity_root)):
+        for name, path in files:
+            rel = f"{d.name}/{name}"
+            manifest.checksums[rel], sentences = _digest_and_sentences(path)
+            if not sentences:
+                manifest.skipped = manifest.skipped + (rel,)
+            elif label == POSITIVE:
+                manifest.positive_count += 1
+            else:
+                manifest.negative_count += 1
     for path, attr in ((quote_file, "subjective_count"), (plot_file, "objective_count")):
-        if path is None:
-            continue
         p = Path(path)
         if not p.is_file():
             raise IngestionError(f"missing dataset file: {p}")
-        manifest.checksums[p.name] = _sha256(p)
-        setattr(manifest, attr, len(read_sentences(_read_text(p))))
+        manifest.checksums[p.name], sentences = _digest_and_sentences(p)
+        setattr(manifest, attr, len(sentences))
     return manifest

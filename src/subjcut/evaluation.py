@@ -281,31 +281,6 @@ def _forked_map(fn: Callable, items: Iterable, max_workers: int) -> Iterator[Ite
 # Detector training and scoring
 
 
-def train_detector_model(
-    sentences: Sequence[LabeledSentence],
-    base: str = "nb",
-    alpha: float = 1.0,
-    regularization: float = 1.0,
-    seed: int = 0,
-    min_doc_freq: int = 1,
-) -> tuple[NaiveBayesModel | LinearMarginModel, Vocabulary]:
-    """Train a subjectivity detector on the full sentence corpus."""
-    if not sentences:
-        raise EmptyVocabularyError("no texts supplied")
-    if base not in ("nb", "svm"):
-        raise ValueError(f"base must be nb or svm, got {base!r}")
-    matrix, labels = _sentence_rows(sentences)
-    columns, counts = type_counts(matrix, labels, np.zeros_like(labels)).columns(min_doc_freq)
-    if not len(columns):
-        raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
-    model = _fit(
-        matrix, labels, np.arange(len(sentences)), matrix.column_map(columns), len(columns), counts,
-        base, alpha, regularization, seed, "detector",
-    )
-    vocab = matrix.vocabulary(columns)
-    return replace(model, vocab_digest=vocab.digest()), vocab
-
-
 def _sentence_rows(sentences: Sequence[LabeledSentence]) -> tuple[PresenceMatrix, np.ndarray]:
     """The presence matrix of ``sentences``, one group each, and their 0/1 labels."""
     matrix = presence_matrix([((s.text,), (len(s.text.split()),)) for s in sentences])
@@ -320,15 +295,17 @@ def make_detector(
     seed: int = 0,
     min_doc_freq: int = 1,
 ) -> Detector:
-    model, vocab = train_detector_model(
-        sentences,
-        base=config.base,
-        alpha=alpha,
-        regularization=regularization,
-        seed=seed,
-        min_doc_freq=min_doc_freq,
+    """A subjectivity detector of ``config.base`` trained on the full sentence corpus."""
+    matrix, labels = _sentence_rows(sentences)
+    columns, counts = type_counts(matrix, labels, np.zeros_like(labels)).columns(min_doc_freq)
+    if not len(columns):
+        raise EmptyVocabularyError("vocabulary is empty after frequency cutoff")
+    model = _fit(
+        matrix, labels, np.arange(len(sentences)), matrix.column_map(columns), len(columns), counts,
+        config.base, alpha, regularization, seed, "detector",
     )
-    return Detector(model=model, vocab=vocab, config=config)
+    vocab = matrix.vocabulary(columns)
+    return Detector(replace(model, vocab_digest=vocab.digest()), vocab, config)
 
 
 def score_documents(

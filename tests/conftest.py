@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from subjcut.corpus import LabeledSentence, load_polarity_dataset
-from subjcut.evaluation import make_detector, train_detector_model
+from subjcut.evaluation import make_detector
 from subjcut.extraction import Detector, DetectorConfig
 
 from planted_corpus import make_sentence_corpus, write_polarity_tree
@@ -46,10 +46,8 @@ def svm_detector(synthetic_sentences) -> Detector:
 
 
 @pytest.fixture(scope="session")
-def detector_models(synthetic_sentences):
-    nb_model, nb_vocab = train_detector_model(synthetic_sentences, base="nb")
-    svm_model, svm_vocab = train_detector_model(synthetic_sentences, base="svm")
-    return {"nb": (nb_model, nb_vocab), "svm": (svm_model, svm_vocab)}
+def detector_models(nb_detector, svm_detector):
+    return {d.config.base: (d.model, d.vocab) for d in (nb_detector, svm_detector)}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

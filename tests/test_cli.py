@@ -327,6 +327,42 @@ def test_refused_command_makes_no_output_dir(runner, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train-detector", "run", "grid", "sweep"])
+def test_untrainable_sentence_corpus_is_usage_error(runner, small_data_root, tmp_path, command):
+    # a blank quote file leaves the detector only objective sentences to learn from
+    (small_data_root / "quote.tok.gt9.5000").write_text("\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"extractor": "basic"}))
+    args = ["--spec", str(spec)] if command == "run" else []
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [command, *args, "--data-root", str(small_data_root), "--output-dir", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "training data must contain both classes" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "run", "grid", "sweep"])
+def test_review_id_repeated_in_one_directory_is_usage_error(
+    runner, small_data_root, tmp_path, command
+):
+    # two files of pos/ whose stem is one review id: extract would write one
+    # extract_text file over the other
+    args = command_inputs(runner, command, small_data_root, tmp_path)
+    pos = small_data_root / "pos"
+    first = sorted(pos.iterdir())[0]
+    twin = first.with_suffix(".md")
+    twin.write_text("another review\n")
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [command, *args, "--data-root", str(small_data_root), "--output-dir", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert str(first) in result.output and str(twin) in result.output
+    assert not out.exists()
+
+
 class TestRun:
     def test_run_writes_identical_reports(self, runner, small_data_root, tmp_path):
         spec = tmp_path / "spec.json"

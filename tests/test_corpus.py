@@ -1,4 +1,4 @@
-import json
+import hashlib
 import re
 import tempfile
 from dataclasses import replace
@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subjcut.corpus import (
-    ConfigurationError,
     IngestionError,
     LabeledSentence,
     ReviewDocument,
     _parse_lines,
     build_manifest,
     load_polarity_dataset,
-    load_sidecar,
     load_subjectivity_dataset,
     read_sentences,
     tokenize,
@@ -53,16 +51,6 @@ class TestReviewDocument:
         with pytest.raises(ValueError):
             _doc(paragraph_starts=(0, 5))
 
-    def test_round_trips_through_dict(self):
-        doc = _doc(sentences=("a b", "c"), paragraph_starts=(0, 1), fold=3)
-        again = ReviewDocument.from_dict(json.loads(json.dumps(doc.to_dict())))
-        assert again == doc
-
-    def test_round_trip_rejects_corrupt_word_count(self):
-        d = _doc().to_dict()
-        d["word_count"] += 1
-        with pytest.raises(ValueError):
-            ReviewDocument.from_dict(d)
 
 
 def test_labeled_sentence_needs_tokens():
@@ -115,17 +103,19 @@ class TestLoadPolarity:
         assert {d.id for d in docs} == {"a", "b"}
         assert any("empty" in r.message for r in caplog.records)
 
-    def test_sidecar_boundaries_win(self, tmp_path):
-        (tmp_path / "pos").mkdir()
-        (tmp_path / "neg").mkdir()
-        (tmp_path / "pos" / "a.txt").write_text("s0\ns1\ns2\ns3\n")
-        (tmp_path / "neg" / "b.txt").write_text("s0\ns1\n")
-        sidecar = tmp_path / "paragraphs.tsv"
-        sidecar.write_text("a\t0,2\n")
-        docs = load_polarity_dataset(tmp_path, sidecar_path=sidecar)
-        by_id = {d.id: d for d in docs}
-        assert by_id["a"].paragraph_starts == (0, 2)
-        assert by_id["b"].paragraph_starts == (0,)
+    def test_a_stem_repeated_in_one_directory_is_refused(self, tmp_path):
+        write_tree(tmp_path, {
+            "pos/cv000_a.txt": b"s\n", "pos/cv000_a.md": b"t\n", "neg/b.txt": b"s\n",
+        })
+        with pytest.raises(IngestionError, match="same review id 'cv000_a'") as refused:
+            load_polarity_dataset(tmp_path)
+        for name in ("cv000_a.md", "cv000_a.txt"):
+            assert str(tmp_path / "pos" / name) in str(refused.value)
+
+    def test_a_stem_in_both_directories_loads(self, tmp_path):
+        write_tree(tmp_path, {"pos/cv000_a.txt": b"s\n", "neg/cv000_a.txt": b"t\n"})
+        docs = load_polarity_dataset(tmp_path)
+        assert [(d.id, d.label) for d in docs] == [("cv000_a", "positive"), ("cv000_a", "negative")]
 
 
 class TestLoadSubjectivity:
@@ -177,15 +167,10 @@ class TestFoldRule:
         assert sorted(all_ids) == sorted(d.id for d in synthetic_documents)
 
 
-def loaded_paragraph_starts(root, raw, sidecar=None):
-    """The paragraph starts the loader gives a review of text ``raw``, listed
-    with ``sidecar``'s starts in a sidecar file when they are given."""
-    files = {"pos/d.txt": raw.encode(), "neg/e.txt": b"s\n"}
-    if sidecar is not None:
-        files["side.tsv"] = f"d\t{','.join(map(str, sidecar))}\n".encode()
-    write_tree(root, files)
-    side = root / "side.tsv" if sidecar is not None else None
-    return load_polarity_dataset(root, sidecar_path=side)[0].paragraph_starts
+def loaded_paragraph_starts(root, raw):
+    """The paragraph starts the loader gives a review of text ``raw``."""
+    write_tree(root, {"pos/d.txt": raw.encode(), "neg/e.txt": b"s\n"})
+    return load_polarity_dataset(root)[0].paragraph_starts
 
 
 class TestParagraphStarts:
@@ -196,29 +181,8 @@ class TestParagraphStarts:
     def test_no_breaks_single_paragraph(self, tmp_path):
         assert loaded_paragraph_starts(tmp_path, "s0\ns1\ns2\n") == (0,)
 
-    def test_sidecar_passthrough(self, tmp_path):
-        raw = "\n".join(f"s{i}" for i in range(10))
-        assert loaded_paragraph_starts(tmp_path, raw, sidecar=[0, 3, 7]) == (0, 3, 7)
-
-    def test_sidecar_out_of_range(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            loaded_paragraph_starts(tmp_path, "s0\ns1\n", sidecar=[0, 5])
-
-    def test_sidecar_must_start_at_zero(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            loaded_paragraph_starts(tmp_path, "s0\ns1\n", sidecar=[1])
-
     def test_leading_blanks_ignored(self, tmp_path):
         assert loaded_paragraph_starts(tmp_path, "\n\ns0\ns1\n") == (0,)
-
-
-def test_load_sidecar_parses_and_rejects(tmp_path):
-    f = tmp_path / "sc.tsv"
-    f.write_text("doc1\t0,3,7\ndoc2\t0\n")
-    assert load_sidecar(f) == {"doc1": (0, 3, 7), "doc2": (0,)}
-    f.write_text("doc-without-tab\n")
-    with pytest.raises(ConfigurationError):
-        load_sidecar(f)
 
 
 class TestManifest:
@@ -242,9 +206,29 @@ class TestManifest:
         (tmp_path / "pos" / "a.txt").write_text("ok\n")
         (tmp_path / "pos" / "empty.txt").write_text("")
         (tmp_path / "neg" / "b.txt").write_text("ok\n")
-        m = build_manifest(tmp_path)
+        (tmp_path / "q.txt").write_text("a b c\n")
+        (tmp_path / "p.txt").write_text("g h i\n")
+        m = build_manifest(tmp_path, tmp_path / "q.txt", tmp_path / "p.txt")
         assert m.skipped == ("pos/empty.txt",)
         assert m.positive_count == 1
+
+    def test_digests_are_of_the_bytes_and_counts_of_the_decoded_text(self, tmp_path):
+        # CRLF, a lone CR, invalid and truncated UTF-8 and a BOM: one read gives both
+        files = {
+            "pos/cv001_a.txt": b"one two\r\n\r\nthree \xff\r\n",
+            "pos/empty.txt": b"\n \r\n",
+            "neg/cv002_b.txt": b"\xef\xbb\xbfx y\rz\n",
+            "q.txt": b"a b c\n\nd e f\n",
+            "p.txt": b"g h \xe2\x80\n",
+        }
+        write_tree(tmp_path, files)
+        m = build_manifest(tmp_path, tmp_path / "q.txt", tmp_path / "p.txt")
+        assert m.checksums == {
+            rel: hashlib.sha256(data).hexdigest() for rel, data in files.items()
+        }
+        counts = (m.positive_count, m.negative_count, m.subjective_count, m.objective_count)
+        assert counts == (1, 1, 2, 1)
+        assert m.skipped == ("pos/empty.txt",)
 
 
 # The loader as it was, kept as the reference for the one-pass loader: each
@@ -257,17 +241,7 @@ def three_pass_read_sentences(raw_text):
     return [line.strip() for line in raw_text.splitlines() if line.strip()]
 
 
-def three_pass_detect_paragraphs(raw_text, sidecar=None):
-    n_sentences = len(three_pass_read_sentences(raw_text))
-    if sidecar is not None:
-        starts = tuple(int(i) for i in sidecar)
-        if not starts or starts[0] != 0:
-            raise ConfigurationError("sidecar paragraph starts must begin with 0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ConfigurationError("sidecar paragraph starts must be strictly increasing")
-        if starts[-1] >= max(n_sentences, 1):
-            raise ConfigurationError("sidecar paragraph start out of range")
-        return starts
+def three_pass_detect_paragraphs(raw_text):
     starts = [0]
     index = 0
     pending_break = False
@@ -293,16 +267,24 @@ def replace_assign_folds(docs, k):
     return out
 
 
-def reference_load(root, k=10, sidecar_path=None):
-    sidecars = load_sidecar(sidecar_path) if sidecar_path else {}
+def reference_load(root, k=10):
+    """The reference loader, which also refuses, in the loader's order, a stem
+    repeated in one directory and a directory with no usable document."""
     docs = []
     for label, sub in (("positive", "pos"), ("negative", "neg")):
-        for f in sorted(p for p in (Path(root) / sub).iterdir() if p.is_file()):
+        files = sorted(p for p in (Path(root) / sub).iterdir() if p.is_file())
+        stems = [f.stem for f in files]
+        kept = len(docs)
+        for i, f in enumerate(files):
+            if f.stem in stems[:i]:
+                raise IngestionError("same review id")
             raw = f.read_text(encoding="utf-8", errors="replace")
             sentences = three_pass_read_sentences(raw)
             if sentences:
-                starts = three_pass_detect_paragraphs(raw, sidecars.get(f.stem))
+                starts = three_pass_detect_paragraphs(raw)
                 docs.append(ReviewDocument(f.stem, label, tuple(sentences), starts))
+        if len(docs) == kept:
+            raise IngestionError("no usable documents")
     return replace_assign_folds(docs, k)
 
 
@@ -346,9 +328,10 @@ class TestOnePassIngestion:
             write_tree(root, {f"pos/{n}": d for n, d in pos.items()})
             write_tree(root, {f"neg/{n}": d for n, d in neg.items()})
             (root / "pos" / "subdir").mkdir()
-            expected = reference_load(root, k)
-            if {d.label for d in expected} != {"positive", "negative"}:
-                with pytest.raises(IngestionError, match="no usable documents"):
+            try:
+                expected = reference_load(root, k)
+            except IngestionError as refusal:
+                with pytest.raises(IngestionError, match=str(refusal)):
                     load_polarity_dataset(root, k)
                 return
             assert load_polarity_dataset(root, k) == expected
@@ -393,21 +376,6 @@ class TestOnePassIngestion:
         assert docs == reference_load(tmp_path, k=5)
         assert [d.fold for d in docs] == [4, 1, 1, 3]
 
-    def test_sidecar_for_some_documents(self, tmp_path):
-        write_tree(tmp_path, {
-            "pos/a.txt": b"s0\ns1\n\ns2\ns3\n",
-            "pos/b.txt": b"s0\n\ns1\ns2\n",
-            "neg/c.txt": b"s0\ns1\ns2\n",
-            "side.tsv": b"a\t0,1,3\nc\t0,2\nmissing\t0,9\n",
-        })
-        side = tmp_path / "side.tsv"
-        docs = load_polarity_dataset(tmp_path, sidecar_path=side)
-        assert docs == reference_load(tmp_path, sidecar_path=side)
-        assert [d.paragraph_starts for d in docs] == [(0, 1, 3), (0, 1), (0, 2)]
-        (tmp_path / "side.tsv").write_bytes(b"b\t0,3\n")
-        with pytest.raises(ConfigurationError, match="out of range"):
-            load_polarity_dataset(tmp_path, sidecar_path=side)
-
     def test_symlinks_are_listed_as_path_is_file_lists_them(self, tmp_path):
         write_tree(tmp_path, {"pos/a.txt": b"s\n", "neg/b.txt": b"s\n", "elsewhere/c.txt": b"t\n"})
         (tmp_path / "pos" / "to_file.txt").symlink_to(tmp_path / "elsewhere" / "c.txt")
@@ -419,6 +387,6 @@ class TestOnePassIngestion:
         assert [d.id for d in docs] == ["a", "to_file", "b"]
 
     def test_k_below_two_refused_before_any_read(self, tmp_path):
-        # neither the tree nor the sidecar exists: reading either would fail otherwise
-        with pytest.raises(ConfigurationError, match="fold count"):
-            load_polarity_dataset(tmp_path / "absent", k=1, sidecar_path=tmp_path / "absent.tsv")
+        # the tree does not exist: reading it would fail otherwise
+        with pytest.raises(ValueError, match="fold count"):
+            load_polarity_dataset(tmp_path / "absent", k=1)

@@ -17,6 +17,7 @@ from subjcut.evaluation import (
     add_comparison,
     detector_cv_accuracies,
     grid_search,
+    make_detector,
     make_extracts,
     n_sentence_sweep,
     paired_t_test,
@@ -24,7 +25,6 @@ from subjcut.evaluation import (
     run_experiment,
     score_documents,
     sweep_to_csv,
-    train_detector_model,
 )
 from subjcut import evaluation, extraction, features
 from subjcut.extraction import Detector, DetectorConfig, ProximityParams, individual_scores
@@ -621,7 +621,7 @@ class TestSweep:
             n_sentence_sweep(synthetic_documents, nb_detector, n_values=(3, 0))
 
 
-class TestTrainDetectorModel:
+class TestMakeDetector:
     def test_cutoff_that_empties_the_vocabulary_is_refused_before_training(self):
         # one class only: training would raise TrainingError, so the vocabulary
         # check has to come first
@@ -631,7 +631,7 @@ class TestTrainDetectorModel:
         ]
         for base in ("nb", "svm"):
             with pytest.raises(EmptyVocabularyError):
-                train_detector_model(sentences, base=base, min_doc_freq=2)
+                make_detector(sentences, DetectorConfig(base=base), min_doc_freq=2)
 
 
 class TestOneFit:
@@ -665,7 +665,7 @@ class TestOneFit:
         monkeypatch.setattr(evaluation, "nb_from_counts", only_in_fit(evaluation.nb_from_counts))
         monkeypatch.setattr(evaluation, "svm_train", only_in_fit(evaluation.svm_train))
         for base in ("nb", "svm"):
-            train_detector_model(synthetic_sentences, base=base)
+            make_detector(synthetic_sentences, DetectorConfig(base=base))
             run_experiment(ExperimentConfig(classifier=base), synthetic_documents, max_workers=1)
             detector_cv_accuracies(synthetic_sentences, base=base, folds=3, max_workers=1)
         assert names == self.NAMES * 2
@@ -675,7 +675,7 @@ class TestOneFit:
     ):
         monkeypatch.setattr(evaluation, "svm_train", partial(evaluation.svm_train, max_epochs=1))
         with caplog.at_level(logging.WARNING, logger="subjcut.classifiers"):
-            train_detector_model(synthetic_sentences, base="svm")
+            make_detector(synthetic_sentences, DetectorConfig(base="svm"))
             run_experiment(ExperimentConfig(classifier="svm"), synthetic_documents, max_workers=1)
             detector_cv_accuracies(synthetic_sentences, base="svm", folds=3, max_workers=1)
         messages = [record.getMessage() for record in caplog.records]

@@ -7,7 +7,8 @@ from hypothesis import example, given, strategies as st
 from subjcut.classifiers import TrainingError, nb_from_counts
 from subjcut import features
 from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
-from subjcut.evaluation import train_detector_model
+from subjcut.evaluation import make_detector
+from subjcut.extraction import DetectorConfig
 from subjcut.features import (
     EmptyVocabularyError,
     Vocabulary,
@@ -77,10 +78,10 @@ class TestBuildVocabulary:
             matrix = presence_matrix(texts)
             assert len(kept_columns(matrix, np.ones(len(texts), dtype=bool))) == 0
         with pytest.raises(EmptyVocabularyError):
-            train_detector_model([])
+            make_detector([], DetectorConfig())
         sentences = [LabeledSentence("good film", SUBJECTIVE), LabeledSentence("a plot", OBJECTIVE)]
         with pytest.raises(EmptyVocabularyError):
-            train_detector_model(sentences, min_doc_freq=2)
+            make_detector(sentences, DetectorConfig(), min_doc_freq=2)
         with pytest.raises(ValueError):
             kept_columns(presence_matrix([["a"]]), np.ones(1, dtype=bool), min_doc_freq=0)
 

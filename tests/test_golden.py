@@ -25,10 +25,10 @@ from subjcut.evaluation import (
     grid_search,
     n_sentence_sweep,
     run_experiment,
+    make_detector,
     sweep_to_csv,
-    train_detector_model,
 )
-from subjcut.extraction import ProximityParams
+from subjcut.extraction import DetectorConfig, ProximityParams
 
 PROXIMITY = ProximityParams(threshold=2, decay="exponential", strength=0.5)
 PARAGRAPH_PROXIMITY = ProximityParams(
@@ -235,9 +235,9 @@ def noisy_sentences(n: int = 80, seed: int = 3) -> list[LabeledSentence]:
 
 def detector_file_digests(sentences, base, min_doc_freq, tmp_path) -> tuple[str, str]:
     """SHA-256 of the vocabulary and model files of a detector trained on ``sentences``."""
-    model, vocab = train_detector_model(sentences, base=base, min_doc_freq=min_doc_freq)
-    vocab.save(tmp_path / "vocab.tsv")
-    save_model(model, tmp_path / "model.json")
+    detector = make_detector(sentences, DetectorConfig(base=base), min_doc_freq=min_doc_freq)
+    detector.vocab.save(tmp_path / "vocab.tsv")
+    save_model(detector.model, tmp_path / "model.json")
     return sha256((tmp_path / "vocab.tsv").read_bytes()), sha256(
         (tmp_path / "model.json").read_bytes()
     )
