@@ -18,7 +18,8 @@ import numpy as np
 
 from . import corpus, evaluation, extraction, mincut
 from .classifiers import (
-    IndividualScores, TrainingError, VocabularyMismatchError, load_model, save_model,
+    IndividualScores, NaiveBayesModel, TrainingError, VocabularyMismatchError, load_model,
+    save_model,
 )
 from .extraction import Detector, DetectorConfig, ProximityParams
 from .features import EmptyVocabularyError, Vocabulary
@@ -207,7 +208,11 @@ def cmd_extract(
             extractor=mode, detector_base=base, proximity=proximity, flipped=flipped
         )
         vocab = Vocabulary.load(Path(model_dir) / "detector_vocab.tsv")
-        model = load_model(Path(model_dir) / f"detector_{base}.json", vocab)
+        model_path = Path(model_dir) / f"detector_{base}.json"
+        model = load_model(model_path, vocab)
+        kind = "nb" if isinstance(model, NaiveBayesModel) else "svm"
+        if kind != base:
+            raise ValueError(f"{model_path}: holds an {kind} model, not the --base {base} one")
     except (corpus.IngestionError, OSError, ValueError, VocabularyMismatchError) as exc:
         raise click.UsageError(str(exc))
     out = _ensure_outdir(output_dir)

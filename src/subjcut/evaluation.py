@@ -13,8 +13,9 @@ sentence presence matrix; detector scores and every extract's row come from
 it. A selection is one flag per sentence, in the matrix's row order; extract
 rows, preservation and train digests are read from the flags, and
 ``make_extracts`` alone builds ``Extract`` objects. Grid and sweep cells run
-through one runner, ``_cell_reports``, and cells whose flags are equal share
-one cross-validation.
+through one runner, ``_cell_reports``, which plans every cell before it
+cross-validates any: it makes every cell's selection, keys each by its flags
+and classifier settings, and cross-validates each distinct key once.
 
 A cross-validation (of extracts, or of detector sentences) reads all its rows
 once, into per-type class counts and first positions (``type_counts``). Each
@@ -30,8 +31,9 @@ number of folds) once a cross-validation's rows, labels, fold ids and counts
 are built. The workers inherit those through the fork, so only fold numbers
 and each fold's ``(test, predicted)`` are pickled, and the parent takes the
 train digests and preservation while the folds train. NB folds train from
-counts in milliseconds and stay in this process. ``grid_search`` runs its
-cells on the same kind of pool, and a cell's folds then train in its worker.
+counts in milliseconds and stay in this process. ``grid_search`` makes its
+cells' selections on the same kind of pool, then cross-validates its distinct
+selections on a second one, each selection's folds training in its worker.
 Results are assembled in fold and cell order, so no byte depends on the
 worker count.
 """
@@ -43,6 +45,7 @@ import hashlib
 import io
 import itertools
 import json
+import logging
 import math
 import multiprocessing
 import numbers
@@ -94,6 +97,8 @@ EXTRACTORS = ("full_review", "basic", "graph", "paragraph") + N_EXTRACTORS
 DETECTOR_EXTRACTORS = ("basic", "graph", "paragraph", "top_n", "least_n")
 
 SWEEP_CSV_FIELDS = ("method", "N", "classifier", "fold", "accuracy", "preservation")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -429,10 +434,16 @@ def _fit_predict(
 
     ``stats`` is the ``type_counts`` of all rows. The vocabulary and NB's
     counts come from it minus the held-out rows' counts. An empty vocabulary
-    leaves the classifier its class prior (NB) or bias sign (SVM).
+    leaves the classifier its class prior (NB) or bias sign (SVM), and is
+    logged as a warning that names the fold and the classifier.
     """
     test = np.flatnonzero(fold_of == fold)
     columns, counts = stats.columns(min_doc_freq, fold, class_counts(matrix, test, labels[test]))
+    if not len(columns):
+        log.warning(
+            "fold %d: vocabulary is empty at min_doc_freq %d, so the %s classifier "
+            "gives every test row one class", fold, min_doc_freq, base,
+        )
     column_of = matrix.column_map(columns)
     if base == "svm":
         # the SVM reads rows, not counts: the counts are freed before the
@@ -570,6 +581,18 @@ def _extract_rows(
     ))
 
 
+def _check_folds(documents: Sequence[ReviewDocument], folds: int) -> None:
+    """Refuses, with a ``ValueError``, a document whose fold is not below
+    ``folds`` and a fold that holds no document, found from the documents'
+    own fold values, so the cost does not grow with ``folds``."""
+    bad = [doc.id for doc in documents if not (0 <= doc.fold < folds)]
+    if bad:
+        raise ValueError(f"documents without a valid fold: {bad[:3]}")
+    present = {doc.fold for doc in documents}
+    if len(present) < folds:
+        raise ValueError(f"fold {min(set(range(len(present) + 1)) - present)} is empty")
+
+
 def _cross_validate(
     config: ExperimentConfig,
     documents: Sequence[ReviewDocument],
@@ -578,19 +601,13 @@ def _cross_validate(
     max_workers: int = 1,
 ) -> tuple[FoldResult, ...]:
     """The fold results of ``config``'s classifier over the extract rows of
-    the sentences ``keep`` flags.
+    the sentences ``keep`` flags, for documents that passed ``_check_folds``.
 
     SVM folds train on ``max_workers`` forked processes while this one takes
     the train digests and preservation; NB folds train here.
     """
-    bad = [doc.id for doc in documents if not (0 <= doc.fold < config.folds)]
-    if bad:
-        raise ValueError(f"documents without a valid fold: {bad[:3]}")
     labels = np.array([1 if doc.label == POSITIVE else 0 for doc in documents])
     fold_of = np.array([doc.fold for doc in documents], dtype=np.int64)
-    empty = np.flatnonzero(np.bincount(fold_of, minlength=config.folds) == 0)
-    if len(empty):
-        raise ValueError(f"fold {empty[0]} is empty")
     fit = partial(
         _fit_predict, extract_rows, labels, fold_of, type_counts(extract_rows, labels, fold_of),
         base=config.classifier, min_doc_freq=config.min_doc_freq, seed=config.seed,
@@ -639,6 +656,7 @@ def run_experiment(
     refused with a ``ValueError``.
     """
     workers = _worker_count(max_workers, config.folds)
+    _check_folds(documents, config.folds)
     matrix = sentence_matrix(documents)
     keep = _selections(config, documents, detector, None, matrix)
     rows = _extract_rows(matrix, documents, keep)
@@ -657,47 +675,39 @@ def _cell_reports(
     detector: Detector,
     max_workers: int,
 ) -> list[ExperimentReport]:
-    """The ``_cell_report`` of each of ``configs``, in their order: the one
-    runner of grid and sweep cells.
+    """The report of each of ``configs``, in their order: the one runner of
+    grid and sweep cells.
 
-    The sentence matrix and the one array of its rows' detector scores are
-    computed once and shared by every cell. With ``max_workers`` above 1 the
-    cells run on that many forked processes; each process keeps its own
-    ``done`` dict, so it reuses the fold results of the cells it ran.
+    The sentence matrix and its rows' detector scores are computed once.
+    Every cell's selection is made on ``max_workers`` forked processes, and
+    this process keys each cell by the SHA-256 of its flags (taken after
+    ``flipped``) and its classifier, folds, seed and ``min_doc_freq``: cells
+    with one key have the same fold results. Each distinct key is
+    cross-validated once, its folds training in one of ``max_workers``
+    processes again.
     """
+    documents = list(documents)
+    for folds in {config.folds for config in configs}:
+        _check_folds(documents, folds)
     matrix = sentence_matrix(documents)
     scores = _sentence_scores(detector.model, detector.vocab, documents, matrix)
-    cell = partial(
-        _cell_report, documents=list(documents), detector=detector, scores=scores,
-        matrix=matrix, done={},
+    select = partial(
+        _selections, documents=documents, detector=detector, scores=scores, matrix=matrix
     )
-    with _forked_map(cell, configs, max_workers) as reports:
-        return list(reports)
+    keys, plan = [], {}
+    with _forked_map(select, configs, max_workers) as selections:
+        for config, keep in zip(configs, selections):
+            digest = hashlib.sha256(keep.tobytes()).hexdigest()
+            keys.append((digest, config.classifier, config.folds, config.seed, config.min_doc_freq))
+            plan.setdefault(keys[-1], (config, keep))
 
+    def cross_validate(cell: tuple[ExperimentConfig, np.ndarray]) -> tuple[FoldResult, ...]:
+        config, keep = cell
+        return _cross_validate(config, documents, keep, _extract_rows(matrix, documents, keep))
 
-def _cell_report(
-    config: ExperimentConfig,
-    documents: Sequence[ReviewDocument],
-    detector: Detector | None,
-    scores: IndividualScores | None,
-    matrix: PresenceMatrix,
-    done: dict,
-) -> ExperimentReport:
-    """``run_experiment`` for a grid or sweep cell, cross-validating once per
-    distinct selection.
-
-    Cells that keep the same sentences, under the same classifier settings,
-    have the same fold results. ``done`` maps the key of each selection
-    already cross-validated (a digest of the sentence flags, taken after
-    ``flipped``, and the classifier settings) to its fold results. The folds
-    train in this process.
-    """
-    keep = _selections(config, documents, detector, scores, matrix)
-    digest = hashlib.sha256(keep.tobytes()).hexdigest()
-    key = (digest, config.classifier, config.folds, config.seed, config.min_doc_freq)
-    if key not in done:
-        done[key] = _cross_validate(config, documents, keep, _extract_rows(matrix, documents, keep))
-    return _report(config, done[key])
+    with _forked_map(cross_validate, plan.values(), max_workers) as results:
+        done = dict(zip(plan, results))
+    return [_report(config, done[key]) for config, key in zip(configs, keys)]
 
 
 def _report(config: ExperimentConfig, folds: tuple[FoldResult, ...]) -> ExperimentReport:

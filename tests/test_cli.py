@@ -211,6 +211,24 @@ class TestTrainAndExtract:
         assert "detector_nb.json" in result.output and problem in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    def test_model_of_the_other_base_is_usage_error(self, runner, small_data_root, tmp_path):
+        models = tmp_path / "models"
+        runner.invoke(
+            main,
+            ["train-detector", "--data-root", str(small_data_root),
+             "--output-dir", str(models), "--base", "nb"],
+        )
+        (models / "detector_svm.json").write_bytes((models / "detector_nb.json").read_bytes())
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["extract", "--data-root", str(small_data_root), "--model-dir", str(models),
+             "--output-dir", str(out), "--base", "svm"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "detector_svm.json: holds an nb model, not the --base svm one" in result.output
+        assert not out.exists()
+
     def test_invalid_proximity_flag_is_usage_error(self, runner, small_data_root, tmp_path):
         out = tmp_path / "out"
         runner.invoke(

@@ -191,6 +191,43 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(), docs)
 
+    @pytest.mark.parametrize("runner", ["run_experiment", "grid_search"])
+    def test_fold_count_refused_before_tokenizing(
+        self, monkeypatch, synthetic_documents, nb_detector, runner
+    ):
+        # the documents hold folds 0-9, so fold 10 is the first empty one
+        def no_tokenizing(documents):
+            raise AssertionError("tokenized before the folds were checked")
+
+        monkeypatch.setattr(evaluation, "sentence_matrix", no_tokenizing)
+        config = ExperimentConfig(extractor="graph", proximity=ProximityParams(), folds=10**12)
+        with pytest.raises(ValueError, match="^fold 10 is empty$"):
+            if runner == "run_experiment":
+                run_experiment(config, synthetic_documents, nb_detector)
+            else:
+                grid_search(config, synthetic_documents, nb_detector, max_workers=1)
+
+    def test_empty_fold_is_named(self, synthetic_documents):
+        docs = [d for d in synthetic_documents if d.fold != 3]
+        with pytest.raises(ValueError, match="^fold 3 is empty$"):
+            run_experiment(ExperimentConfig(), docs)
+
+    def test_each_fold_with_an_empty_vocabulary_logs_one_warning(
+        self, caplog, synthetic_documents, synthetic_sentences
+    ):
+        docs = [replace(d, fold=i % 3) for i, d in enumerate(synthetic_documents)]
+        with caplog.at_level(logging.WARNING, logger="subjcut.evaluation"):
+            for classifier in ("nb", "svm"):
+                config = ExperimentConfig(classifier=classifier, folds=3, min_doc_freq=10**6)
+                run_experiment(config, docs, max_workers=1)
+            detector_cv_accuracies(synthetic_sentences, folds=3, min_doc_freq=10**6)
+        messages = [r.getMessage() for r in caplog.records if r.name == "subjcut.evaluation"]
+        assert messages == [
+            f"fold {fold}: vocabulary is empty at min_doc_freq 1000000, so the {base} "
+            "classifier gives every test row one class"
+            for base in ("nb", "svm", "nb") for fold in range(3)
+        ]
+
     def test_all_empty_extracts_degrade_to_prior(self, synthetic_documents, nb_detector):
         # documents fully out of the detector's vocabulary score 0.5 per
         # sentence, ties drop everything, and the polarity classifier falls
@@ -514,6 +551,47 @@ class TestCellReuse:
             report = results[(config.extractor, config.n_sentences, config.classifier)]
             fresh = run_experiment(config, synthetic_documents, nb_detector)
             assert report.to_json() == fresh.to_json()
+
+
+class TestCellPlan:
+    """Every cell's selection is made before one cross-validation per distinct one."""
+
+    def test_grid_on_two_workers_cross_validates_each_distinct_selection_once(
+        self, monkeypatch, synthetic_documents, nb_detector
+    ):
+        grid = GridSpec(thresholds=(1, 2), decays=("constant",), strengths=(0.0, 0.4))
+        base = ExperimentConfig(extractor="graph", proximity=ProximityParams(strength=0.0))
+        configs = [replace(base, proximity=p) for p in grid.cells()]
+        distinct = distinct_selections(configs, synthetic_documents, nb_detector)
+        assert 1 < distinct < len(configs)
+        # the maps' items are recorded in this process: the cross-validations
+        # run in forked workers, which could not append to this list
+        mapped = []
+        forked_map = evaluation._forked_map
+
+        def recording(fn, items, max_workers):
+            mapped.append(list(items))
+            return forked_map(fn, mapped[-1], max_workers)
+
+        monkeypatch.setattr(evaluation, "_forked_map", recording)
+        grid_search(base, synthetic_documents, nb_detector, grid, max_workers=2)
+        selections, cross_validations = mapped
+        assert selections == configs
+        assert len(cross_validations) == distinct
+
+    def test_reports_do_not_depend_on_the_worker_count(self, synthetic_documents, nb_detector):
+        configs = [
+            ExperimentConfig(extractor=m, n_sentences=n, classifier=c)
+            for m in ("top_n", "first_n", "last_n", "least_n") for n in (2, 50)
+            for c in ("nb", "svm")
+        ]
+        serial, parallel = (
+            [r.to_json() for r in evaluation._cell_reports(
+                configs, synthetic_documents, nb_detector, workers
+            )]
+            for workers in (1, 2)
+        )
+        assert parallel == serial
 
 
 class TestWorkerPool:
