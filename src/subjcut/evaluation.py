@@ -8,14 +8,15 @@ fold's training inputs are digested into the report so leakage is auditable.
 Reports carry no timestamps and serialize canonically: the same configuration
 and seed reproduce the same bytes.
 
-Each experiment, grid or sweep tokenizes the review sentences once, into one
-sentence presence matrix; detector scores and every extract's row come from
-it. A selection is one flag per sentence, in the matrix's row order; extract
-rows, preservation and train digests are read from the flags, and
-``make_extracts`` alone builds ``Extract`` objects. Grid and sweep cells run
-through one runner, ``_cell_reports``, which plans every cell before it
-cross-validates any: it makes every cell's selection, keys each by its flags
-and classifier settings, and cross-validates each distinct key once.
+Every experiment runs through one runner, ``_cell_reports``; a single run is
+its one-cell case. It tokenizes the review sentences once, into one sentence
+presence matrix; detector scores and every extract's row come from it. A
+selection is one flag per sentence, in the matrix's row order; extract rows,
+preservation and train digests are read from the flags, and
+``make_extracts`` alone builds ``Extract`` objects. The runner plans every
+cell before it cross-validates any: it makes every cell's selection, keys
+each by its flags and classifier settings, and cross-validates each distinct
+key once.
 
 A cross-validation (of extracts, or of detector sentences) reads all its rows
 once, into per-type class counts and first positions (``type_counts``). Each
@@ -25,17 +26,16 @@ only the fold's test rows, while the SVM featurizes its training rows too.
 Folds and the detector are fit by one function, ``_fit``: detector training
 is the case with nothing held out.
 
-SVM folds train in parallel: ``run_experiment`` and ``detector_cv_accuracies``
-fork a process pool (``max_workers``, by default the core count capped at the
-number of folds) once a cross-validation's rows, labels, fold ids and counts
-are built. The workers inherit those through the fork, so only fold numbers
-and each fold's ``(test, predicted)`` are pickled, and the parent takes the
-train digests and preservation while the folds train. NB folds train from
-counts in milliseconds and stay in this process. ``grid_search`` makes its
-cells' selections on the same kind of pool, then cross-validates its distinct
-selections on a second one, each selection's folds training in its worker.
-Results are assembled in fold and cell order, so no byte depends on the
-worker count.
+SVM folds train on a pool of ``max_workers`` forked processes, forked once a
+cross-validation's rows, labels, fold ids and counts are built. The workers
+inherit those, so only fold numbers and each fold's ``(test, predicted)`` are
+pickled, and the parent takes the train digests and preservation while the
+folds train. NB folds train from counts in milliseconds, in this process.
+The runner makes its cells' selections on a pool too. A lone distinct
+selection is then cross-validated in this process, its folds on a pool;
+several are cross-validated on a second pool, each one's folds training in
+its worker, so pools never nest. Results are assembled in fold and cell
+order, so no byte depends on the worker count.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ from .features import (
 
 N_EXTRACTORS = ("top_n", "first_n", "last_n", "least_n")
 EXTRACTORS = ("full_review", "basic", "graph", "paragraph") + N_EXTRACTORS
-DETECTOR_EXTRACTORS = ("basic", "graph", "paragraph", "top_n", "least_n")
+SCORED_EXTRACTORS = ("basic", "graph", "top_n", "least_n")  # they rank or cut by score
+DETECTOR_EXTRACTORS = SCORED_EXTRACTORS + ("paragraph",)
 
 SWEEP_CSV_FIELDS = ("method", "N", "classifier", "fold", "accuracy", "preservation")
 
@@ -118,11 +119,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("n_sentences", "folds", "seed", "min_doc_freq"):
             value = getattr(self, name)
-            if value is None and name == "n_sentences":  # no N-sentence extractor
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a JSON spec's 2.0 is stored as 2
+            if value is not None or name != "n_sentences":  # None: no N-sentence extractor
+                object.__setattr__(self, name, _integer(name, value))
         if not isinstance(self.flipped, bool):
             raise ValueError(f"flipped must be true or false, got {self.flipped!r}")
         if self.seed < 0:
@@ -229,6 +227,13 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, so a JSON spec's 2.0 is 2; a bool, fraction or non-number is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Worker pools
 
@@ -236,13 +241,13 @@ class ExperimentReport:
 def _worker_count(max_workers: int | None, jobs: int) -> int:
     """``max_workers``, or when it is None the core count capped at ``jobs``.
 
-    Fewer than one worker is refused with a ``ValueError``.
+    A count that is not an integer, or below one, is refused with a ``ValueError``.
     """
     if max_workers is None:
         return max(1, min(os.cpu_count() or 1, jobs))
-    if max_workers < 1:
+    if (workers := _integer("max_workers", max_workers)) < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    return max_workers
+    return workers
 
 
 _WORKER_FN: Callable | None = None  # set only in a pool's forked workers
@@ -367,12 +372,12 @@ def detector_cv_accuracies(
 
     Sentences get folds round-robin by position, which keeps the two label
     blocks of the distributed corpus balanced across folds. Fewer than 2
-    folds, more folds than sentences, an unknown base or fewer than one
-    worker is refused with a ``ValueError`` before anything is trained. SVM
-    folds train on ``max_workers`` forked processes (by default the core
-    count, capped at ``folds``); NB folds train here.
+    folds, more folds than sentences, an unknown base, fewer than one worker
+    or a count that is not an integer is refused with a ``ValueError`` before
+    anything is trained. SVM folds train on ``max_workers`` forked processes
+    (by default the core count, capped at ``folds``); NB folds train here.
     """
-    if folds < 2:
+    if (folds := _integer("folds", folds)) < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if len(sentences) < folds:
         raise ValueError(f"{folds} folds leave a fold without sentences: {len(sentences)} given")
@@ -598,7 +603,7 @@ def _cross_validate(
     documents: Sequence[ReviewDocument],
     keep: np.ndarray,
     extract_rows: PresenceMatrix,
-    max_workers: int = 1,
+    max_workers: int,
 ) -> tuple[FoldResult, ...]:
     """The fold results of ``config``'s classifier over the extract rows of
     the sentences ``keep`` flags, for documents that passed ``_check_folds``.
@@ -651,46 +656,34 @@ def run_experiment(
     ``sentence_matrix``; an extract's row is the join of its kept sentences'
     rows. For each fold, the vocabulary and the polarity classifier are built
     from the training folds' extracts only; the held-out fold supplies the
-    test extracts. SVM folds train on ``max_workers`` forked processes, by
-    default the core count capped at the number of folds; fewer than one is
-    refused with a ``ValueError``.
+    test extracts. It is ``_cell_reports`` of one config. SVM folds train on
+    ``max_workers`` forked processes, by default the core count capped at the
+    number of folds; a count below one or not an integer is refused.
     """
-    workers = _worker_count(max_workers, config.folds)
-    _check_folds(documents, config.folds)
-    matrix = sentence_matrix(documents)
-    keep = _selections(config, documents, detector, None, matrix)
-    rows = _extract_rows(matrix, documents, keep)
-    # The matrix is freed before the folds train, and the rows are
-    # copied once it is: left where they were built, above the matrix, they
-    # kept its memory from being reused for the folds' arrays, which raised
-    # the peak resident memory of a full-review SVM run by about 2 MB.
-    del matrix
-    rows = PresenceMatrix(rows.types, rows.ids.copy(), rows.offsets)
-    return _report(config, _cross_validate(config, documents, keep, rows, workers))
+    return _cell_reports([config], documents, detector, _worker_count(max_workers, config.folds))[0]
 
 
 def _cell_reports(
     configs: Sequence[ExperimentConfig],
     documents: Sequence[ReviewDocument],
-    detector: Detector,
+    detector: Detector | None,
     max_workers: int,
 ) -> list[ExperimentReport]:
-    """The report of each of ``configs``, in their order: the one runner of
-    grid and sweep cells.
+    """The report of each of ``configs``, in their order: the one runner.
 
-    The sentence matrix and its rows' detector scores are computed once.
-    Every cell's selection is made on ``max_workers`` forked processes, and
-    this process keys each cell by the SHA-256 of its flags (taken after
-    ``flipped``) and its classifier, folds, seed and ``min_doc_freq``: cells
-    with one key have the same fold results. Each distinct key is
-    cross-validated once, its folds training in one of ``max_workers``
-    processes again.
+    The sentence matrix, and its scores if a config ranks or cuts by them, are
+    computed once. Each cell's selection is made on ``max_workers`` forked
+    processes; this one keys each cell by the SHA-256 of its flags (after
+    ``flipped``) and its classifier, folds, seed and ``min_doc_freq``, and
+    cross-validates each distinct key once for all its cells, the key's folds
+    training in one of ``max_workers`` processes, or on all when it is alone.
     """
     documents = list(documents)
     for folds in {config.folds for config in configs}:
         _check_folds(documents, folds)
     matrix = sentence_matrix(documents)
-    scores = _sentence_scores(detector.model, detector.vocab, documents, matrix)
+    scored = detector is not None and any(c.extractor in SCORED_EXTRACTORS for c in configs)
+    scores = _sentence_scores(detector.model, detector.vocab, documents, matrix) if scored else None
     select = partial(
         _selections, documents=documents, detector=detector, scores=scores, matrix=matrix
     )
@@ -700,24 +693,31 @@ def _cell_reports(
             digest = hashlib.sha256(keep.tobytes()).hexdigest()
             keys.append((digest, config.classifier, config.folds, config.seed, config.min_doc_freq))
             plan.setdefault(keys[-1], (config, keep))
+    del select, selections  # both hold the matrix: the map holds the partial
+    lone = len(plan) == 1
 
     def cross_validate(cell: tuple[ExperimentConfig, np.ndarray]) -> tuple[FoldResult, ...]:
+        nonlocal matrix
         config, keep = cell
-        return _cross_validate(config, documents, keep, _extract_rows(matrix, documents, keep))
+        rows = _extract_rows(matrix, documents, keep)
+        if lone:
+            # the matrix is freed before the folds train, and the rows copied
+            # once it is: left above it, they kept its memory from the folds'
+            # arrays, which raised a full-review SVM run's peak by about 2 MB
+            matrix = None
+            rows = PresenceMatrix(rows.types, rows.ids.copy(), rows.offsets)
+        return _cross_validate(config, documents, keep, rows, max_workers if lone else 1)
 
     with _forked_map(cross_validate, plan.values(), max_workers) as results:
         done = dict(zip(plan, results))
-    return [_report(config, done[key]) for config, key in zip(configs, keys)]
-
-
-def _report(config: ExperimentConfig, folds: tuple[FoldResult, ...]) -> ExperimentReport:
-    return ExperimentReport(
-        config=config.to_dict(),
-        config_digest=config.digest(),
-        folds=folds,
-        mean_accuracy=float(np.mean([f.accuracy for f in folds])),
-        mean_preservation=float(np.mean([f.preservation for f in folds])),
-    )
+    return [
+        ExperimentReport(
+            config=config.to_dict(), config_digest=config.digest(), folds=done[key],
+            mean_accuracy=float(np.mean([f.accuracy for f in done[key]])),
+            mean_preservation=float(np.mean([f.preservation for f in done[key]])),
+        )
+        for config, key in zip(configs, keys)
+    ]
 
 
 # ---------------------------------------------------------------------------

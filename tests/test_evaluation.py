@@ -3,6 +3,7 @@ import logging
 import math
 import multiprocessing
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -594,6 +595,68 @@ class TestCellPlan:
         assert parallel == serial
 
 
+class TestOneRunner:
+    """A single run is the runner's one-cell case: the matrix is freed before its
+    folds train, only ranking or cutting by score scores sentences, and a lone
+    selection's folds train on the pool."""
+
+    @pytest.mark.parametrize("extractor", ["full_review", "basic"])
+    def test_the_matrix_is_freed_before_the_folds_train(
+        self, monkeypatch, synthetic_documents, nb_detector, extractor
+    ):
+        refs, checked = [], []
+        build, cross_validate = evaluation.sentence_matrix, evaluation._cross_validate
+
+        def recording(documents):
+            matrix = build(documents)
+            refs.append(weakref.ref(matrix))
+            return matrix
+
+        def checking(*args):
+            checked.append([ref() is None for ref in refs])
+            return cross_validate(*args)
+
+        monkeypatch.setattr(evaluation, "sentence_matrix", recording)
+        monkeypatch.setattr(evaluation, "_cross_validate", checking)
+        config = ExperimentConfig(extractor=extractor, classifier="svm")
+        run_experiment(config, synthetic_documents, nb_detector, max_workers=2)
+        assert checked == [[True]]
+
+    @pytest.mark.parametrize("extractor", ["full_review", "first_n", "last_n", "paragraph"])
+    def test_runs_that_rank_by_no_score_score_no_sentence(
+        self, monkeypatch, synthetic_documents, nb_detector, extractor
+    ):
+        def no_scoring(*args):
+            raise AssertionError("sentences were scored")
+
+        monkeypatch.setattr(evaluation, "_sentence_scores", no_scoring)
+        n = 2 if extractor in ("first_n", "last_n") else None
+        run_experiment(ExperimentConfig(extractor=extractor, n_sentences=n), synthetic_documents,
+                       nb_detector)
+
+    def test_a_grid_of_one_selection_trains_its_folds_on_the_pool(
+        self, monkeypatch, synthetic_documents, nb_detector
+    ):
+        # both strength-0 cells select as basic does
+        grid = GridSpec(thresholds=(1, 2), decays=("constant",), strengths=(0.0,))
+        base = ExperimentConfig(
+            extractor="graph", proximity=ProximityParams(strength=0.0), classifier="svm"
+        )
+        serial = grid_search(base, synthetic_documents, nb_detector, grid, max_workers=1)
+        mapped = []
+        forked_map = evaluation._forked_map
+
+        def recording(fn, items, max_workers):
+            mapped.append((list(items), max_workers))
+            return forked_map(fn, mapped[-1][0], max_workers)
+
+        monkeypatch.setattr(evaluation, "_forked_map", recording)
+        parallel = grid_search(base, synthetic_documents, nb_detector, grid, max_workers=2)
+        assert [r.to_json() for _, r in parallel.cells] == [r.to_json() for _, r in serial.cells]
+        # the cells' selections, the lone cross-validation, then its folds
+        assert len(mapped) == 3 and mapped[-1] == (list(range(10)), 2)
+
+
 class TestWorkerPool:
     """SVM folds train on forked workers; nothing observable depends on how many."""
 
@@ -643,9 +706,13 @@ class TestWorkerPool:
         with pytest.raises(TrainingError, match="both classes"):
             detector_cv_accuracies(sentences, base="svm", folds=2, max_workers=workers)
 
-    @pytest.mark.parametrize("workers", [0, -5])
+    @pytest.mark.parametrize(
+        "workers, message",
+        [(0, ">= 1"), (-5, ">= 1"), (2.5, "an integer"), (True, "an integer")],
+        ids=["0", "-5", "2.5", "True"],
+    )
     def test_fewer_than_one_worker_is_refused(
-        self, synthetic_documents, synthetic_sentences, nb_detector, workers
+        self, synthetic_documents, synthetic_sentences, nb_detector, workers, message
     ):
         grid = GridSpec(thresholds=(1,), decays=("constant",), strengths=(0.0,))
         base = ExperimentConfig(extractor="graph", proximity=ProximityParams(strength=0.0))
@@ -655,7 +722,7 @@ class TestWorkerPool:
             lambda: detector_cv_accuracies(synthetic_sentences, max_workers=workers),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            with pytest.raises(ValueError, match=f"max_workers must be {message}"):
                 call()
 
 
@@ -773,8 +840,9 @@ class TestDetectorCV:
 
     @pytest.mark.parametrize(
         "folds, message",
-        [(5, "without sentences"), (0, "folds must be >= 2"), (1, "folds must be >= 2")],
-        ids=["fold_without_sentences", "zero_folds", "one_fold"],
+        [(5, "without sentences"), (0, "folds must be >= 2"), (1, "folds must be >= 2"),
+         (2.5, "folds must be an integer")],
+        ids=["fold_without_sentences", "zero_folds", "one_fold", "non_integer_folds"],
     )
     @pytest.mark.parametrize("base", ["nb", "svm"])
     def test_bad_fold_count_refused_before_training(self, monkeypatch, folds, message, base):
