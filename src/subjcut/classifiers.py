@@ -188,7 +188,6 @@ def svm_train(
     visits = list(zip(rows.rows(), signs.tolist(), row_values.tolist(), q_diag.tolist()))
 
     w_ext = np.zeros(rows.n_features + 1)  # the weights, then the 0.0 each row sum starts from
-    w = w_ext[:-1]  # not written to: a scatter into a view is slower than into w_ext
     b = 0.0
     alpha = [0.0] * n
     rng = np.random.default_rng(seed)
@@ -219,10 +218,7 @@ def svm_train(
                 w_ext[idx] = w_idx
                 b += delta * sign
                 alpha[i] = a_new
-        reg_term = 0.5 * (w @ w + b * b)
-        margins = signs * (b + row_values * _pairwise_sums(w_ext, gather, starts))
-        primal = reg_term + c_penalty * np.maximum(0.0, 1.0 - margins).sum()
-        dual = np.array(alpha).sum() - reg_term
+        primal, dual = _primal_dual(w_ext, b, alpha, signs, row_values, gather, starts, c_penalty)
         if primal - dual <= tol * max(primal, 1.0):
             break
     else:
@@ -233,8 +229,17 @@ def svm_train(
         )
 
     return LinearMarginModel(
-        weights=w.copy(), bias=float(b), regularization=c_penalty, training_seed=seed
+        weights=w_ext[:-1].copy(), bias=float(b), regularization=c_penalty, training_seed=seed
     )
+
+
+def _primal_dual(w_ext: np.ndarray, b: float, alpha: list[float], signs: np.ndarray,
+                 row_values: np.ndarray, gather: np.ndarray, starts: np.ndarray,
+                 c_penalty: float) -> tuple[float, float]:
+    """The primal and dual at ``w_ext[:-1]``, ``b``, ``alpha``: every sum pairwise, none in BLAS."""
+    reg_term = 0.5 * (float(np.add.reduce(w_ext[:-1] ** 2)) + b * b)
+    hinge = np.maximum(0.0, 1.0 - signs * (b + row_values * _pairwise_sums(w_ext, gather, starts)))
+    return reg_term + c_penalty * float(hinge.sum()), float(np.array(alpha).sum()) - reg_term
 
 
 def _check_columns(rows: FeatureRows, width: int) -> None:

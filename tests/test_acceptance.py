@@ -168,6 +168,18 @@ def test_criterion_09_determinism_byte_identical_reports(tmp_path):
         assert result.exit_code == 0, result.output
         grids.append(((out / "grid.csv").read_bytes(), (out / "best_report.json").read_bytes()))
     assert grids[0] == grids[1]
+    # the sweep, twice
+    sweeps = []
+    for name in ("sweep_a", "sweep_b"):
+        out = tmp_path / name
+        result = runner.invoke(
+            main,
+            ["sweep", "--data-root", str(root), "--output-dir", str(out), "--methods",
+             "top_n,first_n", "--n-values", "1,5"],
+        )
+        assert result.exit_code == 0, result.output
+        sweeps.append((out / "sweep.csv").read_bytes())
+    assert sweeps[0] == sweeps[1]
 
 
 def test_criterion_10a_single_document_cut_under_10ms():

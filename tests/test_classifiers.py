@@ -1,15 +1,21 @@
+import ast
 import functools
 import json
 import logging
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import subjcut
 from subjcut.classifiers import (
     IndividualScores,
     LinearMarginModel,
@@ -631,7 +637,7 @@ def reference_svm_train(rows, labels, regularization, seed, max_epochs=60, tol=1
         margins = signs * (
             b + row_values * np.array([w[idx].sum() for idx in row_indices], dtype=float)
         )
-        reg_term = 0.5 * (w @ w + b * b)
+        reg_term = 0.5 * (float(np.add.reduce(w * w)) + b * b)
         primal = reg_term + regularization * np.maximum(0.0, 1.0 - margins).sum()
         dual = alpha.sum() - reg_term
         if primal - dual <= tol * max(primal, 1.0):
@@ -708,7 +714,7 @@ def builtin_loop_svm_train(rows, labels, regularization, seed, max_epochs=60, to
                 w[idx] = w_idx + delta * sign * value
                 b += delta * sign
                 alpha[i] = a_new
-        reg_term = 0.5 * (w @ w + b * b)
+        reg_term = 0.5 * (float(np.add.reduce(w * w)) + b * b)
         sums = np.zeros(n)
         for numbers, columns in blocks:
             sums[numbers] = w[columns].sum(axis=-1)
@@ -767,3 +773,82 @@ class TestSvmCoordinateLoop:
         assert "max_epochs=1" in record.getMessage()
         assert model.weights.tobytes() == w.tobytes()
         assert model.bias.hex() == b.hex()
+
+
+# numpy hands these to BLAS, whose sums run in an order that depends on the
+# thread count; ``@`` and any ``linalg`` are refused as well
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+PRIMAL_DUAL_CODE = """
+import sys
+import numpy as np
+from subjcut.classifiers import _primal_dual
+with np.load(sys.argv[1]) as p:
+    for w_ext in p["w_ext"]:
+        primal, dual = _primal_dual(w_ext, float(p["b"]), p["alpha"].tolist(), p["signs"],
+                                    p["row_values"], p["gather"], p["starts"], float(p["c"]))
+        print(primal.hex(), dual.hex())
+"""
+
+
+def blas_uses(tree):
+    """Where ``tree`` multiplies with ``@``, names one of ``BLAS_NAMES`` or names ``linalg``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if name in BLAS_NAMES or name == "linalg":
+            yield node.lineno, name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for module in [getattr(node, "module", None)] + [a.name for a in node.names]:
+                if module and ("linalg" in module or module in BLAS_NAMES):
+                    yield node.lineno, module
+
+
+class TestNoBlas:
+    """The SVM's sums never reach BLAS, so no core count moves a bit of a model."""
+
+    def test_the_package_has_no_blas_entry_point(self):
+        found = [
+            f"{path.name}:{line} {name}"
+            for path in sorted(Path(subjcut.__file__).parent.glob("*.py"))
+            for line, name in blas_uses(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert found == []
+
+    @pytest.mark.parametrize("code", [
+        "w @ w", "w @= v", "np.dot(w, w)", "w.dot(w)", "np.vdot(w, w)", "np.inner(w, w)",
+        "np.matmul(w, w)", "np.tensordot(w, w, 1)", "np.einsum('i,i', w, w)",
+        "from numpy import dot", "np.linalg.norm(w)", "from numpy.linalg import norm",
+        "import scipy.linalg", "from scipy import linalg",
+    ])
+    def test_the_scan_finds_each_entry_point(self, code):
+        assert list(blas_uses(ast.parse(code)))
+
+    def test_primal_and_dual_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        """Four weight vectors of 40 000 features. On a 2-core AVX-512 machine
+        with OpenBLAS 0.3.31, ``w @ w`` of three of them differed in the last
+        bits between one and two threads."""
+        rng = np.random.default_rng(0)
+        n_features = 40_000
+        rows = random_rows(rng, rng.integers(0, 300, size=50), n_features, normalize=True)
+        gather, starts = _sentinel_gather(rows, n_features)
+        weights = [np.random.default_rng(s).standard_normal(n_features) for s in range(4)]
+        problem = tmp_path / "problem.npz"
+        np.savez(
+            problem, w_ext=np.column_stack([np.vstack(weights), np.zeros(4)]), b=0.25,
+            alpha=rng.uniform(0, 1, size=50), signs=np.where(rng.random(50) < 0.5, 1.0, -1.0),
+            row_values=rows.values, gather=gather, starts=starts, c=1.0,
+        )
+        src = str(Path(subjcut.__file__).resolve().parents[1])
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", PRIMAL_DUAL_CODE, str(problem)], stdout=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads), text=True,
+            )
+            for threads in ("1", "2")
+        ]
+        outputs = [child.communicate()[0] for child in children]
+        assert [child.returncode for child in children] == [0, 0]
+        assert len(outputs[0].split()) == 8
+        assert outputs[0] == outputs[1]
