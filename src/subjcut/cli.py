@@ -396,9 +396,9 @@ WORKED_EXAMPLE_BAND = np.array([[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
 @click.option("--trials", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 def cmd_oracle(n_max, trials, seed) -> None:
-    """Check cut_band against brute-force enumeration on random banded
-    instances, each cut by the banded solver where its band is narrow and by
-    max-flow once widened."""
+    """Check cut_band's sides against the canonical side that brute-force
+    enumeration finds on random banded instances, each cut by the banded
+    solver where its band is narrow and by max-flow once widened."""
     if trials == 0:
         click.echo("warning: 0 trials requested; vacuous pass", err=True)
         click.echo("oracle: pass (0 trials)")
@@ -406,25 +406,23 @@ def cmd_oracle(n_max, trials, seed) -> None:
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         ind, band = _random_band(rng, n_max)
-        scaled = mincut.scale_instance(ind, mincut.AssociationScores.from_band(band))
-        # compare at the scaled-integer level, where equality is exact
-        want = mincut.brute_force_min(*scaled)
+        want = mincut.brute_force_min(ind, band)
         sides = _both_routes(ind, band)
-        costs = [mincut.partition_cost(*scaled, side) for side in sides]
-        if costs != [want.cost] * 2 or sides[0] != sides[1]:
+        if sides != [want.source_side] * 2:
+            costs = mincut.labeling_costs(ind, band)
             click.echo(f"counterexample at trial {trial}:", err=True)
             click.echo(f"  class1={ind.class1.tolist()}", err=True)
             click.echo(f"  class2={ind.class2.tolist()}", err=True)
             click.echo(f"  band={band.tolist()}", err=True)
-            for name, side, cost in zip(("cut", "widened cut"), sides, costs):
-                click.echo(f"  {name} cost={int(cost)} side={side}", err=True)
-            click.echo(f"  brute force cost={int(want.cost)} side={want.source_side}", err=True)
+            for name, side in zip(("cut", "widened cut"), sides):
+                cost = costs[sum(1 << i for i in side)]
+                click.echo(f"  {name} cost={cost} side={side}", err=True)
+            click.echo(f"  brute force cost={want.cost} side={want.source_side}", err=True)
             fail("cut_band disagrees with brute force")
     sides = _both_routes(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_BAND)
-    assoc = mincut.AssociationScores.from_band(WORKED_EXAMPLE_BAND)
-    costs = [mincut.partition_cost(WORKED_EXAMPLE_IND, assoc, side) for side in sides]
-    if sides != [(0, 1)] * 2 or max(abs(cost - 1.1) for cost in costs) > 1e-9:
-        fail(f"worked example failed: sides={sides} costs={costs}")
+    want = mincut.brute_force_min(WORKED_EXAMPLE_IND, WORKED_EXAMPLE_BAND)
+    if sides != [(0, 1)] * 2 or want != mincut.CutResult((0, 1), 1_100_000):
+        fail(f"worked example failed: sides={sides} brute force={want}")
     click.echo(
         f"oracle: pass ({trials} trials on both routes, n <= {n_max}, worked example cost 1.1)"
     )

@@ -4,8 +4,8 @@ Items are partitioned into a source class (class 1) and a sink class by
 minimizing: class-2 scores over items placed in class 1, plus class-1 scores
 over items placed in class 2, plus association scores over split pairs. The
 graph realizes these as capacities, rounded to integers at the fixed ``SCALE``
-so the cut is exact, by ``integer_instance`` alone: the oracles'
-``scale_instance`` rounds, and refuses, as ``cut_band`` does. Each item gets
+so the cut is exact, by ``integer_instance`` alone, for the cut and the
+oracles alike; ``_checked_band`` refuses for both. Each item gets
 one terminal arc, weighing the difference of its rounded scores: that lowers
 every labeling's cost by the same constant, so the minimum cuts are the
 paper's (Kolmogorov & Zabih, PAMI 2004). Many instances are solved at once:
@@ -18,15 +18,15 @@ with each instance's item count, and their pairs as a band, weights by item
 and distance, as the program's proximity edges come; any instance of n items
 is a band of reach n - 1. A narrow band is cut by each item's min-marginal
 from a forward and a backward min-sum pass, a wider one by one max-flow
-computation. The oracles check both: ``brute_force_min`` takes the minimum
-of ``labeling_costs``, every labeling's cost at once.
+computation. The oracles check both, on one instance in the same form:
+``labeling_costs`` prices every labeling exactly in int64, and
+``brute_force_min`` returns the intersection of the minimum ones.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -42,51 +42,6 @@ CAPACITY_BOUND = 2**31 - 1
 # double with each step of reach; on review-length batches it is about twice
 # as fast as a max-flow computation at a reach of 6, and no faster at 7
 BANDED_REACH_LIMIT = 6
-
-
-@dataclass(frozen=True)
-class AssociationScores:
-    """One instance's symmetric pairwise scores, stored once per unordered pair
-    (i < k), as the oracles take them."""
-
-    pairs: Mapping[tuple[int, int], float]
-
-    @classmethod
-    def from_band(cls, weights: np.ndarray) -> AssociationScores:
-        """The pairs of one instance's band, as ``band_pairs`` lists them."""
-        pairs, values = band_pairs(weights)
-        return cls(pairs=dict(zip(map(tuple, pairs.tolist()), values.tolist())))
-
-
-def partition_cost(
-    ind: IndividualScores, assoc: AssociationScores, source_side: Iterable[int]
-) -> float:
-    """Cost of assigning ``source_side`` to class 1 and the rest to class 2."""
-    n = len(ind)
-    side = np.fromiter(source_side, dtype=np.int64)
-    outside = side[(side < 0) | (side >= n)]
-    if outside.size:
-        raise ValueError(f"source side item {outside[0]} lies outside [0, {n})")
-    flags = np.zeros((n, 1), dtype=bool)
-    flags[side] = True
-    return float(_costs(ind, assoc, flags)[0])
-
-
-def _costs(ind: IndividualScores, assoc: AssociationScores, sides: np.ndarray) -> np.ndarray:
-    """The cost of each labeling, a column of the (items, labelings) flags
-    ``sides``, true on its source side: the item terms in index order, then
-    the split pairs' in ``assoc.pairs`` order, one float addition each."""
-    costs = np.zeros(sides.shape[1])
-    for i, on_source in enumerate(sides):
-        costs += np.where(on_source, ind.class2[i], ind.class1[i])
-    for (i, k), value in assoc.pairs.items():
-        if not (0 <= i < k < len(ind) and math.isfinite(value)):
-            raise ValueError(
-                f"association pair ({i}, {k}) of weight {value} must join items"
-                f" 0 <= i < k < {len(ind)} and be finite"
-            )
-        np.add(costs, value, out=costs, where=sides[i] != sides[k])
-    return costs
 
 
 def integer_instance(scores: IndividualScores, weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -110,14 +65,6 @@ def integer_instance(scores: IndividualScores, weights: np.ndarray) -> tuple[np.
     return tuple(rounded)
 
 
-@dataclass(frozen=True)
-class CutResult:
-    """A minimum partition: class-1 items and its cost over the raw scores."""
-
-    source_side: tuple[int, ...]
-    cost: float
-
-
 def band_pairs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs and values of a band, whose ``weights[d - 1, i]`` weighs the
     pair (i, i + d): in (i, d) order, zero weights omitted."""
@@ -132,6 +79,35 @@ def instance_counts(counts: Sequence[int]) -> np.ndarray:
     if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
         raise ValueError(f"instance counts must be integers >= 0, got {counts.tolist()}")
     return counts.astype(np.int64)
+
+
+def _checked_band(
+    scores: IndividualScores, counts: Sequence[int], weights: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``cut_band``'s counts, each item's instance and position in it, and its
+    float64 band, once its refusals pass; the oracles refuse through it too."""
+    counts = instance_counts(counts)
+    n, docs = len(scores), len(counts)
+    if counts.sum() != n:
+        raise ValueError(f"instance counts sum to {counts.sum()}, not to the {n} items")
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] != n:
+        raise ValueError(f"{n} items but a band of shape {weights.shape}")
+    instance = np.repeat(np.arange(docs), counts)
+    position = np.arange(n) - (np.cumsum(counts) - counts)[instance]
+    distance = np.arange(1, len(weights) + 1)[:, None]
+    leaves = (distance >= (counts[instance] - position)) & (weights != 0)
+    for bad, problem in (
+        (leaves & (distance + np.arange(n) >= n), f"runs past the last item, {n - 1}"),
+        (leaves, "spans two instances"),
+        (~(np.isfinite(weights) & (weights >= 0)), "must weigh a finite value >= 0"),
+    ):
+        if bad.any():
+            d, i = np.unravel_index(bad.argmax(), bad.shape)
+            raise ValueError(
+                f"association pair ({i}, {i + d + 1}) of weight {weights[d, i]} {problem}"
+            )
+    return counts, instance, position, weights
 
 
 def cut_band(scores: IndividualScores, counts: Sequence[int], weights: np.ndarray) -> np.ndarray:
@@ -153,28 +129,8 @@ def cut_band(scores: IndividualScores, counts: Sequence[int], weights: np.ndarra
     min-marginals (``_min_marginals``), a wider one by one max-flow
     computation (``_source_side``); both give the canonical cut.
     """
-    counts = instance_counts(counts)
-    n, longest, docs = len(scores), int(counts.max(initial=0)), len(counts)
-    if counts.sum() != n:
-        raise ValueError(f"instance counts sum to {counts.sum()}, not to the {n} items")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[1] != n:
-        raise ValueError(f"{n} items but a band of shape {weights.shape}")
-    reach = len(weights)
-    instance = np.repeat(np.arange(docs), counts)
-    position = np.arange(n) - (np.cumsum(counts) - counts)[instance]
-    distance = np.arange(1, reach + 1)[:, None]
-    leaves = (distance >= (counts[instance] - position)) & (weights != 0)
-    for bad, problem in (
-        (leaves & (distance + np.arange(n) >= n), f"runs past the last item, {n - 1}"),
-        (leaves, "spans two instances"),
-        (~(np.isfinite(weights) & (weights >= 0)), "must weigh a finite value >= 0"),
-    ):
-        if bad.any():
-            d, i = np.unravel_index(bad.argmax(), bad.shape)
-            raise ValueError(
-                f"association pair ({i}, {i + d + 1}) of weight {weights[d, i]} {problem}"
-            )
+    counts, instance, position, weights = _checked_band(scores, counts, weights)
+    reach, longest = len(weights), int(counts.max(initial=0))
     banded = reach <= BANDED_REACH_LIMIT
     if banded and longest * (reach + 1) * CAPACITY_BOUND >= 2**63:
         raise ValueError(f"an instance of {longest} items at reach {reach} could overflow int64")
@@ -295,50 +251,65 @@ def _min_marginals(
     return held_out.min(axis=0)[column] > optimum[instance]
 
 
-def scale_instance(
-    ind: IndividualScores, assoc: AssociationScores
-) -> tuple[IndividualScores, AssociationScores]:
-    """The integer copy (``integer_instance``) of an instance that ``cut_band`` cuts, pairs
-    of capacity 0 dropped: brute-forcing it gives costs exactly comparable to a cut's side."""
-    weights = np.fromiter(assoc.pairs.values(), dtype=np.float64, count=len(assoc.pairs))
-    class1, class2, caps = integer_instance(ind, weights)
-    pairs = {key: float(cap) for key, cap in zip(assoc.pairs, caps.tolist()) if cap}
-    return IndividualScores(class1=class1, class2=class2), AssociationScores(pairs=pairs)
-
-
 BRUTE_FORCE_LIMIT = 20
-ENUMERATION_CHUNK = 1 << 16
 
 
-def labeling_costs(ind: IndividualScores, assoc: AssociationScores) -> np.ndarray:
-    """The cost of every labeling of an instance of up to ``BRUTE_FORCE_LIMIT``
-    items, at the bit mask of its source side: the float ``partition_cost``
-    gives, priced ``ENUMERATION_CHUNK`` labelings at a time."""
-    n = len(ind)
+@dataclass(frozen=True)
+class CutResult:
+    """``brute_force_min``'s side and its integer cost at ``SCALE``: a class
+    because ``bench/tests/test_bench_oracle.py`` reads these two fields."""
+
+    source_side: tuple[int, ...]
+    cost: int
+
+
+def labeling_costs(scores: IndividualScores, band: np.ndarray) -> np.ndarray:
+    """The int64 cost at ``SCALE`` of every labeling of one instance of up to
+    ``BRUTE_FORCE_LIMIT`` items, refused and rounded as by ``cut_band``, at the
+    bit mask of its source side: class 2 for each source-side item, class 1
+    for each sink-side item, and each split pair's capacity."""
+    n = len(scores)
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force refused: n={n} exceeds {BRUTE_FORCE_LIMIT}")
-    costs, items = np.empty(1 << n), np.arange(n)[:, None]
-    for start in range(0, 1 << n, ENUMERATION_CHUNK):
-        masks = np.arange(start, min(start + ENUMERATION_CHUNK, 1 << n))
-        costs[start:start + len(masks)] = _costs(ind, assoc, masks >> items & 1 == 1)
+    class1, class2, caps = integer_instance(scores, _checked_band(scores, [n], band)[3])
+    costs = np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        # the labelings so far with item i on the sink side, then on the source
+        # side (bit i); ``joined`` weighs i's pairs to source-side items
+        masks, joined, total = np.arange(len(costs)), np.zeros_like(costs), 0
+        for d in range(1, min(len(caps), i) + 1):
+            joined += caps[d - 1, i - d] * ((masks >> (i - d)) & 1)
+            total += caps[d - 1, i - d]
+        costs = np.concatenate([costs + class1[i] + joined, costs + class2[i] + total - joined])
     return costs
 
 
-def brute_force_min(ind: IndividualScores, assoc: AssociationScores) -> CutResult:
-    """Exhaustive minimum over all 2^n partitions, priced by ``labeling_costs``;
-    the oracle for ``cut_band``.
+def brute_force_min(scores: IndividualScores, band: np.ndarray) -> CutResult:
+    """The canonical cut of ``labeling_costs``' instance: the bitwise AND of
+    all minimum labelings' masks, itself a minimum, as they form a lattice."""
+    costs = labeling_costs(scores, band)
+    side = int(np.bitwise_and.reduce(np.flatnonzero(costs == costs.min())))
+    return CutResult(tuple(i for i in range(len(scores)) if side >> i & 1), int(costs[side]))
 
-    Ties break toward the lexicographically smallest sorted index tuple.
-    Refuses instances with more than 20 items.
-    """
-    costs = labeling_costs(ind, assoc)
-    ties, side = np.flatnonzero(costs == costs.min()), 0
-    # every tied mask holds the bits of ``side`` and, past its last, only
-    # later ones: ``side`` itself is the least tuple, else the least next item
-    while ties[0] != side:
-        rest = ties ^ side
-        lowest = rest & -rest
-        ties = ties[lowest == lowest.min()]
-        side |= int(lowest.min())
-    items = tuple(i for i in range(len(ind)) if side >> i & 1)
-    return CutResult(source_side=items, cost=float(costs[side]))
+
+@dataclass(frozen=True)
+class AssociationScores:
+    """One instance's pair weights by (i, k), i < k: ``scale_instance``'s
+    input, kept because ``bench/tests/test_bench_oracle.py`` builds it."""
+
+    pairs: Mapping[tuple[int, int], float]
+
+
+def scale_instance(
+    ind: IndividualScores, assoc: AssociationScores
+) -> tuple[IndividualScores, np.ndarray]:
+    """``ind`` and its pairs as the band of reach n - 1 that ``brute_force_min``
+    takes, refusing a pair that is not 0 <= i < k < n; kept, as
+    ``AssociationScores`` is, for ``bench/tests/test_bench_oracle.py``."""
+    n = len(ind)
+    band = np.zeros((max(n - 1, 0), n))
+    for (i, k), value in assoc.pairs.items():
+        if not 0 <= i < k < n:
+            raise ValueError(f"association pair ({i}, {k}) is not 0 <= i < k < {n}")
+        band[k - i - 1, i] = value
+    return ind, band

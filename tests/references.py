@@ -79,21 +79,29 @@ def select_basic(scores: IndividualScores) -> tuple[int, ...]:
     return tuple(i for i in range(len(scores)) if scores.class1[i] > scores.class2[i])
 
 
-def loop_labeling_costs(ind: IndividualScores, assoc) -> np.ndarray:
-    """Every labeling's cost at the bit mask of its source side, one labeling
-    at a time: each item's score for the class it is not in, in index order, then
-    the weight of each pair the labeling splits, in ``assoc.pairs`` order."""
+def loop_cost(ind: IndividualScores, band: np.ndarray, side: Iterable[int]) -> float:
+    """The cost of one labeling, ``side`` on the source side, added up one
+    term at a time: each item's score for the class it is not in, in index
+    order, then the weight ``band[d - 1, i]`` of each pair (i, i + d) the
+    labeling splits, in (i, d) order."""
+    side = set(side)
+    cost = 0.0
+    for i in range(len(ind)):
+        cost += ind.class2[i] if i in side else ind.class1[i]
+    for i in range(band.shape[1]):
+        for d in range(1, len(band) + 1):
+            if (i in side) != (i + d in side):
+                cost += band[d - 1, i]
+    return cost
+
+
+def loop_labeling_costs(ind: IndividualScores, band: np.ndarray) -> np.ndarray:
+    """Every labeling's ``loop_cost`` at the bit mask of its source side."""
     n = len(ind)
-    costs = []
-    for mask in range(1 << n):
-        cost = 0.0
-        for i in range(n):
-            cost += ind.class2[i] if mask >> i & 1 else ind.class1[i]
-        for (i, k), value in assoc.pairs.items():
-            if (mask >> i & 1) != (mask >> k & 1):
-                cost += value
-        costs.append(cost)
-    return np.array(costs, dtype=float)
+    return np.array(
+        [loop_cost(ind, band, [i for i in range(n) if mask >> i & 1]) for mask in range(1 << n)],
+        dtype=float,
+    )
 
 
 def joined(scores: Sequence[IndividualScores]) -> tuple[IndividualScores, list[int]]:

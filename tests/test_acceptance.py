@@ -35,13 +35,7 @@ from subjcut.extraction import (
     ProximityParams,
     select_graph,
 )
-from subjcut.mincut import (
-    AssociationScores,
-    brute_force_min,
-    cut_band,
-    partition_cost,
-    scale_instance,
-)
+from subjcut.mincut import SCALE, brute_force_min, cut_band, labeling_costs
 
 from planted_corpus import per_document, write_polarity_tree, make_sentence_corpus
 from references import select_basic
@@ -56,8 +50,7 @@ requires_data = pytest.mark.skipif(
 WORKED_IND = IndividualScores(
     class1=np.array([0.8, 0.5, 0.1]), class2=np.array([0.2, 0.5, 0.9])
 )
-WORKED_ASSOC = AssociationScores(pairs={(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.2})
-# the same pairs as a band: (0, 1) and (1, 2) at distance 1, (0, 2) at distance 2
+# the pairs (0, 1) and (1, 2) at distance 1, (0, 2) at distance 2
 WORKED_BAND = np.array([[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]])
 WORKED_TABLE = {
     (0, 1): 1.1,
@@ -78,11 +71,10 @@ def test_criterion_01_worked_example_oracle():
     start = time.perf_counter()
     side = tuple(np.flatnonzero(cut_band(WORKED_IND, [len(WORKED_IND)], WORKED_BAND)).tolist())
     assert side == (0, 1)
-    assert partition_cost(WORKED_IND, WORKED_ASSOC, side) == pytest.approx(1.1, abs=1e-12)
+    costs = labeling_costs(WORKED_IND, WORKED_BAND) / SCALE
+    assert costs[0b011] == pytest.approx(1.1, abs=1e-12)
     for side, expected in WORKED_TABLE.items():
-        assert partition_cost(WORKED_IND, WORKED_ASSOC, side) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert costs[sum(1 << i for i in side)] == pytest.approx(expected, abs=1e-12)
     assert time.perf_counter() - start < 1.0
 
 
@@ -92,15 +84,15 @@ def test_criterion_02_mincut_exactness_200_random_instances():
     for _ in range(200):
         n = int(rng.integers(1, 13))
         ind = IndividualScores(class1=rng.uniform(0, 1, n), class2=rng.uniform(0, 1, n))
-        pairs = {}
         band = np.zeros((max(n - 1, 0), n))  # any instance is a band of reach n - 1
         for i in range(n):
             for k in range(i + 1, n):
                 if rng.random() < 0.4:
-                    pairs[(i, k)] = band[k - i - 1, i] = float(rng.uniform(0, 1))
-        scaled = scale_instance(ind, AssociationScores(pairs=pairs))
-        side = np.flatnonzero(cut_band(ind, [len(ind)], band)).tolist()
-        assert partition_cost(*scaled, side) == brute_force_min(*scaled).cost, (ind, pairs)
+                    band[k - i - 1, i] = float(rng.uniform(0, 1))
+        side = tuple(np.flatnonzero(cut_band(ind, [len(ind)], band)).tolist())
+        want = brute_force_min(ind, band)
+        cost = labeling_costs(ind, band)[sum(1 << i for i in side)]
+        assert cost == want.cost and side == want.source_side, (ind, band)
     assert time.perf_counter() - start < 30.0
 
 

@@ -647,6 +647,26 @@ class TestOracle:
         assert "cut_band disagrees with brute force" in result.output
         assert "pass" not in result.output
 
+    def test_minimal_side_that_is_not_canonical_prints_a_counterexample(
+        self, runner, monkeypatch
+    ):
+        # without a pair arc, keeping the tied items still gives a minimum cut,
+        # but not the canonical side, which drops them
+        cut_band = subjcut.mincut.cut_band
+
+        def keeps_ties(scores, counts, weights):
+            class1, class2, caps = subjcut.mincut.integer_instance(scores, weights)
+            return cut_band(scores, counts, weights) if caps.any() else class1 >= class2
+
+        monkeypatch.setattr(subjcut.mincut, "cut_band", keeps_ties)
+        result = runner.invoke(main, ["oracle", "--trials", "40"])
+        assert result.exit_code == 1
+        assert "counterexample at trial 20:" in result.output
+        assert "  cut cost=1250000 side=(1,)" in result.output
+        assert "  brute force cost=1250000 side=()" in result.output
+        assert "cut_band disagrees with brute force" in result.output
+        assert "pass" not in result.output
+
     def test_n_max_beyond_brute_force_is_usage_error(self, runner):
         result = runner.invoke(main, ["oracle", "--n-max", "21", "--trials", "5"])
         assert result.exit_code == 2

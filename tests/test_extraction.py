@@ -24,14 +24,7 @@ from subjcut.extraction import (
     sentence_matrix,
 )
 from subjcut.features import join_rows
-from subjcut.mincut import (
-    AssociationScores,
-    band_pairs,
-    brute_force_min,
-    cut_band,
-    partition_cost,
-    scale_instance,
-)
+from subjcut.mincut import band_pairs, brute_force_min, cut_band
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
 from references import joined, presence_matrix, score_texts, select_basic
@@ -39,6 +32,12 @@ from references import joined, presence_matrix, score_texts, select_basic
 
 def paragraph_flags(model, vocab, documents) -> np.ndarray:
     return detect_paragraph_unit(model, vocab, documents, sentence_matrix(documents))
+
+
+def pairs_of(band) -> dict:
+    """A one-instance band's pairs and weights, as ``band_pairs`` lists them."""
+    pairs, values = band_pairs(band)
+    return dict(zip(map(tuple, pairs.tolist()), values.tolist()))
 
 
 def scores_from(probs) -> IndividualScores:
@@ -99,49 +98,49 @@ class TestProximityParams:
     def test_integral_float_threshold_stored_as_int(self):
         params = ProximityParams(threshold=2.0, strength=0.5)
         assert params.threshold == 2 and type(params.threshold) is int
-        assert len(AssociationScores.from_band(association_band([4], [None], params)).pairs) == 5
+        assert len(pairs_of(association_band([4], [None], params))) == 5
 
 
 class TestAssocScores:
     def test_within_threshold(self):
         params = ProximityParams(threshold=3, decay="constant", strength=0.5)
-        a = AssociationScores.from_band(association_band([6], [None], params)).pairs
+        a = pairs_of(association_band([6], [None], params))
         assert a.get((1, 2), 0.0) == pytest.approx(0.5)
         assert a.get((1, 4), 0.0) == pytest.approx(0.5)
         assert a.get((1, 5), 0.0) == 0.0
 
     def test_exponential_decay_value(self):
         params = ProximityParams(threshold=3, decay="exponential", strength=1.0)
-        a = AssociationScores.from_band(association_band([4], [None], params)).pairs
+        a = pairs_of(association_band([4], [None], params))
         assert a.get((0, 2), 0.0) == pytest.approx(math.exp(-1))
         assert a.get((0, 1), 0.0) == pytest.approx(1.0)  # e^(1-1)
 
     def test_inverse_square_decay_value(self):
         params = ProximityParams(threshold=3, decay="inverse_square", strength=1.0)
-        a = AssociationScores.from_band(association_band([4], [None], params)).pairs
+        a = pairs_of(association_band([4], [None], params))
         assert a.get((0, 3), 0.0) == pytest.approx(1 / 9)
 
     def test_cross_paragraph_attenuation(self):
         params = ProximityParams(threshold=2, decay="constant", strength=1.0,
                                  cross_paragraph_weight=0.3)
-        a = AssociationScores.from_band(association_band([4], [(0, 2)], params)).pairs
+        a = pairs_of(association_band([4], [(0, 2)], params))
         assert a.get((0, 1), 0.0) == pytest.approx(1.0)  # same paragraph
         assert a.get((1, 2), 0.0) == pytest.approx(0.3)  # crosses the break
         assert a.get((2, 3), 0.0) == pytest.approx(1.0)
 
     def test_weight_one_ignores_paragraphs(self):
         params = ProximityParams(threshold=2, decay="constant", strength=0.7)
-        with_breaks = AssociationScores.from_band(association_band([5], [(0, 2)], params)).pairs
-        without = AssociationScores.from_band(association_band([5], [None], params)).pairs
+        with_breaks = pairs_of(association_band([5], [(0, 2)], params))
+        without = pairs_of(association_band([5], [None], params))
         assert with_breaks == without
 
     def test_zero_strength_empty(self):
         params = ProximityParams(threshold=3, strength=0.0)
-        assert len(AssociationScores.from_band(association_band([8], [None], params)).pairs) == 0
+        assert len(pairs_of(association_band([8], [None], params))) == 0
 
     def test_nonnegative_and_bounded_distance(self):
         params = ProximityParams(threshold=2, decay="inverse_square", strength=0.9)
-        a = AssociationScores.from_band(association_band([10], [None], params)).pairs
+        a = pairs_of(association_band([10], [None], params))
         for (i, k), value in a.items():
             assert k - i <= 2
             assert value >= 0
@@ -345,8 +344,7 @@ class TestSelection:
                 selected = set(selected)
                 # verify optimality against the oracle while we are here
                 band = association_band([n], [None], params)
-                scaled = scale_instance(scores, AssociationScores.from_band(band))
-                assert partition_cost(*scaled, selected) == brute_force_min(*scaled).cost
+                assert tuple(sorted(selected)) == brute_force_min(scores, band).source_side
                 split = sum(
                     1
                     for i in range(n)

@@ -19,17 +19,26 @@ from subjcut.mincut import (
     cut_band,
     integer_instance,
     labeling_costs,
-    partition_cost,
     scale_instance,
 )
 
-from references import joined, loop_labeling_costs
+from references import joined, loop_cost, loop_labeling_costs
+
+
+def band_of(n, pairs) -> np.ndarray:
+    """The pairs ``{(i, k): weight}`` of an instance of n items as its band of reach n - 1."""
+    band = np.zeros((max(n - 1, 0), n))
+    for (i, k), value in pairs.items():
+        band[k - i - 1, i] = value
+    return band
+
 
 # the three-item worked example: strong pull between items 0 and 1
 EXAMPLE_IND = IndividualScores(
     class1=np.array([0.8, 0.5, 0.1]), class2=np.array([0.2, 0.5, 0.9])
 )
-EXAMPLE_ASSOC = AssociationScores(pairs={(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.2})
+EXAMPLE_PAIRS = {(0, 1): 1.0, (0, 2): 0.1, (1, 2): 0.2}
+EXAMPLE_BAND = band_of(3, EXAMPLE_PAIRS)
 EXAMPLE_TABLE = {
     (0, 1): 1.1,
     (): 1.4,
@@ -45,26 +54,18 @@ EXAMPLE_TABLE = {
 def random_instance(rng, n_max=12, assoc_density=0.4):
     n = int(rng.integers(1, n_max + 1))
     ind = IndividualScores(class1=rng.uniform(0, 1, n), class2=rng.uniform(0, 1, n))
-    pairs = {}
+    band = np.zeros((max(n - 1, 0), n))
     for i in range(n):
         for k in range(i + 1, n):
             if rng.random() < assoc_density:
-                pairs[(i, k)] = float(rng.uniform(0, 1))
-    return ind, AssociationScores(pairs=pairs)
-
-
-def band_of(ind, assoc) -> np.ndarray:
-    """An instance's pairs as its band of reach n - 1."""
-    band = np.zeros((max(len(ind) - 1, 0), len(ind)))
-    for (i, k), value in assoc.pairs.items():
-        band[k - i - 1, i] = value
-    return band
+                band[k - i - 1, i] = float(rng.uniform(0, 1))
+    return ind, band
 
 
 def stacked_band(instances) -> np.ndarray:
-    """The band of a batch of instances: each one's ``band_of``, widened with
-    zero rows to the widest."""
-    bands = [band_of(ind, assoc) for ind, assoc in instances]
+    """The band of a batch of instances: each one's band, widened with zero
+    rows to the widest."""
+    bands = [band for _, band in instances]
     reach = max((len(band) for band in bands), default=0)
     return np.hstack([np.zeros((reach, 0))] + [
         np.vstack([band, np.zeros((reach - len(band), band.shape[1]))]) for band in bands
@@ -88,16 +89,31 @@ def side_of(flags) -> tuple[int, ...]:
     return tuple(np.flatnonzero(flags).tolist())
 
 
-def solve(ind, assoc):
-    """Cut one instance on its own, as its ``band_of`` on both routes: its
-    source side, priced over the raw scores."""
-    side = side_of(cut_both_ways([ind], band_of(ind, assoc)))
-    return CutResult(source_side=side, cost=partition_cost(ind, assoc, side))
+def mask_of(side) -> int:
+    """The bit mask of a source side, as ``labeling_costs`` indexes it."""
+    return sum(1 << i for i in side)
 
 
-def scaled_cost(ind, assoc, side):
+def solve(ind, band) -> tuple[int, ...]:
+    """The source side of one instance cut on its own, on both routes."""
+    return side_of(cut_both_ways([ind], band))
+
+
+def scaled_cost(ind, band, side) -> int:
     """The integer cost of ``side`` in the rounded instance the cut is made on."""
-    return partition_cost(*scale_instance(ind, assoc), side)
+    return int(labeling_costs(ind, band)[mask_of(side)])
+
+
+def raw_cost(ind, band, side) -> float:
+    """The cost of ``side`` over the raw scores and weights, before rounding."""
+    return float(loop_labeling_costs(ind, band)[mask_of(side)])
+
+
+def rounded(ind, band):
+    """The integer copy of an instance that ``integer_instance`` gives: the
+    one the cut and the oracles price, at any length."""
+    class1, class2, caps = integer_instance(ind, band)
+    return IndividualScores(class1=class1, class2=class2), caps
 
 
 def units(values) -> np.ndarray:
@@ -105,31 +121,33 @@ def units(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) / SCALE
 
 
-class TestPartitionCost:
-    @pytest.mark.parametrize("side,expected", sorted(EXAMPLE_TABLE.items()))
-    def test_worked_example_table(self, side, expected):
-        assert partition_cost(EXAMPLE_IND, EXAMPLE_ASSOC, side) == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    def test_empty_instance(self):
-        ind = IndividualScores(class1=np.array([]), class2=np.array([]))
-        assert partition_cost(ind, AssociationScores(pairs={}), ()) == 0.0
-
-
 class TestAssociationScores:
-    """An instance's pairs are checked where they become a band's cut."""
+    """An instance's pairs are checked where they become a band's cut, and
+    ``scale_instance`` turns them into the band of reach n - 1."""
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="must weigh a finite value >= 0"):
-            solve(EXAMPLE_IND, AssociationScores(pairs={(0, 1): -0.5}))
+            solve(EXAMPLE_IND, band_of(3, {(0, 1): -0.5}))
 
     def test_pair_beyond_its_instance_rejected(self):
-        instances = [
-            (EXAMPLE_IND, AssociationScores(pairs={(2, 3): 0.5})), (EXAMPLE_IND, EXAMPLE_ASSOC)
-        ]
+        beyond = np.zeros((2, 3))
+        beyond[0, 2] = 0.5  # the pair (2, 3), past the instance's last item
+        instances = [(EXAMPLE_IND, beyond), (EXAMPLE_IND, EXAMPLE_BAND)]
         with pytest.raises(ValueError, match="spans two instances"):
             cut_band(*joined([EXAMPLE_IND, EXAMPLE_IND]), stacked_band(instances))
+
+    def test_scale_instance_gives_the_band_of_reach_n_minus_1(self):
+        ind, band = scale_instance(EXAMPLE_IND, AssociationScores(pairs=EXAMPLE_PAIRS))
+        assert ind is EXAMPLE_IND
+        assert band.tolist() == EXAMPLE_BAND.tolist()
+        empty = IndividualScores(class1=[], class2=[])
+        assert scale_instance(empty, AssociationScores(pairs={}))[1].shape == (0, 0)
+
+    @pytest.mark.parametrize("pair", [(2, 3), (0, 5), (-1, 1), (1, 1), (2, 1)])
+    def test_pair_outside_the_instance_refused(self, pair):
+        assoc = AssociationScores(pairs={(0, 1): 0.5, pair: 0.25})
+        with pytest.raises(ValueError, match=re.escape(f"pair {pair} is not 0 <= i < k < 3")):
+            scale_instance(EXAMPLE_IND, assoc)
 
 
 class TestBuildNetwork:
@@ -137,9 +155,8 @@ class TestBuildNetwork:
 
     def test_worked_example_structure(self):
         # (0, 1) and (1, 2) at distance 1, (0, 2) at distance 2, listed in (i, d) order
-        band = band_of(EXAMPLE_IND, EXAMPLE_ASSOC)
-        assert band.tolist() == [[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]]
-        pairs, values = band_pairs(band)
+        assert EXAMPLE_BAND.tolist() == [[1.0, 0.2, 0.0], [0.1, 0.0, 0.0]]
+        pairs, values = band_pairs(EXAMPLE_BAND)
         assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
         assert values.tolist() == [1.0, 0.1, 0.2]
 
@@ -193,12 +210,9 @@ class TestBuildNetwork:
             ind = IndividualScores(
                 class1=units(EXAMPLE_IND.class1 * s), class2=units(EXAMPLE_IND.class2 * s)
             )
-            assoc = AssociationScores(
-                pairs={key: float(units(value * s)) for key, value in EXAMPLE_ASSOC.pairs.items()}
-            )
-            costs = labeling_costs(*scale_instance(ind, assoc))
-            side = side_of(cut_both_ways([ind], band_of(ind, assoc)))
-            assert side == intersection_of_minimum_labelings(costs, 3)
+            band = units(EXAMPLE_BAND * s)
+            side = side_of(cut_both_ways([ind], band))
+            assert side == intersection_of_minimum_labelings(labeling_costs(ind, band), 3)
 
 
 class TestIntegerInstance:
@@ -232,22 +246,6 @@ class TestIntegerInstance:
         with pytest.raises(ValueError, match=f"association weight {value} at scale"):
             integer_instance(empty, [0.5, value])
 
-    @pytest.mark.parametrize(
-        "ind, weight, what",
-        [(IndividualScores(class1=[1e20, 0.5], class2=[0.9, 0.5]), 0.5, "class-1 score 1e+20"),
-         (IndividualScores(class1=[0.1, 0.5], class2=[0.9, 1e20]), 0.5, "class-2 score 1e+20"),
-         (EXAMPLE_IND, float(units(CAPACITY_BOUND // 2 + 1)), "association weight 1073.741824")],
-    )
-    def test_scale_instance_refuses_what_cut_band_refuses(self, ind, weight, what):
-        n = len(ind)
-        band = np.zeros((n - 1, n))
-        band[0, 0] = weight
-        with pytest.raises(ValueError, match=re.escape(f"{what} at scale {SCALE}")) as cut:
-            cut_band(ind, [n], band)
-        with pytest.raises(ValueError) as scaled:
-            scale_instance(ind, AssociationScores.from_band(band))
-        assert str(scaled.value) == str(cut.value)
-
 
 class TestCapacityBound:
     def test_huge_score_refused(self):
@@ -258,10 +256,9 @@ class TestCapacityBound:
 
     def test_terminal_capacity_at_the_bound_accepted(self):
         ind = IndividualScores(class1=units([CAPACITY_BOUND]), class2=units([CAPACITY_BOUND - 1]))
-        assoc = AssociationScores(pairs={})
-        result = solve(ind, assoc)
-        assert result.source_side == (0,)
-        assert scaled_cost(ind, assoc, result.source_side) == CAPACITY_BOUND - 1
+        band = np.zeros((0, 1))
+        assert solve(ind, band) == (0,)
+        assert scaled_cost(ind, band, (0,)) == CAPACITY_BOUND - 1
 
     def test_terminal_capacity_above_the_bound_refused(self):
         ind = IndividualScores(class1=units([CAPACITY_BOUND + 1]), class2=np.array([0.0]))
@@ -272,10 +269,9 @@ class TestCapacityBound:
         # both directions of an association arc together reach the bound
         weight = CAPACITY_BOUND // 2
         ind = IndividualScores(class1=units([CAPACITY_BOUND, 0]), class2=units([0, CAPACITY_BOUND]))
-        assoc = AssociationScores(pairs={(0, 1): float(units(weight))})
-        result = solve(ind, assoc)
-        assert result.source_side == (0,)
-        assert scaled_cost(ind, assoc, result.source_side) == weight
+        band = units([[weight, 0]])
+        assert solve(ind, band) == (0,)
+        assert scaled_cost(ind, band, (0,)) == weight
         with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
             cut_band(ind, [len(ind)], np.array([units([weight + 1, 0])]))
 
@@ -289,79 +285,73 @@ class TestMinCut:
     """One instance cut as its band of reach n - 1, on both routes."""
 
     def test_worked_example(self):
-        result = solve(EXAMPLE_IND, EXAMPLE_ASSOC)
-        assert result.source_side == (0, 1)
-        assert result.cost == pytest.approx(1.1, abs=1e-12)
-        assert scaled_cost(EXAMPLE_IND, EXAMPLE_ASSOC, result.source_side) == 1_100_000
+        side = solve(EXAMPLE_IND, EXAMPLE_BAND)
+        assert side == (0, 1)
+        assert raw_cost(EXAMPLE_IND, EXAMPLE_BAND, side) == pytest.approx(1.1, abs=1e-12)
+        assert scaled_cost(EXAMPLE_IND, EXAMPLE_BAND, side) == 1_100_000
 
     def test_zero_association_reduces_to_argmax(self):
         ind = IndividualScores(
             class1=np.array([0.9, 0.2, 0.6, 0.5]), class2=np.array([0.1, 0.8, 0.4, 0.5])
         )
-        result = solve(ind, AssociationScores(pairs={}))
         # item 3 is tied and resolves to the sink side
-        assert result.source_side == (0, 2)
+        assert solve(ind, np.zeros((3, 4))) == (0, 2)
 
     def test_all_items_source_when_class1_dominates(self):
         ind = IndividualScores(class1=np.array([0.9, 0.8]), class2=np.array([0.1, 0.2]))
-        result = solve(ind, AssociationScores(pairs={}))
-        assert result.source_side == (0, 1)
+        assert solve(ind, np.zeros((1, 2))) == (0, 1)
 
     def test_agrees_with_brute_force_on_random_instances(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
-            ind, assoc = random_instance(rng)
-            got = solve(ind, assoc)
-            want = brute_force_min(*scale_instance(ind, assoc))
-            assert scaled_cost(ind, assoc, got.source_side) == want.cost
+            ind, band = random_instance(rng)
+            side = solve(ind, band)
+            want = brute_force_min(ind, band)
+            assert scaled_cost(ind, band, side) == want.cost
+            assert side == want.source_side
 
     def test_no_partition_beats_the_cut(self):
         rng = np.random.default_rng(10)
-        ind, assoc = random_instance(rng, n_max=10)
-        best = solve(ind, assoc).cost
-        for _ in range(200):
-            n = len(ind)
-            side = [i for i in range(n) if rng.random() < 0.5]
-            assert partition_cost(ind, assoc, side) >= best - 1e-6
+        ind, band = random_instance(rng, n_max=10)
+        costs = labeling_costs(ind, band)
+        assert (costs >= costs[mask_of(solve(ind, band))]).all()
 
     def test_same_side_edge_does_not_change_cost(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            ind, assoc = random_instance(rng, n_max=8)
-            result = solve(ind, assoc)
-            side = set(result.source_side)
+            ind, band = random_instance(rng, n_max=8)
+            side = solve(ind, band)
             same = [
                 (i, k)
                 for i in range(len(ind))
                 for k in range(i + 1, len(ind))
-                if (i in side) == (k in side) and (i, k) not in assoc.pairs
+                if (i in side) == (k in side) and band[k - i - 1, i] == 0
             ]
             if not same:
                 continue
-            pair = same[0]
-            bigger = AssociationScores(pairs={**dict(assoc.pairs), pair: 0.7})
+            i, k = same[0]
+            bigger = band.copy()
+            bigger[k - i - 1, i] = 0.7
             again = solve(ind, bigger)
-            assert again.cost == pytest.approx(result.cost, abs=1e-9)
+            assert scaled_cost(ind, bigger, again) == scaled_cost(ind, band, side)
 
     def test_positive_scaling_preserves_argmin(self):
         rng = np.random.default_rng(12)
         for factor in (0.5, 2.0, 3.7):
             for _ in range(15):
-                ind, assoc = random_instance(rng, n_max=8)
-                base = solve(ind, assoc)
+                ind, band = random_instance(rng, n_max=8)
+                base = solve(ind, band)
                 scaled_ind = IndividualScores(
                     class1=ind.class1 * factor, class2=ind.class2 * factor
                 )
-                scaled_assoc = AssociationScores(
-                    pairs={k: v * factor for k, v in assoc.pairs.items()}
+                scaled = solve(scaled_ind, band * factor)
+                assert scaled == base
+                assert raw_cost(scaled_ind, band * factor, scaled) == pytest.approx(
+                    raw_cost(ind, band, base) * factor, rel=1e-9
                 )
-                scaled = solve(scaled_ind, scaled_assoc)
-                assert scaled.source_side == base.source_side
-                assert scaled.cost == pytest.approx(base.cost * factor, rel=1e-9)
 
     def test_repeated_solves_are_stable(self):
-        band = band_of(EXAMPLE_IND, EXAMPLE_ASSOC)
-        for weights in (band, widened(band)):
+        for weights in (EXAMPLE_BAND, widened(EXAMPLE_BAND)):
             before = weights.copy()
             assert cut_band(EXAMPLE_IND, [3], weights).tolist() == [True, True, False]
             assert cut_band(EXAMPLE_IND, [3], weights).tolist() == [True, True, False]
@@ -386,29 +376,30 @@ class TestMinCut:
     def test_matches_brute_force_for_arbitrary_weights(self, instance):
         c1, c2, pairs = instance
         ind = IndividualScores(class1=np.array(c1), class2=np.array(c2))
-        assoc = AssociationScores(pairs=pairs)
-        got = solve(ind, assoc)
-        want = brute_force_min(*scale_instance(ind, assoc))
-        assert scaled_cost(ind, assoc, got.source_side) == want.cost
+        band = band_of(len(ind), pairs)
+        side = solve(ind, band)
+        want = brute_force_min(ind, band)
+        assert scaled_cost(ind, band, side) == want.cost
+        assert side == want.source_side
 
 
 class TestBatch:
     def test_batch_equals_solving_each_alone(self):
         rng = np.random.default_rng(13)
-        empty = (IndividualScores(class1=np.array([]), class2=np.array([])),
-                 AssociationScores(pairs={}))
+        empty = (IndividualScores(class1=np.array([]), class2=np.array([])), np.zeros((0, 0)))
         single = (IndividualScores(class1=np.array([0.4]), class2=np.array([0.6])),
-                  AssociationScores(pairs={}))
+                  np.zeros((0, 1)))
         instances = [random_instance(rng, n_max=14) for _ in range(40)]
         instances[5:5] = [empty]
         instances[20:20] = [single, empty]
         flags = cut_band(*joined([ind for ind, _ in instances]), stacked_band(instances))
         first = np.cumsum([0] + [len(ind) for ind, _ in instances])
-        for (ind, assoc), a, b in zip(instances, first, first[1:]):
+        for (ind, band), a, b in zip(instances, first, first[1:]):
             side = side_of(flags[a:b])
-            assert side == solve(ind, assoc).source_side
-            want = brute_force_min(*scale_instance(ind, assoc))
-            assert scaled_cost(ind, assoc, side) == want.cost
+            assert side == solve(ind, band)
+            want = brute_force_min(ind, band)
+            assert scaled_cost(ind, band, side) == want.cost
+            assert side == want.source_side
 
     def test_empty_batch(self):
         assert cut_band(*joined([]), np.zeros((0, 0))).tolist() == []
@@ -417,9 +408,9 @@ class TestBatch:
 
 def intersection_of_minimum_labelings(costs, n) -> tuple[int, ...]:
     """The items on the source side of every minimum labeling of ``costs``
-    (``labeling_costs``' layout) of n items."""
-    common = np.bitwise_and.reduce(np.flatnonzero(costs == costs.min()))
-    return tuple(i for i in range(n) if common >> i & 1)
+    (``labeling_costs``' layout) of n items, item by item."""
+    minima = np.flatnonzero(costs == costs.min()).tolist()
+    return tuple(i for i in range(n) if all(mask >> i & 1 for mask in minima))
 
 
 ALL_WEIGHTS = (0.0, 1e-8, 4e-7, 0.25, 0.5)
@@ -442,15 +433,14 @@ def tied_instances(draw, n_max=8, weights=ALL_WEIGHTS):
         for k in range(i + 1, n)
         if rng.random() < 0.5
     }
-    return IndividualScores(class1=class1, class2=class2), AssociationScores(pairs=pairs)
+    return IndividualScores(class1=class1, class2=class2), band_of(n, pairs)
 
 
 def assert_canonical(instances, flags):
     """Each instance's cut is the intersection of its minimum labelings."""
     first = np.cumsum([0] + [len(ind) for ind, _ in instances])
-    for (ind, assoc), a, b in zip(instances, first, first[1:]):
-        costs = labeling_costs(*scale_instance(ind, assoc))
-        assert side_of(flags[a:b]) == intersection_of_minimum_labelings(costs, len(ind))
+    for (ind, band), a, b in zip(instances, first, first[1:]):
+        assert side_of(flags[a:b]) == brute_force_min(ind, band).source_side
 
 
 class TestCanonicity:
@@ -463,147 +453,141 @@ class TestCanonicity:
 
 class TestBruteForce:
     def test_worked_example(self):
-        result = brute_force_min(EXAMPLE_IND, EXAMPLE_ASSOC)
-        assert result.source_side == (0, 1)
-        assert result.cost == pytest.approx(1.1, abs=1e-12)
+        assert brute_force_min(EXAMPLE_IND, EXAMPLE_BAND) == CutResult((0, 1), 1_100_000)
 
     def test_empty_instance(self):
         ind = IndividualScores(class1=np.array([]), class2=np.array([]))
-        assert brute_force_min(ind, AssociationScores(pairs={})) == CutResult(
-            source_side=(), cost=0.0
-        )
+        assert brute_force_min(ind, np.zeros((0, 0))) == CutResult(source_side=(), cost=0)
 
     def test_forced_optimum(self):
         ind = IndividualScores(class1=np.array([1.0, 0.0]), class2=np.array([0.0, 1.0]))
-        result = brute_force_min(ind, AssociationScores(pairs={}))
+        result = brute_force_min(ind, np.zeros((1, 2)))
         assert result.source_side == (0,)
-        assert result.cost == 0.0
+        assert result.cost == 0
 
-    def test_lexicographic_tie_break(self):
-        # every partition costs 1.0; the empty side is lexicographically least
+    def test_tie_gives_the_intersection(self):
+        # every partition costs 1.0; only the empty side lies in all of them
         ind = IndividualScores(class1=np.array([0.5, 0.5]), class2=np.array([0.5, 0.5]))
-        result = brute_force_min(ind, AssociationScores(pairs={}))
+        result = brute_force_min(ind, np.zeros((1, 2)))
         assert result.source_side == ()
 
     def test_refuses_large_instances(self):
         n = 21
         ind = IndividualScores(class1=np.ones(n), class2=np.zeros(n))
         with pytest.raises(ValueError):
-            brute_force_min(ind, AssociationScores(pairs={}))
+            brute_force_min(ind, np.zeros((0, n)))
 
     @pytest.mark.parametrize("forced", [(), (3,), (3, 7), (0, 11)])
-    def test_lexicographic_tie_break_at_twelve_items(self, forced):
+    def test_intersection_at_twelve_items(self, forced):
         # the forced items cost 0 on the source side and 1 off it, every
         # other item 0.5 either way: the 2^(12 - len(forced)) labelings that
-        # hold the forced items tie. A tuple is less than its extensions and
-        # (0, 1) < (0, 3), so the least runs from 0 to the last forced item
+        # hold the forced items tie, and only the forced items lie in all
         class1, class2 = np.full(12, 0.5), np.full(12, 0.5)
         class1[list(forced)], class2[list(forced)] = 1.0, 0.0
         ind = IndividualScores(class1=class1, class2=class2)
-        result = brute_force_min(ind, AssociationScores(pairs={}))
-        least = tuple(range(max(forced, default=-1) + 1))
-        assert result == CutResult(source_side=least, cost=0.5 * (12 - len(forced)))
+        result = brute_force_min(ind, np.zeros((0, 12)))
+        assert result == CutResult(source_side=forced, cost=500_000 * (12 - len(forced)))
 
     @settings(max_examples=100, deadline=None)
     @given(tied_instances(n_max=12))
-    def test_tie_break_is_the_least_sorted_tuple(self, instance):
+    def test_side_is_the_intersection_of_the_minimum_labelings(self, instance):
         costs = labeling_costs(*instance)
-        tied = np.flatnonzero(costs == costs.min())
-        n = len(instance[0])
-        want = min(tuple(i for i in range(n) if mask >> i & 1) for mask in tied.tolist())
+        want = intersection_of_minimum_labelings(costs, len(instance[0]))
         assert brute_force_min(*instance) == CutResult(source_side=want, cost=costs.min())
+        # the minimum labelings form a lattice: their intersection is one of them
+        assert costs[mask_of(want)] == costs.min()
 
 
 @st.composite
-def spread_instances(draw, n_max=8, top=6):
+def spread_instances(draw, n_max=8, top=3):
     """Instances whose scores and weights span 6 + ``top`` orders of magnitude,
-    below 10**top, so that adding the same terms in another order changes the
-    sums' last bits; a third of the pairs weigh 0, and the pairs come in
-    shuffled order."""
+    below 10**top; a third of the pairs weigh 0."""
     n = draw(st.integers(0, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     class1, class2 = rng.uniform(0, 1, (2, n)) * 10.0 ** rng.uniform(-6, top, (2, n))
     pairs = [(i, k) for i in range(n) for k in range(i + 1, n) if rng.random() < 0.6]
-    rng.shuffle(pairs)
     weights = rng.uniform(0, 1, len(pairs)) * 10.0 ** rng.uniform(-6, top, len(pairs))
     weights[rng.random(len(pairs)) < 1 / 3] = 0.0
-    return IndividualScores(class1=class1, class2=class2), AssociationScores(
-        pairs={tuple(pair): float(w) for pair, w in zip(pairs, weights)}
+    return IndividualScores(class1=class1, class2=class2), band_of(
+        n, {pair: float(w) for pair, w in zip(pairs, weights)}
     )
 
 
 class TestLabelingCosts:
-    """``labeling_costs`` gives, bit for bit, the costs a plain loop over each
-    labeling adds up, and ``partition_cost`` prices one labeling alike."""
+    """``labeling_costs`` gives exactly the costs a plain loop over each
+    labeling adds up on the rounded instance."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.booleans(), st.data())
-    def test_equals_the_plain_loop_bit_for_bit(self, scaled, data):
-        # a scaled instance is the cut's integer copy, which holds no value
-        # beyond the solver's bound: its spread values stay below 10**3
-        spread = spread_instances(top=3 if scaled else 6)
-        instance = data.draw(st.one_of(spread, tied_instances()))
-        if scaled:
-            instance = scale_instance(*instance)
+    @given(st.one_of(spread_instances(), tied_instances()))
+    def test_equals_the_plain_loop_exactly(self, instance):
+        # the rounded copy holds integers below 2**53, which float sums keep exact
         costs = labeling_costs(*instance)
-        assert costs.dtype == np.float64
-        assert costs.tobytes() == loop_labeling_costs(*instance).tobytes()
-        n = len(instance[0])
-        for mask in data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8)):
-            side = [i for i in range(n) if mask >> i & 1]
-            assert np.float64(partition_cost(*instance, side)).tobytes() == costs[mask].tobytes()
+        assert costs.dtype == np.int64
+        assert costs.tolist() == loop_labeling_costs(*rounded(*instance)).tolist()
 
-    def test_worked_example_table(self):
-        costs = labeling_costs(EXAMPLE_IND, EXAMPLE_ASSOC)
-        for side, expected in EXAMPLE_TABLE.items():
-            assert costs[sum(1 << i for i in side)] == pytest.approx(expected, abs=1e-12)
+    @pytest.mark.parametrize("side,expected", sorted(EXAMPLE_TABLE.items()))
+    def test_worked_example_table(self, side, expected):
+        costs = labeling_costs(EXAMPLE_IND, EXAMPLE_BAND)
+        assert costs[mask_of(side)] / SCALE == pytest.approx(expected, abs=1e-12)
+        assert raw_cost(EXAMPLE_IND, EXAMPLE_BAND, side) == pytest.approx(expected, abs=1e-12)
 
-    def test_chunks_cover_every_labeling(self, monkeypatch):
-        # 2^7 labelings in chunks of 2^3 give the bytes of one chunk
-        rng = np.random.default_rng(5)
-        ind = IndividualScores(class1=rng.uniform(0, 1, 7), class2=rng.uniform(0, 1, 7))
-        assoc = AssociationScores(pairs={(i, i + 2): float(rng.uniform(0, 1)) for i in range(5)})
-        whole = labeling_costs(ind, assoc)
-        monkeypatch.setattr(mincut, "ENUMERATION_CHUNK", 8)
-        assert labeling_costs(ind, assoc).tobytes() == whole.tobytes()
+    def test_empty_instance(self):
+        ind = IndividualScores(class1=np.array([]), class2=np.array([]))
+        assert labeling_costs(ind, np.zeros((0, 0))).tolist() == [0]
 
     def test_refuses_large_instances(self):
         ind = IndividualScores(class1=np.ones(21), class2=np.zeros(21))
         with pytest.raises(ValueError, match="n=21 exceeds 20"):
-            labeling_costs(ind, AssociationScores(pairs={}))
+            labeling_costs(ind, np.zeros((0, 21)))
 
 
 class TestOracleRefusals:
-    """The oracles refuse what they cannot price, naming the offender."""
+    """The oracles refuse what ``cut_band`` refuses of one instance, in its words."""
 
-    @pytest.mark.parametrize("pair", [(2, 3), (0, 5), (-1, 1), (1, 1), (2, 1)])
-    def test_pair_outside_the_instance_refused(self, pair):
-        assoc = AssociationScores(pairs={(0, 1): 0.5, pair: 0.25})
-        for price in (labeling_costs, brute_force_min, lambda *a: partition_cost(*a, (0,))):
-            refusal = re.escape(f"association pair {pair} of weight 0.25")
-            with pytest.raises(ValueError, match=refusal):
-                price(EXAMPLE_IND, assoc)
+    @pytest.mark.parametrize(
+        "ind, item, weight, problem",
+        [(EXAMPLE_IND, 2, 0.5, "(2, 3) of weight 0.5 runs past the last item, 2"),
+         (EXAMPLE_IND, 2, float("nan"), "(2, 3) of weight nan runs past the last item, 2"),
+         (EXAMPLE_IND, 0, float("nan"), "(0, 1) of weight nan must weigh a finite value >= 0"),
+         (EXAMPLE_IND, 1, -0.5, "(1, 2) of weight -0.5 must weigh a finite value >= 0"),
+         (EXAMPLE_IND, 1, float("inf"), "(1, 2) of weight inf must weigh a finite value >= 0"),
+         (IndividualScores(class1=[1e20, 0.5, 0.1], class2=[0.9, 0.5, 0.1]), 0, 0.5,
+          f"class-1 score 1e+20 at scale {SCALE}"),
+         (IndividualScores(class1=[0.1, 0.5, 0.1], class2=[0.9, 1e20, 0.1]), 0, 0.5,
+          f"class-2 score 1e+20 at scale {SCALE}"),
+         (EXAMPLE_IND, 0, float(units(CAPACITY_BOUND // 2 + 1)),
+          f"association weight 1073.741824 at scale {SCALE}")],
+    )
+    def test_bad_band_refused_as_cut_band_refuses(self, ind, item, weight, problem):
+        band = np.zeros((1, 3))
+        band[0, item] = weight
+        with pytest.raises(ValueError, match=re.escape(problem)) as cut:
+            cut_band(ind, [3], band)
+        for oracle in (labeling_costs, brute_force_min):
+            with pytest.raises(ValueError) as refused:
+                oracle(ind, band)
+            assert str(refused.value) == str(cut.value)
+
+    @pytest.mark.parametrize("band", [np.zeros((1, 4)), np.zeros(3)])
+    def test_band_of_the_wrong_shape_refused_as_cut_band_refuses(self, band):
+        with pytest.raises(ValueError, match="3 items but a band of shape") as cut:
+            cut_band(EXAMPLE_IND, [3], band)
+        for oracle in (labeling_costs, brute_force_min):
+            with pytest.raises(ValueError) as refused:
+                oracle(EXAMPLE_IND, band)
+            assert str(refused.value) == str(cut.value)
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_weight_refused(self, weight):
-        assoc = AssociationScores(pairs={(0, 2): weight})
-        for price in (labeling_costs, lambda *a: partition_cost(*a, ())):
+        band = band_of(3, {(0, 2): weight})
+        for price in (labeling_costs, brute_force_min):
             with pytest.raises(ValueError, match=re.escape(f"(0, 2) of weight {weight} must")):
-                price(EXAMPLE_IND, assoc)
-
-    @pytest.mark.parametrize("item", [3, 7, -1])
-    def test_side_item_outside_the_instance_refused(self, item):
-        with pytest.raises(ValueError, match=re.escape(f"source side item {item} lies outside")):
-            partition_cost(EXAMPLE_IND, EXAMPLE_ASSOC, (0, item))
-
-    def test_negative_finite_weight_is_priced(self):
-        assoc = AssociationScores(pairs={(0, 1): -0.5})
-        assert partition_cost(EXAMPLE_IND, assoc, (0,)) == pytest.approx(0.8 - 0.5, abs=1e-12)
-        assert labeling_costs(EXAMPLE_IND, assoc)[0b001] == partition_cost(EXAMPLE_IND, assoc, (0,))
+                price(EXAMPLE_IND, band)
 
 
-def banded_min(ind, assoc, reach, held=None):
-    """Exact minimum labeling cost when every pair joins items at most ``reach`` apart.
+def banded_min(ind, band, reach, held=None):
+    """Exact minimum labeling cost when every pair of ``band`` joins items at
+    most ``reach`` apart.
 
     A Viterbi pass left to right over the 2^reach states "labels of the last
     ``reach`` items" (bit d - 1 holds the label of the item d back), so it is
@@ -611,21 +595,19 @@ def banded_min(ind, assoc, reach, held=None):
     ``held``, a list of items, it returns one minimum per item instead, over
     the labelings that hold that item on the sink side, all in the same pass.
     """
-    weights = {}
-    for (i, k), value in assoc.pairs.items():
-        assert k - i <= reach, "pair beyond the band"
-        weights[(k, k - i)] = value
+    assert not band[reach:].any(), "pair beyond the band"
+    weights = {(i + d, d): band[d - 1, i] for d in range(1, len(band) + 1) for i in range(len(ind))}
     variants = np.array([-1] if held is None else held)
     states = np.arange(1 << reach)
     back_labels = (states[:, None] >> np.arange(reach)) & 1
     cost = np.full((len(variants), len(states)), np.inf)
     cost[:, 0] = 0.0  # items before the first have no pairs, so their labels are free
     for j in range(len(ind)):
-        band = np.array([weights.get((j, d), 0.0) for d in range(1, reach + 1)])
+        row = np.array([weights.get((j, d), 0.0) for d in range(1, reach + 1)])
         step = np.full(cost.shape, np.inf)
         # label 1 puts item j on the source side (class 1) and pays its class-2 score
         for label, unary in ((0, ind.class1[j]), (1, ind.class2[j])):
-            candidates = cost + unary + (back_labels != label) @ band
+            candidates = cost + unary + (back_labels != label) @ row
             if label:
                 candidates[variants == j] = np.inf
             to = ((states << 1) | label) & (len(states) - 1)
@@ -676,17 +658,16 @@ class TestBandedOracle:
     @given(proximity_instances(1, 12))
     def test_oracle_agrees_with_brute_force(self, instance):
         ind, band, reach = instance
-        scaled = scale_instance(ind, AssociationScores.from_band(band))
-        assert banded_min(*scaled, reach) == brute_force_min(*scaled).cost
+        assert banded_min(*rounded(ind, band), reach) == brute_force_min(ind, band).cost
 
     @settings(max_examples=60, deadline=None)
     @given(proximity_instances(20, 200))
     def test_min_cut_is_optimal_at_review_lengths(self, instance):
         ind, band, reach = instance
         side = side_of(cut_both_ways([ind], band))
-        scaled = scale_instance(ind, AssociationScores.from_band(band))
+        scaled = rounded(ind, band)
         best = banded_min(*scaled, reach)
-        assert partition_cost(*scaled, side) == best
+        assert loop_cost(*scaled, side) == best
         # canonical: each item of the side lies on the source side of every
         # minimum labeling, so holding it on the sink side costs strictly more
         assert (banded_min(*scaled, reach, held=list(side)) > best).all()
@@ -695,11 +676,11 @@ class TestBandedOracle:
     @given(proximity_instances(1, 10))
     def test_held_items_agree_with_brute_force(self, instance):
         ind, band, reach = instance
-        scaled = scale_instance(ind, AssociationScores.from_band(band))
-        costs = labeling_costs(*scaled)
+        costs = labeling_costs(ind, band)
         masks = np.arange(len(costs))
         want = [costs[(masks >> i & 1) == 0].min() for i in range(len(ind))]
-        assert banded_min(*scaled, reach, held=list(range(len(ind)))).tolist() == want
+        held = banded_min(*rounded(ind, band), reach, held=list(range(len(ind))))
+        assert held.tolist() == want
 
 
 @contextmanager
@@ -730,9 +711,9 @@ class TestPairFreeNetworks:
         ind, band, reach = instance
         with no_max_flow():
             side = side_of(cut_both_ways([ind], band))
-        scaled = scale_instance(ind, AssociationScores.from_band(band))
+        scaled = rounded(ind, band)
         best = banded_min(*scaled, reach)
-        assert partition_cost(*scaled, side) == best
+        assert loop_cost(*scaled, side) == best
         assert (banded_min(*scaled, reach, held=list(side)) > best).all()
 
     def test_a_rounding_tie_is_dropped(self):
@@ -752,15 +733,15 @@ class TestPairFreeNetworks:
 
         # only the first pair keeps an arc, of capacity 1: it pulls the tied item 1
         # to the source side, where the rounded scores alone would drop it
-        assoc = AssociationScores(pairs={(0, 1): 1e-6, (1, 2): 4e-7})
+        band = band_of(3, {(0, 1): 1e-6, (1, 2): 4e-7})
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mincut, "maximum_flow", counted)
-            side = side_of(cut_band(EXAMPLE_IND, [3], widened(band_of(EXAMPLE_IND, assoc))))
+            side = side_of(cut_band(EXAMPLE_IND, [3], widened(band)))
         assert len(calls) == 1
         assert side == (0, 1)
-        assert scaled_cost(EXAMPLE_IND, assoc, side) == brute_force_min(
-            *scale_instance(EXAMPLE_IND, assoc)
-        ).cost
+        want = brute_force_min(EXAMPLE_IND, band)
+        assert scaled_cost(EXAMPLE_IND, band, side) == want.cost
+        assert side == want.source_side
 
 
 @st.composite
@@ -813,10 +794,9 @@ class TestBandedFlags:
     @given(banded_batches(1, 12, docs=st.just(1)))
     def test_agrees_with_brute_force(self, batch):
         [ind], band = batch
-        scaled = scale_instance(ind, AssociationScores.from_band(band))
         side = side_of(cut_both_ways([ind], band))
-        assert partition_cost(*scaled, side) == brute_force_min(*scaled).cost
-        assert side == intersection_of_minimum_labelings(labeling_costs(*scaled), len(ind))
+        assert scaled_cost(ind, band, side) == brute_force_min(ind, band).cost
+        assert side == intersection_of_minimum_labelings(labeling_costs(ind, band), len(ind))
 
     @pytest.mark.parametrize("threshold", [1, 3, BANDED_REACH_LIMIT, BANDED_REACH_LIMIT + 1, 19])
     def test_canonical_at_twenty_items(self, threshold):
@@ -827,11 +807,10 @@ class TestBandedFlags:
         ind = IndividualScores(class1=class1, class2=tie_after_rounding(rng, class1))
         params = ProximityParams(threshold=threshold, decay="inverse_square", strength=0.1)
         band = association_band([20], [[0, 7, 13]], params)
-        scaled = scale_instance(ind, AssociationScores.from_band(band))
-        costs = labeling_costs(*scaled)
+        costs = labeling_costs(ind, band)
         side = side_of(cut_both_ways([ind], band))
         assert side == intersection_of_minimum_labelings(costs, 20)
-        assert partition_cost(*scaled, side) == costs.min()
+        assert costs[mask_of(side)] == costs.min()
 
     @settings(max_examples=40, deadline=None)
     @given(banded_batches(0, 45, docs=st.integers(2, 6)))
