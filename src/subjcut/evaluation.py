@@ -85,7 +85,6 @@ from .features import (
     TypeCounts,
     Vocabulary,
     class_counts,
-    document_batches,
     featurize_rows,
     join_rows,
     presence_matrix,
@@ -324,38 +323,11 @@ def score_documents(
     documents: Sequence[ReviewDocument],
 ) -> list[IndividualScores]:
     """Per-sentence scores for every document, computed once and reused: the
-    ``_sentence_scores`` of their ``sentence_matrix``, split per document."""
+    ``individual_scores`` of their ``sentence_matrix``, split per document."""
     if not documents:
         return []
-    scores = _sentence_scores(model, vocab, documents, sentence_matrix(documents))
+    scores = individual_scores(model, vocab, sentence_matrix(documents))
     return scores.split(_first_rows(documents)[1:-1])
-
-
-def _sentence_scores(
-    model: NaiveBayesModel | LinearMarginModel, vocab: Vocabulary,
-    documents: Sequence[ReviewDocument], matrix: PresenceMatrix,
-) -> IndividualScores:
-    """The scores of the rows of ``matrix``, the documents' ``sentence_matrix``,
-    as one array. They are scored in the ``document_batches`` of about
-    ``features.CUT_BATCH_SENTENCES`` sentences each, which share one map of
-    the matrix's type table into the vocabulary.
-    """
-    column_of = vocab.column_map(matrix.types)
-    first = _first_rows(documents)
-    return _joined([
-        individual_scores(model, vocab, matrix.row_slice(first[b.start], first[b.stop]), column_of)
-        for b in document_batches(np.diff(first))
-    ])
-
-
-def _joined(parts: Sequence[IndividualScores]) -> IndividualScores:
-    """``parts``, one after another, as one array. Each part was checked when
-    it was made, so, as with ``IndividualScores.split``, the whole is not."""
-    whole = object.__new__(IndividualScores)
-    for name in ("class1", "class2"):
-        values = np.concatenate([np.zeros(0)] + [getattr(part, name) for part in parts])
-        object.__setattr__(whole, name, values)
-    return whole
 
 
 def detector_cv_accuracies(
@@ -488,7 +460,10 @@ def make_extracts(
                 raise ValueError(f"document {doc.id}: {given} scores for {n} sentences")
         if len(scores) != len(documents):
             raise ValueError(f"{len(scores)} score lists for {len(documents)} documents")
-        scores = _joined(scores)
+        scores = IndividualScores(
+            np.concatenate([np.zeros(0)] + [part.class1 for part in scores]),
+            np.concatenate([np.zeros(0)] + [part.class2 for part in scores]),
+        )
     flags = _selections(config, documents, detector, scores).tolist()
     first = _first_rows(documents)
     return [Extract.from_flags(doc, flags[a:b]) for doc, a, b in zip(documents, first, first[1:])]
@@ -526,7 +501,7 @@ def _selections(
         if matrix is None and (scores is None or config.extractor == "paragraph"):
             matrix = sentence_matrix(documents)
         if scores is None and config.extractor != "paragraph":
-            scores = _sentence_scores(detector.model, detector.vocab, documents, matrix)
+            scores = individual_scores(detector.model, detector.vocab, matrix)
     first = _first_rows(documents)
     counts = np.diff(first)
     document = np.repeat(np.arange(len(documents)), counts)
@@ -577,13 +552,7 @@ def _extract_rows(
 ) -> PresenceMatrix:
     """Each document's extract row: the join of its kept rows of ``matrix``."""
     rows = np.flatnonzero(keep)
-    # before[d]: how many kept rows lie before document d's first row
-    before = np.searchsorted(rows, _first_rows(documents))
-    counts = [len(doc.sentences) for doc in documents]
-    return join_rows(matrix, (
-        (rows[before[b.start]:before[b.stop]], np.diff(before[b.start:b.stop + 1]))
-        for b in document_batches(counts)
-    ))
+    return join_rows(matrix, rows, np.diff(np.searchsorted(rows, _first_rows(documents))))
 
 
 def _check_folds(documents: Sequence[ReviewDocument], folds: int) -> None:
@@ -683,7 +652,7 @@ def _cell_reports(
         _check_folds(documents, folds)
     matrix = sentence_matrix(documents)
     scored = detector is not None and any(c.extractor in SCORED_EXTRACTORS for c in configs)
-    scores = _sentence_scores(detector.model, detector.vocab, documents, matrix) if scored else None
+    scores = individual_scores(detector.model, detector.vocab, matrix) if scored else None
     select = partial(
         _selections, documents=documents, detector=detector, scores=scores, matrix=matrix
     )

@@ -34,10 +34,11 @@ from .classifiers import (
     svm_to_individual,
 )
 from .corpus import ReviewDocument
+from . import features
 from .features import (
     PresenceMatrix,
     Vocabulary,
-    document_batches,
+    batches,
     featurize_rows,
     join_rows,
     presence_matrix,
@@ -146,28 +147,26 @@ def association_band(
 
 
 def individual_scores(
-    model: NaiveBayesModel | LinearMarginModel,
-    vocab: Vocabulary,
-    matrix: PresenceMatrix,
-    column_of: np.ndarray,
+    model: NaiveBayesModel | LinearMarginModel, vocab: Vocabulary, matrix: PresenceMatrix
 ) -> IndividualScores:
     """Per-row class preferences of ``matrix`` from a trained sentence classifier.
 
     NB yields (posterior, 1 - posterior); the SVM's signed margin
-    ``w . x + b`` is clamped into [0, 1] and complemented. ``column_of`` is
-    ``vocab.column_map(matrix.types)``, so that scoring many row slices or
-    joins of one matrix maps its type table once.
+    ``w . x + b`` is clamped into [0, 1] and complemented. The matrix's type
+    table is mapped into ``vocab`` once, and its rows are featurized and
+    scored a batch at a time, by their tokens.
     """
     if not isinstance(model, (NaiveBayesModel, LinearMarginModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    rows = featurize_rows(
-        matrix, column_of, vocab.size, np.arange(len(matrix)),
-        normalize=isinstance(model, LinearMarginModel),
-    )
-    if isinstance(model, NaiveBayesModel):
-        c1 = nb_predict_prob(model, rows)
-    else:
-        c1, _ = svm_to_individual(svm_margin(model, rows))
+    column_of, svm = vocab.column_map(matrix.types), isinstance(model, LinearMarginModel)
+    parts = [np.zeros(0)]
+    for batch in batches(np.diff(matrix.offsets), features.BATCH_TOKENS):
+        rows = featurize_rows(
+            matrix, column_of, vocab.size, np.arange(batch.start, batch.stop), normalize=svm
+        )
+        parts.append(svm_to_individual(svm_margin(model, rows))[0] if svm
+                     else nb_predict_prob(model, rows))
+    c1 = np.concatenate(parts)
     return IndividualScores(class1=c1, class2=1.0 - c1)
 
 
@@ -209,8 +208,8 @@ def select_graph(
     is aligned with ``counts``; counts are refused as ``cut_band`` refuses
     them.
 
-    Each ``document_batches`` batch is cut from its ``association_band`` by
-    ``cut_band``, which gives the canonical cut."""
+    Each batch of documents, by their sentences, is cut from its
+    ``association_band`` by ``cut_band``, which gives the canonical cut."""
     counts = instance_counts(counts)
     if paragraph_starts is None:
         paragraph_starts = [None] * len(counts)
@@ -220,7 +219,7 @@ def select_graph(
     if first[-1] != len(scores):
         raise ValueError(f"{len(scores)} scores for {first[-1]} sentences")
     keep = np.zeros(first[-1], dtype=bool)
-    for batch in document_batches(counts):
+    for batch in batches(counts, features.CUT_BATCH_SENTENCES):
         part, rows = slice(batch.start, batch.stop), slice(first[batch.start], first[batch.stop])
         weights = association_band(counts[part], paragraph_starts[part], params)
         batch_scores = IndividualScores(scores.class1[rows], scores.class2[rows])
@@ -237,22 +236,15 @@ def detect_paragraph_unit(
     """One flag per sentence of ``documents``, in order: its paragraph's label.
 
     A paragraph is scored as the join of its sentences' rows of ``matrix``,
-    the documents' ``sentence_matrix``: a batch's rows are contiguous, so its
-    paragraphs are consecutive runs of them. Documents without boundary
-    information are treated as one paragraph, which makes the decision
-    all-or-nothing.
+    the documents' ``sentence_matrix``, so the paragraphs are consecutive
+    runs of its rows. Documents without boundary information are treated as
+    one paragraph, which makes the decision all-or-nothing.
     """
-    column_of = vocab.column_map(matrix.types)
-    counts = [len(doc.sentences) for doc in documents]
-    first = np.cumsum([0] + counts).tolist()
-    keep = np.zeros(first[-1], dtype=bool)
-    for batch in document_batches(counts):
-        starts = [first[d] + s for d in batch for s in documents[d].paragraph_starts]
-        lengths = np.diff([*starts, first[batch.stop]])
-        rows = np.arange(first[batch.start], first[batch.stop])
-        scores = individual_scores(model, vocab, join_rows(matrix, [(rows, lengths)]), column_of)
-        keep[rows] = np.repeat(scores.class1 > scores.class2, lengths)
-    return keep
+    first = np.cumsum([0] + [len(doc.sentences) for doc in documents]).tolist()
+    starts = [a + s for a, doc in zip(first, documents) for s in doc.paragraph_starts]
+    lengths = np.diff([*starts, first[-1]])
+    scores = individual_scores(model, vocab, join_rows(matrix, np.arange(first[-1]), lengths))
+    return np.repeat(scores.class1 > scores.class2, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -116,11 +116,6 @@ class PresenceMatrix:
         column_of[columns] = np.arange(len(columns))
         return column_of
 
-    def row_slice(self, start: int, stop: int) -> "PresenceMatrix":
-        """Rows ``start`` to ``stop`` (exclusive), over the same type table, as views."""
-        offsets = self.offsets[start : stop + 1]
-        return PresenceMatrix(self.types, self.ids[offsets[0] : offsets[-1]], offsets - offsets[0])
-
     @classmethod
     def from_runs(
         cls, types: Iterable[str], runs: Iterable[tuple[np.ndarray, np.ndarray]]
@@ -136,31 +131,35 @@ class PresenceMatrix:
         return cls(types=tuple(types), ids=np.concatenate(ids), offsets=offsets)
 
 
-# Texts are mapped into a presence matrix, and documents scored, joined and
-# cut, in batches of about this many texts: one sort, featurization or
-# cut per batch, with the transient arrays of one batch at a time.
+# The one batching rule (``batches``), with two budgets. Token work (mapping
+# texts, joining, counting and scoring rows) runs about ``BATCH_TOKENS`` tokens
+# at a time; the cut, whose arrays grow with sentences times 2**reach, about
+# ``CUT_BATCH_SENTENCES`` sentences. Each is read when its step runs.
+BATCH_TOKENS = 1 << 16
 CUT_BATCH_SENTENCES = 8192
 
 
-def document_batches(sentence_counts: Sequence[int]) -> Iterator[range]:
-    """Consecutive ranges of documents, each closed once it holds at least
-    ``CUT_BATCH_SENTENCES`` sentences; the last takes what is left."""
-    start, size = 0, 0
-    for end, count in enumerate(sentence_counts, start=1):
-        size += count
-        if size >= CUT_BATCH_SENTENCES or end == len(sentence_counts):
-            yield range(start, end)
-            start, size = end, 0
+def batches(sizes: Sequence[int], budget: int) -> list[range]:
+    """Consecutive ranges of the items of ``sizes``, in order, none empty:
+    each closes at the item that takes the running total of sizes to the
+    next multiple of ``budget``, and the last takes what is left. No item is
+    split, so one larger than the budget is a range of its own."""
+    ends = np.cumsum(sizes, dtype=np.int64)
+    if not len(ends):
+        return []
+    cuts = np.searchsorted(ends, np.arange(budget, ends[-1] + 1, budget)) + 1
+    stops = np.union1d(cuts, [len(ends)]).tolist()
+    return [range(a, b) for a, b in zip([0] + stops, stops)]
 
 
 def presence_matrix(groups: Sequence[tuple[Sequence[str], Sequence[int]]]) -> PresenceMatrix:
     """One row per text of ``groups``, in order. A group is (texts, counts),
     ``counts[k]`` the whitespace-separated words of ``texts[k]``: its texts are
     tokenized as one, joined by newlines, and cut into rows by the counts.
-    Each ``document_batches`` batch of groups drops its rows' repeats at once."""
+    Each batch of groups, by their words, drops its rows' repeats at once."""
     type_id: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     runs = []
-    for batch in document_batches([len(texts) for texts, _ in groups]):
+    for batch in batches([sum(counts) for _, counts in groups], BATCH_TOKENS):
         tokens = itertools.chain.from_iterable(tokenize("\n".join(groups[g][0])) for g in batch)
         ids = np.fromiter(map(type_id.__getitem__, tokens), dtype=np.int32)
         lengths = np.fromiter(itertools.chain.from_iterable(groups[g][1] for g in batch), np.int64)
@@ -198,23 +197,25 @@ def distinct_runs(
 
 
 def join_rows(
-    matrix: PresenceMatrix, batches: Iterable[tuple[np.ndarray, np.ndarray]]
+    matrix: PresenceMatrix, rows: np.ndarray, group_lengths: np.ndarray
 ) -> PresenceMatrix:
     """One row per group of ``matrix`` rows, over the same type table.
 
-    Each batch is (rows, group lengths): ``rows`` lists the rows of its
-    groups one group after another, ``group_lengths[g]`` of them for group g.
-    A group's row holds the distinct ids of its rows in order of first
-    occurrence, the row of its texts joined by whitespace. Batches are joined
-    one at a time, so the sort's temporaries are one batch in size.
+    ``rows`` lists the rows of the groups one group after another,
+    ``group_lengths[g]`` of them for group g. A group's row holds the
+    distinct ids of its rows in order of first occurrence, the row of its
+    texts joined by whitespace. Groups are joined a batch at a time, by
+    their tokens.
     """
-
-    def joined(rows: np.ndarray, group_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ids, lengths = _row_ids(matrix, rows)
-        ends = np.concatenate(([0], np.cumsum(lengths)))[np.cumsum(group_lengths)]
-        return distinct_runs(ids, np.diff(ends, prepend=0), len(matrix.types))
-
-    return PresenceMatrix.from_runs(matrix.types, (joined(*batch) for batch in batches))
+    rows = np.asarray(rows, dtype=np.intp)
+    first = np.concatenate(([0], np.cumsum(group_lengths, dtype=np.int64)))
+    tokens = np.concatenate(([0], np.cumsum(matrix.offsets[rows + 1] - matrix.offsets[rows])))
+    sizes = np.diff(tokens[first])
+    runs = []
+    for batch in batches(sizes, BATCH_TOKENS):
+        ids, _ = _row_ids(matrix, rows[first[batch.start] : first[batch.stop]])
+        runs.append(distinct_runs(ids, sizes[batch.start : batch.stop], len(matrix.types)))
+    return PresenceMatrix.from_runs(matrix.types, runs)
 
 
 def _row_ids(matrix: PresenceMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,9 +227,6 @@ def _row_ids(matrix: PresenceMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.n
     positions = np.repeat(starts - ends + lengths, lengths)
     positions += np.arange(len(positions))
     return matrix.ids[positions], lengths
-
-
-COUNT_BATCH_TOKENS = 1 << 16  # tokens per step of ``type_counts``
 
 
 def class_counts(matrix: PresenceMatrix, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -288,9 +286,9 @@ def type_counts(matrix: PresenceMatrix, labels: np.ndarray, fold_of: np.ndarray)
     """The ``TypeCounts`` of every row of ``matrix``, from one pass over its ids.
 
     Row r has the 0/1 class ``labels[r]`` and the fold ``fold_of[r]`` (>= 0).
-    The pass reads about ``COUNT_BATCH_TOKENS`` tokens at a time, so its
-    temporaries are one batch in size; within a batch, a token is its type's
-    first occurrence when its position equals the type's least position so far.
+    The pass reads a batch of rows at a time, by their tokens; within a
+    batch, a token is its type's first occurrence when its position equals
+    the type's least position so far.
     """
     n_types, offsets = len(matrix.types), matrix.offsets
     fold_of = np.asarray(fold_of, dtype=np.int64)
@@ -298,8 +296,8 @@ def type_counts(matrix: PresenceMatrix, labels: np.ndarray, fold_of: np.ndarray)
     first = np.full(n_types, offsets[-1])
     first_fold = np.full(n_types, -1)
     later = first.copy()
-    bounds = np.searchsorted(offsets, np.arange(0, offsets[-1], COUNT_BATCH_TOKENS), "right") - 1
-    for a, b in zip(bounds.tolist(), bounds[1:].tolist() + [len(matrix)]):
+    for batch in batches(np.diff(offsets), BATCH_TOKENS):
+        a, b = batch.start, batch.stop
         lengths = np.diff(offsets[a : b + 1])
         ids = matrix.ids[offsets[a] : offsets[b]]
         positions = np.arange(offsets[a], offsets[b])

@@ -6,7 +6,8 @@ selections are flags, texts are mapped into a presence matrix in groups
 (``mincut.labeling_costs``). They state the rules row by row, sentence by
 sentence, text by text and labeling by labeling, as the paper does.
 ``joined`` turns per-instance scores into the one array and counts that
-``cut_band`` and ``select_graph`` take.
+``cut_band`` and ``select_graph`` take. ``count_calls`` counts a function's
+calls, so a test can show that a shrunk batch budget reached its step.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ def score_texts(
     model: NaiveBayesModel | LinearMarginModel, vocab: Vocabulary, texts: Iterable[str]
 ) -> IndividualScores:
     """``individual_scores`` of the rows of ``texts``, mapped one text at a time."""
-    matrix = presence_matrix(tokenize(text) for text in texts)
-    return individual_scores(model, vocab, matrix, vocab.column_map(matrix.types))
+    return individual_scores(model, vocab, presence_matrix(tokenize(text) for text in texts))
 
 
 def nb_train(rows: FeatureRows, labels: Sequence[int], alpha: float = 1.0) -> NaiveBayesModel:
@@ -111,3 +111,15 @@ def joined(scores: Sequence[IndividualScores]) -> tuple[IndividualScores, list[i
         class1=np.concatenate([np.zeros(0)] + [s.class1 for s in scores]),
         class2=np.concatenate([np.zeros(0)] + [s.class2 for s in scores]),
     ), [len(s) for s in scores]
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to record each call; the returned list grows by one per call."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

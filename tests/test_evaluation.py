@@ -33,7 +33,7 @@ from subjcut.classifiers import IndividualScores, TrainingError
 from subjcut.features import EmptyVocabularyError, Vocabulary
 
 from planted_corpus import OPINION_NEGATIVE, OPINION_POSITIVE
-from references import score_texts
+from references import count_calls, score_texts
 
 
 class TestPairedTTest:
@@ -312,8 +312,10 @@ class TestMakeExtracts:
     ):
         model, vocab = detector_models[base]
         alone = [score_texts(model, vocab, doc.sentences) for doc in synthetic_documents]
-        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        monkeypatch.setattr(features, "BATCH_TOKENS", 100)  # about 2 documents a batch
+        featurized = count_calls(monkeypatch, extraction, "featurize_rows")
         batched = score_documents(model, vocab, synthetic_documents)
+        assert len(featurized) > 1
         assert len(batched) == len(alone)
         for got, want in zip(batched, alone):
             assert got.class1.tobytes() == want.class1.tobytes()
@@ -324,7 +326,7 @@ class TestMakeExtracts:
         self, monkeypatch, synthetic_documents, detector_models, base
     ):
         model, vocab = detector_models[base]
-        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 10**9)  # one batch
+        monkeypatch.setattr(features, "BATCH_TOKENS", 10**9)  # one batch
         whole = score_documents(model, vocab, synthetic_documents)
         calls = []
         column_map = Vocabulary.column_map
@@ -334,35 +336,30 @@ class TestMakeExtracts:
             return column_map(self, types)
 
         monkeypatch.setattr(Vocabulary, "column_map", counted)
-        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
-        counts = [len(doc.sentences) for doc in synthetic_documents]
-        assert len(list(features.document_batches(counts))) > 1
+        monkeypatch.setattr(features, "BATCH_TOKENS", 100)  # about 2 documents a batch
+        featurized = count_calls(monkeypatch, extraction, "featurize_rows")
         batched = score_documents(model, vocab, synthetic_documents)
+        assert len(featurized) > 1
         assert len(calls) == 1
         for got, want in zip(batched, whole, strict=True):
             assert got.class1.tobytes() == want.class1.tobytes()
             assert got.class2.tobytes() == want.class2.tobytes()
 
     @pytest.mark.parametrize("base", ["nb", "svm"])
-    def test_document_scores_are_checked_once_per_batch(
+    def test_document_scores_are_checked_once_per_call(
         self, monkeypatch, synthetic_documents, detector_models, base
     ):
         model, vocab = detector_models[base]
-        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        monkeypatch.setattr(features, "BATCH_TOKENS", 100)  # about 2 documents a batch
         counts = [len(doc.sentences) for doc in synthetic_documents]
-        batches = list(features.document_batches(counts))
-        matrix = extraction.sentence_matrix(synthetic_documents)
         # each document's scores as they were made before: one checked
-        # IndividualScores per document, split from its batch's scores
-        first = np.cumsum([0] + counts).tolist()
-        want = []
-        for batch in batches:
-            rows = matrix.row_slice(first[batch.start], first[batch.stop])
-            scores = individual_scores(model, vocab, rows, vocab.column_map(rows.types))
-            bounds = np.cumsum([counts[i] for i in batch])[:-1]
-            want += map(
-                IndividualScores, np.split(scores.class1, bounds), np.split(scores.class2, bounds)
-            )
+        # IndividualScores per document, split from the call's scores
+        matrix = extraction.sentence_matrix(synthetic_documents)
+        scores = individual_scores(model, vocab, matrix)
+        bounds = np.cumsum(counts)[:-1]
+        want = list(map(
+            IndividualScores, np.split(scores.class1, bounds), np.split(scores.class2, bounds)
+        ))
         checks = []
         post_init = IndividualScores.__post_init__
 
@@ -371,8 +368,10 @@ class TestMakeExtracts:
             post_init(self)
 
         monkeypatch.setattr(IndividualScores, "__post_init__", counted)
+        featurized = count_calls(monkeypatch, extraction, "featurize_rows")
         got = score_documents(model, vocab, synthetic_documents)
-        assert len(checks) == len(batches) > 1
+        assert len(featurized) > 1
+        assert checks == [sum(counts)]  # the call's scores, once; the split parts are unchecked
         for g, w in zip(got, want, strict=True):
             assert type(g) is IndividualScores
             assert g.class1.tobytes() == w.class1.tobytes()
@@ -629,7 +628,7 @@ class TestOneRunner:
         def no_scoring(*args):
             raise AssertionError("sentences were scored")
 
-        monkeypatch.setattr(evaluation, "_sentence_scores", no_scoring)
+        monkeypatch.setattr(evaluation, "individual_scores", no_scoring)
         n = 2 if extractor in ("first_n", "last_n") else None
         run_experiment(ExperimentConfig(extractor=extractor, n_sentences=n), synthetic_documents,
                        nb_detector)

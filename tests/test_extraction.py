@@ -27,7 +27,7 @@ from subjcut.features import join_rows
 from subjcut.mincut import band_pairs, brute_force_min, cut_band
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
-from references import joined, presence_matrix, score_texts, select_basic
+from references import count_calls, joined, presence_matrix, score_texts, select_basic
 
 
 def paragraph_flags(model, vocab, documents) -> np.ndarray:
@@ -439,15 +439,20 @@ TRICKY_DOCUMENTS = [
 ]
 
 
-def group_batches(documents, groups):
-    """Per batch of documents, their groups' rows of the ``sentence_matrix``,
-    one group after another, and each group's length: ``join_rows``' input."""
-    counts = [len(doc.sentences) for doc in documents]
-    first = np.cumsum([0] + counts).tolist()
-    for batch in features.document_batches(counts):
-        rows = [first[d] + i for d in batch for group in groups[d] for i in group]
-        lengths = [len(group) for d in batch for group in groups[d]]
-        yield np.array(rows, dtype=np.intp), np.array(lengths, dtype=np.int64)
+def group_rows(documents, groups):
+    """The groups' rows of the documents' ``sentence_matrix``, one group after
+    another, and each group's length: ``join_rows``' input."""
+    first = np.cumsum([0] + [len(doc.sentences) for doc in documents]).tolist()
+    rows = [first[d] + i for d, doc_groups in enumerate(groups) for g in doc_groups for i in g]
+    lengths = [len(group) for doc_groups in groups for group in doc_groups]
+    return np.array(rows, dtype=np.intp), np.array(lengths, dtype=np.int64)
+
+
+def fits_one_batch(sizes, budget) -> bool:
+    """Whether items of ``sizes`` make one batch: a batch closes at the item
+    that reaches the budget, so it must be the last item with a size."""
+    sized = [size for size in sizes if size]
+    return sum(sized[:-1]) < budget
 
 
 def row_tokens(matrix, r):
@@ -470,8 +475,10 @@ class TestSentenceMatrix:
     def test_equals_the_per_sentence_matrix(self, documents, batch):
         sentences = [s for doc in documents for s in doc.sentences]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
+            mp.setattr(features, "BATCH_TOKENS", batch)
+            runs = count_calls(mp, features, "distinct_runs")
             got = sentence_matrix(documents)
+        assert len(runs) > 1 or fits_one_batch([doc.word_count for doc in documents], batch)
         assert_same_matrix(got, presence_matrix(tokenize(s) for s in sentences))
         for doc in documents:
             assert list(doc.sentence_word_counts) == [len(tokenize(s)) for s in doc.sentences]
@@ -486,8 +493,10 @@ class TestSentenceMatrix:
             for t, y in zip(texts, labels)
         ]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
+            mp.setattr(features, "BATCH_TOKENS", batch)
+            runs = count_calls(mp, features, "distinct_runs")
             got, got_labels = evaluation._sentence_rows(sentences)
+        assert len(runs) > 1 or fits_one_batch([len(t.split()) for t in texts], batch)
         assert_same_matrix(got, presence_matrix(tokenize(t) for t in texts))
         assert got_labels.tolist() == labels
 
@@ -504,10 +513,17 @@ class TestSentenceMatrix:
                     st.lists(st.integers(0, n - 1), max_size=n, unique=True).map(sorted),
                     max_size=3,
                 )))
+        matrix = sentence_matrix(documents)
+        rows, lengths = group_rows(documents, groups)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(features, "CUT_BATCH_SENTENCES", batch)
-            matrix = sentence_matrix(documents)
-            joined = join_rows(matrix, group_batches(documents, groups))
+            mp.setattr(features, "BATCH_TOKENS", batch)
+            runs = count_calls(mp, features, "distinct_runs")
+            joined = join_rows(matrix, rows, lengths)
+        sizes = [
+            sum(doc.sentence_word_counts[i] for i in group)
+            for doc, doc_groups in zip(documents, groups) for group in doc_groups
+        ]
+        assert len(runs) > 1 or fits_one_batch(sizes, batch)
         texts = [
             "\n".join(doc.sentences[i] for i in group)
             for doc, doc_groups in zip(documents, groups) for group in doc_groups
@@ -540,9 +556,12 @@ class TestSentenceMatrix:
             return column_map(self, types)
 
         monkeypatch.setattr(features.Vocabulary, "column_map", counted)
-        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 20)  # 3 documents a batch
+        monkeypatch.setattr(features, "BATCH_TOKENS", 100)  # about 2 documents a batch
+        joins = count_calls(monkeypatch, features, "distinct_runs")
+        featurized = count_calls(monkeypatch, extraction, "featurize_rows")
         got = paragraph_flags(model, vocab, paragraph_documents)
         assert per_document(got, [len(doc.sentences) for doc in paragraph_documents]) == want
+        assert len(joins) > 1 and len(featurized) > 1
         assert len(calls) == 1  # the batches share one map of the type table
         assert any(want) and not all(len(w) == 8 for w in want)
 

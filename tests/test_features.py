@@ -19,7 +19,7 @@ from subjcut.features import (
 )
 
 from planted_corpus import rows_over, vocabulary_of
-from references import nb_train, presence_matrix
+from references import count_calls, nb_train, presence_matrix
 
 tokens_strategy = st.lists(
     st.sampled_from("good bad film plot great dull the a of scene".split()),
@@ -298,8 +298,10 @@ class TestFoldCounts:
         matrix = presence_matrix(texts)
         labels, fold_of = np.array([0, 1, 1, 0, 1]), np.array([1, 0, 0, 0, 1])
         whole = type_counts(matrix, labels, fold_of)
-        monkeypatch.setattr(features, "COUNT_BATCH_TOKENS", 2)
+        monkeypatch.setattr(features, "BATCH_TOKENS", 2)
+        counted = count_calls(monkeypatch, features, "_class_counts")
         batched = type_counts(matrix, labels, fold_of)
+        assert len(counted) == 4  # rows 0 | 1 | 2 | 3 and 4: 3, 1, 4 and 0 + 1 tokens
         for name in ("counts", "first", "first_fold", "later"):
             assert getattr(batched, name).tolist() == getattr(whole, name).tolist()
         # types a..g; positions 0-2 in row 0, 3 in row 1, 4-7 in row 2, 8 in row 4
