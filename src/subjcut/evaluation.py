@@ -10,7 +10,8 @@ and seed reproduce the same bytes.
 
 Every experiment runs through one runner, ``_cell_reports``; a single run is
 its one-cell case. It tokenizes the review sentences once, into one sentence
-presence matrix; detector scores and every extract's row come from it. A
+presence matrix; detector scores and every extract's row come from it,
+each in one call over the whole matrix, which batches itself. A
 selection is one flag per sentence, in the matrix's row order; extract rows,
 preservation and train digests are read from the flags, and
 ``make_extracts`` alone builds ``Extract`` objects. The runner plans every

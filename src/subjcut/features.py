@@ -22,6 +22,11 @@ A text made of several texts of a matrix, such as an extract made of
 sentences, needs no tokenizing of its own: ``join_rows`` concatenates their
 rows and keeps each id's first occurrence, which is the row the joined text
 would get, over the same type table.
+
+Batching has one rule, ``batches``, and each step that holds token-length
+temporaries applies it itself, so callers pass whole matrices: mapping
+texts, joining and counting rows, and the detector's scoring take about
+``BATCH_TOKENS`` tokens at a time. Only the cut batches by sentences.
 """
 
 from __future__ import annotations

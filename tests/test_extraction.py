@@ -19,11 +19,12 @@ from subjcut.extraction import (
     association_band,
     detect_paragraph_unit,
     extracts_to_jsonl,
+    individual_scores,
     preservation_rate,
     select_graph,
     sentence_matrix,
 )
-from subjcut.features import join_rows
+from subjcut.features import join_rows, type_counts
 from subjcut.mincut import band_pairs, brute_force_min, cut_band
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
@@ -464,6 +465,50 @@ def assert_same_matrix(got, want):
     assert got.types == want.types
     assert got.ids.tolist() == want.ids.tolist() and got.ids.dtype == np.int32
     assert got.offsets.tolist() == want.offsets.tolist() and got.offsets.dtype == np.int64
+
+
+def batched_steps(documents, detector_models):
+    """Each batched step's output on ``documents``, as bytes, one step at a
+    time: a generator, so a caller can count each step's batches."""
+    matrix = sentence_matrix(documents)
+    yield "presence_matrix", (matrix.types, matrix.ids.tobytes(), matrix.offsets.tobytes())
+    for base, (model, vocab) in sorted(detector_models.items()):
+        scores = individual_scores(model, vocab, matrix)
+        yield f"individual_scores {base}", (scores.class1.tobytes(), scores.class2.tobytes())
+    counts = [len(doc.sentences) for doc in documents]
+    joined = join_rows(matrix, np.arange(len(matrix)), counts)
+    yield "join_rows", (joined.ids.tobytes(), joined.offsets.tobytes())
+    labels = np.array([doc.label == "positive" for doc in documents], dtype=np.int64)
+    stats = type_counts(joined, labels, [doc.fold for doc in documents])
+    yield "type_counts", tuple(
+        getattr(stats, name).tobytes() for name in ("counts", "first", "first_fold", "later")
+    )
+    params = ProximityParams(threshold=3, decay="exponential", strength=0.5,
+                             cross_paragraph_weight=0.5)
+    keep = select_graph(scores, counts, params, [doc.paragraph_starts for doc in documents])
+    yield "select_graph", keep.tobytes()
+
+
+# the call each batched step makes once per batch
+BATCH_CALLS = ((features, "distinct_runs"), (extraction, "featurize_rows"),
+               (features, "_class_counts"), (extraction, "cut_band"))
+
+
+class TestBatchBudgets:
+    @pytest.mark.parametrize("budget", [1, 3, 10**9])
+    def test_every_step_gives_the_same_bytes_at_any_budget(
+        self, monkeypatch, paragraph_documents, detector_models, budget
+    ):
+        want = dict(batched_steps(paragraph_documents, detector_models))
+        monkeypatch.setattr(features, "BATCH_TOKENS", budget)
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", budget)
+        calls = [count_calls(monkeypatch, module, name) for module, name in BATCH_CALLS]
+        for name, got in batched_steps(paragraph_documents, detector_models):
+            ran = sum(map(len, calls))
+            for counted in calls:
+                counted.clear()
+            assert got == want[name], name
+            assert ran == 1 if budget == 10**9 else ran > 1, name
 
 
 class TestSentenceMatrix:

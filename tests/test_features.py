@@ -311,6 +311,30 @@ class TestFoldCounts:
         assert whole.later.tolist() == [7, 4, 9, 9, 9, 9, 9]  # 9: none
 
 
+class TestBatches:
+    """``batches``, the one batching rule, against its contract."""
+
+    @given(st.lists(st.integers(0, 20), max_size=40), st.integers(1, 30))
+    @example(sizes=[], budget=1)
+    @example(sizes=[0, 0, 0], budget=1)
+    @example(sizes=[0, 50, 0, 2, 0], budget=3)  # zero-size items and one above the budget
+    def test_ranges_cover_every_item_once_in_order(self, sizes, budget):
+        ranges = features.batches(np.array(sizes, dtype=np.int64), budget)
+        assert all(type(r) is range and len(r) > 0 for r in ranges)
+        assert [i for r in ranges for i in r] == list(range(len(sizes)))
+        # each range closes at the item that reaches the budget, so without
+        # its last item it holds less; a range is opened per budget's worth
+        assert all(sum(sizes[r.start : r.stop - 1]) < budget for r in ranges)
+        assert len(ranges) <= sum(sizes) // budget + 1
+        assert features.batches(sizes, budget) == ranges  # a list is taken as an array is
+
+    def test_an_item_above_the_budget_is_a_range_of_its_own(self):
+        assert features.batches([1, 9, 1, 1], 4) == [range(0, 2), range(2, 4)]
+        assert features.batches([9, 1], 4) == [range(0, 1), range(1, 2)]
+        assert features.batches([0, 0], 4) == [range(0, 2)]
+        assert features.batches([], 4) == []
+
+
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
         vocab = vocabulary_of([["good", "film"], ["bad"]])
