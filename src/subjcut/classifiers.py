@@ -1,7 +1,8 @@
 """The two sentence/document classifiers: Naive Bayes and a linear soft-margin SVM.
 
-The SVM trains on unigram-presence rows (``FeatureRows``) and NB on their
-per-class column counts. Both score such rows into one array per call, and
+The SVM trains on unigram-presence rows (``FeatureRows``), which it scales
+itself (``_row_scales``), and NB on their per-class column counts. Both
+score such rows into one array per call, and
 serve two roles: sentence-level subjectivity detection and document-level
 polarity classification. Class 1 is the class of interest (subjective, or
 positive). The SVM's signed margin ``w . x + b`` is clamped into [0, 1] to
@@ -161,8 +162,8 @@ def svm_train(
     logs a warning with the gap left, led by ``name`` when one is given (a
     fold, say), so that the line can be told from other models' lines.
 
-    The input rows must be length-normalized (empty rows are allowed and
-    interact with the bias only).
+    Each row's active columns weigh its ``_row_scales`` value, so every
+    nonempty row has unit length; an empty row interacts with the bias only.
     """
     if not 0 < regularization < np.inf:
         raise ValueError(f"regularization must be > 0 and finite, got {regularization}")
@@ -173,13 +174,11 @@ def svm_train(
         raise ValueError("rows and labels differ in length")
     if set(np.unique(y)) != {0, 1}:
         raise TrainingError("training data must contain both classes")
-    if len(rows.indices) and not rows.normalized:
-        raise ValueError("SVM training requires length-normalized vectors")
 
     n = len(rows)
     c_penalty = float(regularization)
     signs = np.where(y == 1, 1.0, -1.0)
-    row_values = rows.values
+    row_values = _row_scales(rows)
     # Q_ii = ||x_i||^2 + 1 for the augmented bias coordinate.
     q_diag = rows.lengths * row_values**2 + 1.0
     gather, starts = _sentinel_gather(rows, rows.n_features)
@@ -242,6 +241,11 @@ def _primal_dual(w_ext: np.ndarray, b: float, alpha: list[float], signs: np.ndar
     return reg_term + c_penalty * float(hinge.sum()), float(np.array(alpha).sum()) - reg_term
 
 
+def _row_scales(rows: FeatureRows) -> np.ndarray:
+    """The SVM's value at each row's active columns, 1/sqrt(#active): unit-norm rows."""
+    return 1.0 / np.sqrt(np.maximum(rows.lengths, 1))  # an empty row keeps 1 and stays zero
+
+
 def _check_columns(rows: FeatureRows, width: int) -> None:
     """Refuse a row with an active column outside [0, width)."""
     bad = np.flatnonzero((rows.indices < 0) | (rows.indices >= width))
@@ -272,7 +276,8 @@ def _sequential_sums(table: np.ndarray, rows: FeatureRows) -> np.ndarray:
 def svm_margin(model: LinearMarginModel, rows: FeatureRows) -> np.ndarray:
     """The raw margin ``bias + w . x`` of each row; positive means class 1."""
     w_ext = np.append(model.weights, 0.0)
-    return model.bias + rows.values * _pairwise_sums(w_ext, *_sentinel_gather(rows, w_ext.size - 1))
+    sums = _pairwise_sums(w_ext, *_sentinel_gather(rows, w_ext.size - 1))
+    return model.bias + _row_scales(rows) * sums
 
 
 def svm_to_individual(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import corpus, evaluation, extraction, mincut
 from .classifiers import (
-    IndividualScores, NaiveBayesModel, TrainingError, VocabularyMismatchError, load_model,
-    save_model,
+    IndividualScores, TrainingError, VocabularyMismatchError, load_model, save_model,
 )
 from .extraction import Detector, DetectorConfig, ProximityParams
 from .features import EmptyVocabularyError, Vocabulary
@@ -170,7 +169,7 @@ def cmd_train_detector(
     ]
     out = _ensure_outdir(output_dir)
     for detector in detectors:
-        b = detector.config.base
+        b = detector.base
         detector.vocab.save(out / "detector_vocab.tsv")
         save_model(detector.model, out / f"detector_{b}.json")
         click.echo(f"trained {b} detector on {len(sentences)} sentences -> detector_{b}.json")
@@ -209,14 +208,12 @@ def cmd_extract(
         )
         vocab = Vocabulary.load(Path(model_dir) / "detector_vocab.tsv")
         model_path = Path(model_dir) / f"detector_{base}.json"
-        model = load_model(model_path, vocab)
-        kind = "nb" if isinstance(model, NaiveBayesModel) else "svm"
-        if kind != base:
+        detector = Detector(model=load_model(model_path, vocab), vocab=vocab)
+        if (kind := detector.base) != base:
             raise ValueError(f"{model_path}: holds an {kind} model, not the --base {base} one")
     except (corpus.IngestionError, OSError, ValueError, VocabularyMismatchError) as exc:
         raise click.UsageError(str(exc))
     out = _ensure_outdir(output_dir)
-    detector = Detector(model=model, vocab=vocab, config=DetectorConfig(base=base))
     extracts = evaluation.make_extracts(config, documents, detector)
     (out / "extracts.jsonl").write_text(
         extraction.extracts_to_jsonl(extracts), encoding="utf-8"

@@ -315,7 +315,7 @@ def make_detector(
         config.base, alpha, regularization, seed, "detector",
     )
     vocab = matrix.vocabulary(columns)
-    return Detector(replace(model, vocab_digest=vocab.digest()), vocab, config)
+    return Detector(replace(model, vocab_digest=vocab.digest()), vocab)
 
 
 def score_documents(
@@ -392,7 +392,7 @@ def _fit(
     """
     if base == "nb":
         return nb_from_counts(counts, np.bincount(labels[train], minlength=2), alpha)
-    rows = featurize_rows(matrix, column_of, width, train, True)
+    rows = featurize_rows(matrix, column_of, width, train)
     return svm_train(rows, labels[train], regularization, seed, name=name)
 
 
@@ -431,7 +431,7 @@ def _fit_predict(
         matrix, labels, np.flatnonzero(fold_of != fold), column_of, len(columns), counts, base,
         alpha, regularization, seed, f"fold {fold}",
     )
-    test_rows = featurize_rows(matrix, column_of, len(columns), test, base == "svm")
+    test_rows = featurize_rows(matrix, column_of, len(columns), test)
     if base == "nb":
         return test, (nb_predict_prob(model, test_rows) > 0.5).astype(int)
     return test, (svm_margin(model, test_rows) > 0).astype(int)
@@ -494,9 +494,9 @@ def _selections(
     if config.extractor in DETECTOR_EXTRACTORS:
         if detector is None:
             raise ValueError(f"extractor {config.extractor!r} requires a trained detector")
-        if detector.config.base != config.detector_base:
+        if detector.base != config.detector_base:
             raise ValueError(
-                f"detector base {detector.config.base!r} differs from the config's "
+                f"detector base {detector.base!r} differs from the config's "
                 f"detector_base {config.detector_base!r}"
             )
         if matrix is None and (scores is None or config.extractor == "paragraph"):
@@ -828,7 +828,7 @@ def n_sentence_sweep(
             raise ValueError(f"unknown sweep method {m!r}")
     if any(n < 1 for n in n_values):
         raise ValueError(f"sweep N values must be >= 1, got {tuple(n_values)}")
-    base = replace(base_config or ExperimentConfig(), detector_base=detector.config.base)
+    base = replace(base_config or ExperimentConfig(), detector_base=detector.base)
     cells = list(itertools.product(methods, n_values, classifiers))
     configs = [
         replace(base, extractor=method, n_sentences=n, classifier=clf) for method, n, clf in cells

@@ -109,7 +109,7 @@ class ProximityParams:
 
 def association_band(
     counts: Sequence[int],
-    paragraph_starts: Sequence[Sequence[int] | None],
+    paragraph_starts: Sequence[Sequence[int] | None] | None,
     params: ProximityParams,
 ) -> np.ndarray:
     """The association weights of a batch of documents as a (reach, sentences)
@@ -120,10 +120,15 @@ def association_band(
     them for document d. Sentences of one document at most the threshold
     apart weigh the decay at their distance times the strength, and the
     cross-paragraph weight more if a start of ``paragraph_starts[d]`` (sorted)
-    lies in (i, k]; a document with fewer than two starts is one paragraph.
-    A pair that would leave its document weighs 0.
+    lies in (i, k]; a document with fewer than two starts, or any when
+    ``paragraph_starts`` is None, is one paragraph. A pair that would leave
+    its document weighs 0. Counts are refused as ``cut_band`` refuses them,
+    and so are starts not one per count.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = instance_counts(counts)
+    paragraph_starts = [None] * len(counts) if paragraph_starts is None else paragraph_starts
+    if len(paragraph_starts) != len(counts):
+        raise ValueError("counts and paragraph_starts differ in length")
     ends = np.cumsum(counts)
     reach = min(params.threshold, int(counts.max(initial=1)) - 1)
     by_distance = np.array(
@@ -161,9 +166,7 @@ def individual_scores(
     column_of, svm = vocab.column_map(matrix.types), isinstance(model, LinearMarginModel)
     parts = [np.zeros(0)]
     for batch in batches(np.diff(matrix.offsets), features.BATCH_TOKENS):
-        rows = featurize_rows(
-            matrix, column_of, vocab.size, np.arange(batch.start, batch.stop), normalize=svm
-        )
+        rows = featurize_rows(matrix, column_of, vocab.size, np.arange(batch.start, batch.stop))
         parts.append(svm_to_individual(svm_margin(model, rows))[0] if svm
                      else nb_predict_prob(model, rows))
     c1 = np.concatenate(parts)
@@ -172,7 +175,7 @@ def individual_scores(
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Which detector to run: the classifier base."""
+    """The base ``make_detector`` trains; a trained ``Detector`` reads its base from its model."""
 
     base: str = "nb"  # nb | svm
 
@@ -183,11 +186,14 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class Detector:
-    """A trained sentence classifier plus the configuration it was trained with."""
+    """A trained sentence classifier and its vocabulary; ``base`` is the model's kind."""
 
     model: NaiveBayesModel | LinearMarginModel
     vocab: Vocabulary
-    config: DetectorConfig
+
+    @property
+    def base(self) -> str:
+        return "svm" if isinstance(self.model, LinearMarginModel) else "nb"
 
 
 def sentence_matrix(documents: Sequence[ReviewDocument]) -> PresenceMatrix:
@@ -204,24 +210,23 @@ def select_graph(
 ) -> np.ndarray:
     """One flag per item of ``scores``, the sentences of documents of
     ``counts[d]`` sentences each, in order: whether the minimum cut of its
-    document's score graph keeps it (the source side). ``paragraph_starts``
-    is aligned with ``counts``; counts are refused as ``cut_band`` refuses
-    them.
+    document's score graph keeps it (the source side). Inputs are refused as
+    ``association_band`` refuses them, counts before any band is built.
 
     Each batch of documents, by their sentences, is cut from its
-    ``association_band`` by ``cut_band``, which gives the canonical cut."""
+    ``association_band`` by ``cut_band``, which gives the canonical cut. The
+    last batch (empty without documents) takes the starts left over."""
     counts = instance_counts(counts)
-    if paragraph_starts is None:
-        paragraph_starts = [None] * len(counts)
-    if len(paragraph_starts) != len(counts):
-        raise ValueError("counts and paragraph_starts differ in length")
     first = np.cumsum([0, *counts]).tolist()
     if first[-1] != len(scores):
         raise ValueError(f"{len(scores)} scores for {first[-1]} sentences")
     keep = np.zeros(first[-1], dtype=bool)
-    for batch in batches(counts, features.CUT_BATCH_SENTENCES):
+    spans = batches(counts, features.CUT_BATCH_SENTENCES) or [range(0)]
+    for batch in spans:
         part, rows = slice(batch.start, batch.stop), slice(first[batch.start], first[batch.stop])
-        weights = association_band(counts[part], paragraph_starts[part], params)
+        last = None if batch is spans[-1] else batch.stop
+        starts = None if paragraph_starts is None else paragraph_starts[batch.start : last]
+        weights = association_band(counts[part], starts, params)
         batch_scores = IndividualScores(scores.class1[rows], scores.class2[rows])
         keep[rows] = cut_band(batch_scores, counts[part], weights)
     return keep

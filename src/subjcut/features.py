@@ -1,9 +1,9 @@
 """Vocabularies and unigram-presence feature vectors.
 
-A feature vector records only which vocabulary tokens occur in a text; the
-value of every active coordinate is 1, or 1/sqrt(#active) when the vector is
-length-normalized for margin classifiers. There is no tf, idf, or n-gram
-machinery here on purpose.
+A feature vector records only which vocabulary tokens occur in a text: its
+active coordinates, each present once. How much an active coordinate weighs
+is the classifier's business (the SVM scales each row itself). There is no
+tf, idf, or n-gram machinery here on purpose.
 
 Texts are always featurized many at a time. They are mapped once into a
 ``PresenceMatrix`` by ``presence_matrix``, the one path from text to type
@@ -321,15 +321,12 @@ class FeatureRows:
     """Presence vectors of many texts, in compressed sparse row form.
 
     Row ``i`` is active at the sorted columns ``indices[indptr[i]:indptr[i + 1]]``
-    and has the value ``values[i]`` there: 1, or 1/sqrt(#active) when
-    normalized, so a normalized row has unit Euclidean norm (an empty row
-    stays the zero vector).
+    and holds nothing else: presence only, with no value per entry.
     """
 
     indptr: np.ndarray
     indices: np.ndarray  # np.intp, so indexing with a row needs no conversion
     n_features: int
-    normalized: bool
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -338,12 +335,6 @@ class FeatureRows:
     def lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    @property
-    def values(self) -> np.ndarray:
-        if not self.normalized:
-            return np.ones(len(self))
-        return 1.0 / np.sqrt(np.maximum(self.lengths, 1))  # an empty row keeps 1
-
     def rows(self) -> list[np.ndarray]:
         """Each row's active columns, as views into ``indices``."""
         bounds = self.indptr.tolist()
@@ -351,11 +342,7 @@ class FeatureRows:
 
 
 def featurize_rows(
-    matrix: PresenceMatrix,
-    column_of: np.ndarray,
-    n_features: int,
-    rows: np.ndarray,
-    normalize: bool = False,
+    matrix: PresenceMatrix, column_of: np.ndarray, n_features: int, rows: np.ndarray
 ) -> FeatureRows:
     """Presence vectors of ``rows`` over a vocabulary of ``n_features`` tokens.
 
@@ -377,4 +364,4 @@ def featurize_rows(
     keys += row_of
     keys.sort()  # rows stay in order, with their sizes; within a row, columns ascend
     keys -= row_of
-    return FeatureRows(indptr=indptr, indices=keys, n_features=n_features, normalized=normalize)
+    return FeatureRows(indptr=indptr, indices=keys, n_features=n_features)

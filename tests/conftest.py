@@ -47,7 +47,7 @@ def svm_detector(synthetic_sentences) -> Detector:
 
 @pytest.fixture(scope="session")
 def detector_models(nb_detector, svm_detector):
-    return {d.config.base: (d.model, d.vocab) for d in (nb_detector, svm_detector)}
+    return {d.base: (d.model, d.vocab) for d in (nb_detector, svm_detector)}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -109,12 +109,11 @@ def vocabulary_of(texts, min_doc_freq: int = 1) -> Vocabulary:
     return matrix.vocabulary(type_counts(matrix, every, every).columns(min_doc_freq)[0])
 
 
-def rows_over(texts, vocab: Vocabulary, normalize: bool = False) -> FeatureRows:
+def rows_over(texts, vocab: Vocabulary) -> FeatureRows:
     """Presence rows of the tokenized ``texts`` over a saved vocabulary."""
     matrix = presence_matrix(texts)
-    return featurize_rows(
-        matrix, vocab.column_map(matrix.types), vocab.size, np.arange(len(matrix)), normalize
-    )
+    column_of = vocab.column_map(matrix.types)
+    return featurize_rows(matrix, column_of, vocab.size, np.arange(len(matrix)))
 
 
 def per_document(flags: np.ndarray, lengths) -> list[tuple[int, ...]]:

@@ -21,6 +21,7 @@ from subjcut.classifiers import (
     LinearMarginModel,
     NaiveBayesModel,
     _pairwise_sums,
+    _row_scales,
     _sentinel_gather,
     _sequential_sums,
     TrainingError,
@@ -43,10 +44,10 @@ from planted_corpus import (
 from references import nb_train
 
 
-def rows_and_vocab(texts, normalize=False):
+def rows_and_vocab(texts):
     """Presence rows of ``texts`` over the vocabulary built from all of them."""
     vocab = vocabulary_of(texts)
-    return rows_over(texts, vocab, normalize), vocab
+    return rows_over(texts, vocab), vocab
 
 
 @pytest.fixture
@@ -169,13 +170,50 @@ class TestNaiveBayes:
         assert nb_predict_prob(model, rows).tolist() == [posterior(idx) for idx in rows.rows()]
 
 
+def scaled_one(tokens, vocab):
+    """One text's presence vector over ``vocab`` as the SVM weighs it:
+    (active columns, value per active)."""
+    rows = rows_over([tokens], vocab)
+    return rows.indices.tolist(), float(_row_scales(rows)[0])
+
+
+def norm(vector):
+    active, value = vector
+    return value * math.sqrt(len(active))
+
+
+class TestRowScales:
+    """The SVM's rows have unit Euclidean norm; an empty row stays zero."""
+
+    def test_normalization(self):
+        vocab = vocabulary_of([["good", "movie"]])
+        vec = scaled_one(["good", "movie"], vocab)
+        assert vec[1] == pytest.approx(1 / math.sqrt(2))
+        assert norm(vec) == pytest.approx(1.0, abs=1e-9)
+
+    def test_empty_normalized_stays_zero(self):
+        vocab = vocabulary_of([["good"]])
+        assert norm(scaled_one([], vocab)) == 0.0
+
+    @given(st.lists(
+        st.sampled_from("good bad film plot great dull the a of scene".split()), max_size=12
+    ))
+    def test_normalized_norm_is_unit_or_zero(self, tokens):
+        vocab = vocabulary_of([["good", "bad", "film", "plot", "great", "dull"]])
+        vec = scaled_one(tokens, vocab)
+        if vec[0]:
+            assert norm(vec) == pytest.approx(1.0, abs=1e-9)
+        else:
+            assert norm(vec) == 0.0
+
+
 SEPARABLE_TEXTS = [["a"], ["a", "b"], ["c"], ["c", "d"]]
 SEPARABLE_LABELS = [1, 1, 0, 0]
 
 
 @pytest.fixture
 def separable_svm():
-    rows, vocab = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+    rows, vocab = rows_and_vocab(SEPARABLE_TEXTS)
     model = replace(svm_train(rows, SEPARABLE_LABELS, seed=0), vocab_digest=vocab.digest())
     return model, vocab, rows, SEPARABLE_LABELS
 
@@ -187,7 +225,7 @@ class TestLinearMargin:
 
     def test_deterministic_given_seed(self, separable_svm):
         model, _, _, labels = separable_svm
-        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS)
         again = svm_train(rows, labels, seed=0)
         assert np.array_equal(model.weights, again.weights)
         assert model.bias == again.bias
@@ -197,7 +235,7 @@ class TestLinearMargin:
 
         def objective(m):
             margins = []
-            for idx, value, y in zip(rows.rows(), rows.values, labels):
+            for idx, value, y in zip(rows.rows(), _row_scales(rows), labels):
                 raw = m.bias + value * m.weights[idx].sum()
                 margins.append((1 if y == 1 else -1) * raw)
             hinge = sum(max(0.0, 1.0 - m) for m in margins)
@@ -208,19 +246,14 @@ class TestLinearMargin:
         assert max(values) - min(values) <= 1e-2 * max(values)
 
     def test_single_class_rejected(self):
-        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS)
         with pytest.raises(TrainingError):
             svm_train(rows, [1, 1, 1, 1])
-
-    def test_unnormalized_vectors_rejected(self):
-        rows, _ = rows_and_vocab([["a"], ["b"]])
-        with pytest.raises(ValueError):
-            svm_train(rows, [1, 0])
 
     def test_stopping_at_max_epochs_is_logged(self, caplog):
         # overlapping classes: one sweep cannot close the duality gap
         texts = [["a"], ["a", "b"], ["b"], ["a", "c"], ["c"], ["b", "c"]]
-        rows, _ = rows_and_vocab(texts, normalize=True)
+        rows, _ = rows_and_vocab(texts)
         labels = [1, 0, 1, 0, 1, 0]
         with caplog.at_level(logging.WARNING, logger="subjcut.classifiers"):
             svm_train(rows, labels, max_epochs=1)
@@ -233,31 +266,32 @@ class TestLinearMargin:
         assert not caplog.records
 
     def test_max_epochs_must_be_positive(self):
-        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS)
         with pytest.raises(ValueError):
             svm_train(rows, SEPARABLE_LABELS, max_epochs=0)
 
     @pytest.mark.parametrize("regularization", [math.nan, math.inf])
     def test_nonfinite_regularization_rejected(self, regularization):
-        rows, _ = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        rows, _ = rows_and_vocab(SEPARABLE_TEXTS)
         with pytest.raises(ValueError, match="regularization must be > 0 and finite"):
             svm_train(rows, SEPARABLE_LABELS, regularization=regularization)
 
     def test_margin_is_bias_plus_weighted_sum(self, separable_svm):
         model, vocab, _, _ = separable_svm
-        vec = rows_over([["a", "b"]], vocab, normalize=True)
-        [idx], [value] = vec.rows(), vec.values
-        raw = model.bias + value * model.weights[idx].sum()
+        vec = rows_over([["a", "b"]], vocab)
+        [idx] = vec.rows()
+        raw = model.bias + 1 / math.sqrt(len(idx)) * model.weights[idx].sum()
         assert svm_margin(model, vec).tolist() == [raw]
 
     @given(st.lists(st.lists(st.sampled_from("abcdz"), max_size=5), max_size=8))
     def test_rows_match_the_per_row_formula(self, texts):
-        rows, vocab = rows_and_vocab(SEPARABLE_TEXTS, normalize=True)
+        rows, vocab = rows_and_vocab(SEPARABLE_TEXTS)
         model = svm_train(rows, SEPARABLE_LABELS, seed=0)
-        rows = rows_over(texts, vocab, normalize=True)
+        rows = rows_over(texts, vocab)
         want = [  # one row at a time, exactly
-            float(model.bias + (value * model.weights[idx].sum() if len(idx) else 0.0))
-            for idx, value in zip(rows.rows(), rows.values.tolist())
+            float(model.bias + (1 / math.sqrt(len(idx)) * model.weights[idx].sum()
+                                if len(idx) else 0.0))
+            for idx in rows.rows()
         ]
         assert svm_margin(model, rows).tolist() == want
 
@@ -266,7 +300,7 @@ class TestLinearMargin:
             weights=np.array([1.0, -1.0]), bias=0.0, regularization=1.0, training_seed=0
         )
         vocab = vocabulary_of([["a", "b"]])
-        vec = rows_over([["a", "b"]], vocab, normalize=True)  # w.x = 0
+        vec = rows_over([["a", "b"]], vocab)  # w.x = 0
         assert svm_margin(model, vec) == pytest.approx([0.0])
 
     def test_zero_weights_score_every_row_as_the_bias(self):
@@ -274,7 +308,7 @@ class TestLinearMargin:
             weights=np.zeros(2), bias=0.25, regularization=1.0, training_seed=0
         )
         vocab = vocabulary_of([["a", "b"]])
-        rows = rows_over([["a"], ["a", "b"], []], vocab, normalize=True)
+        rows = rows_over([["a"], ["a", "b"], []], vocab)
         assert svm_margin(model, rows).tolist() == [0.25, 0.25, 0.25]
 
 
@@ -464,7 +498,7 @@ class TestSerialization:
         assert loaded.log_likelihood.tobytes() == model.log_likelihood.tobytes()
 
 
-def random_rows(rng, lengths, n_features, normalize):
+def random_rows(rng, lengths, n_features):
     """Rows of the given lengths at random distinct columns, in ascending order."""
     indptr = np.zeros(len(lengths) + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
@@ -473,7 +507,6 @@ def random_rows(rng, lengths, n_features, normalize):
         indptr=indptr,
         indices=np.concatenate([np.zeros(0, dtype=np.intp)] + indices).astype(np.intp),
         n_features=n_features,
-        normalized=normalize,
     )
 
 
@@ -508,7 +541,7 @@ class TestBlockSums:
         rng = np.random.default_rng(seed)
         lengths = rng.permutation(np.repeat(np.array(lengths, dtype=np.intp), repeats))
         n_features = 700
-        rows = random_rows(rng, lengths, n_features, normalize=True)
+        rows = random_rows(rng, lengths, n_features)
         weights = random_table(rng, n_features)
         log_likelihood = random_table(rng, (2, n_features))
         per_row = rows.rows()
@@ -525,7 +558,7 @@ class TestBlockSums:
 
         svm = LinearMarginModel(weights=weights, bias=0.25, regularization=1.0, training_seed=0)
         want_margin = [0.25 + value * weights[idx].sum() for idx, value in
-                       zip(per_row, rows.values.tolist())]
+                       zip(per_row, _row_scales(rows).tolist())]
         assert svm_margin(svm, rows).tolist() == want_margin
 
         nb = NaiveBayesModel(
@@ -554,7 +587,7 @@ class TestRowSums:
         if n_features == 0:
             lengths = [0] * len(lengths)
         rng = np.random.default_rng(seed)
-        rows = random_rows(rng, lengths, n_features, normalize=False)
+        rows = random_rows(rng, lengths, n_features)
         weights = random_table(rng, n_features)
         table = random_table(rng, (2, n_features))
         per_row = rows.rows()
@@ -578,7 +611,7 @@ class TestOutOfRangeColumns:
     def rows_with(column):
         indices = np.array([0, 1, column], dtype=np.intp)
         indptr = np.array([0, 1, 3], dtype=np.intp)
-        return FeatureRows(indptr=indptr, indices=indices, n_features=3, normalized=True)
+        return FeatureRows(indptr=indptr, indices=indices, n_features=3)
 
     @pytest.mark.parametrize("column", [3, -1])
     def test_svm_train_refuses(self, column):
@@ -608,7 +641,7 @@ def reference_svm_train(rows, labels, regularization, seed, max_epochs=60, tol=1
     n = len(rows)
     signs = np.where(y == 1, 1.0, -1.0)
     row_indices = rows.rows()
-    row_values = rows.values
+    row_values = _row_scales(rows)
     q_diag = rows.lengths * row_values**2 + 1.0
     w = np.zeros(rows.n_features)
     b = 0.0
@@ -656,7 +689,7 @@ class TestSvmTrainExactness:
     def test_weights_equal_the_reference_loop(self, seed, n_rows, regularization, max_epochs):
         rng = np.random.default_rng(seed)
         lengths = rng.integers(0, 301, size=n_rows)
-        rows = random_rows(rng, lengths, 400, normalize=True)
+        rows = random_rows(rng, lengths, 400)
         labels = rng.integers(0, 2, size=n_rows)
         labels[:2] = [0, 1]
         model = svm_train(rows, labels, regularization, seed=seed % 7, max_epochs=max_epochs)
@@ -685,7 +718,7 @@ def builtin_loop_svm_train(rows, labels, regularization, seed, max_epochs=60, to
     the gap closed."""
     n = len(rows)
     signs = np.where(np.asarray(labels) == 1, 1.0, -1.0)
-    row_values = rows.values
+    row_values = _row_scales(rows)
     q_diag = rows.lengths * row_values**2 + 1.0
     blocks = length_blocks(rows)
     visits = list(zip(rows.rows(), signs.tolist(), row_values.tolist(), q_diag.tolist()))
@@ -739,7 +772,7 @@ def planted_svm_corpora():
         labels.append(int(polarity == "positive"))
     out["reviews"] = (reviews, labels)
     return {
-        name: (rows_over(texts, vocabulary_of(texts), normalize=True), labels)
+        name: (rows_over(texts, vocabulary_of(texts)), labels)
         for name, (texts, labels) in out.items()
     }
 
@@ -831,14 +864,14 @@ class TestNoBlas:
         bits between one and two threads."""
         rng = np.random.default_rng(0)
         n_features = 40_000
-        rows = random_rows(rng, rng.integers(0, 300, size=50), n_features, normalize=True)
+        rows = random_rows(rng, rng.integers(0, 300, size=50), n_features)
         gather, starts = _sentinel_gather(rows, n_features)
         weights = [np.random.default_rng(s).standard_normal(n_features) for s in range(4)]
         problem = tmp_path / "problem.npz"
         np.savez(
             problem, w_ext=np.column_stack([np.vstack(weights), np.zeros(4)]), b=0.25,
             alpha=rng.uniform(0, 1, size=50), signs=np.where(rng.random(50) < 0.5, 1.0, -1.0),
-            row_values=rows.values, gather=gather, starts=starts, c=1.0,
+            row_values=_row_scales(rows), gather=gather, starts=starts, c=1.0,
         )
         src = str(Path(subjcut.__file__).resolve().parents[1])
         children = [

@@ -187,6 +187,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=match):
             grid_search(config, synthetic_documents, svm_detector, grid, max_workers=1)
 
+    def test_detector_base_is_read_from_its_model(self, synthetic_documents, nb_detector):
+        # a detector made straight from an NB model is an NB detector, so an
+        # SVM run refuses it rather than label NB scores as the SVM's
+        detector = Detector(nb_detector.model, nb_detector.vocab)
+        config = ExperimentConfig(extractor="basic", detector_base="svm")
+        match = "detector base 'nb' differs from the config's detector_base 'svm'"
+        with pytest.raises(ValueError, match=match):
+            make_extracts(config, synthetic_documents, detector)
+        # the sweep takes its detector_base from the detector, so its report names NB
+        sweep = n_sentence_sweep(synthetic_documents, detector, ("top_n",), (1,), ("nb",), config)
+        assert [r.config["detector_base"] for r in sweep.values()] == ["nb"]
+
     def test_unassigned_folds_rejected(self, synthetic_documents):
         docs = [replace(d, fold=-1) for d in synthetic_documents]
         with pytest.raises(ValueError):
@@ -479,9 +491,9 @@ def record_featurized_rows(monkeypatch) -> list:
     seen = []
     featurize_rows = evaluation.featurize_rows
 
-    def recording(matrix, column_of, n_features, rows, normalize=False):
+    def recording(matrix, column_of, n_features, rows):
         seen.append(np.asarray(rows).tolist())
-        return featurize_rows(matrix, column_of, n_features, rows, normalize)
+        return featurize_rows(matrix, column_of, n_features, rows)
 
     monkeypatch.setattr(evaluation, "featurize_rows", recording)
     return seen

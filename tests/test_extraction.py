@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subjcut.classifiers import IndividualScores
+from subjcut.classifiers import IndividualScores, NaiveBayesModel
 from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence, ReviewDocument, tokenize
 from subjcut.evaluation import ExperimentConfig, make_extracts
 from subjcut import evaluation, extraction, features, mincut
@@ -24,7 +24,7 @@ from subjcut.extraction import (
     select_graph,
     sentence_matrix,
 )
-from subjcut.features import join_rows, type_counts
+from subjcut.features import Vocabulary, join_rows, type_counts
 from subjcut.mincut import band_pairs, brute_force_min, cut_band
 
 from planted_corpus import make_objective_sentence, make_subjective_sentence, per_document
@@ -138,6 +138,17 @@ class TestAssocScores:
     def test_zero_strength_empty(self):
         params = ProximityParams(threshold=3, strength=0.0)
         assert len(pairs_of(association_band([8], [None], params))) == 0
+
+    def test_counts_and_starts_refused_as_select_graph_refuses_them(self):
+        params = ProximityParams(threshold=1, strength=1.0, cross_paragraph_weight=0.0)
+        assert association_band([2, 2], [(0,), (0,)], params).tolist() == [[1, 0, 1, 0]]
+        assert association_band([2, 2], None, params).tolist() == [[1, 0, 1, 0]]
+        for starts in ([(0,)], [(0,), (0,), (0,)], []):
+            with pytest.raises(ValueError, match="counts and paragraph_starts differ in length"):
+                association_band([2, 2], starts, params)
+        for counts in ([-1, 4], [1.5, 1.5]):
+            with pytest.raises(ValueError, match="instance counts must be integers >= 0"):
+                association_band(counts, None, params)
 
     def test_nonnegative_and_bounded_distance(self):
         params = ProximityParams(threshold=2, decay="inverse_square", strength=0.9)
@@ -389,6 +400,12 @@ class TestDetectorDispatch:
         assert DetectorConfig(base="svm").base == "svm"
         with pytest.raises(ValueError):
             DetectorConfig(base="tree")
+
+    def test_base_follows_the_models_class(self, nb_detector, svm_detector):
+        assert (nb_detector.base, svm_detector.base) == ("nb", "svm")
+        # whatever vocabulary it is paired with, the model alone names the kind
+        assert Detector(svm_detector.model, nb_detector.vocab).base == "svm"
+        assert Detector(nb_detector.model, svm_detector.vocab).base == "nb"
 
     def test_paragraph_unit_labels_whole_paragraphs(self, detector_models):
         model, vocab = detector_models["nb"]
@@ -642,7 +659,10 @@ REFERENCES = {
 }
 
 # given scores leave the detector unused; a detector extractor only needs one
-SCORED = Detector(model=None, vocab=None, config=DetectorConfig())
+SCORED = Detector(
+    NaiveBayesModel(log_prior=np.log([0.5, 0.5]), log_likelihood=np.zeros((2, 0)), alpha=1.0),
+    Vocabulary(token_to_index={}),
+)
 
 
 def selections(extractor, documents, scores, n=None, flipped=False) -> list[tuple[int, ...]]:

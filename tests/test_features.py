@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from subjcut.classifiers import TrainingError, nb_from_counts
+from subjcut.classifiers import TrainingError, _row_scales, nb_from_counts
 from subjcut import features
 from subjcut.corpus import OBJECTIVE, SUBJECTIVE, LabeledSentence
 from subjcut.evaluation import make_detector
@@ -27,10 +27,9 @@ tokens_strategy = st.lists(
 )
 
 
-def featurize_one(tokens, vocab, normalize=False):
-    """One text's presence vector over ``vocab``: (active columns, value per active)."""
-    rows = rows_over([tokens], vocab, normalize)
-    return rows.indices.tolist(), float(rows.values[0])
+def featurize_one(tokens, vocab):
+    """One text's presence vector over ``vocab``: its active columns."""
+    return rows_over([tokens], vocab).indices.tolist()
 
 
 def kept_columns(matrix, kept, min_doc_freq=1):
@@ -40,11 +39,6 @@ def kept_columns(matrix, kept, min_doc_freq=1):
     zeros = np.zeros(len(matrix), dtype=np.int64)
     held = class_counts(matrix, np.flatnonzero(fold_of == 1), zeros[fold_of == 1])
     return type_counts(matrix, zeros, fold_of).columns(min_doc_freq, 1, held)[0]
-
-
-def norm(vector):
-    active, value = vector
-    return value * math.sqrt(len(active))
 
 
 class TestBuildVocabulary:
@@ -91,25 +85,15 @@ class TestFeaturize:
 
     def test_presence_not_counts(self):
         vocab = vocabulary_of([["good", "movie"]])
-        assert featurize_one(["good", "good", "movie"], vocab) == ([0, 1], 1.0)
+        assert featurize_one(["good", "good", "movie"], vocab) == [0, 1]
 
     def test_empty_input_is_zero_vector(self):
         vocab = vocabulary_of([["good"]])
-        assert featurize_one([], vocab)[0] == []
+        assert featurize_one([], vocab) == []
 
     def test_unknown_tokens_dropped(self):
         vocab = vocabulary_of([["good"]])
-        assert featurize_one(["good", "unseen"], vocab)[0] == [0]
-
-    def test_normalization(self):
-        vocab = vocabulary_of([["good", "movie"]])
-        vec = featurize_one(["good", "movie"], vocab, normalize=True)
-        assert vec[1] == pytest.approx(1 / math.sqrt(2))
-        assert norm(vec) == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_normalized_stays_zero(self):
-        vocab = vocabulary_of([["good"]])
-        assert norm(featurize_one([], vocab, normalize=True)) == 0.0
+        assert featurize_one(["good", "unseen"], vocab) == [0]
 
     @given(tokens_strategy)
     def test_idempotent_under_repetition(self, tokens):
@@ -120,15 +104,6 @@ class TestFeaturize:
     def test_multiset_equals_set(self, tokens):
         vocab = vocabulary_of([["good", "bad", "film", "plot", "great", "dull"]])
         assert featurize_one(tokens, vocab) == featurize_one(sorted(set(tokens)), vocab)
-
-    @given(tokens_strategy)
-    def test_normalized_norm_is_unit_or_zero(self, tokens):
-        vocab = vocabulary_of([["good", "bad", "film", "plot", "great", "dull"]])
-        vec = featurize_one(tokens, vocab, normalize=True)
-        if vec[0]:
-            assert norm(vec) == pytest.approx(1.0, abs=1e-9)
-        else:
-            assert norm(vec) == 0.0
 
 
 texts_strategy = st.lists(st.lists(st.sampled_from("a b c d e f".split()), max_size=8), max_size=10)
@@ -144,14 +119,14 @@ def reference_vocabulary(texts, min_doc_freq):
     return {t: i for i, t in enumerate(t for t in first_seen if doc_freq[t] >= min_doc_freq)}
 
 
-def reference_rows(texts, vocab, normalize):
-    """(indptr, indices, values) of the texts' presence vectors over ``vocab``."""
+def reference_rows(texts, vocab):
+    """(indptr, indices, SVM row scales) of the texts' presence vectors over ``vocab``."""
     indptr, indices, values = [0], [], []
     for text in texts:
         active = sorted({vocab[t] for t in text if t in vocab})
         indices += active
         indptr.append(len(indices))
-        values.append(1.0 / math.sqrt(len(active)) if normalize and active else 1.0)
+        values.append(1.0 / math.sqrt(len(active)) if active else 1.0)
     return indptr, indices, values
 
 
@@ -175,21 +150,17 @@ class TestPresenceMatrix:
         assert list(saved.token_to_index.items()) == list(vocab.items())
         # the rows in a matrix of their own, where some vocabulary tokens may be missing
         alone = presence_matrix(texts[i] for i in rows)
-        for normalize in (False, True):
-            want = reference_rows([texts[i] for i in rows], vocab, normalize)
-            for features in (
-                featurize_rows(
-                    matrix, matrix.column_map(columns), len(columns),
-                    np.array(rows, dtype=int), normalize,
-                ),
-                featurize_rows(
-                    alone, saved.column_map(alone.types), saved.size, np.arange(n), normalize
-                ),
-            ):
-                assert len(features) == n and features.n_features == len(vocab)
-                assert features.indices.dtype == np.intp
-                got = features.indptr, features.indices, features.values
-                assert tuple(a.tolist() for a in got) == want
+        want = reference_rows([texts[i] for i in rows], vocab)
+        for features in (
+            featurize_rows(
+                matrix, matrix.column_map(columns), len(columns), np.array(rows, dtype=int)
+            ),
+            featurize_rows(alone, saved.column_map(alone.types), saved.size, np.arange(n)),
+        ):
+            assert len(features) == n and features.n_features == len(vocab)
+            assert features.indices.dtype == np.intp
+            got = features.indptr, features.indices, _row_scales(features)
+            assert tuple(a.tolist() for a in got) == want
 
     def test_frequency_cutoff_can_empty_the_vocabulary(self):
         texts = [["a", "b"], ["c"], []]
