@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 import os
 import re
 from dataclasses import asdict, dataclass, field
@@ -42,9 +43,9 @@ def tokenize(text: str) -> list[str]:
 class ReviewDocument:
     """One movie review: ordered sentences plus its polarity label.
 
-    ``paragraph_starts`` holds the sentence index opening each paragraph and
-    always begins with 0. ``fold`` is the cross-validation fold, or -1 before
-    folds have been assigned.
+    ``paragraph_starts`` holds the integer index of the sentence opening each
+    paragraph and always begins with 0. ``fold`` is the cross-validation
+    fold, or -1 before folds have been assigned.
     """
 
     id: str
@@ -61,6 +62,9 @@ class ReviewDocument:
         if not all(map(str.strip, self.sentences)):
             raise ValueError(f"document {self.id}: blank sentence")
         starts = self.paragraph_starts
+        if not all(type(s) is int or type(s) is not bool and isinstance(s, numbers.Integral)
+                   for s in starts):  # a numpy integer is an integer, a bool is not
+            raise ValueError(f"document {self.id}: paragraph starts must be integers, got {starts}")
         if not starts or starts[0] != 0:
             raise ValueError(f"document {self.id}: paragraph_starts must begin at 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):

@@ -2,9 +2,9 @@
 
 A detector scores each sentence of a review for subjectivity and selects a
 subset: independently per sentence (basic), jointly via a minimum cut with
-proximity edges (graph), or per paragraph. A batch of reviews gets its
+proximity edges (graph), or per paragraph. The reviews of a call get their
 proximity edges from one band over the distances 1..T that every review
-shares, and is cut straight from the band (``mincut.cut_band``). Sentences
+shares, and are cut straight from the band (``mincut.cut_band``). Sentences
 are scored as rows of their documents' ``sentence_matrix``, paragraph units as
 joins of consecutive sentence rows. Each selection is one flag per
 sentence of its documents, as are those ``evaluation`` makes for the
@@ -38,7 +38,6 @@ from . import features
 from .features import (
     PresenceMatrix,
     Vocabulary,
-    batches,
     featurize_rows,
     join_rows,
     presence_matrix,
@@ -112,23 +111,27 @@ def association_band(
     paragraph_starts: Sequence[Sequence[int] | None] | None,
     params: ProximityParams,
 ) -> np.ndarray:
-    """The association weights of a batch of documents as a (reach, sentences)
-    band: entry [d - 1, i] weighs the pair (i, i + d), and reach is the
-    threshold, or less when no document is that long.
+    """The association weights of documents as one (reach, sentences) band:
+    entry [d - 1, i] weighs the pair (i, i + d), and reach is the threshold,
+    or less when no document is that long.
 
-    The documents' sentences are numbered across the batch, ``counts[d]`` of
+    The documents' sentences are numbered in one sequence, ``counts[d]`` of
     them for document d. Sentences of one document at most the threshold
     apart weigh the decay at their distance times the strength, and the
     cross-paragraph weight more if a start of ``paragraph_starts[d]`` (sorted)
     lies in (i, k]; a document with fewer than two starts, or any when
     ``paragraph_starts`` is None, is one paragraph. A pair that would leave
     its document weighs 0. Counts are refused as ``cut_band`` refuses them,
-    and so are starts not one per count.
+    and so are starts not one per count, and starts that are not integers.
     """
     counts = instance_counts(counts)
     paragraph_starts = [None] * len(counts) if paragraph_starts is None else paragraph_starts
     if len(paragraph_starts) != len(counts):
         raise ValueError("counts and paragraph_starts differ in length")
+    for d, starts in enumerate(paragraph_starts):
+        if not all(type(s) is int or type(s) is not bool and isinstance(s, numbers.Integral)
+                   for s in starts or ()):
+            raise ValueError(f"document {d}: paragraph starts must be integers, got {starts}")
     ends = np.cumsum(counts)
     reach = min(params.threshold, int(counts.max(initial=1)) - 1)
     by_distance = np.array(
@@ -165,7 +168,7 @@ def individual_scores(
         raise TypeError(f"unsupported model type {type(model).__name__}")
     column_of, svm = vocab.column_map(matrix.types), isinstance(model, LinearMarginModel)
     parts = [np.zeros(0)]
-    for batch in batches(np.diff(matrix.offsets), features.BATCH_TOKENS):
+    for batch in features.batches(np.diff(matrix.offsets), features.BATCH_TOKENS):
         rows = featurize_rows(matrix, column_of, vocab.size, np.arange(batch.start, batch.stop))
         parts.append(svm_to_individual(svm_margin(model, rows))[0] if svm
                      else nb_predict_prob(model, rows))
@@ -209,27 +212,14 @@ def select_graph(
     paragraph_starts: Sequence[Sequence[int] | None] | None = None,
 ) -> np.ndarray:
     """One flag per item of ``scores``, the sentences of documents of
-    ``counts[d]`` sentences each, in order: whether the minimum cut of its
-    document's score graph keeps it (the source side). Inputs are refused as
-    ``association_band`` refuses them, counts before any band is built.
-
-    Each batch of documents, by their sentences, is cut from its
-    ``association_band`` by ``cut_band``, which gives the canonical cut. The
-    last batch (empty without documents) takes the starts left over."""
+    ``counts[d]`` sentences each, in order: whether the canonical minimum cut
+    of its document's score graph keeps it (the source side), by one
+    ``cut_band`` call on the documents' one ``association_band``. Inputs are
+    refused as ``association_band`` refuses them, counts before any band is built."""
     counts = instance_counts(counts)
-    first = np.cumsum([0, *counts]).tolist()
-    if first[-1] != len(scores):
-        raise ValueError(f"{len(scores)} scores for {first[-1]} sentences")
-    keep = np.zeros(first[-1], dtype=bool)
-    spans = batches(counts, features.CUT_BATCH_SENTENCES) or [range(0)]
-    for batch in spans:
-        part, rows = slice(batch.start, batch.stop), slice(first[batch.start], first[batch.stop])
-        last = None if batch is spans[-1] else batch.stop
-        starts = None if paragraph_starts is None else paragraph_starts[batch.start : last]
-        weights = association_band(counts[part], starts, params)
-        batch_scores = IndividualScores(scores.class1[rows], scores.class2[rows])
-        keep[rows] = cut_band(batch_scores, counts[part], weights)
-    return keep
+    if counts.sum() != len(scores):
+        raise ValueError(f"{len(scores)} scores for {counts.sum()} sentences")
+    return cut_band(scores, counts, association_band(counts, paragraph_starts, params))
 
 
 def detect_paragraph_unit(

@@ -23,10 +23,10 @@ sentences, needs no tokenizing of its own: ``join_rows`` concatenates their
 rows and keeps each id's first occurrence, which is the row the joined text
 would get, over the same type table.
 
-Batching has one rule, ``batches``, and each step that holds token-length
-temporaries applies it itself, so callers pass whole matrices: mapping
-texts, joining and counting rows, and the detector's scoring take about
-``BATCH_TOKENS`` tokens at a time. Only the cut batches by sentences.
+Batching has one rule, ``batches``, and each step whose temporaries it bounds
+applies it itself, so callers pass whole matrices: token work (mapping texts,
+joining, counting and scoring rows) takes about ``BATCH_TOKENS`` tokens at a
+time, and the cut (``mincut.cut_band``) ``CUT_BATCH_SENTENCES`` sentences.
 """
 
 from __future__ import annotations
@@ -136,10 +136,8 @@ class PresenceMatrix:
         return cls(types=tuple(types), ids=np.concatenate(ids), offsets=offsets)
 
 
-# The one batching rule (``batches``), with two budgets. Token work (mapping
-# texts, joining, counting and scoring rows) runs about ``BATCH_TOKENS`` tokens
-# at a time; the cut, whose arrays grow with sentences times 2**reach, about
-# ``CUT_BATCH_SENTENCES`` sentences. Each is read when its step runs.
+# ``batches``' two budgets, each read when its step runs; the cut's arrays grow
+# with sentences times 2**reach, so its budget counts sentences
 BATCH_TOKENS = 1 << 16
 CUT_BATCH_SENTENCES = 8192
 

@@ -5,13 +5,13 @@ minimizing: class-2 scores over items placed in class 1, plus class-1 scores
 over items placed in class 2, plus association scores over split pairs. The
 graph realizes these as capacities, rounded to integers at the fixed ``SCALE``
 so the cut is exact, by ``integer_instance`` alone, for the cut and the
-oracles alike; ``_checked_band`` refuses for both. Each item gets
-one terminal arc, weighing the difference of its rounded scores: that lowers
-every labeling's cost by the same constant, so the minimum cuts are the
-paper's (Kolmogorov & Zabih, PAMI 2004). Many instances are solved at once:
-their graphs share only the source and the sink, so each instance's cut is
-unaffected by the others. Every cut computed here is the canonical one: the
-intersection of all minimum labelings' source sides.
+oracles alike; ``_checked_band`` refuses for both. Each item gets one terminal
+arc, weighing the difference of its rounded scores: that lowers every
+labeling's cost by the same constant, so the minimum cuts are the paper's
+(Kolmogorov & Zabih, PAMI 2004). Many instances are solved at once, a batch at
+a time: their graphs share only the source and the sink, so each instance's
+cut is unaffected by the others. Every cut computed here is the canonical one:
+the intersection of all minimum labelings' source sides.
 
 ``cut_band`` is the one cut. It takes the instances' scores as one array
 with each instance's item count, and their pairs as a band, weights by item
@@ -32,6 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
+from . import features
 from .classifiers import IndividualScores
 
 SCALE = 10**6
@@ -127,7 +128,8 @@ def cut_band(scores: IndividualScores, counts: Sequence[int], weights: np.ndarra
     source side is the items whose rounded class-1 score is the larger. Else
     a band of reach at most ``BANDED_REACH_LIMIT`` is cut by its items'
     min-marginals (``_min_marginals``), a wider one by one max-flow
-    computation (``_source_side``); both give the canonical cut.
+    computation (``_source_side``); both give the canonical cut, and run on
+    ``features.batches`` of ``CUT_BATCH_SENTENCES`` items, which bounds their memory.
     """
     counts, instance, position, weights = _checked_band(scores, counts, weights)
     reach, longest = len(weights), int(counts.max(initial=0))
@@ -138,9 +140,15 @@ def cut_band(scores: IndividualScores, counts: Sequence[int], weights: np.ndarra
     margin = class1 - class2
     if not caps.any():
         return margin > 0
-    if banded:
-        return _min_marginals(counts, instance, position, margin, caps)
-    return _source_side(margin, *band_pairs(caps))
+    keep, first = np.zeros(len(margin), dtype=bool), np.cumsum([0, *counts])
+    for batch in features.batches(counts, features.CUT_BATCH_SENTENCES):
+        a, b = batch.start, batch.stop
+        rows, band = slice(first[a], first[b]), caps[:, first[a] : first[b]]
+        keep[rows] = (
+            _min_marginals(counts[a:b], instance[rows] - a, position[rows], margin[rows], band)
+            if banded else _source_side(margin[rows], *band_pairs(band))
+        )
+    return keep
 
 
 def _source_side(margin: np.ndarray, pairs: np.ndarray, caps: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +51,12 @@ class TestReviewDocument:
             _doc(paragraph_starts=(0, 0))
         with pytest.raises(ValueError):
             _doc(paragraph_starts=(0, 5))
+
+    def test_rejects_paragraph_starts_that_are_not_integers(self):
+        for starts in ((0, 1.5), (0, True), (0.0,), (False, 1)):
+            with pytest.raises(ValueError, match="document d: paragraph starts must be integers"):
+                _doc(sentences=("a b", "c d", "e f"), paragraph_starts=starts)
+        assert _doc(paragraph_starts=(0, np.int64(1))).paragraph_starts == (0, 1)
 
 
 

@@ -150,6 +150,21 @@ class TestAssocScores:
             with pytest.raises(ValueError, match="instance counts must be integers >= 0"):
                 association_band(counts, None, params)
 
+    @pytest.mark.filterwarnings("error")
+    def test_starts_that_are_not_integers_refused(self):
+        params = ProximityParams(threshold=2, strength=0.3)
+        scores = scores_from([0.9, 0.3, 0.6, 0.2, 0.8, 0.1])
+        for bad in ((0, 1.5), (0, True), (0.0,), (1.0,)):
+            starts = [(0,), bad]
+            for refuse in (lambda: association_band([2, 4], starts, params),
+                           lambda: select_graph(scores, [2, 4], params, starts)):
+                with pytest.raises(ValueError, match=r"document 1: paragraph starts must be"):
+                    refuse()
+        # numpy integers are integers; starts out of range or a lone start other
+        # than 0 are taken as they are (``band_documents`` generates them)
+        for good in ((0, np.int64(2)), (0, 4, 9), (3,)):
+            association_band([2, 4], [None, good], params)
+
     def test_nonnegative_and_bounded_distance(self):
         params = ProximityParams(threshold=2, decay="inverse_square", strength=0.9)
         a = pairs_of(association_band([10], [None], params))
@@ -508,7 +523,7 @@ def batched_steps(documents, detector_models):
 
 # the call each batched step makes once per batch
 BATCH_CALLS = ((features, "distinct_runs"), (extraction, "featurize_rows"),
-               (features, "_class_counts"), (extraction, "cut_band"))
+               (features, "_class_counts"), (mincut, "_min_marginals"))
 
 
 class TestBatchBudgets:

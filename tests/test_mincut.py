@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subjcut import mincut
+from subjcut import features, mincut
 from subjcut.classifiers import IndividualScores
 from subjcut.extraction import DECAY_NAMES, ProximityParams, association_band, select_graph
 from subjcut.mincut import (
@@ -404,6 +404,54 @@ class TestBatch:
     def test_empty_batch(self):
         assert cut_band(*joined([]), np.zeros((0, 0))).tolist() == []
         assert cut_band(*joined([]), np.zeros((BANDED_REACH_LIMIT + 1, 0))).tolist() == []
+
+    @pytest.mark.parametrize("budget", [1, 7, 30])
+    @pytest.mark.parametrize("solver, route", [("_min_marginals", np.asarray),
+                                               ("_source_side", widened)])
+    def test_cut_band_runs_its_solver_a_batch_at_a_time(self, monkeypatch, budget, solver, route):
+        rng = np.random.default_rng(budget)
+        # reach at most 6, which the banded route cuts, and instances of no items
+        instances = [random_instance(rng, n_max=BANDED_REACH_LIMIT + 1) for _ in range(30)]
+        empty = (IndividualScores(class1=np.array([]), class2=np.array([])), np.zeros((0, 0)))
+        instances[3:3] = [empty, empty]
+        scores, counts = joined([ind for ind, _ in instances])
+        band = route(stacked_band(instances))
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", 10**9)
+        sizes = solver_sizes(monkeypatch, solver)
+        whole = cut_band(scores, counts, band)
+        assert sizes == [len(scores)]
+        assert_canonical(instances, whole)
+        sizes.clear()
+        monkeypatch.setattr(features, "CUT_BATCH_SENTENCES", budget)
+        assert cut_band(scores, counts, band).tolist() == whole.tolist()
+        # one call per batch of ``features.batches``, which closes a batch at
+        # the instance that reaches the budget: each holds less than the
+        # budget plus that instance
+        assert len(sizes) > 1
+        assert sizes == [sum(counts[r.start : r.stop]) for r in features.batches(counts, budget)]
+        assert max(sizes) < budget + max(counts)
+        # a band without a pair arc needs no solver, so nothing is batched
+        sizes.clear()
+        no_arcs = cut_band(scores, counts, 0 * band)
+        assert no_arcs.tolist() == (scores.class1 > scores.class2).tolist()
+        assert sizes == []
+
+
+def solver_sizes(monkeypatch, solver: str) -> list:
+    """Patch the cut's two solvers: ``solver`` records the items of each call
+    in the returned list, and the other must not be called."""
+    sizes, solve = [], getattr(mincut, solver)
+
+    def counted(*args):
+        sizes.append(len(args[3 if solver == "_min_marginals" else 0]))  # the margins
+        return solve(*args)
+
+    def refused(*args):
+        raise AssertionError(f"{solver} is not the only solver called")
+
+    for name in ("_min_marginals", "_source_side"):
+        monkeypatch.setattr(mincut, name, counted if name == solver else refused)
+    return sizes
 
 
 def intersection_of_minimum_labelings(costs, n) -> tuple[int, ...]:
